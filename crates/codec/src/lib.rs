@@ -219,6 +219,17 @@ pub fn to_shared_bytes<T: Encode + ?Sized>(value: &T) -> std::sync::Arc<[u8]> {
     value.to_vec().into()
 }
 
+/// An empty vector for a sequence whose prefix claims `len` elements,
+/// reserving no more memory than `input` has bytes: a small, hostile input
+/// claiming many large elements must not make the decoder reserve
+/// `len × size_of::<T>()` before the first element fails to decode.
+/// Sequences whose elements take at least `size_of::<T>()` bytes on the
+/// wire still get their whole capacity up front; others grow as they
+/// decode.
+fn seq_with_capacity<T>(len: usize, input: &[u8]) -> Vec<T> {
+    Vec::with_capacity(len.min(input.len() / std::mem::size_of::<T>().max(1)))
+}
+
 fn decode_len(input: &mut &[u8]) -> Result<usize, DecodeError> {
     let len = u32::decode(input)? as usize;
     if len > input.len() {
@@ -291,11 +302,11 @@ macro_rules! impl_vec_like {
         impl Decode for Vec<$ty> {
             fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
                 let len = u32::decode(input)? as usize;
-                // Each element takes at least one byte; bound allocation.
+                // Each element takes at least one byte.
                 if len > input.len() {
                     return Err(DecodeError::BadLength(len as u64));
                 }
-                let mut out = Vec::with_capacity(len);
+                let mut out = seq_with_capacity(len, input);
                 for _ in 0..len {
                     out.push(<$ty>::decode(input)?);
                 }
@@ -332,7 +343,7 @@ pub fn decode_seq<T: Decode>(input: &mut &[u8]) -> Result<Vec<T>, DecodeError> {
     if len > input.len() {
         return Err(DecodeError::BadLength(len as u64));
     }
-    let mut out = Vec::with_capacity(len);
+    let mut out = seq_with_capacity(len, input);
     for _ in 0..len {
         out.push(T::decode(input)?);
     }

@@ -156,6 +156,24 @@ impl SmrMsg {
     pub fn wire_size(&self) -> usize {
         smartchain_codec::FRAME_BYTES + self.encoded_len()
     }
+
+    /// Decodes a payload that may only be an [`SmrMsg::Request`] — what a
+    /// client connection carries — without decoding any other variant, so
+    /// an unauthenticated sender cannot make a replica build a
+    /// replica-to-replica message. Trailing bytes are rejected as in
+    /// [`smartchain_codec::from_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::BadDiscriminant`] for any other variant, plus the
+    /// request's own decode errors.
+    pub fn decode_request(payload: &[u8]) -> Result<Request, DecodeError> {
+        match payload.split_first() {
+            Some((0, body)) => smartchain_codec::from_bytes(body),
+            Some((&d, _)) => Err(DecodeError::BadDiscriminant(d as u32)),
+            None => Err(DecodeError::UnexpectedEnd),
+        }
+    }
 }
 
 impl Encode for SmrMsg {
@@ -485,10 +503,16 @@ pub struct OrderingCore {
     last_delivered: u64,
     /// Decisions that arrived out of order, waiting for their predecessors.
     undelivered: BTreeMap<u64, Decision>,
-    /// Requests admitted and not yet delivered.
+    /// Admitted requests in arrival order: a leader's batch source, and on
+    /// a follower the copies it holds until they are ordered (clients send
+    /// each request to every replica). An entry is *live* while its id is
+    /// in `pending_ids`; delivery kills it in O(1), and `compact_pending`
+    /// drops dead entries once they outnumber the live ones, so the deque
+    /// stays proportional to the live requests, not to history.
     pending: VecDeque<Request>,
-    /// Ids of live entries in `pending` (O(1) dedup; removal is lazy —
-    /// deque entries whose id left this set are dropped when encountered).
+    /// Ids of the live entries in `pending` — exactly one entry each, since
+    /// `submit` admits an id only once and never after its delivery. The
+    /// authoritative "admitted, not yet delivered" set.
     pending_ids: std::collections::HashSet<(u64, u64)>,
     /// Instance/epoch pairs we already proposed in (leader bookkeeping).
     proposed: HashMap<u64, u32>,
@@ -737,6 +761,22 @@ impl OrderingCore {
             .and_modify(|s| *s = (*s).max(seq))
             .or_insert(seq);
         self.pending_ids.remove(&(client, seq));
+        self.compact_pending();
+    }
+
+    /// Drops dead entries (delivered ids) from `pending` in one pass once
+    /// they outnumber the live ones. The slack of 64 spares small pools the
+    /// pass; the factor of two makes its cost amortised O(1) per delivery.
+    /// Live entries keep their relative order, so batches are unchanged.
+    /// The whole deque is filtered, not just a dead prefix: one request that
+    /// reaches a follower but never the leader stays live at the front, and
+    /// a prefix-only drop would then keep everything behind it.
+    fn compact_pending(&mut self) {
+        if self.pending.len() > 2 * self.pending_ids.len() + 64 {
+            self.pending.retain(|r| self.pending_ids.contains(&r.id()));
+            self.pending_cursor = 0;
+            self.take_scan_end = 0;
+        }
     }
 
     /// Highest delivered sequence number for `client`, if any — the read
@@ -1240,6 +1280,7 @@ impl OrderingCore {
                 proof: d.proof.clone(),
             }));
         }
+        self.compact_pending();
         // Prune old instances (keep a tail to serve FetchValue) and stale
         // leader bookkeeping for delivered slots.
         let keep_from = self.last_delivered.saturating_sub(self.window());
@@ -1286,19 +1327,13 @@ impl OrderingCore {
         })
     }
 
-    /// Drops stale deque entries (ids removed on delivery) lazily, then
-    /// takes up to a batch of live, unclaimed requests (they stay queued
-    /// until their own delivery removes them). The scan starts at
-    /// `pending_cursor` — every earlier entry is already dead or claimed —
-    /// so filling α slots costs O(α × batch), not O(α × pending).
+    /// Takes up to a batch of live, unclaimed requests (they stay queued
+    /// until their own delivery removes them), skipping dead entries —
+    /// `compact_pending` keeps those at most twice the live ones plus 64.
+    /// The scan starts at `pending_cursor` — every earlier entry is already
+    /// dead or claimed — so the slots of one window do not rescan each
+    /// other's claims.
     fn take_batch(&mut self) -> Vec<Request> {
-        while let Some(front) = self.pending.front() {
-            if self.pending_ids.contains(&front.id()) {
-                break;
-            }
-            self.pending.pop_front();
-            self.pending_cursor = self.pending_cursor.saturating_sub(1);
-        }
         let limit = self.effective_max_batch();
         let mut batch = Vec::new();
         let mut scanned = self.pending_cursor;
@@ -1793,6 +1828,72 @@ mod tests {
         assert!(outs
             .iter()
             .all(|o| !matches!(o, CoreOutput::NeedStateTransfer { .. })));
+    }
+
+    /// Orders `total` requests in closed-loop rounds of 64 (client `i`
+    /// sends seq `round + 1`), each submitted to all four cores the way
+    /// clients fan out, and checks after every round that no core's request
+    /// pool holds more than twice its live requests plus 64 and that every
+    /// core delivered the same sequence. With `stray`, one extra request
+    /// reaches replica 2 only — never the leader — so it stays live at the
+    /// front of that follower's pool for the whole run.
+    fn run_fan_out_rounds(alpha: u64, total: u64, stray: bool) {
+        let mut cores = make_cluster_alpha(4, 64, alpha);
+        if stray {
+            assert!(cores[2].submit(req(1_000_000, 1)).is_empty());
+        }
+        let mut delivered: Vec<Vec<(u64, u64)>> = vec![Vec::new(); 4];
+        let rounds = total.div_ceil(64);
+        for round in 0..rounds {
+            let mut initial = Vec::new();
+            for client in 0..64.min(total - round * 64) {
+                for r in 0..4 {
+                    for out in cores[r].submit(req(client, round + 1)) {
+                        initial.push((r, out));
+                    }
+                }
+            }
+            let batches = pump(&mut cores, initial, &[]);
+            for (r, core) in cores.iter().enumerate() {
+                delivered[r].extend(
+                    batches[r]
+                        .iter()
+                        .flat_map(|b| b.requests.iter().map(Request::id)),
+                );
+                assert!(
+                    core.pending.len() <= 2 * core.pending_ids.len() + 64,
+                    "α={alpha} round {round}: replica {r} holds {} entries for {} live",
+                    core.pending.len(),
+                    core.pending_ids.len()
+                );
+            }
+        }
+        assert_eq!(delivered[0].len() as u64, total, "α={alpha}");
+        for r in 1..4 {
+            assert_eq!(delivered[r], delivered[0], "α={alpha}: replica {r}");
+        }
+        for (r, core) in cores.iter().enumerate() {
+            let live = usize::from(stray && r == 2);
+            assert_eq!(core.pending_len(), live, "α={alpha}: replica {r}");
+        }
+    }
+
+    /// Followers drop ordered requests: with every request sent to every
+    /// replica, no core's pool grows with the number of requests ordered.
+    #[test]
+    fn request_pool_stays_bounded_on_every_replica() {
+        for alpha in [1, 4] {
+            run_fan_out_rounds(alpha, 20_000, false);
+        }
+    }
+
+    /// A live request at the front of a follower's pool (it reached that
+    /// follower only) must not pin the dead entries queued behind it.
+    #[test]
+    fn request_pool_stays_bounded_behind_a_live_head() {
+        for alpha in [1, 4] {
+            run_fan_out_rounds(alpha, 5_000, true);
+        }
     }
 
     /// α = 4, max_batch = 1: four submissions open four concurrent

@@ -572,12 +572,22 @@ pub fn parse_read_proof_request(payload: &[u8]) -> Option<u64> {
 /// assembles and stores the [`CheckpointCert`]. Shares for other bases are
 /// kept until their covered point is superseded — replicas checkpoint at
 /// the same batch numbers but not at the same wall-clock instant.
+///
+/// What a peer can make it hold is bounded: a peer speaks only for itself,
+/// and only its shares for its [`SHARES_PER_REPLICA`] highest covered
+/// points are kept, so at most `SHARES_PER_REPLICA × n` entries exist
+/// whatever the peers send.
 struct CertAssembly {
-    /// Per-covered-point shares: `(replica, state_root, tip, signature)`.
-    shares: HashMap<u64, Vec<CkptShareEntry>>,
+    /// Per-replica shares `(covered, state_root, tip, signature)`, in
+    /// ascending `covered` order.
+    shares: HashMap<ReplicaId, Vec<CkptShareEntry>>,
 }
 
-type CkptShareEntry = (ReplicaId, [u8; 32], [u8; 32], Signature);
+type CkptShareEntry = (u64, [u8; 32], [u8; 32], Signature);
+
+/// Covered points kept per replica: its newest checkpoint and the one
+/// before, so a peer one checkpoint ahead of us still contributes.
+const SHARES_PER_REPLICA: usize = 2;
 
 impl CertAssembly {
     fn new() -> Self {
@@ -586,19 +596,30 @@ impl CertAssembly {
         }
     }
 
+    /// Records `replica`'s share as received from `from` (`me` for this
+    /// replica's own share). A share naming any replica other than its
+    /// authenticated sender is dropped: otherwise a Byzantine peer could
+    /// pre-empt a correct replica's genuine share with a junk one.
     fn note(
         &mut self,
+        from: ReplicaId,
         replica: ReplicaId,
         covered: u64,
         state_root: [u8; 32],
         tip: [u8; 32],
         signature: Signature,
     ) {
-        let entry = self.shares.entry(covered).or_default();
-        if entry.iter().any(|(r, ..)| *r == replica) {
-            return; // first share per replica wins
+        if replica != from {
+            return;
         }
-        entry.push((replica, state_root, tip, signature));
+        let entries = self.shares.entry(replica).or_default();
+        let Err(at) = entries.binary_search_by_key(&covered, |e| e.0) else {
+            return; // first share per replica and covered point wins
+        };
+        entries.insert(at, (covered, state_root, tip, signature));
+        if entries.len() > SHARES_PER_REPLICA {
+            entries.remove(0);
+        }
     }
 
     fn try_assemble<A: Application>(&mut self, core: &OrderingCore, durable: &mut DurableApp<A>) {
@@ -609,24 +630,24 @@ impl CertAssembly {
             self.prune(covered);
             return;
         }
-        let Some(entries) = self.shares.get(&covered) else {
-            return;
-        };
         // Only shares agreeing with OUR basis count, and each signature is
         // checked against the signer's view key — a Byzantine replica can
         // neither vote twice nor smuggle a foreign root into the quorum.
         let view = core.view();
         let payload = ckpt_sign_payload(covered, &state_root, &tip);
         let mut signatures: Vec<(ReplicaId, Signature)> = Vec::new();
-        for (replica, root, t, sig) in entries {
-            if *root != state_root || *t != tip {
+        for (&replica, entries) in &self.shares {
+            let Some((_, _, _, sig)) = entries
+                .iter()
+                .find(|(c, root, t, _)| *c == covered && *root == state_root && *t == tip)
+            else {
                 continue;
-            }
-            let Some(key) = view.members.get(*replica) else {
+            };
+            let Some(key) = view.members.get(replica) else {
                 continue;
             };
             if key.verify(&payload, sig) {
-                signatures.push((*replica, *sig));
+                signatures.push((replica, *sig));
             }
         }
         if signatures.len() >= view.quorum() {
@@ -642,7 +663,9 @@ impl CertAssembly {
     }
 
     fn prune(&mut self, covered: u64) {
-        self.shares.retain(|&c, _| c > covered);
+        for entries in self.shares.values_mut() {
+            entries.retain(|e| e.0 > covered);
+        }
     }
 }
 
@@ -885,6 +908,7 @@ fn replica_loop<A: Application, T: Transport>(
                 ..
             }) => verify_and_submit(core, pool, vec![request], require_signed),
             Ok(NetEvent::Peer {
+                from,
                 msg:
                     SmrMsg::CkptShare {
                         replica,
@@ -893,9 +917,8 @@ fn replica_loop<A: Application, T: Transport>(
                         tip,
                         signature,
                     },
-                ..
             }) => {
-                certs.note(replica, covered, state_root, tip, signature);
+                certs.note(from, replica, covered, state_root, tip, signature);
                 certs.try_assemble(core, durable);
                 Vec::new()
             }
@@ -1055,7 +1078,7 @@ fn replica_loop<A: Application, T: Transport>(
                             {
                                 let signature =
                                     core.sign(&ckpt_sign_payload(covered, &state_root, &tip));
-                                certs.note(me, covered, state_root, tip, signature);
+                                certs.note(me, me, covered, state_root, tip, signature);
                                 certs.try_assemble(core, durable);
                                 transport.broadcast(&SmrMsg::CkptShare {
                                     replica: me,
@@ -1235,6 +1258,73 @@ mod tests {
             .expect("op with f crashed");
         assert_eq!(u64::from_le_bytes(r[..8].try_into().unwrap()), 3);
         cluster.shutdown();
+    }
+
+    /// Replica 0's ordering core on a 4-replica sim-key view, a durable app
+    /// that has cut its first checkpoint, and the view's secret keys.
+    fn cert_fixture(tag: &str) -> (OrderingCore, DurableApp<CounterApp>, Vec<SecretKey>) {
+        let secrets: Vec<SecretKey> = (0..4)
+            .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 70; 32]))
+            .collect();
+        let view = View {
+            id: 0,
+            members: secrets.iter().map(|s| s.public_key()).collect(),
+        };
+        let core = OrderingCore::new(0, view, secrets[0].clone(), OrderingConfig::default(), 0);
+        let mut durable = DurableApp::open(CounterApp::new(), fresh_dir(tag), 2).expect("open");
+        for seq in 0..2 {
+            let request = Request {
+                client: 1,
+                seq,
+                payload: vec![1],
+                signature: None,
+            };
+            durable.apply_requests(&[request]).expect("apply");
+        }
+        (core, durable, secrets)
+    }
+
+    /// A peer cannot speak for another replica: a junk share claiming to be
+    /// replica 1's, sent by replica 3 before 1's genuine share, is dropped,
+    /// and the genuine share still completes the quorum.
+    #[test]
+    fn forged_sender_ckpt_share_is_ignored() {
+        let (core, mut durable, secrets) = cert_fixture("forged-share");
+        let (covered, root, tip) = durable.latest_checkpoint_basis().expect("checkpoint");
+        let payload = ckpt_sign_payload(covered, &root, &tip);
+        let mut certs = CertAssembly::new();
+        certs.note(3, 1, covered, root, tip, secrets[3].sign(b"junk"));
+        for (r, secret) in secrets.iter().enumerate().take(2) {
+            certs.note(r, r, covered, root, tip, secret.sign(&payload));
+        }
+        certs.try_assemble(&core, &mut durable);
+        assert!(durable.checkpoint_cert().is_none(), "two shares: no quorum");
+        certs.note(2, 2, covered, root, tip, secrets[2].sign(&payload));
+        certs.try_assemble(&core, &mut durable);
+        let cert = durable.checkpoint_cert().expect("three genuine shares");
+        let signers: Vec<ReplicaId> = cert.signatures.iter().map(|(r, _)| *r).collect();
+        assert_eq!(signers, vec![0, 1, 2]);
+        assert!(cert.verify(core.view()));
+    }
+
+    /// Peers flooding distinct covered points leave at most
+    /// `SHARES_PER_REPLICA` shares each — their highest ones.
+    #[test]
+    fn ckpt_share_flood_stays_bounded() {
+        let mut certs = CertAssembly::new();
+        let junk = SecretKey::from_seed(Backend::Sim, &[9; 32]).sign(b"junk");
+        for covered in 0..100_000u64 {
+            for r in 0..4 {
+                certs.note(r, r, covered, [0; 32], [0; 32], junk);
+                certs.note(r, (r + 1) % 4, covered, [0; 32], [0; 32], junk);
+            }
+        }
+        let held: usize = certs.shares.values().map(Vec::len).sum();
+        assert!(held <= SHARES_PER_REPLICA * 4, "{held} shares held");
+        for entries in certs.shares.values() {
+            let kept: Vec<u64> = entries.iter().map(|e| e.0).collect();
+            assert_eq!(kept, vec![99_998, 99_999]);
+        }
     }
 
     #[test]

@@ -61,29 +61,28 @@ use std::time::{Duration, Instant};
 /// Read chunk size per `read(2)`.
 const READ_CHUNK: usize = 64 * 1024;
 
+thread_local! {
+    /// The block every [`FrameReader`] on this thread reads into. A reader
+    /// uses it only inside [`FrameReader::fill`], so one block per thread
+    /// serves any number of connections — a replica with a thousand
+    /// clients, or a client pool with thousands of sockets, pins 64 KiB
+    /// per thread instead of 64 KiB per connection.
+    static READ_SCRATCH: std::cell::RefCell<Box<[u8; READ_CHUNK]>> =
+        std::cell::RefCell::new(Box::new([0u8; READ_CHUNK]));
+}
+
 /// Reassembles length-prefixed frames from a nonblocking stream. Bytes
 /// accumulate across arbitrarily-torn reads (`EAGAIN` mid-frame included);
 /// complete frames pop off the front.
 ///
-/// Reads land in a reusable scratch block and only the bytes actually
+/// Reads land in a per-thread scratch block and only the bytes actually
 /// received are appended to the reassembly buffer — the naive
 /// `resize(len + CHUNK, 0)` pattern memsets 64 KiB per readable event,
 /// which at protocol frame sizes costs more than the read itself.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
-    scratch: Box<[u8; READ_CHUNK]>,
-}
-
-impl Default for FrameReader {
-    fn default() -> FrameReader {
-        FrameReader {
-            buf: Vec::new(),
-            start: 0,
-            scratch: Box::new([0u8; READ_CHUNK]),
-        }
-    }
 }
 
 impl FrameReader {
@@ -101,12 +100,16 @@ impl FrameReader {
     /// absorbed.
     pub fn fill(&mut self, r: &mut impl Read) -> io::Result<(u64, bool)> {
         self.compact();
+        READ_SCRATCH.with_borrow_mut(|scratch| self.fill_from(r, &mut scratch[..]))
+    }
+
+    fn fill_from(&mut self, r: &mut impl Read, scratch: &mut [u8]) -> io::Result<(u64, bool)> {
         let mut total = 0u64;
         loop {
-            match r.read(&mut self.scratch[..]) {
+            match r.read(scratch) {
                 Ok(0) => return Ok((total, true)),
                 Ok(n) => {
-                    self.buf.extend_from_slice(&self.scratch[..n]);
+                    self.buf.extend_from_slice(&scratch[..n]);
                     total += n as u64;
                     // A short read usually means the socket buffer is
                     // drained; under level-triggered poll it is safe to
@@ -1085,8 +1088,8 @@ impl Reactor {
                 }
                 self.stats.add(&self.stats.frames_in, 1);
                 // Clients may only submit requests; anything else on a
-                // client connection is ignored.
-                if let Ok(SmrMsg::Request(req)) = from_bytes::<SmrMsg>(payload) {
+                // client connection is ignored without being decoded.
+                if let Ok(req) = SmrMsg::decode_request(payload) {
                     self.emit(NetEvent::Client(req));
                 }
                 true
@@ -1247,6 +1250,48 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], vec![0xabu8; 300]);
         assert_eq!(frames[1], b"second");
+    }
+
+    /// Readers share one scratch block per thread: two of them, filled in
+    /// turn on one thread, each reassemble only their own stream — frames
+    /// larger than the block, torn across many fills.
+    #[test]
+    fn interleaved_readers_on_one_thread_keep_their_own_streams() {
+        let key = FrameKey::link(&[7u8; 32], 0, 1);
+        let payloads = |fill: u8| -> Vec<Vec<u8>> {
+            vec![
+                vec![fill; READ_CHUNK + 1000],
+                vec![fill ^ 0xff; 3 * READ_CHUNK + 17],
+                vec![fill; 5],
+            ]
+        };
+        let (a_sent, b_sent) = (payloads(0x11), payloads(0x22));
+        let wire = |frames: &[Vec<u8>]| {
+            let mut wire = Vec::new();
+            for p in frames {
+                write_frame(&mut wire, &key, p).unwrap();
+            }
+            wire
+        };
+        // Chunks of different sizes keep the two streams' tears apart.
+        let mut a_src = ChunkedReader::new(&wire(&a_sent), READ_CHUNK + 333);
+        let mut b_src = ChunkedReader::new(&wire(&b_sent), 40_000);
+        let (mut a, mut b) = (FrameReader::new(), FrameReader::new());
+        let (mut a_got, mut b_got) = (Vec::new(), Vec::new());
+        for _ in 0..64 {
+            for (reader, src, got) in [
+                (&mut a, &mut a_src, &mut a_got),
+                (&mut b, &mut b_src, &mut b_got),
+            ] {
+                reader.fill(src).unwrap();
+                while let Some((tag, payload)) = reader.next_frame().unwrap() {
+                    assert!(key.verify(&payload, &tag));
+                    got.push(payload);
+                }
+            }
+        }
+        assert_eq!(a_got, a_sent);
+        assert_eq!(b_got, b_sent);
     }
 
     #[test]
