@@ -3,15 +3,19 @@
 //! (one fsync covering many batches, paper §II-C2).
 
 use smartchain_bench::micro::bench;
-use smartchain_storage::log::FileLog;
 use smartchain_storage::mem::MemLog;
 use smartchain_storage::wal::BatchingWriter;
-use smartchain_storage::{RecordLog, SyncPolicy};
+use smartchain_storage::{RecordLog, SegmentConfig, SegmentedLog, SyncPolicy};
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("smartchain-bench-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join(name)
+fn root() -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("smartchain-bench-{}", std::process::id()))
+}
+
+/// A fresh segmented log in its own directory under [`root`].
+fn segmented(name: &str, policy: SyncPolicy) -> SegmentedLog {
+    let dir = root().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    SegmentedLog::open(&dir, policy, SegmentConfig::default()).expect("open")
 }
 
 fn main() {
@@ -22,26 +26,19 @@ fn main() {
         log.append(&record).expect("append");
     });
 
-    let path = tmp("bench-async.log");
-    let _ = std::fs::remove_file(&path);
-    let mut log = FileLog::open(&path, SyncPolicy::Async).expect("open");
-    bench("log_append_512B/file_async", || {
+    let mut log = segmented("async", SyncPolicy::Async);
+    bench("log_append_512B/segmented_async", || {
         log.append(&record).expect("append");
     });
 
-    let path = tmp("bench-sync.log");
-    let _ = std::fs::remove_file(&path);
-    let mut log = FileLog::open(&path, SyncPolicy::Sync).expect("open");
-    bench("log_append_512B/file_sync", || {
+    let mut log = segmented("sync", SyncPolicy::Sync);
+    bench("log_append_512B/segmented_sync", || {
         log.append(&record).expect("append");
     });
 
     // The Dura-SMaRt effect: N records per flush vs one flush per record.
     for batch in [1usize, 10, 100] {
-        let path = tmp(&format!("bench-gc-{batch}.log"));
-        let _ = std::fs::remove_file(&path);
-        let log = FileLog::open(&path, SyncPolicy::Async).expect("open");
-        let mut writer = BatchingWriter::new(log);
+        let mut writer = BatchingWriter::new(segmented(&format!("gc-{batch}"), SyncPolicy::Async));
         let record = vec![0x55u8; 512];
         bench(&format!("group_commit/records_per_flush/{batch}"), || {
             for _ in 0..batch {
@@ -50,4 +47,6 @@ fn main() {
             writer.flush().expect("flush");
         });
     }
+
+    let _ = std::fs::remove_dir_all(root());
 }

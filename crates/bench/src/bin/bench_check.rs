@@ -15,10 +15,9 @@
 //! bench_check -- --print-baseline` and pasting the output.
 
 use smartchain_bench::micro::{
-    alpha_pipeline_throughput, black_box, channel_smoke, chunked_install_scenario,
-    exec_lane_throughput, exec_pool_smoke, hash_once_scenario, loss_grid_cell, measure,
-    segmented_recovery_scenario, tcp_client_soak, tcp_smoke, verify_adaptive_throughput,
-    verify_cap_throughput, AlphaMode, LossProfile,
+    alpha_pipeline_throughput, black_box, chunked_install_scenario, exec_lane_throughput,
+    exec_pool_smoke, hash_once_scenario, loss_grid_cell, measure, segmented_recovery_scenario,
+    tcp_client_soak, tcp_smoke, AlphaMode, LossProfile,
 };
 use smartchain_crypto::sha256;
 use smartchain_merkle as merkle;
@@ -293,31 +292,6 @@ fn main() {
         gate.band("exec_skew4_blocks_10s", s4.blocks as f64, 0.25);
     }
 
-    // Verify-stage sizing (deterministic, informational): the round cap's
-    // latency/throughput trade-off. Over-small rounds pay the pool
-    // hand-off per few requests; a generous cap is indistinguishable from
-    // unbounded at this load. The adaptive row starts at the small cap and
-    // grows under depth — the trade-off without picking a number.
-    for cap in [0usize, 4, 64] {
-        let v = verify_cap_throughput(cap, 1);
-        println!(
-            "verify cap {:>9}: {} completed, mean latency {:.1} ms (1 vsec, signed)",
-            if cap == 0 {
-                "unbounded".to_string()
-            } else {
-                format!("{cap}")
-            },
-            v.completed,
-            v.mean_latency_secs * 1e3,
-        );
-    }
-    let va = verify_adaptive_throughput(1);
-    println!(
-        "verify cap  adaptive: {} completed, mean latency {:.1} ms (1 vsec, signed)",
-        va.completed,
-        va.mean_latency_secs * 1e3,
-    );
-
     // Segmented-engine recovery replay (deterministic): 50 batches at
     // checkpoint period 20 and 8-record segments → checkpoints truncate the
     // covered prefix, so the reopen replays exactly 10 records and scans
@@ -420,16 +394,13 @@ fn main() {
         gate.band("hashes_per_decision", hash_once.hashes_per_decision(), 0.0);
     }
 
-    // Runtime smoke (wall-clock): the same closed loop over channel and
-    // real loopback-TCP transports. The channel number stays informational
-    // (liveness only); the TCP number is floor-gated — the reactor rework
-    // roughly doubled it, and a collapse back means the event loop
-    // regressed.
-    let ch = channel_smoke(1000);
+    // Runtime smoke (wall-clock): a closed loop over real loopback TCP,
+    // floor-gated — the reactor rework roughly doubled it, and a collapse
+    // back means the event loop regressed.
     let tcp = tcp_smoke(1000);
     println!(
-        "runtime smoke: channel {:.1} batches/sec, tcp {:.1} batches/sec ({} ops each)",
-        ch.batches_per_sec, tcp.batches_per_sec, ch.ops
+        "runtime smoke: tcp {:.1} batches/sec ({} ops)",
+        tcp.batches_per_sec, tcp.ops
     );
     if let Some(stats) = &tcp.transport {
         println!(
@@ -462,10 +433,6 @@ fn main() {
         }
     }
     if !print_baseline {
-        if ch.batches_per_sec <= 0.0 {
-            gate.failures
-                .push("channel smoke must report nonzero throughput".to_string());
-        }
         // pin/2 (was pin/3): the encode-once broadcast path shed the
         // per-peer payload copies, so the measured number sits comfortably
         // above the pin's half even on noisy CI machines.

@@ -10,15 +10,14 @@
 
 use smartchain_consensus::View;
 use smartchain_core::harness::ChainClusterBuilder;
-use smartchain_core::node::{NodeConfig, Persistence, SigMode, Variant, VerifyConfig};
+use smartchain_core::node::{NodeConfig, Persistence, Variant};
 use smartchain_crypto::keys::{Backend, SecretKey};
 use smartchain_sim::hw::HwSpec;
 use smartchain_sim::{MILLI, SECOND};
 use smartchain_smr::app::{Application, CounterApp};
-use smartchain_smr::client::CounterFactory;
 use smartchain_smr::durability::{ckpt_sign_payload, CheckpointCert, DurableApp};
 use smartchain_smr::ordering::{AlphaBounds, OrderingConfig, OrderingStats};
-use smartchain_smr::runtime::{LocalCluster, RuntimeConfig, TcpCluster};
+use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain_smr::transport::{TcpClientPool, TransportStats};
 use smartchain_smr::types::Request;
 use smartchain_storage::{SegmentConfig, SyncPolicy};
@@ -528,86 +527,6 @@ pub fn exec_pool_smoke(lanes: usize, batches: u64) -> ExecPoolSmoke {
     }
 }
 
-/// Outcome of a verify-cap scenario run (virtual time, deterministic).
-#[derive(Clone, Copy, Debug)]
-pub struct VerifyCapThroughput {
-    /// The round cap used (0 = unbounded, the default behavior).
-    pub max_batch: usize,
-    /// Client requests completed cluster-wide.
-    pub completed: u64,
-    /// Mean request latency (virtual seconds) across the client fleet —
-    /// where the round cap's effect shows up in a closed-loop workload.
-    pub mean_latency_secs: f64,
-    /// Virtual seconds simulated.
-    pub virtual_secs: u64,
-}
-
-/// Runs the verify-stage sizing scenario: 4 replicas with parallel signature
-/// verification (`SigMode::Parallel`), a signed closed-loop client fleet,
-/// fixed seed — with the verify round capped at `max_batch` requests
-/// (`0` = everything queued). Makes the §IV-B-style latency/throughput
-/// trade-off of [`VerifyConfig::max_batch`] measurable: tiny caps pay the
-/// pool hand-off per few requests, huge caps delay early arrivals behind
-/// the whole queue.
-pub fn verify_cap_throughput(max_batch: usize, virtual_secs: u64) -> VerifyCapThroughput {
-    verify_throughput(
-        VerifyConfig {
-            max_batch,
-            ..VerifyConfig::default()
-        },
-        virtual_secs,
-    )
-}
-
-/// The same scenario with *adaptive* round sizing: the cap starts at
-/// `min_batch`, doubles under sustained queue depth and shrinks when idle —
-/// the group-commit-style middle ground between a tiny fixed cap (hand-off
-/// per few requests) and an unbounded round (early arrivals wait for the
-/// whole queue).
-pub fn verify_adaptive_throughput(virtual_secs: u64) -> VerifyCapThroughput {
-    verify_throughput(
-        VerifyConfig {
-            max_batch: 0,
-            adaptive: true,
-            min_batch: 4,
-        },
-        virtual_secs,
-    )
-}
-
-fn verify_throughput(verify: VerifyConfig, virtual_secs: u64) -> VerifyCapThroughput {
-    let config = NodeConfig {
-        sig_mode: SigMode::Parallel,
-        verify,
-        ordering: OrderingConfig {
-            max_batch: 16,
-            ..OrderingConfig::default()
-        },
-        ..NodeConfig::default()
-    };
-    let mut cluster = ChainClusterBuilder::new(4, |_| CounterApp::new())
-        .node_config(config)
-        .hw(HwSpec::paper_testbed())
-        .seed(20_260_731)
-        .clients(2, 48, None)
-        .client_factory(|| Box::new(CounterFactory::new(true)))
-        .build();
-    cluster.run_until(virtual_secs * SECOND);
-    let client_nodes: Vec<_> = cluster.client_nodes().to_vec();
-    let (mut sum, mut count) = (0.0, 0u64);
-    for node in client_nodes {
-        let meter = cluster.client(node).latency();
-        sum += meter.mean_seconds() * meter.len() as f64;
-        count += meter.len() as u64;
-    }
-    VerifyCapThroughput {
-        max_batch: verify.max_batch,
-        completed: cluster.total_completed(),
-        mean_latency_secs: if count > 0 { sum / count as f64 } else { 0.0 },
-        virtual_secs,
-    }
-}
-
 /// Outcome of the deterministic segmented-engine recovery scenario.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentedRecovery {
@@ -767,36 +686,10 @@ pub struct RuntimeSmoke {
     pub transport: Option<TransportStats>,
 }
 
-/// Closed-loop smoke over the in-process channel transport: `ops`
-/// sequential operations against a live 4-replica [`LocalCluster`],
-/// measured wall-clock. The baseline the TCP number is read against.
-pub fn channel_smoke(ops: u64) -> RuntimeSmoke {
-    let config = RuntimeConfig {
-        storage_dir: Some(smoke_dir("channel")),
-        ..RuntimeConfig::default()
-    };
-    let mut cluster = LocalCluster::start(config, CounterApp::new).expect("boot local cluster");
-    let start = Instant::now();
-    for _ in 0..ops {
-        cluster
-            .execute(vec![1], Duration::from_secs(30))
-            .expect("smoke op");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    cluster.shutdown();
-    RuntimeSmoke {
-        ops,
-        secs,
-        batches_per_sec: ops as f64 / secs.max(1e-9),
-        transport: None,
-    }
-}
-
-/// The same closed loop over real loopback TCP sockets: a 4-replica
-/// [`TcpCluster`] (length-framed, HMAC-authenticated links, one poll-based
-/// reactor per replica embedded in its loop thread) serving `ops`
-/// operations end-to-end. The spread between this and [`channel_smoke`] is
-/// the cost of the real socket path.
+/// Closed-loop smoke over real loopback TCP sockets: `ops` sequential
+/// operations against a live 4-replica [`TcpCluster`] (length-framed,
+/// HMAC-authenticated links, one poll-based reactor per replica embedded in
+/// its loop thread), measured wall-clock.
 pub fn tcp_smoke(ops: u64) -> RuntimeSmoke {
     let config = RuntimeConfig {
         storage_dir: Some(smoke_dir("tcp")),

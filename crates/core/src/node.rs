@@ -38,7 +38,6 @@ use std::collections::{HashMap, VecDeque};
 
 pub use crate::messages::ChainMsg;
 pub use crate::pipeline::persist::{OpenBlock, Persistence, StorageBackend, Variant};
-pub use crate::pipeline::verify::VerifyConfig;
 pub use crate::pipeline::{
     app_payload, exclude_vote_payload, unwrap_app_payload, verify_envelope_signature,
 };
@@ -61,8 +60,6 @@ pub struct NodeConfig {
     pub compact_after_checkpoint: bool,
     /// Client-signature checking policy.
     pub sig_mode: SigMode,
-    /// Verify-stage sizing (round cap; default unbounded).
-    pub verify: crate::pipeline::verify::VerifyConfig,
     /// Batching parameters.
     pub ordering: OrderingConfig,
     /// Leader-change timeout.
@@ -99,7 +96,6 @@ impl Default for NodeConfig {
             storage: StorageBackend::default(),
             compact_after_checkpoint: false,
             sig_mode: SigMode::None,
-            verify: crate::pipeline::verify::VerifyConfig::default(),
             ordering: OrderingConfig::default(),
             progress_timeout: 500 * MILLI,
             execute_ns: 6_000,

@@ -25,43 +25,6 @@ use smartchain_smr::actor::SigMode;
 use smartchain_smr::app::Application;
 use smartchain_smr::types::Request;
 
-/// Ceiling for the adaptive cap when `max_batch` leaves it unbounded (a
-/// runaway doubling would otherwise defeat the latency point of capping).
-const ADAPTIVE_CEILING: usize = 4096;
-
-/// Configuration of the verify stage.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct VerifyConfig {
-    /// Maximum requests dispatched to the pool lanes per verification round.
-    /// `0` = unbounded ("everything queued", the original behavior). A
-    /// finite cap trades throughput (bigger batches amortize the dispatch
-    /// hand-off) against latency (a request never waits behind more than
-    /// `max_batch − 1` others in its round) — the same trade-off the paper
-    /// analyzes for group commit in §IV-B, surfaced for the verify stage.
-    /// With `adaptive` set it becomes the growth ceiling instead.
-    pub max_batch: usize,
-    /// Adaptive round sizing (mirrors the paper's §IV-B group-commit
-    /// analysis): the effective cap starts at `min_batch`, doubles whenever
-    /// a round leaves a backlog queued (sustained depth → amortize the
-    /// dispatch hand-off over more requests), and halves back toward
-    /// `min_batch` when a round drains the queue with room to spare (idle →
-    /// stop making early arrivals wait). Deterministic — the cap is a pure
-    /// function of the queue history, so seeded runs stay reproducible.
-    pub adaptive: bool,
-    /// Floor (and starting point) of the adaptive cap.
-    pub min_batch: usize,
-}
-
-impl Default for VerifyConfig {
-    fn default() -> Self {
-        VerifyConfig {
-            max_batch: 0,
-            adaptive: false,
-            min_batch: 8,
-        }
-    }
-}
-
 /// The verify stage's queue state (lives in `MemberState`).
 #[derive(Debug, Default)]
 pub(crate) struct VerifyStage {
@@ -69,8 +32,6 @@ pub(crate) struct VerifyStage {
     pending: Vec<Request>,
     /// The round currently on the pool lanes: `(token, batch)`.
     in_flight: Option<(u64, Vec<Request>)>,
-    /// Current adaptive cap (0 = not yet initialized from `min_batch`).
-    cap: usize,
 }
 
 impl VerifyStage {
@@ -82,32 +43,6 @@ impl VerifyStage {
     pub(crate) fn clear(&mut self) {
         self.pending.clear();
         self.in_flight = None;
-        self.cap = 0;
-    }
-
-    /// The effective round cap under `config`, growing/shrinking the
-    /// adaptive state from the observed queue. `batchable` is the queue
-    /// depth the dispatch is about to serve.
-    fn effective_cap(&mut self, config: VerifyConfig, batchable: usize) -> usize {
-        if !config.adaptive {
-            return config.max_batch;
-        }
-        if self.cap == 0 {
-            self.cap = config.min_batch.max(1);
-        }
-        let cap = self.cap;
-        // Adapt for the NEXT round based on what this one will leave behind.
-        if batchable > cap {
-            let ceiling = if config.max_batch > 0 {
-                config.max_batch
-            } else {
-                ADAPTIVE_CEILING
-            };
-            self.cap = cap.saturating_mul(2).min(ceiling.max(1));
-        } else if batchable <= cap / 2 {
-            self.cap = (cap / 2).max(config.min_batch.max(1));
-        }
-        cap
     }
 }
 
@@ -139,7 +74,6 @@ impl<A: Application> ChainNode<A> {
 
     /// Starts a verification round if the lanes are idle and work is queued.
     fn dispatch_verify_batch(&mut self, ctx: &mut Ctx<'_, ChainMsg>) {
-        let config = self.config.verify;
         let batch = {
             let Some(m) = self.member.as_mut() else {
                 return;
@@ -147,13 +81,8 @@ impl<A: Application> ChainNode<A> {
             if m.verify.in_flight.is_some() || m.verify.pending.is_empty() {
                 return;
             }
-            let cap = m.verify.effective_cap(config, m.verify.pending.len());
-            if cap == 0 || m.verify.pending.len() <= cap {
-                std::mem::take(&mut m.verify.pending)
-            } else {
-                // Bounded round: the rest waits for the next dispatch.
-                m.verify.pending.drain(..cap).collect()
-            }
+            // Everything queued rides this round.
+            std::mem::take(&mut m.verify.pending)
         };
         // One dispatch per batch: the sequential lane pays the pool hand-off
         // once, however many requests ride along.
@@ -188,48 +117,5 @@ impl<A: Application> ChainNode<A> {
             // Forged requests die here, before the order stage sees them.
         }
         self.dispatch_verify_batch(ctx);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn adaptive_cap_grows_under_depth_and_shrinks_when_idle() {
-        let config = VerifyConfig {
-            max_batch: 0,
-            adaptive: true,
-            min_batch: 4,
-        };
-        let mut stage = VerifyStage::new();
-        // Sustained depth: every round leaves a backlog → cap doubles.
-        assert_eq!(stage.effective_cap(config, 100), 4);
-        assert_eq!(stage.effective_cap(config, 100), 8);
-        assert_eq!(stage.effective_cap(config, 100), 16);
-        // Idle rounds (queue drains with room to spare) → cap halves back
-        // toward the floor. (Each call serves at the current cap and adapts
-        // for the next, so the third growth round already left it at 32.)
-        assert_eq!(stage.effective_cap(config, 2), 32);
-        assert_eq!(stage.effective_cap(config, 2), 16);
-        assert_eq!(stage.effective_cap(config, 1), 8);
-        assert_eq!(stage.effective_cap(config, 1), 4);
-        assert_eq!(stage.effective_cap(config, 1), 4, "floor holds");
-        // A finite max_batch caps the growth.
-        let bounded = VerifyConfig {
-            max_batch: 10,
-            adaptive: true,
-            min_batch: 4,
-        };
-        let mut stage = VerifyStage::new();
-        assert_eq!(stage.effective_cap(bounded, 100), 4);
-        assert_eq!(stage.effective_cap(bounded, 100), 8);
-        assert_eq!(stage.effective_cap(bounded, 100), 10);
-        assert_eq!(stage.effective_cap(bounded, 100), 10);
-        // Non-adaptive: the fixed cap, untouched state.
-        let fixed = VerifyConfig::default();
-        let mut stage = VerifyStage::new();
-        assert_eq!(stage.effective_cap(fixed, 100), 0);
-        assert_eq!(stage.cap, 0, "fixed config never initializes the cap");
     }
 }

@@ -8,9 +8,8 @@
 //! [`durability`] pipeline whose batch-coalescing the paper measures in
 //! Table I, and the deterministic parallel-EXECUTE scheduler ([`exec`]:
 //! lane planning over hash-sharded state, worker pool, conflict stats) —
-//! plus the metal deployment layer: the [`transport`] abstraction
-//! (in-process channels or authenticated, reconnecting TCP links) under the
-//! [`runtime`]'s replica loop.
+//! plus the metal deployment layer: the [`transport`] (authenticated,
+//! reconnecting TCP links) under the [`runtime`]'s replica loop.
 
 pub mod actor;
 pub mod app;

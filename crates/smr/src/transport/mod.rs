@@ -1,19 +1,19 @@
-//! The replica messaging substrate: authenticated point-to-point links
-//! behind one [`Transport`] trait.
+//! The replica messaging substrate: authenticated point-to-point TCP links.
 //!
 //! Deployed BFT systems treat reconnecting, authenticated links as a
 //! first-class subsystem, not an afterthought bolted onto the consensus
-//! core. This module makes the link layer a value the runtime is generic
-//! over:
+//! core:
 //!
-//! * [`channel`] — the in-process backend (std `mpsc` channels, one per
-//!   replica), preserving the original `LocalCluster` semantics bit-for-bit;
-//! * [`tcp`] — real sockets: length-framed, HMAC-authenticated streams
-//!   driven by a single poll-based [`reactor`] per replica, embedded in the
-//!   replica loop's own thread (nonblocking accept/read/write, bounded
-//!   per-connection write queues drained with vectored writes, client
-//!   admission control), with automatic redial so a restarted replica
-//!   rejoins without respawning the world;
+//! * [`tcp`] — [`TcpTransport`], the one transport the replica loop runs
+//!   on: length-framed, HMAC-authenticated streams driven by a single
+//!   poll-based [`reactor`] per replica, embedded in the replica loop's own
+//!   thread (nonblocking accept/read/write, bounded per-connection write
+//!   queues drained with vectored writes, client admission control), with
+//!   automatic redial so a restarted replica rejoins without respawning the
+//!   world. Sends are *at-most-once* (a torn connection or full outbox
+//!   drops messages), which is exactly what the protocol layers already
+//!   tolerate — consensus repairs via `FetchValue` and state transfer, the
+//!   synchronizer via [`NetEvent::PeerUp`]-triggered resends;
 //! * [`reactor`] — the event loop itself plus its building blocks:
 //!   incremental frame reassembly, pooled write queues, and the
 //!   [`TransportStats`] counters;
@@ -26,26 +26,20 @@
 //! * [`cluster`] — the deployment descriptor (`cluster.toml`): member
 //!   addresses plus the cluster secret that pairwise link keys and
 //!   deterministic per-replica consensus keys are derived from.
-//!
-//! Both backends speak the same [`NetEvent`] vocabulary, so
-//! `runtime::replica_loop` runs unchanged over either.
 
-pub mod channel;
 pub mod cluster;
 pub mod frame;
 pub mod reactor;
 pub mod sys;
 pub mod tcp;
 
-pub use channel::{channel_mesh, ChannelMeshHandle, ChannelTransport};
 pub use cluster::ClusterConfig;
 pub use reactor::{StatsInner, TransportStats};
 pub use tcp::{Injector, TcpClient, TcpClientPool, TcpConfig, TcpTransport};
 
 use crate::ordering::SmrMsg;
-use crate::types::{Reply, Request};
+use crate::types::Request;
 use smartchain_consensus::ReplicaId;
-use std::time::Duration;
 
 /// An inbound event surfaced by a transport to its replica loop.
 #[derive(Debug)]
@@ -76,55 +70,4 @@ pub enum RecvError {
     Timeout,
     /// The transport is closed; no further events will arrive.
     Closed,
-}
-
-/// A replica's view of the cluster's point-to-point links.
-///
-/// The contract is deliberately weaker than a channel's: sends are
-/// *at-most-once* (a torn connection or full outbox drops messages), which
-/// is exactly what the protocol layers already tolerate — consensus repairs
-/// via `FetchValue` and state transfer, the synchronizer via
-/// [`NetEvent::PeerUp`]-triggered resends.
-pub trait Transport: Send + 'static {
-    /// This replica's id.
-    fn me(&self) -> ReplicaId;
-
-    /// Cluster size.
-    fn n(&self) -> usize;
-
-    /// Best-effort send to one peer.
-    fn send(&mut self, to: ReplicaId, msg: SmrMsg);
-
-    /// Best-effort send to every peer but ourselves.
-    fn broadcast(&mut self, msg: &SmrMsg) {
-        for to in 0..self.n() {
-            if to != self.me() {
-                self.send(to, msg.clone());
-            }
-        }
-    }
-
-    /// Best-effort reply to a client (routed by `reply.client`).
-    fn reply(&mut self, reply: Reply);
-
-    /// Best-effort replies to every client of one decided batch. Backends
-    /// that can fan the whole batch out in a single operation (one reactor
-    /// wakeup instead of one per reply) override this; the default is the
-    /// per-reply loop.
-    fn reply_all(&mut self, replies: Vec<Reply>) {
-        for reply in replies {
-            self.reply(reply);
-        }
-    }
-
-    /// Blocking receive with timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Timeout`] when nothing arrived, [`RecvError::Closed`]
-    /// when the transport shut down.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<NetEvent, RecvError>;
-
-    /// Non-blocking receive.
-    fn try_recv(&mut self) -> Option<NetEvent>;
 }

@@ -1,4 +1,4 @@
-//! The real-socket transport backend: length-framed, HMAC-authenticated
+//! The real-socket transport: length-framed, HMAC-authenticated
 //! TCP links over `std::net`, driven by one poll-based reactor embedded in
 //! the replica loop's own thread.
 //!
@@ -28,7 +28,7 @@
 use super::frame::{read_frame, write_client_hello, write_frame, FrameKey};
 use super::reactor::{FrameReader, Reactor, StatsInner, TransportStats, WriteQueue};
 use super::sys::{poll_wait, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use super::{NetEvent, RecvError, Transport};
+use super::{NetEvent, RecvError};
 use crate::ordering::SmrMsg;
 use crate::types::{Reply, Request};
 use smartchain_codec::{from_bytes, to_bytes};
@@ -118,7 +118,7 @@ impl TcpConfig {
     }
 }
 
-/// The TCP backend for one replica: the reactor that owns every socket,
+/// The TCP transport of one replica: the reactor that owns every socket,
 /// driven in place by whichever thread runs the replica loop.
 pub struct TcpTransport {
     me: ReplicaId,
@@ -219,39 +219,53 @@ impl TcpTransport {
 
     /// Tears the transport down, closing every connection it owns.
     pub fn shutdown(self) {}
-}
 
-impl Transport for TcpTransport {
-    fn me(&self) -> ReplicaId {
+    /// This replica's id.
+    pub fn me(&self) -> ReplicaId {
         self.me
     }
 
-    fn n(&self) -> usize {
+    /// Cluster size.
+    pub fn n(&self) -> usize {
         self.n
     }
 
-    fn send(&mut self, to: ReplicaId, msg: SmrMsg) {
+    /// Best-effort send to one peer. Sends are *at-most-once*: a torn
+    /// connection or full outbox drops the message, which the protocol
+    /// layers repair via `FetchValue`, state transfer and
+    /// [`NetEvent::PeerUp`]-triggered resends.
+    pub fn send(&mut self, to: ReplicaId, msg: SmrMsg) {
         if to != self.me && to < self.n {
             self.reactor.queue_send(to, &msg);
         }
     }
 
-    fn broadcast(&mut self, msg: &SmrMsg) {
+    /// Best-effort send to every peer but ourselves.
+    pub fn broadcast(&mut self, msg: &SmrMsg) {
         // The payload is serialized once; only per-link headers/tags differ.
         self.reactor.queue_broadcast(msg);
     }
 
-    fn reply(&mut self, reply: Reply) {
+    /// Best-effort reply to a client (routed by `reply.client`).
+    pub fn reply(&mut self, reply: Reply) {
         self.reactor.queue_replies(vec![reply]);
     }
 
-    fn reply_all(&mut self, replies: Vec<Reply>) {
+    /// Best-effort replies to every client of one decided batch, queued in
+    /// one reactor pass.
+    pub fn reply_all(&mut self, replies: Vec<Reply>) {
         if !replies.is_empty() {
             self.reactor.queue_replies(replies);
         }
     }
 
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<NetEvent, RecvError> {
+    /// Blocking receive with timeout.
+    ///
+    /// # Errors
+    ///
+    /// [`RecvError::Timeout`] when nothing arrived, [`RecvError::Closed`]
+    /// when the transport shut down.
+    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<NetEvent, RecvError> {
         let deadline = Instant::now() + timeout;
         loop {
             // Injected events (shutdown) outrank socket traffic; buffered
@@ -273,7 +287,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn try_recv(&mut self) -> Option<NetEvent> {
+    /// Non-blocking receive.
+    pub fn try_recv(&mut self) -> Option<NetEvent> {
         if let Ok(event) = self.injected.try_recv() {
             return Some(event);
         }

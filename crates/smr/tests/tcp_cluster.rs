@@ -36,9 +36,8 @@ fn sum_of(reply: &[u8]) -> u64 {
     u64::from_le_bytes(reply[..8].try_into().expect("8-byte sum"))
 }
 
-/// Signed and unsigned client requests complete over real sockets, and a
-/// forged signature dies in the verify stage — exactly the channel-backend
-/// semantics, now on TCP.
+/// Signed and unsigned client requests complete over real sockets, a forged
+/// signature dies in the verify stage, and the cluster stays live after it.
 #[test]
 fn signed_requests_complete_end_to_end() {
     let mut cluster = TcpCluster::start(config("signed"), Backend::Sim, CounterApp::new)
@@ -75,6 +74,21 @@ fn signed_requests_complete_end_to_end() {
         Duration::from_millis(900),
     );
     assert!(err.is_err(), "forged request must not execute");
+    // The cluster is still live afterwards.
+    let payload = vec![1u8];
+    let sig = sk.sign(&Request::sign_payload(client, 4, &payload));
+    let r = cluster
+        .execute_request(
+            Request {
+                client,
+                seq: 4,
+                payload,
+                signature: Some((sk.public_key(), sig)),
+            },
+            Duration::from_secs(15),
+        )
+        .expect("post-forgery op");
+    assert_eq!(sum_of(&r), 13);
     cluster.shutdown();
 }
 

@@ -8,7 +8,7 @@ use smartchain_smr::app::CounterApp;
 use smartchain_smr::ordering::SmrMsg;
 use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain_smr::transport::frame::{read_hello, write_client_hello, write_frame, FrameKey};
-use smartchain_smr::transport::{NetEvent, TcpConfig, TcpTransport, Transport};
+use smartchain_smr::transport::{NetEvent, TcpConfig, TcpTransport};
 use smartchain_smr::types::Request;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};

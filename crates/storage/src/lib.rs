@@ -1,13 +1,15 @@
 //! Stable-storage substrate for SmartChain.
 //!
-//! The paper's durability analysis (Observation 1 / §II-C2) hinges on three
+//! The paper's durability analysis (Observation 1 / §II-C2) hinges on the
 //! storage behaviours this crate implements:
 //!
-//! * an **append-only record log** with per-record framing and CRC so a
-//!   crashed replica can recover the longest valid prefix ([`log`]);
-//! * a **group-commit WAL** that coalesces many record batches into a single
-//!   synchronous write, diluting fsync cost across requests — the
-//!   Dura-SMaRt "parallel logging" trick that buys the paper its 3.6×
+//! * an **append-only segmented record log** with per-record framing and
+//!   CRC so a crashed replica recovers the longest valid prefix, and with
+//!   checkpoint-driven prefix truncation by whole-segment deletes
+//!   ([`segmented`]);
+//! * **group commit**: a batching writer that coalesces many record batches
+//!   into a single synchronous write, diluting fsync cost across requests —
+//!   the Dura-SMaRt "parallel logging" trick that buys the paper its 3.6×
 //!   ([`wal`]);
 //! * a **snapshot store** with atomic install, used by checkpoints
 //!   ([`snapshot`]);
@@ -20,7 +22,6 @@
 
 pub mod crc32;
 pub mod engine;
-pub mod log;
 pub mod mem;
 pub mod segmented;
 pub mod snapshot;
@@ -54,7 +55,7 @@ pub enum SyncPolicy {
 
 /// An append-only log of opaque records.
 ///
-/// Implementations: [`log::FileLog`] (real files + fsync) and
+/// Implementations: [`SegmentedLog`] (real files + fsync) and
 /// [`mem::MemLog`] (heap only). The simulator provides a virtual-time
 /// implementation in `smartchain-sim`.
 pub trait RecordLog: Send {
@@ -120,8 +121,8 @@ pub trait RecordLog: Send {
 
     /// Simulated power loss: drop everything that never reached stable
     /// storage. Heap-backed logs ([`mem::MemLog`]) discard their unsynced
-    /// suffix; real files ignore this — the operating system already
-    /// provides the semantics, and [`log::FileLog::open`] recovers the
-    /// longest valid prefix.
+    /// suffix, and [`SegmentedLog`] truncates its active segment to the
+    /// last sync; [`SegmentedLog::open`] recovers the longest valid prefix
+    /// after a real crash.
     fn simulate_crash(&mut self) {}
 }

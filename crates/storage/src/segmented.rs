@@ -1,8 +1,7 @@
 //! A segmented append-only log: fixed-capacity, CRC-framed segment files
 //! plus a manifest, so log *compaction* after a checkpoint is an
-//! O(segment-delete) operation instead of the full-file rewrite
-//! [`crate::log::FileLog`] pays, and recovery scans only the active segment
-//! instead of the whole history.
+//! O(segment-delete) operation instead of a full-file rewrite, and recovery
+//! scans only the active segment instead of the whole history.
 //!
 //! Layout under the log directory:
 //!
@@ -858,6 +857,49 @@ mod tests {
         let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
         assert_eq!(log.len(), 3);
         assert_eq!(log.read(2).unwrap().unwrap(), vec![2u8; 16]);
+    }
+
+    #[test]
+    fn corrupt_record_stops_recovery() {
+        let dir = tmpdir("corrupt");
+        {
+            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+            for record in [&b"first"[..], b"second", b"third"] {
+                log.append(record).unwrap();
+            }
+        }
+        // Flip a payload byte of the second record in the active segment.
+        let path = segment_path(&dir, 0);
+        let mut data = fs::read(&path).unwrap();
+        let second_payload = SEGMENT_HEADER_BYTES + FRAME_HEADER_BYTES + 5 + FRAME_HEADER_BYTES;
+        data[second_payload as usize] ^= 0xff;
+        fs::write(&path, data).unwrap();
+        // Recovery keeps the longest valid prefix: the record before the
+        // corruption, nothing from it on.
+        let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.read(0).unwrap().unwrap(), b"first");
+        assert_eq!(log.read(1).unwrap(), None);
+        // The log appends from the end of that prefix.
+        assert_eq!(log.append(b"again").unwrap(), 1);
+        drop(log);
+        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.read(1).unwrap().unwrap(), b"again");
+    }
+
+    #[test]
+    fn empty_records_are_valid() {
+        let dir = tmpdir("empty");
+        {
+            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+            log.append(b"").unwrap();
+            log.append(b"after").unwrap();
+        }
+        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+        assert_eq!(log.len(), 2);
+        assert_eq!(log.read(0).unwrap().unwrap(), Vec::<u8>::new());
+        assert_eq!(log.read(1).unwrap().unwrap(), b"after");
     }
 
     #[test]

@@ -6,163 +6,11 @@
 //! batches. The paper credits this design with a >3.6× throughput gain over
 //! naive per-batch synchronous writes (§IV-B, Observation 1).
 //!
-//! [`GroupCommitLog`] exposes synchronous semantics (`append_durable` returns
-//! once the record is on stable storage) while internally batching with
-//! whatever else is in flight.
+//! [`BatchingWriter`] is that coalescing writer, single-threaded and
+//! deterministic; `engine::GroupCommitEngine` runs on it.
 
-use crate::{RecordLog, SyncPolicy};
+use crate::RecordLog;
 use std::io;
-use std::sync::{Arc, Condvar, Mutex};
-
-struct Shared {
-    state: Mutex<State>,
-    flushed: Condvar,
-}
-
-struct State {
-    /// Records accepted but not yet flushed.
-    pending: Vec<Vec<u8>>,
-    /// Index that the next appended record will get.
-    next_index: u64,
-    /// All records with index < this are durable.
-    durable_upto: u64,
-    /// Set when a flusher is currently writing.
-    flush_in_progress: bool,
-    /// Terminal error, if the device failed.
-    failed: Option<String>,
-}
-
-/// A group-commit front-end over any [`RecordLog`].
-///
-/// Multiple threads call [`GroupCommitLog::append_durable`]; one of them
-/// becomes the flusher for everything pending, the rest wait on the condvar.
-/// This is the classic group-commit protocol from database engines.
-pub struct GroupCommitLog<L: RecordLog> {
-    inner: Arc<Mutex<L>>,
-    shared: Arc<Shared>,
-}
-
-impl<L: RecordLog> std::fmt::Debug for GroupCommitLog<L> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("GroupCommitLog").finish_non_exhaustive()
-    }
-}
-
-impl<L: RecordLog> Clone for GroupCommitLog<L> {
-    fn clone(&self) -> Self {
-        GroupCommitLog {
-            inner: Arc::clone(&self.inner),
-            shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-impl<L: RecordLog> GroupCommitLog<L> {
-    /// Wraps `log`. The wrapped log should be opened with
-    /// [`SyncPolicy::Async`] — this layer issues the syncs itself.
-    pub fn new(log: L) -> GroupCommitLog<L> {
-        let next_index = log.len();
-        GroupCommitLog {
-            inner: Arc::new(Mutex::new(log)),
-            shared: Arc::new(Shared {
-                state: Mutex::new(State {
-                    pending: Vec::new(),
-                    next_index,
-                    durable_upto: next_index,
-                    flush_in_progress: false,
-                    failed: None,
-                }),
-                flushed: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Appends `record` and blocks until it (and everything batched with it)
-    /// is durable. Returns the record's index.
-    ///
-    /// # Errors
-    ///
-    /// Returns the device error if any flush failed.
-    pub fn append_durable(&self, record: &[u8]) -> io::Result<u64> {
-        let my_index;
-        {
-            let mut st = self.shared.state.lock().expect("wal state lock");
-            if let Some(err) = &st.failed {
-                return Err(io::Error::other(err.clone()));
-            }
-            my_index = st.next_index;
-            st.next_index += 1;
-            st.pending.push(record.to_vec());
-        }
-        loop {
-            // Try to become the flusher.
-            let to_flush: Vec<Vec<u8>>;
-            {
-                let mut st = self.shared.state.lock().expect("wal state lock");
-                if let Some(err) = &st.failed {
-                    return Err(io::Error::other(err.clone()));
-                }
-                if st.durable_upto > my_index {
-                    return Ok(my_index);
-                }
-                if st.flush_in_progress {
-                    let _st = self.shared.flushed.wait(st).expect("wal state lock");
-                    continue;
-                }
-                st.flush_in_progress = true;
-                to_flush = std::mem::take(&mut st.pending);
-            }
-            // Perform the coalesced write outside the state lock.
-            let result = (|| -> io::Result<()> {
-                let mut log = self.inner.lock().expect("wal log lock");
-                for rec in &to_flush {
-                    log.append(rec)?;
-                }
-                log.sync()
-            })();
-            let mut st = self.shared.state.lock().expect("wal state lock");
-            st.flush_in_progress = false;
-            match result {
-                Ok(()) => {
-                    st.durable_upto += to_flush.len() as u64;
-                }
-                Err(e) => {
-                    st.failed = Some(e.to_string());
-                    self.shared.flushed.notify_all();
-                    return Err(e);
-                }
-            }
-            let done = st.durable_upto > my_index;
-            self.shared.flushed.notify_all();
-            if done {
-                return Ok(my_index);
-            }
-        }
-    }
-
-    /// Number of durable records.
-    pub fn durable_len(&self) -> u64 {
-        self.shared
-            .state
-            .lock()
-            .expect("wal state lock")
-            .durable_upto
-    }
-
-    /// Reads a durable record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates device read errors.
-    pub fn read(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
-        self.inner.lock().expect("wal log lock").read(index)
-    }
-
-    /// Access the wrapped log (e.g. for truncation after checkpoints).
-    pub fn with_inner<R>(&self, f: impl FnOnce(&mut L) -> R) -> R {
-        f(&mut self.inner.lock().expect("wal log lock"))
-    }
-}
 
 /// Statistics from a straightforward single-threaded batching writer, used by
 /// the simulator's disk model and by benchmarks to count fsyncs.
@@ -284,10 +132,6 @@ impl<L: RecordLog> BatchingWriter<L> {
         &mut self.log
     }
 }
-
-/// Mentioned for documentation completeness: the policy that pairs with this
-/// module is [`SyncPolicy::Async`] on the wrapped log.
-pub const RECOMMENDED_INNER_POLICY: SyncPolicy = SyncPolicy::Async;
 
 #[cfg(test)]
 mod tests {
@@ -426,38 +270,5 @@ mod tests {
         for i in 0..4u8 {
             assert_eq!(w.inner().read(i as u64).unwrap().unwrap(), vec![i]);
         }
-    }
-
-    #[test]
-    fn group_commit_single_thread() {
-        let gc = GroupCommitLog::new(MemLog::new());
-        assert_eq!(gc.append_durable(b"a").unwrap(), 0);
-        assert_eq!(gc.append_durable(b"b").unwrap(), 1);
-        assert_eq!(gc.durable_len(), 2);
-        assert_eq!(gc.read(0).unwrap().unwrap(), b"a");
-    }
-
-    #[test]
-    fn group_commit_many_threads_coalesce() {
-        let gc = GroupCommitLog::new(MemLog::new());
-        let mut handles = Vec::new();
-        for t in 0..8u8 {
-            let gc = gc.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut indices = Vec::new();
-                for i in 0..50u8 {
-                    indices.push(gc.append_durable(&[t, i]).unwrap());
-                }
-                indices
-            }));
-        }
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let expect: Vec<u64> = (0..400).collect();
-        assert_eq!(all, expect, "each record got a unique durable index");
-        assert_eq!(gc.durable_len(), 400);
     }
 }

@@ -1,5 +1,5 @@
 //! Durable, self-verifiable ledgers on real disk: run a cluster, persist the
-//! chain with a real file-backed ledger (CRC-framed records, torn-write
+//! chain with a real segmented-log ledger (CRC-framed records, torn-write
 //! recovery), reopen it as an independent auditor process would, and verify
 //! it from nothing but the genesis configuration.
 //!
@@ -12,8 +12,7 @@ use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::ledger::Ledger;
 use smartchain::sim::SECOND;
 use smartchain::smr::app::CounterApp;
-use smartchain::storage::log::FileLog;
-use smartchain::storage::{RecordLog, SyncPolicy};
+use smartchain::storage::{RecordLog, SegmentConfig, SegmentedLog, SyncPolicy};
 
 fn main() -> std::io::Result<()> {
     println!("== Durable ledger + third-party audit ==\n");
@@ -29,23 +28,23 @@ fn main() -> std::io::Result<()> {
 
     // 2. Persist it to a real on-disk ledger, synchronously.
     let dir = std::env::temp_dir().join(format!("smartchain-audit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir)?;
-    let path = dir.join("chain.log");
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || SegmentedLog::open(&dir, SyncPolicy::Sync, SegmentConfig::default());
     {
-        let log = FileLog::open(&path, SyncPolicy::Sync)?;
-        let mut ledger = Ledger::open(log, genesis.clone())?;
+        let mut ledger = Ledger::open(open()?, genesis.clone())?;
         for block in &chain {
             ledger.append(block)?;
         }
         ledger.sync()?;
-        println!("persisted to {} ", path.display());
+        println!("persisted to {}", dir.display());
     }
-    let bytes = std::fs::metadata(&path)?.len();
-    println!("ledger file size: {bytes} bytes");
+    // A chain this short fits in the first segment, which stays active.
+    let active = dir.join("seg-00000000000000000000.seg");
+    let bytes = std::fs::metadata(&active)?.len();
+    println!("active segment size: {bytes} bytes");
 
     // 3. Reopen as an auditor: recover the chain from disk and verify it.
-    let log = FileLog::open(&path, SyncPolicy::Sync)?;
+    let log = open()?;
     println!("recovered {} records from disk", log.len());
     let ledger = Ledger::open(log, genesis.clone())?;
     let recovered = ledger.blocks_from(1)?;
@@ -59,16 +58,17 @@ fn main() -> std::io::Result<()> {
         Err(e) => println!("audit from disk: FAILED — {e}"),
     }
 
-    // 4. Tamper with one byte mid-file and show the ledger detects it.
-    let mut raw = std::fs::read(&path)?;
+    // 4. Tamper with one byte mid-segment and show the ledger detects it.
+    let mut raw = std::fs::read(&active)?;
     let mid = raw.len() / 2;
     raw[mid] ^= 0x01;
-    std::fs::write(&path, raw)?;
-    let tampered = FileLog::open(&path, SyncPolicy::Sync)?;
+    std::fs::write(&active, raw)?;
+    let tampered = open()?;
     println!(
         "after 1-bit tamper: {} of {} records survive CRC recovery (prefix property)",
         tampered.len(),
         chain.len() + 1
     );
+    let _ = std::fs::remove_dir_all(&dir);
     Ok(())
 }

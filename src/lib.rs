@@ -26,12 +26,12 @@
 //!   proofs ([`merkle::prove_chunk`]/[`merkle::verify`]), and the
 //!   `chunked_root` that commits snapshots chunk-by-chunk so state transfer
 //!   and light clients verify the same bytes the quorum certified.
-//! * [`storage`] — the stable-storage substrate: CRC-framed logs
-//!   (single-file [`storage::log::FileLog`] and the segmented
-//!   [`storage::segmented::SegmentedLog`] — fixed-capacity segment files +
+//! * [`storage`] — the stable-storage substrate: the CRC-framed segmented
+//!   log [`storage::segmented::SegmentedLog`] (fixed-capacity segment files +
 //!   manifest, O(segment-delete) prefix truncation, recovery that scans
-//!   only the active segment), group-commit WAL ([`storage::wal`]),
-//!   snapshots, and the [`storage::DurabilityEngine`] trait with the three
+//!   only the active segment), the group-commit batching writer
+//!   ([`storage::wal`]), snapshots, and the [`storage::DurabilityEngine`]
+//!   trait with the three
 //!   persistence-ladder backends (memory / async / group commit, §V-C) —
 //!   plus [`storage::SegmentedEngine`], all three rungs over one real-disk
 //!   segmented log.
@@ -58,15 +58,14 @@
 //!   per-transaction lane hints → a plan of parallel groups and serial
 //!   barriers whose merged results are bit-identical to serial execution,
 //!   run either inline or on a real [`smr::exec::ExecPool`]) — and the
-//!   metal deployment layer: [`smr::transport`] abstracts the links
-//!   (in-process channels, or length-framed HMAC-authenticated TCP driven
-//!   by a per-replica poll reactor with automatic redial) and [`smr::runtime`]
-//!   runs one replica loop over either — `LocalCluster` (threads +
-//!   channels), `TcpCluster` (threads + loopback sockets), or
-//!   `serve_replica` (one OS process per replica; see `examples/replica.rs`
-//!   and `examples/client.rs`), with runtime state transfer so a killed
-//!   and restarted replica rejoins from its disk plus a peer-shipped
-//!   suffix.
+//!   metal deployment layer: [`smr::transport`] provides the links
+//!   (length-framed HMAC-authenticated TCP driven by a per-replica poll
+//!   reactor with automatic redial) and [`smr::runtime`] runs one replica
+//!   loop over them, booted the same way by `TcpCluster` (threads +
+//!   loopback sockets) and `serve_replica` (one OS process per replica; see
+//!   `examples/replica.rs` and `examples/client.rs`), with runtime state
+//!   transfer so a killed and restarted replica rejoins from its disk plus
+//!   a peer-shipped suffix.
 //! * [`core`] — the SMARTCHAIN layer (the paper's contribution):
 //!   blocks/ledger/audit, and the replica split into
 //!   [`core::node`] (the actor spine) plus [`core::pipeline`] (the stages:

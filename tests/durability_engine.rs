@@ -3,10 +3,10 @@
 //!
 //! * crash recovery returns the longest valid prefix — nothing for
 //!   ∞-persistence, the synced prefix for λ-persistence, the flushed prefix
-//!   for group commit, and CRC-validated recovery on real files;
+//!   for group commit, and CRC-validated recovery on real segment files;
 //! * group commit coalesces N appends into ≤⌈N/batch⌉ fsyncs, observable in
-//!   engine statistics, on a real `FileLog`, and in the simulator's disk
-//!   accounting.
+//!   engine statistics, on a real `SegmentedLog`, and in the simulator's
+//!   disk accounting.
 
 use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::{NodeConfig, Persistence, StorageBackend, Variant};
@@ -14,7 +14,6 @@ use smartchain::sim::SECOND;
 use smartchain::smr::app::CounterApp;
 use smartchain::smr::ordering::OrderingConfig;
 use smartchain::storage::engine::{AsyncEngine, GroupCommitEngine, MemoryEngine};
-use smartchain::storage::log::FileLog;
 use smartchain::storage::mem::MemLog;
 use smartchain::storage::{
     DurabilityEngine, RecordLog, SegmentConfig, SegmentedEngine, SegmentedLog, SyncPolicy,
@@ -105,27 +104,35 @@ fn crash_recovery_matches_memlog_crash_semantics() {
     assert_eq!(log.read(4).unwrap(), None);
 }
 
+/// The real-disk segmented log under `dir`, the medium the shipped replica's
+/// group commit runs on.
+fn segmented(dir: &std::path::Path) -> SegmentedLog {
+    SegmentedLog::open(dir, SyncPolicy::Async, SegmentConfig::default()).unwrap()
+}
+
 #[test]
-fn file_log_recovery_discards_torn_tail() {
-    let path = tmp("torn");
+fn segment_recovery_discards_torn_tail() {
+    let dir = tmp("torn");
     {
-        let log = FileLog::open(&path, SyncPolicy::Async).unwrap();
-        let mut engine = GroupCommitEngine::new(log);
+        let mut engine = GroupCommitEngine::new(segmented(&dir));
         for i in 0..6u8 {
             engine.append(&[i; 32]).unwrap();
         }
         engine.flush().unwrap();
     }
+    // Every record sits in the active segment: a 12-byte header, then
+    // records framed as [len u32][crc u32][payload].
+    let active = dir.join("seg-00000000000000000000.seg");
     // Simulate a torn append: a partial frame at the tail (crash mid-write).
     {
         use std::io::Write;
         let mut f = std::fs::OpenOptions::new()
             .append(true)
-            .open(&path)
+            .open(&active)
             .unwrap();
         f.write_all(&[0xFF, 0xFF, 0xFF]).unwrap(); // 3 bytes of a 8+N frame
     }
-    let recovered = FileLog::open(&path, SyncPolicy::Async).unwrap();
+    let recovered = segmented(&dir);
     assert_eq!(
         recovered.len(),
         6,
@@ -134,15 +141,20 @@ fn file_log_recovery_discards_torn_tail() {
     for i in 0..6u8 {
         assert_eq!(recovered.read(i as u64).unwrap().unwrap(), vec![i; 32]);
     }
+    drop(recovered);
     // A corrupted record payload cuts the prefix at the corruption point.
     {
         use std::io::{Seek, SeekFrom, Write};
-        let mut f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-        let frame = 8 + 32;
-        f.seek(SeekFrom::Start((3 * frame + 8) as u64)).unwrap(); // record 3's payload
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&active)
+            .unwrap();
+        let (header, frame) = (12, 8 + 32);
+        f.seek(SeekFrom::Start((header + 3 * frame + 8) as u64))
+            .unwrap(); // record 3's payload
         f.write_all(&[0xAA]).unwrap();
     }
-    let recovered = FileLog::open(&path, SyncPolicy::Async).unwrap();
+    let recovered = segmented(&dir);
     assert_eq!(
         recovered.len(),
         3,
@@ -152,9 +164,8 @@ fn file_log_recovery_discards_torn_tail() {
 
 #[test]
 fn group_commit_coalesces_n_appends_into_n_over_batch_fsyncs() {
-    let path = tmp("coalesce");
-    let log = FileLog::open(&path, SyncPolicy::Async).unwrap();
-    let mut engine = GroupCommitEngine::new(log);
+    let dir = tmp("coalesce");
+    let mut engine = GroupCommitEngine::new(segmented(&dir));
     let (n, batch) = (40u64, 8u64);
     for i in 0..n {
         engine.append(&[i as u8; 16]).unwrap();
@@ -175,7 +186,8 @@ fn group_commit_coalesces_n_appends_into_n_over_batch_fsyncs() {
     );
     assert_eq!(engine.durable_len(), n);
     // And the records are really on disk, in order.
-    let reopened = FileLog::open(&path, SyncPolicy::Async).unwrap();
+    drop(engine);
+    let reopened = segmented(&dir);
     assert_eq!(reopened.len(), n);
     assert_eq!(reopened.read(17).unwrap().unwrap(), vec![17u8; 16]);
 }

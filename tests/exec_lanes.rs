@@ -2,8 +2,8 @@
 //! identical seeds, the simulator's chains, state snapshots and replies are
 //! bit-for-bit independent of the lane count — lanes change *virtual time*
 //! (the stage charges the plan's critical path instead of the serial sum),
-//! never *content*. The metal runtime's laned [`DurableApp`] path is
-//! exercised at the end over a live [`LocalCluster`].
+//! never *content*. The metal runtime's laned `DurableApp` path is
+//! exercised at the end over a live [`TcpCluster`].
 
 use smartchain::codec::{from_bytes, to_bytes};
 use smartchain::coin::tx::{CoinTx, Output, TxResult};
@@ -13,10 +13,11 @@ use smartchain::core::audit::verify_chain;
 use smartchain::core::block::BlockBody;
 use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::{client_id, NodeConfig};
+use smartchain::crypto::keys::Backend;
 use smartchain::sim::SECOND;
 use smartchain::smr::app::Application;
 use smartchain::smr::ordering::OrderingConfig;
-use smartchain::smr::runtime::{LocalCluster, RuntimeConfig};
+use smartchain::smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain::smr::types::Request;
 use std::collections::BTreeMap;
 
@@ -131,14 +132,14 @@ fn mixed_workload_state_and_replies_lane_invariant() {
     }
 }
 
-/// The metal runtime: a live cluster with `execute_lanes = 4` (real
-/// [`ExecPool`] workers inside each replica's `DurableApp`) accepts signed
+/// The metal runtime: a live TCP cluster with `execute_lanes = 4` (real
+/// `ExecPool` workers inside each replica's `DurableApp`) accepts signed
 /// coin transactions and answers with quorum-matching results.
 #[test]
-fn local_cluster_with_exec_pool_stays_live() {
+fn tcp_cluster_with_exec_pool_stays_live() {
     let dir = std::env::temp_dir().join(format!("sc-exec-lanes-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let wallet = 0xC11E27u64; // LocalCluster's built-in client id
+    let wallet = 0xC11E28u64; // TcpCluster's built-in client id: replies route by it
     let minters = authorized_minters([wallet]);
     let config = RuntimeConfig {
         replicas: 4,
@@ -146,9 +147,10 @@ fn local_cluster_with_exec_pool_stays_live() {
         execute_lanes: 4,
         ..RuntimeConfig::default()
     };
-    let mut cluster =
-        LocalCluster::start(config, move || SmartCoinApp::from_genesis_data(&minters))
-            .expect("cluster start");
+    let mut cluster = TcpCluster::start(config, Backend::Sim, move || {
+        SmartCoinApp::from_genesis_data(&minters)
+    })
+    .expect("cluster start");
     let sk = client_key(wallet);
     for seq in 1..=8u64 {
         let tx = CoinTx::Mint {
