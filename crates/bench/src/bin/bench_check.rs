@@ -16,8 +16,8 @@
 
 use smartchain_bench::micro::{
     alpha_pipeline_throughput, black_box, chunked_install_scenario, exec_lane_throughput,
-    exec_pool_smoke, hash_once_scenario, loss_grid_cell, measure, segmented_recovery_scenario,
-    tcp_client_soak, tcp_smoke, AlphaMode, LossProfile,
+    hash_once_scenario, loss_grid_cell, measure, segmented_recovery_scenario, tcp_client_soak,
+    tcp_smoke, AlphaMode, LossProfile,
 };
 use smartchain_crypto::sha256;
 use smartchain_merkle as merkle;
@@ -344,34 +344,6 @@ fn main() {
             install.chunks_verified as f64,
             0.0,
         );
-    }
-
-    // Metal exec-pool smoke (wall-clock): identical coin batches through a
-    // serial and a 4-lane DurableApp twin — real worker threads, byte-equal
-    // final snapshots gate (that's the determinism claim on real metal).
-    let pool = exec_pool_smoke(4, 40);
-    println!(
-        "exec pool smoke: {} txs, {:.0} txs/sec laned, state match {} ({} single-lane, {} cross-lane, critical path {})",
-        pool.txs,
-        pool.txs_per_sec,
-        pool.state_matches,
-        pool.stats.single_lane_txs,
-        pool.stats.cross_lane_txs,
-        pool.stats.critical_path_txs,
-    );
-    if !print_baseline {
-        if !pool.state_matches {
-            gate.failures
-                .push("exec pool smoke: laned state diverged from serial".to_string());
-        }
-        if pool.txs_per_sec <= 0.0 {
-            gate.failures
-                .push("exec pool smoke reported zero throughput".to_string());
-        }
-        if pool.stats.planned_txs() == 0 {
-            gate.failures
-                .push("exec pool smoke: the lane planner never engaged".to_string());
-        }
     }
 
     // Zero-copy hot path (deterministic): digest work per decided value on

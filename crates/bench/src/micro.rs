@@ -14,7 +14,7 @@ use smartchain_core::node::{NodeConfig, Persistence, Variant};
 use smartchain_crypto::keys::{Backend, SecretKey};
 use smartchain_sim::hw::HwSpec;
 use smartchain_sim::{MILLI, SECOND};
-use smartchain_smr::app::{Application, CounterApp};
+use smartchain_smr::app::CounterApp;
 use smartchain_smr::durability::{ckpt_sign_payload, CheckpointCert, DurableApp};
 use smartchain_smr::ordering::{AlphaBounds, OrderingConfig, OrderingStats};
 use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
@@ -461,69 +461,6 @@ impl smartchain_smr::app::Application for BenchLaneApp {
             BenchLaneApp::Uniform(a) => a.lane_hint(request, lanes),
             BenchLaneApp::Skewed(a) => a.lane_hint(request, lanes),
         }
-    }
-}
-
-/// Outcome of the metal exec-pool smoke: the laned [`DurableApp`] applies
-/// the same coin batches as a serial twin, on real worker threads.
-#[derive(Clone, Copy, Debug)]
-pub struct ExecPoolSmoke {
-    /// Coin transactions applied (per twin).
-    pub txs: u64,
-    /// Laned wall-clock transactions per second (informational).
-    pub txs_per_sec: f64,
-    /// `true` iff the laned twin's final snapshot is byte-identical to the
-    /// serial twin's — the gate.
-    pub state_matches: bool,
-    /// The laned twin's planner accounting.
-    pub stats: smartchain_smr::exec::ConflictStats,
-}
-
-/// Wall-clock smoke of the metal laned EXECUTE path: two
-/// `DurableApp<SmartCoinApp>` twins — one serial, one at `lanes` lanes with
-/// a real [`smartchain_smr::exec::ExecPool`] — apply identical
-/// MINT-then-SPEND batches; their final snapshots must be byte-identical.
-pub fn exec_pool_smoke(lanes: usize, batches: u64) -> ExecPoolSmoke {
-    use smartchain_coin::workload::{authorized_minters, CoinFactory};
-    use smartchain_coin::SmartCoinApp;
-    use smartchain_smr::client::RequestFactory;
-
-    let clients: Vec<u64> = (0..8u64).collect();
-    let minters = authorized_minters(clients.iter().copied());
-    let per_batch = clients.len() as u64;
-    let mut factory = CoinFactory::new(batches.div_ceil(2));
-    let all_batches: Vec<Vec<Request>> = (0..batches)
-        .map(|round| clients.iter().map(|&c| factory.make(c, round)).collect())
-        .collect();
-
-    let mut serial = DurableApp::open(
-        SmartCoinApp::from_genesis_data(&minters),
-        smoke_dir("exec-serial"),
-        1_000,
-    )
-    .expect("open serial twin");
-    for batch in &all_batches {
-        serial.apply_requests(batch).expect("serial apply");
-    }
-
-    let mut laned = DurableApp::open(
-        SmartCoinApp::from_genesis_data(&minters),
-        smoke_dir("exec-laned"),
-        1_000,
-    )
-    .expect("open laned twin");
-    laned.set_execute_lanes(lanes);
-    let start = Instant::now();
-    for batch in &all_batches {
-        laned.apply_requests(batch).expect("laned apply");
-    }
-    let secs = start.elapsed().as_secs_f64();
-    let txs = batches * per_batch;
-    ExecPoolSmoke {
-        txs,
-        txs_per_sec: txs as f64 / secs.max(1e-9),
-        state_matches: laned.app().take_snapshot() == serial.app().take_snapshot(),
-        stats: laned.exec_stats(),
     }
 }
 

@@ -23,6 +23,12 @@
 //! requester's own tip — before anything is appended (see
 //! [`verify_shipped_suffix`] and [`DurableApp::install_remote`]).
 //!
+//! Each client's reply record — `(seq, result)` of its latest executed
+//! request, kept in snapshots and rebuilt by replay — is the replica's one
+//! per-client state: the dedup frontier and the answer to retransmissions.
+//! Live delivery, recovery replay and remote install execute through one
+//! path that consults and updates it.
+//!
 //! The persistence policy is pluggable: [`DurableApp::open`] uses the
 //! paper's 0/1-Persistence group-commit rung, while
 //! [`DurableApp::open_with_engine`] accepts any [`DurabilityEngine`] — the
@@ -43,7 +49,7 @@ use smartchain_storage::segmented::{RecoveryStats, SegmentConfig};
 use smartchain_storage::snapshot::{Snapshot, SnapshotStore};
 use smartchain_storage::wal::FlushStats;
 use smartchain_storage::{DurabilityEngine, RecordLog, SyncPolicy};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
 
@@ -92,12 +98,10 @@ impl Decode for LoggedBatch {
 }
 
 /// Snapshot sidecar persisted (and shipped) with the application state: the
-/// dedup frontier and the batch chain tip at the covered point, so replaying
-/// the raw-value suffix reproduces exactly the live execution.
+/// batch chain tip and each client's reply record at the covered point, so
+/// replaying the raw-value suffix reproduces exactly the live execution.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SnapshotMeta {
-    /// Per-client highest delivered sequence number at the covered batch.
-    pub frontier: Vec<(u64, u64)>,
     /// Batch chain hash after the covered batch.
     pub tip: [u8; 32],
     /// Chunked Merkle root of the snapshotted application state
@@ -106,31 +110,26 @@ pub struct SnapshotMeta {
     /// snapshot is verified against chunk-by-chunk at install time.
     pub state_root: [u8; 32],
     /// Each client's latest `(client, seq, result)` at the covered batch —
-    /// the reply cache, persisted so a restarted replica still answers
-    /// retransmissions of pre-crash deliveries (bounded: one entry per
-    /// client, like the frontier). Sorted by client id.
+    /// the durable reply record: its `seq` is the client's dedup frontier,
+    /// its result answers retransmissions (bounded: one entry per client).
+    /// Sorted by client id.
     pub replies: Vec<(u64, u64, Vec<u8>)>,
 }
 
 impl Encode for SnapshotMeta {
     fn encode(&self, out: &mut Vec<u8>) {
-        smartchain_codec::encode_seq(&self.frontier, out);
         self.tip.encode(out);
         self.state_root.encode(out);
         smartchain_codec::encode_seq(&self.replies, out);
     }
     fn encoded_len(&self) -> usize {
-        smartchain_codec::seq_encoded_len(&self.frontier)
-            + self.tip.encoded_len()
-            + 32
-            + smartchain_codec::seq_encoded_len(&self.replies)
+        self.tip.encoded_len() + 32 + smartchain_codec::seq_encoded_len(&self.replies)
     }
 }
 
 impl Decode for SnapshotMeta {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(SnapshotMeta {
-            frontier: smartchain_codec::decode_seq(input)?,
             tip: <[u8; 32]>::decode(input)?,
             state_root: <[u8; 32]>::decode(input)?,
             replies: smartchain_codec::decode_seq(input)?,
@@ -343,7 +342,7 @@ impl Decode for ReadProof {
 pub struct ShippedSnapshot {
     /// Serialized application state.
     pub state: Vec<u8>,
-    /// Frontier + chain tip at the snapshot's covered batch.
+    /// Chain tip and reply records at the snapshot's covered batch.
     pub meta: SnapshotMeta,
 }
 
@@ -367,7 +366,7 @@ impl Decode for ShippedSnapshot {
 }
 
 /// The durable half of a runtime state-transfer reply (the fields of
-/// `SmrMsg::StateRep` sans the ordering-layer dedup frontier).
+/// `SmrMsg::StateRep` sans the shipper's regency).
 #[derive(Clone, Debug)]
 pub struct StateReply {
     /// Batches summarized by `snapshot` (0 = none shipped).
@@ -420,13 +419,10 @@ pub struct DurableApp<A: Application> {
     snapshots: SnapshotStore,
     checkpoint_period: u64,
     batches_applied: u64,
-    /// Per-client highest delivered sequence (mirrors the ordering core's
-    /// duplicate filter; replaying raw decided values through it reproduces
-    /// exactly the live execution).
-    frontier: BTreeMap<u64, u64>,
-    /// Each client's latest executed `(seq, result)` — the durable reply
-    /// cache. Persisted in [`SnapshotMeta`] and rebuilt by replay, so a
-    /// restarted replica answers retransmissions of pre-crash deliveries.
+    /// Each client's latest executed `(seq, result)` — the replica's one
+    /// per-client record: its `seq` is the dedup frontier, its result
+    /// answers retransmissions. Persisted in [`SnapshotMeta`] and rebuilt
+    /// by replay, so it survives restarts.
     replies: BTreeMap<u64, (u64, Vec<u8>)>,
     /// Batch chain hash after `batches_applied`.
     tip: [u8; 32],
@@ -449,12 +445,6 @@ pub struct DurableApp<A: Application> {
     /// Chunks verified against a certified state root by remote installs
     /// (observability for the verified-transfer path).
     chunks_verified: u64,
-    /// Execution lanes for the parallel EXECUTE stage (1 = serial).
-    exec_lanes: usize,
-    /// Worker pool for laned execution, present iff `exec_lanes > 1`.
-    exec_pool: Option<crate::exec::ExecPool>,
-    /// Accumulated lane-planner accounting across applied batches.
-    exec_stats: crate::exec::ConflictStats,
 }
 
 impl<A: Application> std::fmt::Debug for DurableApp<A> {
@@ -541,109 +531,81 @@ impl<A: Application> DurableApp<A> {
     /// Propagates storage failures.
     pub fn open_with_engine(
         mut app: A,
-        mut engine: Box<dyn DurabilityEngine>,
+        engine: Box<dyn DurabilityEngine>,
         snapshots: SnapshotStore,
         checkpoint_period: u64,
     ) -> io::Result<Self> {
+        app.reset();
+        let mut this = DurableApp {
+            app,
+            engine,
+            snapshots,
+            checkpoint_period: checkpoint_period.max(1),
+            batches_applied: 0,
+            replies: BTreeMap::new(),
+            tip: [0u8; 32],
+            replayed_on_recovery: 0,
+            basis: None,
+            announce: None,
+            latest_cert: None,
+            cert_path: None,
+            chunks_verified: 0,
+        };
         // Recover: snapshot first, then replay only the post-checkpoint log
         // suffix (the prefix was truncated when the checkpoint was cut).
-        let mut batches_applied = 0u64;
-        let mut frontier: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut replies: BTreeMap<u64, (u64, Vec<u8>)> = BTreeMap::new();
-        let mut tip = [0u8; 32];
-        let mut basis = None;
-        app.reset();
-        if let Some(snap) = snapshots.load()? {
-            app.install_snapshot(&snap.state);
-            batches_applied = snap.covered_block;
-            if let Ok(meta) = from_bytes::<SnapshotMeta>(&snap.meta) {
-                frontier = meta.frontier.into_iter().collect();
-                replies = meta
-                    .replies
-                    .into_iter()
-                    .map(|(client, seq, result)| (client, (seq, result)))
-                    .collect();
-                tip = meta.tip;
-                basis = Some((snap.covered_block, meta.state_root, meta.tip));
-            }
-        }
-        // Consistency guards around the snapshot/log pair. checkpoint()
+        // Consistency guards around the snapshot/log pair: checkpoint()
         // installs the snapshot BEFORE truncating (and both renames are
-        // followed by a parent-directory fsync), so a log truncated beyond
-        // the recovered snapshot means the store lost data — refuse to
-        // open rather than resume with the wrong application state.
+        // followed by a parent-directory fsync), so a meta we cannot read or
+        // a log truncated beyond the recovered snapshot means the store lost
+        // data — refuse to open rather than resume with the wrong
+        // application state or dedup record.
         let inconsistent =
             |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
-        if engine.first_index() > batches_applied {
+        if let Some(snap) = this.snapshots.load()? {
+            let meta = from_bytes::<SnapshotMeta>(&snap.meta)
+                .map_err(|_| inconsistent("undecodable snapshot meta"))?;
+            this.app.install_snapshot(&snap.state);
+            this.adopt_snapshot(snap.covered_block, meta);
+        }
+        if this.engine.first_index() > this.batches_applied {
             return Err(inconsistent("log truncated beyond the recovered snapshot"));
         }
-        let mut replayed = 0u64;
-        let replay_from = batches_applied;
-        for index in replay_from..engine.len() {
-            let Some(record) = engine.read(index)? else {
+        for index in this.batches_applied..this.engine.len() {
+            let Some(record) = this.engine.read(index)? else {
                 return Err(inconsistent("unreadable record above the snapshot point"));
             };
             let Ok(lb) = from_bytes::<LoggedBatch>(&record) else {
                 return Err(inconsistent("undecodable record above the snapshot point"));
             };
-            if lb.prev != tip {
+            if lb.prev != this.tip {
                 // Resuming here would break the record-index == batch−1
                 // invariant for everything the log still holds.
                 return Err(inconsistent("log suffix does not chain onto the snapshot"));
             }
             let requests = decode_batch(&lb.value).unwrap_or_default();
-            for request in &requests {
-                if Self::frontier_admits(&mut frontier, request) {
-                    let result = app.execute(request);
-                    replies.insert(request.client, (request.seq, result));
-                }
-            }
-            tip = chain_tip_shared(&tip, &lb.value);
-            batches_applied = index + 1;
-            replayed += 1;
+            this.execute_decided(&requests, &lb.value);
+            this.replayed_on_recovery += 1;
         }
-        if engine.len() < batches_applied {
+        if this.engine.len() < this.batches_applied {
             // A remote snapshot install crashed between the snapshot write
             // and the engine fast-forward: complete it (idempotent).
-            engine.fast_forward(batches_applied)?;
+            this.engine.fast_forward(this.batches_applied)?;
         }
-        Ok(DurableApp {
-            app,
-            engine,
-            snapshots,
-            checkpoint_period: checkpoint_period.max(1),
-            batches_applied,
-            frontier,
-            replies,
-            tip,
-            replayed_on_recovery: replayed,
-            basis,
-            announce: None,
-            latest_cert: None,
-            cert_path: None,
-            chunks_verified: 0,
-            exec_lanes: 1,
-            exec_pool: None,
-            exec_stats: crate::exec::ConflictStats::default(),
-        })
+        Ok(this)
     }
 
-    /// Switches the EXECUTE stage to `lanes` parallel execution lanes
-    /// (1 = the classic serial stage, the default). Re-shards the
-    /// application state and, above one lane, spins up a worker pool.
-    /// Recovery replay stays serial either way — plan correctness makes the
-    /// laned and serial executions state-equivalent, so a serial replay
-    /// reproduces a laned pre-crash execution exactly.
-    pub fn set_execute_lanes(&mut self, lanes: usize) {
-        let lanes = lanes.max(1);
-        self.app.configure_lanes(lanes);
-        self.exec_lanes = lanes;
-        self.exec_pool = (lanes > 1).then(|| crate::exec::ExecPool::new(lanes));
-    }
-
-    /// Accumulated lane-planner accounting (all zeros while serial).
-    pub fn exec_stats(&self) -> crate::exec::ConflictStats {
-        self.exec_stats
+    /// Takes a snapshot's meta as the state at batch `covered`: the chain
+    /// tip, the reply records and the checkpoint basis. The caller has
+    /// installed the snapshot's application state.
+    fn adopt_snapshot(&mut self, covered: u64, meta: SnapshotMeta) {
+        self.batches_applied = covered;
+        self.replies = meta
+            .replies
+            .into_iter()
+            .map(|(client, seq, result)| (client, (seq, result)))
+            .collect();
+        self.tip = meta.tip;
+        self.basis = Some((covered, meta.state_root, meta.tip));
     }
 
     /// Restores a persisted checkpoint certificate, keeping it only when it
@@ -663,20 +625,32 @@ impl<A: Application> DurableApp<A> {
         }
     }
 
-    /// The dedup rule shared by live delivery, recovery replay and remote
-    /// install: admits (and records) a request exactly when its sequence is
-    /// fresh for its client.
-    fn frontier_admits(frontier: &mut BTreeMap<u64, u64>, request: &Request) -> bool {
-        let seen = frontier
-            .get(&request.client)
-            .is_some_and(|&s| request.seq <= s);
-        if !seen {
-            frontier
-                .entry(request.client)
-                .and_modify(|s| *s = (*s).max(request.seq))
-                .or_insert(request.seq);
+    /// The one execute path of live delivery, recovery replay and remote
+    /// install. A request is fresh iff its `seq` is higher than its
+    /// client's reply record; each fresh one executes and becomes that
+    /// record. Then the chain tip and batch count advance past `value`.
+    /// Returns the executed requests' results, keyed by `(client, seq)`.
+    fn execute_decided(
+        &mut self,
+        requests: &[Request],
+        value: &smartchain_crypto::ValueBytes,
+    ) -> HashMap<(u64, u64), Vec<u8>> {
+        let mut executed = HashMap::new();
+        for request in requests {
+            let fresh = self
+                .replies
+                .get(&request.client)
+                .is_none_or(|(seq, _)| request.seq > *seq);
+            if fresh {
+                let result = self.app.execute(request);
+                self.replies
+                    .insert(request.client, (request.seq, result.clone()));
+                executed.insert((request.client, request.seq), result);
+            }
         }
-        !seen
+        self.tip = chain_tip_shared(&self.tip, value);
+        self.batches_applied += 1;
+        executed
     }
 
     /// Applies one decided batch durably; returns the per-request results,
@@ -699,79 +673,40 @@ impl<A: Application> DurableApp<A> {
         batch.proof.encode(&mut record);
         self.engine.append(&record)?;
         self.engine.flush()?;
-        // Execute EXACTLY the frontier-admitted subset of the raw value —
-        // the same rule (over the same bytes) a post-crash replay applies,
-        // so replay reproduces this execution even if the ordering core's
-        // duplicate filter ever disagrees with the durable frontier (e.g. a
-        // restart that lost volatile core state).
-        let mut executed: std::collections::HashMap<(u64, u64), Vec<u8>> =
-            std::collections::HashMap::new();
-        let admitted: Vec<Request> = decode_batch(&batch.value)
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|request| Self::frontier_admits(&mut self.frontier, request))
-            .collect();
-        if self.exec_lanes > 1 {
-            // Laned EXECUTE: plan the admitted batch from the application's
-            // static lane hints, fan single-lane runs out on the pool,
-            // serialize at cross-lane barriers. The plan keeps within-lane
-            // original order and lanes disjoint, so results and post-state
-            // are identical to the serial path.
-            let hints: Vec<_> = admitted
-                .iter()
-                .map(|request| self.app.lane_hint(request, self.exec_lanes))
-                .collect();
-            let plan = crate::exec::plan_batch(&hints, self.exec_lanes);
-            self.exec_stats.absorb(&plan.stats);
-            let refs: Vec<&Request> = admitted.iter().collect();
-            let results =
-                crate::exec::run_plan(&mut self.app, &refs, &plan, self.exec_pool.as_ref());
-            for (request, result) in admitted.iter().zip(results) {
-                self.replies
-                    .insert(request.client, (request.seq, result.clone()));
-                executed.insert((request.client, request.seq), result);
-            }
-        } else {
-            for request in &admitted {
-                let result = self.app.execute(request);
-                self.replies
-                    .insert(request.client, (request.seq, result.clone()));
-                executed.insert((request.client, request.seq), result);
-            }
-        }
+        // Execute the raw value through the reply records — the same rule
+        // (over the same bytes) a post-crash replay applies, so replay
+        // reproduces this execution even if the ordering core's duplicate
+        // filter ever disagrees with the durable record (e.g. a restart
+        // that lost volatile core state).
+        let requests = decode_batch(&batch.value).unwrap_or_default();
+        let mut executed = self.execute_decided(&requests, &batch.value);
         // Replies align with the core's duplicate-stripped list; a request
-        // the durable frontier rejected as already-executed answers empty
+        // the durable record rejected as already-executed answers empty
         // (the client's earlier reply carried the real result).
         let results = batch
             .requests
             .iter()
             .map(|r| executed.remove(&(r.client, r.seq)).unwrap_or_default())
             .collect();
-        self.tip = chain_tip_shared(&self.tip, &batch.value);
-        self.batches_applied += 1;
         if self.batches_applied.is_multiple_of(self.checkpoint_period) {
             self.checkpoint()?;
         }
         Ok(results)
     }
 
-    /// The durable dedup frontier, sorted by client — what a freshly built
-    /// ordering core must be seeded with after a local restart, so it does
-    /// not re-admit (or re-propose) requests the pre-crash incarnation
-    /// already delivered.
+    /// Each client's highest executed sequence number, sorted by client —
+    /// derived from the reply records. What a freshly built (or freshly
+    /// state-transferred) ordering core is seeded with, so it does not
+    /// re-admit (or re-propose) requests this replica already executed.
     pub fn delivered_frontier(&self) -> Vec<(u64, u64)> {
-        self.frontier.iter().map(|(&c, &s)| (c, s)).collect()
+        self.replies.iter().map(|(&c, (s, _))| (c, *s)).collect()
     }
 
-    /// The durable reply cache: each client's latest `(client, seq, result)`,
-    /// sorted by client — what a restarting replica seeds its volatile reply
-    /// cache with, so retransmissions of pre-crash deliveries are still
-    /// answered instead of silently dropped by the duplicate filter.
-    pub fn cached_replies(&self) -> Vec<(u64, u64, Vec<u8>)> {
-        self.replies
-            .iter()
-            .map(|(&c, (s, r))| (c, *s, r.clone()))
-            .collect()
+    /// `client`'s reply record: the sequence number and result of its
+    /// latest executed request — what answers a retransmission that the
+    /// duplicate filter would otherwise drop silently.
+    pub fn last_reply(&self, client: u64) -> Option<(u64, &[u8])> {
+        self.replies.get(&client).map(|(s, r)| (*s, r.as_slice()))
     }
 
     /// Convenience for tests and benchmarks: wraps `requests` in a
@@ -800,8 +735,8 @@ impl<A: Application> DurableApp<A> {
         self.apply_batch(&batch)
     }
 
-    /// Cuts a snapshot now (state + frontier + chain tip) and truncates the
-    /// log prefix it covers — O(segment-delete) on the segmented engine.
+    /// Cuts a snapshot now (state + reply records + chain tip) and truncates
+    /// the log prefix it covers — O(segment-delete) on the segmented engine.
     ///
     /// # Errors
     ///
@@ -810,7 +745,6 @@ impl<A: Application> DurableApp<A> {
         let state = self.app.take_snapshot();
         let state_root = merkle::chunked_root(&state, merkle::STATE_CHUNK);
         let meta = SnapshotMeta {
-            frontier: self.frontier.iter().map(|(&c, &s)| (c, s)).collect(),
             tip: self.tip,
             state_root,
             replies: self
@@ -996,16 +930,16 @@ impl<A: Application> DurableApp<A> {
     /// Installs a peer's state-transfer reply: snapshot first (if it runs
     /// ahead of us), then the batch suffix — each record must *chain-hash
     /// onto this replica's tip* (`prev` = our running chain hash), and is
-    /// appended to the local engine *and* executed through the dedup
-    /// frontier, so the transferred history is as durable here as
+    /// appended to the local engine *and* executed through the reply
+    /// records, so the transferred history is as durable here as
     /// locally-ordered history. Decision-proof verification happens in the
     /// caller ([`verify_shipped_suffix`] — the caller holds the view);
     /// this method enforces the structural half — contiguity and chain
     /// linkage — plus the *content* half for snapshots: a snapshot running
     /// ahead of local state installs only with a [`CheckpointCert`] whose
     /// quorum-signed state root the shipped bytes re-chunk to exactly.
-    /// Returns the requests applied beyond the snapshot, so the caller can
-    /// feed the ordering core's duplicate filter.
+    /// Afterwards [`delivered_frontier`](Self::delivered_frontier) covers
+    /// the installed history; the caller re-seeds its ordering core from it.
     ///
     /// # Errors
     ///
@@ -1025,7 +959,7 @@ impl<A: Application> DurableApp<A> {
         cert: Option<&CheckpointCert>,
         first_batch: u64,
         batches: &[Vec<u8>],
-    ) -> Result<Vec<Request>, InstallError> {
+    ) -> Result<(), InstallError> {
         if let Some(blob) = snapshot {
             let shipped = from_bytes::<ShippedSnapshot>(&blob)
                 .map_err(|_| InstallError::Rejected("undecodable shipped snapshot"))?;
@@ -1064,22 +998,12 @@ impl<A: Application> DurableApp<A> {
                 // on segmented logs): the snapshot is the durable
                 // representation of that prefix.
                 self.engine.fast_forward(covered)?;
-                self.batches_applied = covered;
-                self.frontier = shipped.meta.frontier.into_iter().collect();
-                self.replies = shipped
-                    .meta
-                    .replies
-                    .into_iter()
-                    .map(|(client, seq, result)| (client, (seq, result)))
-                    .collect();
-                self.tip = shipped.meta.tip;
                 // The certified checkpoint is now ours: adopt its basis and
                 // persist the certificate so we can serve it onward.
-                self.basis = Some((covered, cert.state_root, cert.tip));
+                self.adopt_snapshot(covered, shipped.meta);
                 self.store_checkpoint_cert(cert.clone())?;
             }
         }
-        let mut applied = Vec::new();
         for (i, record) in batches.iter().enumerate() {
             let k = first_batch + i as u64;
             if k <= self.batches_applied {
@@ -1099,17 +1023,9 @@ impl<A: Application> DurableApp<A> {
                 .map_err(|_| InstallError::Rejected("undecodable shipped value"))?;
             self.engine.append(record)?;
             self.engine.flush()?;
-            for request in requests {
-                if Self::frontier_admits(&mut self.frontier, &request) {
-                    let result = self.app.execute(&request);
-                    self.replies.insert(request.client, (request.seq, result));
-                    applied.push(request);
-                }
-            }
-            self.tip = chain_tip_shared(&self.tip, &lb.value);
-            self.batches_applied += 1;
+            self.execute_decided(&requests, &lb.value);
         }
-        Ok(applied)
+        Ok(())
     }
 }
 
@@ -1160,6 +1076,16 @@ mod tests {
             payload: vec![add],
             signature: None,
         }
+    }
+
+    /// The reply record is the dedup frontier: `client` is the only client,
+    /// both views name `seq`, and the record carries the counter's `sum`.
+    fn assert_record(d: &DurableApp<CounterApp>, client: u64, seq: u64, sum: u64) {
+        assert_eq!(d.delivered_frontier(), vec![(client, seq)]);
+        assert_eq!(
+            d.last_reply(client),
+            Some((seq, sum.to_le_bytes().as_slice()))
+        );
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -1243,10 +1169,14 @@ mod tests {
         let src_dir = tmp("st-src");
         let dst_dir = tmp("st-dst");
         let mut src = DurableApp::open(CounterApp::new(), &src_dir, 3).unwrap();
-        for i in 0..8u64 {
+        for i in 0..7u64 {
             src.apply_requests(&[req(1, i, 2)]).unwrap();
         }
+        // The last batch carries (1, 7) twice: it executes once.
+        let results = src.apply_requests(&[req(1, 7, 2), req(1, 7, 2)]).unwrap();
+        assert_eq!(results, vec![16u64.to_le_bytes().to_vec(), Vec::new()]);
         assert_eq!(src.app().sum(1), 16);
+        assert_record(&src, 1, 7, 16);
         // Checkpoint at period 3 → snapshot covers 6, log holds 7..8. The
         // snapshot runs ahead of the fresh receiver, so the reply must carry
         // the quorum's checkpoint certificate.
@@ -1260,26 +1190,27 @@ mod tests {
         assert_eq!(reply.batches.len(), 2);
         {
             let mut dst = DurableApp::open(CounterApp::new(), &dst_dir, 100).unwrap();
-            let applied = dst
-                .install_remote(
-                    &view,
-                    reply.covered,
-                    reply.snapshot,
-                    reply.cert.as_ref(),
-                    reply.first_batch,
-                    &reply.batches,
-                )
-                .unwrap();
+            dst.install_remote(
+                &view,
+                reply.covered,
+                reply.snapshot,
+                reply.cert.as_ref(),
+                reply.first_batch,
+                &reply.batches,
+            )
+            .unwrap();
             assert_eq!(dst.chunks_verified(), 1, "snapshot verified chunkwise");
-            assert_eq!(applied.len(), 2, "only the post-snapshot suffix applies");
             assert_eq!(dst.batches_applied(), 8);
-            assert_eq!(dst.app().sum(1), 16);
+            assert_eq!(dst.app().sum(1), 16, "the suffix's duplicate executed once");
             assert_eq!(dst.tip(), src.tip(), "transferred chains share the tip");
+            assert_record(&dst, 1, 7, 16);
         }
         // The transferred state is durable: a reopen recovers it locally.
         let dst = DurableApp::open(CounterApp::new(), &dst_dir, 100).unwrap();
         assert_eq!(dst.batches_applied(), 8);
+        assert_eq!(dst.replayed_on_recovery(), 2, "the suffix only");
         assert_eq!(dst.app().sum(1), 16);
+        assert_record(&dst, 1, 7, 16);
     }
 
     /// A replica that already holds a prefix receives only the missing tail.
@@ -1299,17 +1230,16 @@ mod tests {
         let reply = src.state_reply(4).unwrap();
         assert_eq!((reply.covered, reply.first_batch), (0, 4));
         assert!(reply.snapshot.is_none());
-        let applied = dst
-            .install_remote(
-                &view,
-                reply.covered,
-                reply.snapshot.clone(),
-                None,
-                reply.first_batch,
-                &reply.batches,
-            )
-            .unwrap();
-        assert_eq!(applied.len(), 2);
+        dst.install_remote(
+            &view,
+            reply.covered,
+            reply.snapshot.clone(),
+            None,
+            reply.first_batch,
+            &reply.batches,
+        )
+        .unwrap();
+        assert_eq!(dst.batches_applied(), 5);
         assert_eq!(dst.app().sum(1), 5);
         // A reply that skips ahead is rejected, nothing applied.
         let err = dst
@@ -1534,9 +1464,37 @@ mod tests {
             };
             d.apply_batch(&batch).unwrap();
             assert_eq!(d.app().sum(1), 8, "duplicate executed once");
+            // A duplicate inside one decided value executes once too.
+            let results = d.apply_requests(&[req(1, 3, 2), req(1, 3, 2)]).unwrap();
+            assert_eq!(results, vec![10u64.to_le_bytes().to_vec(), Vec::new()]);
+            assert_record(&d, 1, 3, 10);
         }
         let d = DurableApp::open(CounterApp::new(), &dir, 100).unwrap();
-        assert_eq!(d.app().sum(1), 8, "replay also executes it once");
+        assert_eq!(d.app().sum(1), 10, "replay also executes each once");
+        assert_record(&d, 1, 3, 10);
+    }
+
+    /// A snapshot whose meta cannot be decoded (written in another layout)
+    /// refuses to open instead of resuming with a zero chain tip and an
+    /// empty dedup record.
+    #[test]
+    fn undecodable_snapshot_meta_refuses_to_open() {
+        let dir = tmp("badmeta");
+        let state = {
+            let mut d = DurableApp::open(CounterApp::new(), &dir, 100).unwrap();
+            d.apply_requests(&[req(1, 0, 4)]).unwrap();
+            d.app().take_snapshot()
+        };
+        SnapshotStore::open(dir.join("snapshots"))
+            .unwrap()
+            .install(&Snapshot {
+                covered_block: 1,
+                state,
+                meta: vec![0xFF; 3],
+            })
+            .unwrap();
+        let err = DurableApp::open(CounterApp::new(), &dir, 100).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

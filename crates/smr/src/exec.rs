@@ -21,8 +21,8 @@
 //!
 //! Results are re-emitted in original batch order, so blocks, result
 //! hashes and state roots are bit-for-bit independent of the lane count —
-//! and of whether lanes run on a real [`ExecPool`] (metal runtime) or are
-//! merely *charged* as critical-path virtual time (simulator).
+//! and of whether lanes run on a real [`ExecPool`] or are merely *charged*
+//! as critical-path virtual time (simulator; the deployed replica is serial).
 
 use crate::app::Application;
 use crate::types::Request;
@@ -158,9 +158,9 @@ pub fn plan_batch(hints: &[LaneHint], lanes: usize) -> BatchPlan {
 /// [`Application::execute`] for barriers. `requests` is the planned slice
 /// (plan indices index into it); results come back aligned with it.
 ///
-/// This is the single scheduler behind both deployments: the simulator
-/// calls it with `pool = None` (lanes are charged as virtual time), the
-/// metal runtime passes its [`ExecPool`].
+/// The simulator calls it with `pool = None` (lanes are charged as virtual
+/// time); the coin lane tests and the benchmark's execution probes also
+/// run it on a real [`ExecPool`].
 pub fn run_plan<A: Application + ?Sized>(
     app: &mut A,
     requests: &[&Request],

@@ -89,9 +89,6 @@ pub enum SmrMsg {
         first_batch: u64,
         /// Encoded request batches `first_batch..first_batch + len`.
         batches: Vec<Vec<u8>>,
-        /// The sender's per-client dedup frontier, so requests inside the
-        /// summarized prefix are rejected as duplicates after the install.
-        frontier: Vec<(u64, u64)>,
         /// The sender's current regency, so a recovering replica that slept
         /// through leader changes rejoins at the right one.
         regency: u32,
@@ -204,7 +201,6 @@ impl Encode for SmrMsg {
                 snapshot,
                 first_batch,
                 batches,
-                frontier,
                 regency,
                 cert,
             } => {
@@ -213,7 +209,6 @@ impl Encode for SmrMsg {
                 snapshot.encode(out);
                 first_batch.encode(out);
                 smartchain_codec::encode_seq(batches, out);
-                smartchain_codec::encode_seq(frontier, out);
                 regency.encode(out);
                 cert.encode(out);
             }
@@ -261,7 +256,6 @@ impl Encode for SmrMsg {
                 snapshot,
                 first_batch,
                 batches,
-                frontier,
                 regency,
                 cert,
             } => {
@@ -269,7 +263,6 @@ impl Encode for SmrMsg {
                     + snapshot.encoded_len()
                     + first_batch.encoded_len()
                     + smartchain_codec::seq_encoded_len(batches)
-                    + smartchain_codec::seq_encoded_len(frontier)
                     + regency.encoded_len()
                     + cert.encoded_len()
             }
@@ -303,7 +296,6 @@ impl Decode for SmrMsg {
                 snapshot: Option::<Vec<u8>>::decode(input)?,
                 first_batch: u64::decode(input)?,
                 batches: smartchain_codec::decode_seq(input)?,
-                frontier: smartchain_codec::decode_seq(input)?,
                 regency: u32::decode(input)?,
                 cert: Option::<crate::durability::CheckpointCert>::decode(input)?,
             }),
@@ -370,7 +362,7 @@ pub struct OrderedBatch {
     /// that stores this instead of the stripped request list stays bound to
     /// the quorum-signed decision — what the runtime's digest-checked state
     /// transfer verifies. A shared, hash-memoized handle: the delivery,
-    /// the durable log, the reply-cache source, and repair replies all hold
+    /// the durable log and repair replies all hold
     /// the same allocation, and its digest is computed once.
     pub value: ValueBytes,
     /// The decision proof (quorum of signed ACCEPTs), shared with the
@@ -764,6 +756,20 @@ impl OrderingCore {
         self.compact_pending();
     }
 
+    /// Seeds the duplicate filter from a durable `client → seq` frontier
+    /// (boot, state-transfer install) and drops every pool entry it covers:
+    /// one that is never decided again would keep the progress timer firing.
+    pub fn seed_delivered(&mut self, frontier: &[(u64, u64)]) {
+        for &(client, seq) in frontier {
+            let s = self.delivered_seq.entry(client).or_insert(seq);
+            *s = (*s).max(seq);
+        }
+        let delivered = &self.delivered_seq;
+        self.pending_ids
+            .retain(|(c, s)| delivered.get(c).is_none_or(|&d| *s > d));
+        self.compact_pending();
+    }
+
     /// Drops dead entries (delivered ids) from `pending` in one pass once
     /// they outnumber the live ones. The slack of 64 spares small pools the
     /// pass; the factor of two makes its cost amortised O(1) per delivery.
@@ -779,16 +785,8 @@ impl OrderingCore {
         }
     }
 
-    /// Highest delivered sequence number for `client`, if any — the read
-    /// side of the dedup frontier, used by the embedding to answer
-    /// retransmissions of delivered requests from its reply cache.
-    pub fn delivered_up_to(&self, client: u64) -> Option<u64> {
-        self.delivered_seq.get(&client).copied()
-    }
-
-    /// The full per-client dedup frontier, sorted by client id. Shipped with
-    /// checkpoint snapshots so a snapshot-anchored joiner's core rejects
-    /// retransmissions of requests inside the summarized prefix.
+    /// The full per-client dedup frontier, sorted by client id
+    /// (diagnostics: dedup continuity across snapshots and restarts).
     pub fn delivered_frontier(&self) -> Vec<(u64, u64)> {
         let mut frontier: Vec<(u64, u64)> =
             self.delivered_seq.iter().map(|(&c, &s)| (c, s)).collect();
@@ -1878,6 +1876,22 @@ mod tests {
         }
     }
 
+    /// State transfer past `(c,3)` drops `(c,1)..(c,3)` from a follower's
+    /// pool, so its progress timer stops firing STOPs once it is idle.
+    #[test]
+    fn seeding_the_frontier_drops_every_covered_pending_request() {
+        let mut cores = make_cluster(4);
+        for r in [req(7, 1), req(7, 2), req(7, 3), req(8, 1)] {
+            assert!(cores[2].submit(r).is_empty());
+        }
+        cores[2].seed_delivered(&[(7, 3)]);
+        assert_eq!(cores[2].pending_len(), 1, "only (8,1) is still live");
+        cores[2].seed_delivered(&[(8, 1)]);
+        assert_eq!(cores[2].pending_len(), 0);
+        assert!(cores[2].on_progress_timeout().is_empty(), "no STOP");
+        assert!(cores[2].submit(req(7, 2)).is_empty() && cores[2].pending_len() == 0);
+    }
+
     /// Followers drop ordered requests: with every request sent to every
     /// replica, no core's pool grows with the number of requests ordered.
     #[test]
@@ -2238,7 +2252,6 @@ mod wire_len_tests {
                 snapshot: Some(vec![9; 40]),
                 first_batch: 9,
                 batches: vec![vec![1; 12], vec![2; 7]],
-                frontier: vec![(3, 4), (5, 6)],
                 regency: 2,
                 cert: None,
             },
@@ -2247,7 +2260,6 @@ mod wire_len_tests {
                 snapshot: Some(vec![9; 40]),
                 first_batch: 9,
                 batches: Vec::new(),
-                frontier: Vec::new(),
                 regency: 0,
                 cert: Some(crate::durability::CheckpointCert {
                     covered: 8,

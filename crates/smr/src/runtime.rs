@@ -51,12 +51,6 @@ pub struct RuntimeConfig {
     /// an open TCP surface should set it — see [`verify_and_submit`]'s
     /// forgery note. `cluster.toml` deployments default to `true`.
     pub require_signed: bool,
-    /// Execution lanes in each replica's EXECUTE stage (1 = serial, the
-    /// default). Above one lane, [`DurableApp`] plans every delivered batch
-    /// over the application's static lane hints and fans non-conflicting
-    /// transactions out on a per-replica worker pool — results and state
-    /// stay bit-identical to the serial stage.
-    pub execute_lanes: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -68,7 +62,6 @@ impl Default for RuntimeConfig {
             storage_dir: None,
             checkpoint_period: 128,
             require_signed: false,
-            execute_lanes: 1,
         }
     }
 }
@@ -89,7 +82,6 @@ struct TcpReplicaHandle {
 pub struct TcpCluster<A: Application> {
     cluster: ClusterConfig,
     backend: Backend,
-    execute_lanes: usize,
     root: PathBuf,
     make_app: Box<dyn Fn() -> A + Send + Sync>,
     replicas: Vec<Option<TcpReplicaHandle>>,
@@ -144,7 +136,6 @@ impl<A: Application> TcpCluster<A> {
         let mut this = TcpCluster {
             cluster,
             backend,
-            execute_lanes: config.execute_lanes,
             root,
             make_app: Box::new(make_app),
             replicas: (0..n).map(|_| None).collect(),
@@ -193,7 +184,6 @@ impl<A: Application> TcpCluster<A> {
             self.backend,
             self.root.join(format!("replica-{me}")),
             (self.make_app)(),
-            self.execute_lanes,
         )?;
         let cluster = self.cluster.clone();
         let handle = std::thread::Builder::new()
@@ -301,32 +291,24 @@ pub fn serve_replica<A: Application>(
     app: A,
 ) -> std::io::Result<()> {
     let transport = TcpTransport::bind(cluster.tcp_config(me))?;
-    let (core, durable) = open_replica(
-        cluster,
-        me,
-        backend,
-        storage_dir,
-        app,
-        RuntimeConfig::default().execute_lanes,
-    )?;
+    let (core, durable) = open_replica(cluster, me, backend, storage_dir, app)?;
     run_replica(core, durable, transport, cluster);
     Ok(())
 }
 
 /// Recovers replica `me` from `storage_dir`: opens its [`DurableApp`] and
 /// builds an ordering core that resumes at the durable batch count. The
-/// core's duplicate filter is seeded from the durable frontier: a restarted
-/// replica must not re-admit (or, once it leads, re-propose) requests its
-/// pre-crash incarnation delivered.
+/// core's duplicate filter is seeded from the durable reply records: a
+/// restarted replica must not re-admit (or, once it leads, re-propose)
+/// requests its pre-crash incarnation delivered.
 fn open_replica<A: Application>(
     cluster: &ClusterConfig,
     me: ReplicaId,
     backend: Backend,
     storage_dir: PathBuf,
     app: A,
-    execute_lanes: usize,
 ) -> std::io::Result<(OrderingCore, DurableApp<A>)> {
-    let mut durable = DurableApp::open(app, storage_dir, cluster.checkpoint_period)?;
+    let durable = DurableApp::open(app, storage_dir, cluster.checkpoint_period)?;
     let mut core = OrderingCore::new(
         me,
         cluster.view(backend),
@@ -337,10 +319,7 @@ fn open_replica<A: Application>(
         },
         durable.batches_applied(),
     );
-    for (client, seq) in durable.delivered_frontier() {
-        core.note_delivered(client, seq);
-    }
-    durable.set_execute_lanes(execute_lanes.max(1));
+    core.seed_delivered(&durable.delivered_frontier());
     Ok((core, durable))
 }
 
@@ -578,8 +557,9 @@ fn send_state_request<A: Application>(
 /// forged *snapshot* either: a snapshot running ahead of local state
 /// installs only when the shipped bytes re-chunk to the state root of a
 /// quorum-signed [`CheckpointCert`] (see
-/// [`crate::durability::DurableApp::install_remote`]).
-#[allow(clippy::too_many_arguments)]
+/// [`crate::durability::DurableApp::install_remote`]). The core's duplicate
+/// filter is re-seeded from the installed reply records; those a shipped
+/// snapshot carries are not yet covered by the certificate (ROADMAP 7(d)).
 fn install_state_reply<A: Application>(
     core: &mut OrderingCore,
     durable: &mut DurableApp<A>,
@@ -588,38 +568,26 @@ fn install_state_reply<A: Application>(
     cert: Option<CheckpointCert>,
     first_batch: u64,
     batches: &[Vec<u8>],
-    frontier: &[(u64, u64)],
 ) -> bool {
     if !crate::durability::verify_shipped_suffix(core.view(), first_batch, batches) {
         return false; // forged/damaged suffix: rotate to another shipper
     }
     let before = durable.batches_applied();
-    let installed = durable.install_remote(
+    if let Err(e) = durable.install_remote(
         core.view(),
         covered,
         snapshot,
         cert.as_ref(),
         first_batch,
         batches,
-    );
-    let applied = match installed {
-        Ok(applied) => applied,
-        Err(e) => {
-            if std::env::var("SC_RT_DEBUG").is_ok() {
-                eprintln!("[rt] state reply rejected: {e}");
-            }
-            return false; // uncertified/tampered snapshot or broken suffix
+    ) {
+        if std::env::var("SC_RT_DEBUG").is_ok() {
+            eprintln!("[rt] state reply rejected: {e}");
         }
-    };
-    // The dedup frontier covers the summarized prefix; the applied requests
-    // cover the replayed suffix. Both must reach the core or client
-    // retransmissions would re-order history.
-    for &(client, seq) in frontier {
-        core.note_delivered(client, seq);
+        return false; // uncertified/tampered snapshot or broken suffix
     }
-    for request in &applied {
-        core.note_delivered(request.client, request.seq);
-    }
+    // The reply records cover the installed snapshot and suffix.
+    core.seed_delivered(&durable.delivered_frontier());
     core.fast_forward(durable.batches_applied());
     durable.batches_applied() > before
 }
@@ -639,28 +607,6 @@ fn replica_loop<A: Application>(
     let mut backlog: std::collections::VecDeque<NetEvent> = std::collections::VecDeque::new();
     // In-flight runtime state transfer, if any.
     let mut syncing: Option<SyncAttempt> = None;
-    // Last reply executed per client. A client retransmits when every copy
-    // of its reply was lost (torn connections, a throttled slow client's
-    // dropped frames); the retransmission lands inside the dedup frontier,
-    // so it must be answered from here — silence would wedge the client
-    // forever. Seeded from the durable store (snapshot meta + log replay),
-    // so a freshly restarted replica still answers retransmissions of
-    // pre-crash deliveries.
-    let mut reply_cache: std::collections::HashMap<u64, Reply> = durable
-        .cached_replies()
-        .into_iter()
-        .map(|(client, seq, result)| {
-            (
-                client,
-                Reply {
-                    client,
-                    seq,
-                    result,
-                    replica: me,
-                },
-            )
-        })
-        .collect();
     // Checkpoint-certificate shares gossiped by peers (and ourselves).
     let mut certs = CertAssembly::new();
     loop {
@@ -683,7 +629,6 @@ fn replica_loop<A: Application>(
                             snapshot: reply.snapshot,
                             first_batch: reply.first_batch,
                             batches: reply.batches,
-                            frontier: core.delivered_frontier(),
                             regency: core.regency(),
                             cert: reply.cert,
                         },
@@ -698,7 +643,6 @@ fn replica_loop<A: Application>(
                         snapshot,
                         first_batch,
                         batches,
-                        frontier,
                         regency,
                         cert,
                     },
@@ -713,7 +657,6 @@ fn replica_loop<A: Application>(
                         cert,
                         first_batch,
                         &batches,
-                        &frontier,
                     );
                     // The shipper's regency heals a replica that slept
                     // through leader changes and would otherwise drop all
@@ -800,22 +743,24 @@ fn replica_loop<A: Application>(
                     }
                     false
                 });
-                // Retransmissions of already-delivered requests are served
-                // from the reply cache instead of dying silently at the
-                // dedup frontier.
-                batch.retain(|request| {
-                    if core
-                        .delivered_up_to(request.client)
-                        .is_none_or(|s| request.seq > s)
-                    {
-                        return true;
-                    }
-                    if let Some(reply) = reply_cache.get(&request.client) {
-                        if reply.seq == request.seq {
-                            transport.reply(reply.clone());
+                // A client whose every reply copy was lost retransmits; the
+                // retransmission lands inside the dedup frontier, so the
+                // durable reply record answers it — silence would wedge the
+                // client forever. The record survives restarts and arrives
+                // with state transfer, so those deliveries are answered too.
+                batch.retain(|request| match durable.last_reply(request.client) {
+                    Some((seq, result)) if request.seq <= seq => {
+                        if request.seq == seq {
+                            transport.reply(Reply {
+                                client: request.client,
+                                seq,
+                                result: result.to_vec(),
+                                replica: me,
+                            });
                         }
+                        false
                     }
-                    false
+                    _ => true,
                 });
                 verify_and_submit(core, pool, batch, require_signed)
             }
@@ -897,9 +842,6 @@ fn replica_loop<A: Application>(
                                     replica: me,
                                 })
                                 .collect::<Vec<Reply>>();
-                            for reply in &replies {
-                                reply_cache.insert(reply.client, reply.clone());
-                            }
                             transport.reply_all(replies);
                             // A checkpoint was cut while applying: sign its
                             // basis and gossip the share so the cluster can
@@ -974,10 +916,10 @@ mod tests {
             .expect("op");
         cluster.shutdown();
         // Reboot on the same directories: the durable logs replay. A reused
-        // (client, seq) is never re-executed — the recovered duplicate
-        // filters reject it — but the reply cache (rebuilt from checkpoint
-        // metadata + replay) answers the retransmission with the ORIGINAL
-        // result, so a client that lost the reply to a restart isn't wedged.
+        // (client, seq) is never re-executed — the recovered reply records
+        // reject it — but they also answer the retransmission with the
+        // ORIGINAL result, so a client that lost the reply to a restart
+        // isn't wedged.
         let mut cluster = TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("reboot");
         // The cluster's built-in client id: TCP replies route by it.
         let client = 0xC11E28;
@@ -987,13 +929,13 @@ mod tests {
             payload: vec![100],
             signature: None,
         };
-        let cached = cluster
+        let recorded = cluster
             .execute_request(reused, Duration::from_secs(10))
-            .expect("retransmission answered from the recovered reply cache");
+            .expect("retransmission answered from the recovered reply record");
         assert_eq!(
-            u64::from_le_bytes(cached[..8].try_into().unwrap()),
+            u64::from_le_bytes(recorded[..8].try_into().unwrap()),
             9,
-            "the cached reply carries the original result, not a re-execution"
+            "the recorded reply carries the original result, not a re-execution"
         );
         let fresh = Request {
             client,

@@ -1,7 +1,8 @@
 //! Reactor-specific transport behavior over real loopback sockets: bounded
 //! outbox overflow surfacing as repair, the client admission cap, slow-client
-//! isolation, and the per-connection counters. The protocol-level TCP suite
-//! lives in `tcp_cluster.rs`; these tests exercise the transport alone.
+//! isolation, retransmissions answered from the durable reply record, and
+//! the per-connection counters. The protocol-level TCP suite lives in
+//! `tcp_cluster.rs`; these tests exercise the transport alone.
 
 use smartchain_crypto::keys::Backend;
 use smartchain_smr::app::CounterApp;
@@ -10,7 +11,7 @@ use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain_smr::transport::frame::{read_hello, write_client_hello, write_frame, FrameKey};
 use smartchain_smr::transport::{NetEvent, TcpConfig, TcpTransport};
 use smartchain_smr::types::Request;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -23,6 +24,44 @@ fn big_request(seq: u64, len: usize) -> SmrMsg {
         payload: vec![0xAB; len],
         signature: None,
     })
+}
+
+/// Reads one frame and returns its result if it is the reply to
+/// `(client, 1)`; `None` on anything else, a torn link or `timeout`.
+fn read_reply(stream: &mut TcpStream, client: u64, timeout: Duration) -> Option<Vec<u8>> {
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    let payload = smartchain_smr::transport::frame::read_frame(stream, &FrameKey::client()).ok()?;
+    match smartchain_codec::from_bytes::<SmrMsg>(&payload) {
+        Ok(SmrMsg::Reply(reply)) if reply.client == client && reply.seq == 1 => Some(reply.result),
+        _ => None,
+    }
+}
+
+/// Dials `addr` as `client` and sends request `(client, 1)`, which adds 4.
+fn send_first_request(addr: &str, client: u64) -> TcpStream {
+    let request = SmrMsg::Request(Request {
+        client,
+        seq: 1,
+        payload: vec![4],
+        signature: None,
+    });
+    let mut stream = TcpStream::connect(addr).expect("dial");
+    write_client_hello(&mut stream, client).expect("hello");
+    let payload = smartchain_codec::to_bytes(&request);
+    write_frame(&mut stream, &FrameKey::client(), &payload).expect("request");
+    stream
+}
+
+/// Sends request `(client, 1)` to every replica in `addrs` and returns the
+/// first reply; the connections close on return.
+fn execute_raw(addrs: &[String], client: u64) -> Option<Vec<u8>> {
+    let mut conns: Vec<TcpStream> = addrs
+        .iter()
+        .map(|a| send_first_request(a, client))
+        .collect();
+    conns
+        .iter_mut()
+        .find_map(|s| read_reply(s, client, Duration::from_secs(10)))
 }
 
 /// Drives the reactor until `want` matches an event or the deadline passes.
@@ -226,9 +265,9 @@ fn admission_cap_rejects_excess_clients() {
 }
 
 /// A retransmission of an already-delivered request — the client lost
-/// every copy of its reply — is answered from the replica's reply cache
-/// instead of dying silently at the dedup frontier. Without this, reply
-/// loss (torn connection, throttled slow client) wedges the client
+/// every copy of its reply — is answered from the replica's durable reply
+/// record instead of dying silently at the dedup frontier. Without this,
+/// reply loss (torn connection, throttled slow client) wedges the client
 /// forever; with it, client retransmission repairs any dropped frame.
 #[test]
 fn retransmitted_delivered_request_is_answered_from_cache() {
@@ -246,60 +285,63 @@ fn retransmitted_delivered_request_is_answered_from_cache() {
         TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
     let addrs = cluster.cluster_config().replicas.clone();
     let client_id = 0xCAC4Eu64;
-    let request = SmrMsg::Request(Request {
-        client: client_id,
-        seq: 1,
-        payload: vec![4],
-        signature: None,
-    });
-    let frame = {
-        let mut buf = Vec::new();
-        write_frame(
-            &mut buf,
-            &FrameKey::client(),
-            &smartchain_codec::to_bytes(&request),
-        )
-        .unwrap();
-        buf
-    };
-    let read_reply = |stream: &mut TcpStream| -> Option<Vec<u8>> {
-        stream
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let payload =
-            smartchain_smr::transport::frame::read_frame(stream, &FrameKey::client()).ok()?;
-        match smartchain_codec::from_bytes::<SmrMsg>(&payload) {
-            Ok(SmrMsg::Reply(reply)) if reply.client == client_id && reply.seq == 1 => {
-                Some(reply.result)
-            }
-            _ => None,
-        }
-    };
     // First pass: submit to every replica, read one real reply, then drop
     // all connections — every other reply copy dies with them.
-    let first = {
-        let mut conns: Vec<TcpStream> = addrs
-            .iter()
-            .map(|a| {
-                let mut s = TcpStream::connect(a).expect("dial");
-                write_client_hello(&mut s, client_id).expect("hello");
-                s.write_all(&frame).expect("request");
-                s
-            })
-            .collect();
-        conns
-            .iter_mut()
-            .find_map(read_reply)
-            .expect("first execution must reply")
-    };
+    let first = execute_raw(&addrs, client_id).expect("first execution must reply");
     // Second pass: fresh connections, same (client, seq). The request is
-    // inside every replica's dedup frontier now — only the reply cache can
-    // answer it.
-    let mut retry = TcpStream::connect(&addrs[0]).expect("redial");
-    write_client_hello(&mut retry, client_id).expect("hello");
-    retry.write_all(&frame).expect("retransmit");
-    let second = read_reply(&mut retry).expect("retransmission must be answered from the cache");
-    assert_eq!(first, second, "cached reply must match the original");
+    // inside every replica's dedup frontier now — only the reply record
+    // can answer it.
+    let mut retry = send_first_request(&addrs[0], client_id);
+    let second = read_reply(&mut retry, client_id, Duration::from_secs(10))
+        .expect("retransmission must be answered from the reply record");
+    assert_eq!(first, second, "the recorded reply must match the original");
+    cluster.shutdown();
+}
+
+/// A replica that caught up by state transfer answers a retransmission of
+/// a request it never executed itself: the reply record arrives with the
+/// transferred state. Replica 3 is down long enough that every peer's
+/// outbox to it overflows, so only state transfer can catch it up.
+#[test]
+fn retransmission_is_answered_by_a_replica_that_caught_up_by_state_transfer() {
+    let dir = std::env::temp_dir().join(format!(
+        "smartchain-reactor-test-transferred-reply-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = RuntimeConfig {
+        storage_dir: Some(dir),
+        progress_timeout: Duration::from_millis(200),
+        checkpoint_period: 16,
+        ..RuntimeConfig::default()
+    };
+    let mut cluster =
+        TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
+    let addrs = cluster.cluster_config().replicas.clone();
+    let op = |c: &mut TcpCluster<CounterApp>| c.execute(vec![1], Duration::from_secs(10));
+    cluster.kill_replica(3);
+    (0..500).for_each(|_| drop(op(&mut cluster).expect("op")));
+    let client_id = 0x7EA5u64;
+    let first = execute_raw(&addrs[..3], client_id).expect("first execution must reply");
+    (0..4).for_each(|_| drop(op(&mut cluster).expect("op")));
+    cluster.restart_replica(3).expect("restart replica 3");
+    let deadline = Instant::now() + Duration::from_secs(20);
+    let answer = loop {
+        assert!(
+            Instant::now() < deadline,
+            "replica 3 never answered the retransmission"
+        );
+        // Keep traffic flowing so replica 3 notices it is behind.
+        op(&mut cluster).expect("op");
+        let mut retry = send_first_request(&addrs[3], client_id);
+        if let Some(result) = read_reply(&mut retry, client_id, Duration::from_millis(200)) {
+            break result;
+        }
+    };
+    assert_eq!(
+        answer, first,
+        "the transferred reply must match the original"
+    );
     cluster.shutdown();
 }
 

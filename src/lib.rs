@@ -56,8 +56,9 @@
 //!   post-checkpoint suffix) — and the
 //!   the deterministic parallel-EXECUTE scheduler ([`smr::exec`]: static
 //!   per-transaction lane hints → a plan of parallel groups and serial
-//!   barriers whose merged results are bit-identical to serial execution,
-//!   run either inline or on a real [`smr::exec::ExecPool`]) — and the
+//!   barriers whose merged results are bit-identical to serial execution;
+//!   the simulator charges lanes as virtual time, the deployed replica
+//!   executes serially) — and the
 //!   metal deployment layer: [`smr::transport`] provides the links
 //!   (length-framed HMAC-authenticated TCP driven by a per-replica poll
 //!   reactor with automatic redial) and [`smr::runtime`] runs one replica

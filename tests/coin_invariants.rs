@@ -1,14 +1,21 @@
 //! Cross-crate property tests: SMaRtCoin's economic invariants hold across
 //! the full replicated stack, under arbitrary interleavings of workloads,
-//! and the resulting ledgers always audit.
+//! and the resulting ledgers always audit — in the simulator and over a
+//! live [`TcpCluster`].
 
+use smartchain::codec::from_bytes;
+use smartchain::coin::tx::TxResult;
 use smartchain::coin::workload::{authorized_minters, client_key, CoinFactory};
 use smartchain::coin::SmartCoinApp;
 use smartchain::core::audit::verify_chain;
 use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::{client_id, NodeConfig, SigMode, Variant};
+use smartchain::crypto::keys::Backend;
 use smartchain::sim::SECOND;
+use smartchain::smr::client::RequestFactory;
 use smartchain::smr::ordering::OrderingConfig;
+use smartchain::smr::runtime::{RuntimeConfig, TcpCluster};
+use std::time::Duration;
 
 fn run_coin_cluster(
     seed: u64,
@@ -149,4 +156,32 @@ fn double_spend_rejected_through_the_stack() {
     assert_eq!(app.executed(), 2, "mint + first spend succeed");
     assert_eq!(app.rejected(), 1, "second spend of the same coin bounces");
     assert_eq!(app.total_value(), 5, "no value was created or destroyed");
+}
+
+/// The metal runtime: a live TCP cluster accepts signed coin transactions
+/// and answers each with quorum-matching `Created` results.
+#[test]
+fn tcp_cluster_answers_signed_coin_transactions() {
+    let dir = std::env::temp_dir().join(format!("sc-coin-tcp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let wallet = 0xC11E28u64; // TcpCluster's built-in client id: replies route by it
+    let minters = authorized_minters([wallet]);
+    let config = RuntimeConfig {
+        storage_dir: Some(dir.clone()),
+        ..RuntimeConfig::default()
+    };
+    let mut cluster = TcpCluster::start(config, Backend::Sim, move || {
+        SmartCoinApp::from_genesis_data(&minters)
+    })
+    .expect("cluster start");
+    let mut factory = CoinFactory::new(u64::MAX); // every request is a signed MINT
+    for seq in 1..=8u64 {
+        let reply = cluster
+            .execute_request(factory.make(wallet, seq), Duration::from_secs(10))
+            .expect("reply quorum");
+        let result: TxResult = from_bytes(&reply).expect("decodable result");
+        assert!(matches!(result, TxResult::Created { .. }), "{result:?}");
+    }
+    cluster.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }

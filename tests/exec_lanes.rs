@@ -2,23 +2,17 @@
 //! identical seeds, the simulator's chains, state snapshots and replies are
 //! bit-for-bit independent of the lane count — lanes change *virtual time*
 //! (the stage charges the plan's critical path instead of the serial sum),
-//! never *content*. The metal runtime's laned `DurableApp` path is
-//! exercised at the end over a live [`TcpCluster`].
+//! never *content*.
 
-use smartchain::codec::{from_bytes, to_bytes};
-use smartchain::coin::tx::{CoinTx, Output, TxResult};
-use smartchain::coin::workload::{authorized_minters, client_key, CoinFactory};
+use smartchain::coin::workload::{authorized_minters, CoinFactory};
 use smartchain::coin::SmartCoinApp;
 use smartchain::core::audit::verify_chain;
 use smartchain::core::block::BlockBody;
 use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::{client_id, NodeConfig};
-use smartchain::crypto::keys::Backend;
 use smartchain::sim::SECOND;
 use smartchain::smr::app::Application;
 use smartchain::smr::ordering::OrderingConfig;
-use smartchain::smr::runtime::{RuntimeConfig, TcpCluster};
-use smartchain::smr::types::Request;
 use std::collections::BTreeMap;
 
 /// Replies keyed by (client, seq): comparable across runs even when block
@@ -130,49 +124,4 @@ fn mixed_workload_state_and_replies_lane_invariant() {
         assert_eq!(s, s1, "lanes={lanes}: final state diverged");
         assert_eq!(r, r1, "lanes={lanes}: some reply diverged");
     }
-}
-
-/// The metal runtime: a live TCP cluster with `execute_lanes = 4` (real
-/// `ExecPool` workers inside each replica's `DurableApp`) accepts signed
-/// coin transactions and answers with quorum-matching results.
-#[test]
-fn tcp_cluster_with_exec_pool_stays_live() {
-    let dir = std::env::temp_dir().join(format!("sc-exec-lanes-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let wallet = 0xC11E28u64; // TcpCluster's built-in client id: replies route by it
-    let minters = authorized_minters([wallet]);
-    let config = RuntimeConfig {
-        replicas: 4,
-        storage_dir: Some(dir.clone()),
-        execute_lanes: 4,
-        ..RuntimeConfig::default()
-    };
-    let mut cluster = TcpCluster::start(config, Backend::Sim, move || {
-        SmartCoinApp::from_genesis_data(&minters)
-    })
-    .expect("cluster start");
-    let sk = client_key(wallet);
-    for seq in 1..=8u64 {
-        let tx = CoinTx::Mint {
-            outputs: vec![Output {
-                owner: sk.public_key(),
-                value: 1,
-            }],
-        };
-        let payload = to_bytes(&tx);
-        let sig = sk.sign(&Request::sign_payload(wallet, seq, &payload));
-        let request = Request {
-            client: wallet,
-            seq,
-            payload,
-            signature: Some((sk.public_key(), sig)),
-        };
-        let reply = cluster
-            .execute_request(request, std::time::Duration::from_secs(10))
-            .expect("reply quorum");
-        let result: TxResult = from_bytes(&reply).expect("decodable result");
-        assert!(matches!(result, TxResult::Created { .. }), "{result:?}");
-    }
-    cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }
