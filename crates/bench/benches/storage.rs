@@ -4,18 +4,19 @@
 
 use smartchain_bench::micro::bench;
 use smartchain_storage::mem::MemLog;
-use smartchain_storage::wal::BatchingWriter;
-use smartchain_storage::{RecordLog, SegmentConfig, SegmentedLog, SyncPolicy};
+use smartchain_storage::{
+    DurabilityEngine, Engine, RecordLog, SegmentConfig, SegmentedLog, SyncPolicy,
+};
 
 fn root() -> std::path::PathBuf {
     std::env::temp_dir().join(format!("smartchain-bench-{}", std::process::id()))
 }
 
 /// A fresh segmented log in its own directory under [`root`].
-fn segmented(name: &str, policy: SyncPolicy) -> SegmentedLog {
+fn segmented(name: &str) -> SegmentedLog {
     let dir = root().join(name);
     let _ = std::fs::remove_dir_all(&dir);
-    SegmentedLog::open(&dir, policy, SegmentConfig::default()).expect("open")
+    SegmentedLog::open(&dir, SegmentConfig::default()).expect("open")
 }
 
 fn main() {
@@ -26,25 +27,26 @@ fn main() {
         log.append(&record).expect("append");
     });
 
-    let mut log = segmented("async", SyncPolicy::Async);
+    let mut log = segmented("async");
     bench("log_append_512B/segmented_async", || {
         log.append(&record).expect("append");
     });
 
-    let mut log = segmented("sync", SyncPolicy::Sync);
+    let mut log = segmented("sync");
     bench("log_append_512B/segmented_sync", || {
         log.append(&record).expect("append");
+        log.sync().expect("sync");
     });
 
     // The Dura-SMaRt effect: N records per flush vs one flush per record.
     for batch in [1usize, 10, 100] {
-        let mut writer = BatchingWriter::new(segmented(&format!("gc-{batch}"), SyncPolicy::Async));
+        let mut engine = Engine::new(segmented(&format!("gc-{batch}")), SyncPolicy::Sync);
         let record = vec![0x55u8; 512];
         bench(&format!("group_commit/records_per_flush/{batch}"), || {
             for _ in 0..batch {
-                writer.submit(record.clone());
+                engine.append(&record).expect("append");
             }
-            writer.flush().expect("flush");
+            engine.flush().expect("flush");
         });
     }
 

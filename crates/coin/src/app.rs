@@ -4,13 +4,13 @@
 //!
 //! The UTXO table lives in `lanes` shards keyed by [`lane_of`] over the
 //! coin id. Transaction semantics run through one generic evaluator
-//! ([`eval_tx`]) over a [`CoinStore`] view, used by BOTH paths:
+//! (`eval_tx`) over a `CoinStore` view, used by BOTH paths:
 //!
 //! * **serial** — the whole app is the store (lane count 1, barriers,
 //!   recovery replay);
 //! * **laned** — each lane of a parallel group evaluates against a
-//!   copy-on-write [`LaneView`] (cheap `Arc` clones of every shard + a
-//!   private write overlay) and returns an owned [`LaneDelta`]; deltas
+//!   copy-on-write `LaneView` (cheap `Arc` clones of every shard + a
+//!   private write overlay) and returns an owned `LaneDelta`; deltas
 //!   merge back in lane order. The planner guarantees lanes of one group
 //!   touch disjoint coin ids, so the merged state — and the globally
 //!   sorted snapshot encoding — is bit-for-bit independent of lane count

@@ -2,7 +2,7 @@
 //! the *spine* of the staged commit pipeline.
 //!
 //! This module keeps only what every stage shares: the actor's state
-//! ([`ChainNode`], [`MemberState`]), its configuration, event dispatch, and
+//! ([`ChainNode`], `MemberState`), its configuration, event dispatch, and
 //! the routing of ordering-core outputs. The stages themselves live in
 //! [`crate::pipeline`]:
 //!
@@ -33,11 +33,12 @@ use smartchain_sim::{Actor, Ctx, Event, NodeId, Time, MILLI};
 use smartchain_smr::app::Application;
 use smartchain_smr::ordering::{CoreOutput, OrderedBatch, OrderingConfig, OrderingCore, SmrMsg};
 use smartchain_smr::types::Request;
-use smartchain_storage::DurabilityEngine;
+use smartchain_storage::mem::MemLog;
+use smartchain_storage::{DurabilityEngine, Engine, RecordLog};
 use std::collections::{HashMap, VecDeque};
 
 pub use crate::messages::ChainMsg;
-pub use crate::pipeline::persist::{OpenBlock, Persistence, StorageBackend, Variant};
+pub use crate::pipeline::persist::{OpenBlock, Persistence, Variant};
 pub use crate::pipeline::{
     app_payload, exclude_vote_payload, unwrap_app_payload, verify_envelope_signature,
 };
@@ -50,13 +51,9 @@ pub struct NodeConfig {
     pub variant: Variant,
     /// Storage policy.
     pub persistence: Persistence,
-    /// Physical medium of the durability engine (heap, or a real segmented
-    /// log in a tempdir exercised in virtual time).
-    pub storage: StorageBackend,
     /// Truncate the ledger's log prefix once a checkpoint covering it is
-    /// durable (O(segment-delete) on the segmented backend). Off by default:
-    /// full-history ledgers keep the seed's observable behavior (`chain()`
-    /// from genesis, audits from block 1).
+    /// durable. Off by default: full-history ledgers keep the seed's
+    /// observable behavior (`chain()` from genesis, audits from block 1).
     pub compact_after_checkpoint: bool,
     /// Client-signature checking policy.
     pub sig_mode: SigMode,
@@ -93,7 +90,6 @@ impl Default for NodeConfig {
         NodeConfig {
             variant: Variant::Weak,
             persistence: Persistence::Sync,
-            storage: StorageBackend::default(),
             compact_after_checkpoint: false,
             sig_mode: SigMode::None,
             ordering: OrderingConfig::default(),
@@ -140,7 +136,7 @@ pub(crate) struct MemberState {
     pub(crate) view: ViewInfo,
     pub(crate) core: OrderingCore,
     /// The chain, persisted through the configured durability engine.
-    pub(crate) ledger: Ledger<Box<dyn DurabilityEngine>>,
+    pub(crate) ledger: Ledger<Engine<MemLog>>,
     /// Most recent checkpoint snapshot (served to state transfers; its
     /// crash durability is tracked by the two fields below).
     pub(crate) snapshot: Option<SnapshotState>,
@@ -185,7 +181,7 @@ impl MemberState {
     pub(crate) fn new(
         view: ViewInfo,
         core: OrderingCore,
-        ledger: Ledger<Box<dyn DurabilityEngine>>,
+        ledger: Ledger<Engine<MemLog>>,
     ) -> MemberState {
         MemberState {
             generation: 0,
@@ -359,7 +355,7 @@ impl<A: Application> ChainNode<A> {
 
     /// Persistence-engine accounting: `(records, syncs)` at the engine level
     /// (distinct from the simulator's device accounting).
-    pub fn engine_stats(&self) -> Option<smartchain_storage::wal::FlushStats> {
+    pub fn engine_stats(&self) -> Option<smartchain_storage::FlushStats> {
         self.member.as_ref().map(|m| m.ledger.log().stats())
     }
 

@@ -35,7 +35,7 @@
 //! Each stage lives in its own module as an `impl` block on
 //! [`crate::node::ChainNode`]; `node.rs` keeps only the actor spine (event
 //! dispatch, ordering-core output routing, configuration). The stages share
-//! state through [`crate::node::MemberState`] and communicate *only* via
+//! state through `MemberState` and communicate *only* via
 //! simulator events (disk completions, pool completions, timers), which is
 //! what makes them independently schedulable — and what lets the ordering
 //! core run α > 1 instances while earlier blocks are still executing and

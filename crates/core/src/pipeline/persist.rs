@@ -3,16 +3,16 @@
 //! (Fig. 3) and reply release.
 //!
 //! Every Persistence × Variant combination routes its block bytes through
-//! the same [`DurabilityEngine`] trait the real-disk `smr::DurableApp`
-//! uses — the engine owns the *data plane* (what survives a crash) while
-//! the simulator's disk model charges the *time plane* according to the
-//! engine's [`WritePlan`]:
+//! the same engine type the real-disk `smr::DurableApp` uses
+//! (`smartchain_storage::Engine`, here over a heap `MemLog`) — the engine
+//! owns the *data plane* (what survives a crash) while the simulator's disk
+//! model charges the *time plane* according to the engine's policy:
 //!
-//! * [`Persistence::Memory`] → `MemoryEngine` (∞-persistence): no device
-//!   time, nothing durable;
-//! * [`Persistence::Async`] → `AsyncEngine` (λ-persistence): buffered
-//!   device write, reply does not wait;
-//! * [`Persistence::Sync`] → `GroupCommitEngine` (0/1-persistence): a
+//! * [`Persistence::Memory`] → `SyncPolicy::None` (∞-persistence): no
+//!   device time, nothing durable;
+//! * [`Persistence::Async`] → `SyncPolicy::Async` (λ-persistence):
+//!   buffered device write, reply does not wait;
+//! * [`Persistence::Sync`] → `SyncPolicy::Sync` (0/1-persistence): a
 //!   synchronous device write gates the reply; the engine's `flush` is the
 //!   group-commit point.
 //!
@@ -40,7 +40,8 @@ use smartchain_sim::{Ctx, NodeId};
 use smartchain_smr::app::Application;
 use smartchain_smr::ordering::SmrMsg;
 use smartchain_smr::types::Reply;
-use smartchain_storage::{DurabilityEngine, SyncPolicy};
+use smartchain_storage::mem::MemLog;
+use smartchain_storage::{DurabilityEngine, Engine, SyncPolicy};
 
 /// Where blocks are persisted (the paper's persistence ladder, §V-C).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,125 +65,9 @@ impl Persistence {
     }
 
     /// Builds the durability engine for this rung over the simulator's
-    /// heap-backed "disk" (delegates to the storage crate's factory — one
-    /// policy-to-engine mapping in the whole workspace).
-    pub fn make_engine(self) -> Box<dyn DurabilityEngine> {
+    /// heap-backed "disk".
+    pub fn make_engine(self) -> Engine<MemLog> {
         smartchain_storage::engine::engine_for(self.sync_policy())
-    }
-}
-
-/// Which physical medium the simulated replica's durability engine sits on.
-///
-/// The simulator always charges device *time* through the engine's
-/// [`WritePlan`](smartchain_storage::WritePlan) — the backend decides where
-/// the *bytes* live, so the real-disk engines (and their recovery and
-/// compaction paths) are exercised in virtual time.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StorageBackend {
-    /// Heap-backed `MemLog` (the original simulator behavior).
-    #[default]
-    Heap,
-    /// A real segmented log in a per-node temporary directory: segment
-    /// rolls, manifest writes, O(segment-delete) truncation and
-    /// scan-only-the-tail recovery all run against actual files while the
-    /// disk *model* still charges virtual time. The ∞-persistence rung
-    /// stays heap-backed (it models the absence of a disk).
-    SegmentedTemp,
-}
-
-/// Segment sizing used by [`StorageBackend::SegmentedTemp`] (small, so sim
-/// scenarios roll segments without needing thousands of blocks).
-const SIM_SEGMENT_RECORDS: u64 = 64;
-
-static SEG_DIR_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-impl StorageBackend {
-    /// Builds the engine for `persistence` on this backend.
-    pub fn make_engine(self, persistence: Persistence) -> Box<dyn DurabilityEngine> {
-        match (self, persistence) {
-            (StorageBackend::Heap, p) => p.make_engine(),
-            (StorageBackend::SegmentedTemp, Persistence::Memory) => {
-                Persistence::Memory.make_engine()
-            }
-            (StorageBackend::SegmentedTemp, p) => {
-                let seq = SEG_DIR_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let dir = std::env::temp_dir()
-                    .join(format!("smartchain-sim-seg-{}-{seq}", std::process::id()));
-                let _ = std::fs::remove_dir_all(&dir);
-                let engine = smartchain_storage::SegmentedEngine::open(
-                    &dir,
-                    p.sync_policy(),
-                    smartchain_storage::SegmentConfig {
-                        records_per_segment: SIM_SEGMENT_RECORDS,
-                    },
-                )
-                .expect("segmented temp engine opens");
-                Box::new(TempDirEngine { engine, dir })
-            }
-        }
-    }
-}
-
-/// A segmented tempdir engine that removes its directory when dropped —
-/// simulated nodes are created per run (and per reconfiguration), so
-/// leaving every incarnation's segments in the system temp dir would
-/// accumulate without bound across test/bench invocations.
-struct TempDirEngine {
-    engine: smartchain_storage::SegmentedEngine,
-    dir: std::path::PathBuf,
-}
-
-impl Drop for TempDirEngine {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
-}
-
-impl smartchain_storage::RecordLog for TempDirEngine {
-    fn append(&mut self, record: &[u8]) -> std::io::Result<u64> {
-        self.engine.append(record)
-    }
-    fn sync(&mut self) -> std::io::Result<()> {
-        self.engine.sync()
-    }
-    fn len(&self) -> u64 {
-        self.engine.len()
-    }
-    fn read(&self, index: u64) -> std::io::Result<Option<Vec<u8>>> {
-        self.engine.read(index)
-    }
-    fn truncate_prefix(&mut self, upto: u64) -> std::io::Result<()> {
-        self.engine.truncate_prefix(upto)
-    }
-    fn first_index(&self) -> u64 {
-        self.engine.first_index()
-    }
-    fn fast_forward(&mut self, index: u64) -> std::io::Result<()> {
-        self.engine.fast_forward(index)
-    }
-    fn simulate_crash(&mut self) {
-        self.engine.simulate_crash()
-    }
-}
-
-impl DurabilityEngine for TempDirEngine {
-    fn policy(&self) -> SyncPolicy {
-        self.engine.policy()
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.engine.flush()
-    }
-    fn flush_upto(&mut self, records: u64) -> std::io::Result<()> {
-        self.engine.flush_upto(records)
-    }
-    fn durable_len(&self) -> u64 {
-        self.engine.durable_len()
-    }
-    fn stats(&self) -> smartchain_storage::wal::FlushStats {
-        self.engine.stats()
-    }
-    fn recovery_stats(&self) -> Option<smartchain_storage::RecoveryStats> {
-        DurabilityEngine::recovery_stats(&self.engine)
     }
 }
 
@@ -215,23 +100,23 @@ pub struct OpenBlock {
 impl<A: Application> ChainNode<A> {
     /// Stage entry: the produce stage appended `number` (`size` encoded
     /// bytes) to the ledger; drive the engine's policy for it. Charges the
-    /// device plan and arranges `header_done` to run when the policy's
-    /// obligation is met.
+    /// device write the policy requires and arranges `header_done` to run
+    /// when the policy's obligation is met.
     pub(crate) fn persist_block(&mut self, number: u64, size: usize, ctx: &mut Ctx<'_, ChainMsg>) {
-        let plan = {
+        let sync = {
             let Some(m) = self.member.as_ref() else {
                 return;
             };
-            m.ledger.log().plan(size)
+            m.ledger.log().policy() == SyncPolicy::Sync
         };
-        if plan.sync {
+        if sync {
             // 0/1-Persistence: the device sync gates the stage hop; the
             // engine's group-commit flush runs on completion (header_done).
             let token = KIND_HEADER | number;
-            ctx.disk_write(plan.bytes, true, token);
+            ctx.disk_write(size, true, token);
         } else {
             if self.config.persistence == Persistence::Async {
-                ctx.disk_write(plan.bytes, false, 0)
+                ctx.disk_write(size, false, 0)
             }
             self.header_done(number, ctx);
         }
@@ -255,8 +140,8 @@ impl<A: Application> ChainNode<A> {
             // device sync was ISSUED becomes durable — not records later
             // open blocks appended while the sync was in flight; those wait
             // for their own completions. A failed device sync must not
-            // release replies as durable; in simulation (heap-backed
-            // engines) it cannot fail.
+            // release replies as durable; in simulation (a heap-backed
+            // engine) it cannot fail.
             let boundary = open.durable_boundary;
             m.ledger
                 .log_mut()

@@ -24,6 +24,7 @@ use smartchain_smr::actor::SigMode;
 use smartchain_smr::app::Application;
 use smartchain_smr::ordering::{OrderedBatch, OrderingCore};
 use smartchain_smr::types::{Reply, Request};
+use smartchain_storage::{DurabilityEngine, RecordLog};
 
 /// Whether a request carries protocol traffic (reconfigurations, exclude
 /// votes) rather than an application payload.

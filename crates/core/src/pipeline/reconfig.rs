@@ -7,7 +7,7 @@
 //! keys carrying fresh per-view consensus keys, and a quorum of votes forms
 //! the reconfiguration transaction that is ordered like any request. The
 //! ordered transaction is applied by the produce stage
-//! ([`ChainNode::make_reconfig_block`]).
+//! (`ChainNode::make_reconfig_block`).
 
 use crate::block::{vote_payload, ReconfigOp, ReconfigTx, ReconfigVote, ViewInfo};
 use crate::ledger::Ledger;
@@ -37,7 +37,7 @@ impl<A: Application> ChainNode<A> {
             self.config.ordering,
             last_applied,
         );
-        let engine = self.config.storage.make_engine(self.config.persistence);
+        let engine = self.config.persistence.make_engine();
         let ledger = Ledger::open(engine, self.genesis.clone()).expect("engine ledger opens");
         self.member = Some(MemberState::new(view, core, ledger));
     }

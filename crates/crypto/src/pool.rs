@@ -8,7 +8,7 @@
 //! *virtual-time* behaviour separately in `smartchain-sim`.
 //!
 //! Built on a std-only MPMC work queue (mutex + condvar): workers block on
-//! [`JobQueue::pop`], producers fan jobs in with [`JobQueue::push`], and the
+//! `JobQueue::pop`, producers fan jobs in with `JobQueue::push`, and the
 //! queue closing is the shutdown signal.
 
 use crate::keys::{PublicKey, Signature};

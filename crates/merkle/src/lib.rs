@@ -16,7 +16,7 @@
 //!
 //! Leaves and interior nodes are domain-separated (`0x00`/`0x01` prefixes)
 //! and odd nodes are promoted unchanged — Bitcoin-style duplication would
-//! enable CVE-2012-2459-class mutations ([`tests`] pin this). The resulting
+//! enable CVE-2012-2459-class mutations (the unit tests pin this). The resulting
 //! tree is the RFC 6962 shape: the root of `n > 1` leaves splits at the
 //! largest power of two strictly below `n`.
 

@@ -29,11 +29,12 @@
 //! Live delivery, recovery replay and remote install execute through one
 //! path that consults and updates it.
 //!
-//! The persistence policy is pluggable: [`DurableApp::open`] uses the
-//! paper's 0/1-Persistence group-commit rung, while
-//! [`DurableApp::open_with_engine`] accepts any [`DurabilityEngine`] — the
-//! same trait the simulated `ChainNode` routes its persistence ladder
-//! through, so both deployments share one durability implementation.
+//! The persistence policy is a [`SyncPolicy`]: [`DurableApp::open`] uses the
+//! paper's 0/1-Persistence group-commit rung, [`DurableApp::open_with_policy`]
+//! takes any rung. Either way the log is a [`SegmentedEngine`] — the same
+//! `Engine` type the simulated `ChainNode` runs its persistence ladder on
+//! (over a heap log), so both deployments share one durability
+//! implementation.
 
 use crate::app::Application;
 use crate::ordering::OrderedBatch;
@@ -44,14 +45,12 @@ use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::Signature;
 use smartchain_crypto::sha256;
 use smartchain_merkle as merkle;
-use smartchain_storage::engine::SegmentedEngine;
 use smartchain_storage::segmented::{RecoveryStats, SegmentConfig};
 use smartchain_storage::snapshot::{Snapshot, SnapshotStore};
-use smartchain_storage::wal::FlushStats;
-use smartchain_storage::{DurabilityEngine, RecordLog, SyncPolicy};
+use smartchain_storage::{DurabilityEngine, FlushStats, RecordLog, SegmentedEngine, SyncPolicy};
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The batch chain hash: `tip_k = sha256(tip_{k-1} ‖ sha256(value_k))`.
 ///
@@ -415,7 +414,7 @@ pub fn verify_shipped_suffix(view: &View, first_batch: u64, batches: &[Vec<u8>])
 /// snapshotted and the covered log prefix truncated.
 pub struct DurableApp<A: Application> {
     app: A,
-    engine: Box<dyn DurabilityEngine>,
+    engine: SegmentedEngine,
     snapshots: SnapshotStore,
     checkpoint_period: u64,
     batches_applied: u64,
@@ -439,9 +438,8 @@ pub struct DurableApp<A: Application> {
     /// shares matched — shipped with snapshot-ahead state replies and
     /// served to light clients.
     latest_cert: Option<CheckpointCert>,
-    /// Where the certificate is persisted across restarts (segmented opens
-    /// only).
-    cert_path: Option<std::path::PathBuf>,
+    /// Where the certificate is persisted across restarts.
+    cert_path: PathBuf,
     /// Chunks verified against a certified state root by remote installs
     /// (observability for the verified-transfer path).
     chunks_verified: u64,
@@ -500,7 +498,7 @@ impl<A: Application> DurableApp<A> {
     ///
     /// Propagates storage failures.
     pub fn open_segmented(
-        app: A,
+        mut app: A,
         dir: impl AsRef<Path>,
         checkpoint_period: u64,
         policy: SyncPolicy,
@@ -511,35 +509,14 @@ impl<A: Application> DurableApp<A> {
         if policy == SyncPolicy::None {
             // ∞-persistence: nothing survives a restart — start from empty
             // storage instead of silently replaying a stale log/snapshot.
-            let _ = std::fs::remove_file(dir.join("batches.log"));
             let _ = std::fs::remove_dir_all(dir.join("segments"));
             let _ = std::fs::remove_dir_all(dir.join("snapshots"));
         }
-        let engine = SegmentedEngine::open(dir.join("segments"), policy, segments)?;
-        let snapshots = SnapshotStore::open(dir.join("snapshots"))?;
-        let mut this = Self::open_with_engine(app, Box::new(engine), snapshots, checkpoint_period)?;
-        this.cert_path = Some(dir.join("ckpt_cert.bin"));
-        this.load_cert();
-        Ok(this)
-    }
-
-    /// Opens over a caller-provided engine (dependency injection for tests
-    /// and alternative backends).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage failures.
-    pub fn open_with_engine(
-        mut app: A,
-        engine: Box<dyn DurabilityEngine>,
-        snapshots: SnapshotStore,
-        checkpoint_period: u64,
-    ) -> io::Result<Self> {
         app.reset();
         let mut this = DurableApp {
             app,
-            engine,
-            snapshots,
+            engine: SegmentedEngine::open(dir.join("segments"), policy, segments)?,
+            snapshots: SnapshotStore::open(dir.join("snapshots"))?,
             checkpoint_period: checkpoint_period.max(1),
             batches_applied: 0,
             replies: BTreeMap::new(),
@@ -548,7 +525,7 @@ impl<A: Application> DurableApp<A> {
             basis: None,
             announce: None,
             latest_cert: None,
-            cert_path: None,
+            cert_path: dir.join("ckpt_cert.bin"),
             chunks_verified: 0,
         };
         // Recover: snapshot first, then replay only the post-checkpoint log
@@ -591,6 +568,7 @@ impl<A: Application> DurableApp<A> {
             // and the engine fast-forward: complete it (idempotent).
             this.engine.fast_forward(this.batches_applied)?;
         }
+        this.load_cert();
         Ok(this)
     }
 
@@ -612,10 +590,7 @@ impl<A: Application> DurableApp<A> {
     /// still describes the recovered snapshot (a stale one would vouch for
     /// state we no longer hold).
     fn load_cert(&mut self) {
-        let Some(path) = &self.cert_path else {
-            return;
-        };
-        let Ok(bytes) = std::fs::read(path) else {
+        let Ok(bytes) = std::fs::read(&self.cert_path) else {
             return;
         };
         if let Ok(cert) = from_bytes::<CheckpointCert>(&bytes) {
@@ -797,9 +772,7 @@ impl<A: Application> DurableApp<A> {
         if self.basis != Some((cert.covered, cert.state_root, cert.tip)) {
             return Ok(());
         }
-        if let Some(path) = &self.cert_path {
-            std::fs::write(path, to_bytes(&cert))?;
-        }
+        std::fs::write(&self.cert_path, to_bytes(&cert))?;
         self.latest_cert = Some(cert);
         Ok(())
     }
@@ -857,9 +830,9 @@ impl<A: Application> DurableApp<A> {
         self.replayed_on_recovery
     }
 
-    /// What the engine's last open had to scan, for segmented backends.
-    pub fn segment_recovery_stats(&self) -> Option<RecoveryStats> {
-        self.engine.recovery_stats()
+    /// What the engine's last open had to scan.
+    pub fn segment_recovery_stats(&self) -> RecoveryStats {
+        self.engine.log().recovery_stats()
     }
 
     /// The wrapped application.
@@ -1518,7 +1491,7 @@ mod tests {
         // [12..16) deleted); recovery replays batches 17..18 and scans only
         // the active segment.
         assert_eq!(d.replayed_on_recovery(), 2);
-        let stats = d.segment_recovery_stats().expect("segmented engine");
+        let stats = d.segment_recovery_stats();
         assert_eq!(stats.segments_scanned, 1);
         assert_eq!(stats.records_scanned, 2);
     }

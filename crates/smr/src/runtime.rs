@@ -48,7 +48,7 @@ pub struct RuntimeConfig {
     pub checkpoint_period: u64,
     /// Reject unsigned requests in the verify stage. `false` (the embedded
     /// default) keeps signature-free deployments working; anything serving
-    /// an open TCP surface should set it — see [`verify_and_submit`]'s
+    /// an open TCP surface should set it — see `verify_and_submit`'s
     /// forgery note. `cluster.toml` deployments default to `true`.
     pub require_signed: bool,
 }

@@ -23,7 +23,7 @@
 //!
 //! The replica loop drives the reactor directly: `send`/`broadcast`/
 //! `reply_all` encode frames into the bounded queues inline, and
-//! `recv_timeout` runs [`Reactor::poll_once`], which flushes queues, polls
+//! `recv_timeout` runs `Reactor::poll_once`, which flushes queues, polls
 //! every socket, and buffers inbound [`NetEvent`]s for the loop to pop.
 //! No cross-thread handoff happens anywhere on the frame path — the
 //! measured cost of the old design was exactly those per-frame context
@@ -300,7 +300,7 @@ impl WriteQueue {
     }
 
     /// Writes as much as `w` accepts via vectored writes, coalescing up to
-    /// [`MAX_IOVECS`] frames per syscall. Stops cleanly at `WouldBlock`.
+    /// `MAX_IOVECS` frames per syscall. Stops cleanly at `WouldBlock`.
     ///
     /// # Errors
     ///

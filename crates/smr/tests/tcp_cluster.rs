@@ -199,10 +199,9 @@ fn kill_restart_recovers_from_truncated_segmented_log() {
     cluster.kill_replica(3);
     // The dead replica's on-disk log really is truncated: reopen it directly.
     {
-        use smartchain_storage::{RecordLog, SegmentConfig, SegmentedLog, SyncPolicy};
+        use smartchain_storage::{RecordLog, SegmentConfig, SegmentedLog};
         let log = SegmentedLog::open(
             dir.join("replica-3").join("segments"),
-            SyncPolicy::Async,
             SegmentConfig::default(),
         )
         .expect("reopen replica 3's segmented log");

@@ -1,58 +1,57 @@
-//! The `DurabilityEngine`: one interface over the paper's persistence ladder
-//! (§V-C), consumed by both the simulated `ChainNode` and the real-disk
+//! The `DurabilityEngine`: the paper's persistence ladder (§V-C) as one
+//! type, consumed by both the simulated `ChainNode` and the real-disk
 //! `smr::durability::DurableApp`.
 //!
 //! The paper's observation is that *where* a commit becomes durable — never
 //! (∞-Persistence), eventually (λ-Persistence), or before the reply
-//! (0/1-Persistence) — is a pluggable policy, orthogonal to consensus. This
-//! module makes the policy a value:
+//! (0/1-Persistence) — is a policy, orthogonal to consensus. [`Engine`]
+//! makes the policy a value and is the only code that decides when a record
+//! is synced; the [`RecordLog`] under it ([`MemLog`] or
+//! [`SegmentedLog`]) is only the medium:
 //!
-//! | backend | ladder rung | append | flush |
-//! |---|---|---|---|
-//! | [`MemoryEngine`] | ∞-Persistence | heap only | no-op |
-//! | [`AsyncEngine`] | λ-Persistence | buffered write | no-op (OS flushes eventually) |
-//! | [`GroupCommitEngine`] | 0/1-Persistence | queued in a [`BatchingWriter`] | one fsync for everything queued |
+//! | [`SyncPolicy`] | ladder rung | append | flush | durable |
+//! |---|---|---|---|---|
+//! | `None` | ∞-Persistence | written | no-op | nothing |
+//! | `Async` | λ-Persistence | written | no-op (the OS flushes eventually) | up to the last forced sync |
+//! | `Sync` | 0/1-Persistence | queued | one sync for everything queued | everything flushed |
 //!
 //! Every engine is also a [`RecordLog`], so a `Ledger` (or any other
 //! log-structured consumer) can sit directly on top of one and inherit its
-//! durability level. [`RecordLog::sync`] always means "really force it" —
-//! that is what recovery code calls — while [`DurabilityEngine::flush`] is
-//! the *policy* commit point the pipeline's persist stage drives.
+//! durability level. [`RecordLog::sync`] means "really force it" on the
+//! rungs that have a device — that is what recovery code calls — while
+//! [`DurabilityEngine::flush`] is the *policy* commit point the pipeline's
+//! persist stage drives.
+//!
+//! The `Sync` rung is group commit (the Dura-SMaRt "parallel logging"
+//! idea): the latency of one synchronous write is roughly independent of
+//! how many records it carries, so N appends between flushes cost one
+//! fsync — the coalescing the paper credits with a >3.6× throughput gain
+//! over per-batch synchronous writes (§IV-B, Observation 1).
+//!
+//! [`MemLog`]: crate::mem::MemLog
 
-use crate::wal::{BatchingWriter, FlushStats};
+use crate::mem::MemLog;
+use crate::segmented::{SegmentConfig, SegmentedLog};
 use crate::{RecordLog, SyncPolicy};
 use std::io;
 
-/// How a single append should be accounted by a caller that models device
-/// time itself (the simulator): how many bytes move, and whether the policy
-/// demands a synchronous flush before acknowledging.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WritePlan {
-    /// Payload bytes the device will absorb.
-    pub bytes: usize,
-    /// True when the policy requires an fsync before the ack.
-    pub sync: bool,
+/// Append/sync accounting of an [`Engine`], used by the simulator's disk
+/// model cross-checks and by benchmarks to count fsyncs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlushStats {
+    /// Records written to the log.
+    pub records: u64,
+    /// fsync operations issued.
+    pub syncs: u64,
 }
 
 /// A persistence policy over an append-only record log.
-///
-/// Object-safe: the pipeline holds `Box<dyn DurabilityEngine>` and swaps
-/// backends per configuration (the Persistence × Variant matrix).
 pub trait DurabilityEngine: RecordLog {
     /// The ladder rung this engine implements.
     fn policy(&self) -> SyncPolicy;
 
-    /// Cost plan for appending `bytes` bytes under this policy (what a
-    /// virtual-time disk should charge).
-    fn plan(&self, bytes: usize) -> WritePlan {
-        WritePlan {
-            bytes,
-            sync: self.policy() == SyncPolicy::Sync,
-        }
-    }
-
-    /// Drives the policy's commit point: a group-commit engine coalesces
-    /// everything queued into one device sync; the other rungs do nothing.
+    /// Drives the policy's commit point: group commit coalesces everything
+    /// queued into one device sync; the other rungs do nothing.
     ///
     /// # Errors
     ///
@@ -60,20 +59,17 @@ pub trait DurabilityEngine: RecordLog {
     fn flush(&mut self) -> io::Result<()>;
 
     /// Drives the commit point for the log prefix up to `records` (an
-    /// absolute record count): a group-commit engine writes and syncs only
-    /// the records that were already queued when the corresponding device
-    /// sync was *issued* — records appended while that sync was in flight
-    /// wait for their own flush. The other rungs behave like
-    /// [`DurabilityEngine::flush`]. Used by pipelined callers whose sync
-    /// completions arrive while later records are already queued.
+    /// absolute record count): group commit writes and syncs only the
+    /// records that were already queued when the corresponding device sync
+    /// was *issued* — records appended while that sync was in flight wait
+    /// for their own flush. The other rungs do nothing. Used by pipelined
+    /// callers whose sync completions arrive while later records are
+    /// already queued.
     ///
     /// # Errors
     ///
     /// Propagates device failures.
-    fn flush_upto(&mut self, records: u64) -> io::Result<()> {
-        let _ = records;
-        self.flush()
-    }
+    fn flush_upto(&mut self, records: u64) -> io::Result<()>;
 
     /// Records that reached stable storage (survive a crash).
     fn durable_len(&self) -> u64;
@@ -81,342 +77,100 @@ pub trait DurabilityEngine: RecordLog {
     /// Append/sync accounting (the group-commit coalescing proof lives in
     /// `records` vs `syncs`).
     fn stats(&self) -> FlushStats;
-
-    /// What the engine's last open had to scan, for backends whose recovery
-    /// cost is observable ([`SegmentedEngine`]); `None` for heap-backed
-    /// engines with no recovery phase.
-    fn recovery_stats(&self) -> Option<crate::segmented::RecoveryStats> {
-        None
-    }
 }
 
-/// Builds the engine for a [`SyncPolicy`] over heap-backed storage (the
-/// simulator's stand-in for a disk).
-pub fn engine_for(policy: SyncPolicy) -> Box<dyn DurabilityEngine> {
-    match policy {
-        SyncPolicy::None => Box::new(MemoryEngine::new(crate::mem::MemLog::new())),
-        SyncPolicy::Async => Box::new(AsyncEngine::new(crate::mem::MemLog::new())),
-        SyncPolicy::Sync => Box::new(GroupCommitEngine::new(crate::mem::MemLog::new())),
-    }
-}
-
-impl RecordLog for Box<dyn DurabilityEngine> {
-    fn append(&mut self, record: &[u8]) -> io::Result<u64> {
-        (**self).append(record)
-    }
-    fn sync(&mut self) -> io::Result<()> {
-        (**self).sync()
-    }
-    fn len(&self) -> u64 {
-        (**self).len()
-    }
-    fn read(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
-        (**self).read(index)
-    }
-    fn truncate_prefix(&mut self, upto: u64) -> io::Result<()> {
-        (**self).truncate_prefix(upto)
-    }
-    fn first_index(&self) -> u64 {
-        (**self).first_index()
-    }
-    fn fast_forward(&mut self, index: u64) -> io::Result<()> {
-        (**self).fast_forward(index)
-    }
-    fn simulate_crash(&mut self) {
-        (**self).simulate_crash()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// ∞-Persistence
-// ---------------------------------------------------------------------------
-
-/// Heap-only persistence: appends are cheap and nothing survives a crash.
+/// The persistence ladder over a record log `L`: one [`SyncPolicy`] rung,
+/// chosen at construction.
 #[derive(Debug)]
-pub struct MemoryEngine<L: RecordLog> {
+pub struct Engine<L: RecordLog> {
     log: L,
+    policy: SyncPolicy,
     stats: FlushStats,
-}
-
-impl<L: RecordLog> MemoryEngine<L> {
-    /// Wraps `log`; it is treated as volatile regardless of its real medium.
-    pub fn new(log: L) -> MemoryEngine<L> {
-        MemoryEngine {
-            log,
-            stats: FlushStats::default(),
-        }
-    }
-
-    /// The wrapped log.
-    pub fn inner(&self) -> &L {
-        &self.log
-    }
-
-    /// Consumes the engine, returning the wrapped log.
-    pub fn into_inner(self) -> L {
-        self.log
-    }
-}
-
-impl<L: RecordLog> RecordLog for MemoryEngine<L> {
-    fn append(&mut self, record: &[u8]) -> io::Result<u64> {
-        self.stats.records += 1;
-        self.log.append(record)
-    }
-    fn sync(&mut self) -> io::Result<()> {
-        // ∞-Persistence: there is no stable storage to force anything onto.
-        Ok(())
-    }
-    fn len(&self) -> u64 {
-        self.log.len()
-    }
-    fn read(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
-        self.log.read(index)
-    }
-    fn truncate_prefix(&mut self, upto: u64) -> io::Result<()> {
-        self.log.truncate_prefix(upto)
-    }
-    fn first_index(&self) -> u64 {
-        self.log.first_index()
-    }
-    fn fast_forward(&mut self, index: u64) -> io::Result<()> {
-        self.log.fast_forward(index)
-    }
-    fn simulate_crash(&mut self) {
-        // The engine never syncs the device, so a crash takes everything.
-        self.log.simulate_crash();
-    }
-}
-
-impl<L: RecordLog> DurabilityEngine for MemoryEngine<L> {
-    fn policy(&self) -> SyncPolicy {
-        SyncPolicy::None
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        Ok(())
-    }
-    fn durable_len(&self) -> u64 {
-        0
-    }
-    fn stats(&self) -> FlushStats {
-        self.stats
-    }
-}
-
-// ---------------------------------------------------------------------------
-// λ-Persistence
-// ---------------------------------------------------------------------------
-
-/// Asynchronous writes: appends reach the log (page cache) immediately but
-/// are only forced to stable storage when someone explicitly calls
-/// [`RecordLog::sync`] — the policy itself never does. A crash loses the
-/// unsynced suffix, exactly the paper's external-durability anomaly.
-#[derive(Debug)]
-pub struct AsyncEngine<L: RecordLog> {
-    log: L,
-    stats: FlushStats,
+    /// `Sync` rung: records appended but not yet written to the log (the
+    /// group-commit queue; readable, not durable).
+    queued: Vec<Vec<u8>>,
+    /// `Sync` rung: records written to the log but not yet covered by a
+    /// sync (a failed flush leaves them here so a retry syncs without
+    /// re-appending).
+    unsynced: bool,
+    /// `Async` rung: records covered by the last forced sync.
     synced_upto: u64,
 }
 
-impl<L: RecordLog> AsyncEngine<L> {
-    /// Wraps `log` (opened async; this layer never syncs on its own).
-    pub fn new(log: L) -> AsyncEngine<L> {
+/// The real-disk engine: the ladder over a [`SegmentedLog`].
+pub type SegmentedEngine = Engine<SegmentedLog>;
+
+/// Builds the engine for a [`SyncPolicy`] over heap-backed storage (the
+/// simulator's stand-in for a disk).
+pub fn engine_for(policy: SyncPolicy) -> Engine<MemLog> {
+    Engine::new(MemLog::new(), policy)
+}
+
+impl<L: RecordLog> Engine<L> {
+    /// Wraps `log` under `policy`. Whatever `log` already holds counts as
+    /// synced for the `Async` rung.
+    pub fn new(log: L, policy: SyncPolicy) -> Engine<L> {
         let synced_upto = log.len();
-        AsyncEngine {
+        Engine {
             log,
+            policy,
             stats: FlushStats::default(),
+            queued: Vec::new(),
+            unsynced: false,
             synced_upto,
         }
     }
 
-    /// The wrapped log.
-    pub fn inner(&self) -> &L {
+    /// The wrapped log (diagnostics: segment counts, recovery stats).
+    pub fn log(&self) -> &L {
         &self.log
-    }
-
-    /// Consumes the engine, returning the wrapped log.
-    pub fn into_inner(self) -> L {
-        self.log
-    }
-}
-
-impl<L: RecordLog> RecordLog for AsyncEngine<L> {
-    fn append(&mut self, record: &[u8]) -> io::Result<u64> {
-        self.stats.records += 1;
-        self.log.append(record)
-    }
-    fn sync(&mut self) -> io::Result<()> {
-        // An *explicit* force (recovery preparation, shutdown). The policy
-        // itself never calls this.
-        self.log.sync()?;
-        self.stats.syncs += 1;
-        self.synced_upto = self.log.len();
-        Ok(())
-    }
-    fn len(&self) -> u64 {
-        self.log.len()
-    }
-    fn read(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
-        self.log.read(index)
-    }
-    fn truncate_prefix(&mut self, upto: u64) -> io::Result<()> {
-        self.log.truncate_prefix(upto)
-    }
-    fn first_index(&self) -> u64 {
-        self.log.first_index()
-    }
-    fn fast_forward(&mut self, index: u64) -> io::Result<()> {
-        self.log.fast_forward(index)?;
-        self.synced_upto = self.synced_upto.max(self.log.len().min(index));
-        Ok(())
-    }
-    fn simulate_crash(&mut self) {
-        self.log.simulate_crash();
-    }
-}
-
-impl<L: RecordLog> DurabilityEngine for AsyncEngine<L> {
-    fn policy(&self) -> SyncPolicy {
-        SyncPolicy::Async
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        // λ-Persistence: the OS flushes "within λ"; the ack never waits.
-        Ok(())
-    }
-    fn durable_len(&self) -> u64 {
-        self.synced_upto
-    }
-    fn stats(&self) -> FlushStats {
-        self.stats
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 0/1-Persistence
-// ---------------------------------------------------------------------------
-
-/// Group-commit WAL: appends queue in a [`BatchingWriter`]; [`flush`]
-/// (the commit point the persist stage drives) writes everything queued and
-/// issues exactly one device sync — N appends between flushes cost one fsync,
-/// the Dura-SMaRt coalescing that buys the paper its 3.6×.
-///
-/// [`flush`]: DurabilityEngine::flush
-#[derive(Debug)]
-pub struct GroupCommitEngine<L: RecordLog> {
-    writer: BatchingWriter<L>,
-}
-
-impl<L: RecordLog> GroupCommitEngine<L> {
-    /// Wraps a log opened with [`SyncPolicy::Async`] — this layer issues
-    /// the syncs itself, one per flush.
-    pub fn new(log: L) -> GroupCommitEngine<L> {
-        GroupCommitEngine {
-            writer: BatchingWriter::new(log),
-        }
-    }
-
-    /// The wrapped log.
-    pub fn inner(&self) -> &L {
-        self.writer.inner()
     }
 
     /// Consumes the engine, returning the wrapped log. Queued records that
     /// were never flushed are dropped — exactly what a crash would do.
     pub fn into_inner(self) -> L {
-        self.writer.into_inner()
+        self.log
     }
-}
 
-impl<L: RecordLog> RecordLog for GroupCommitEngine<L> {
-    fn append(&mut self, record: &[u8]) -> io::Result<u64> {
-        let index = self.writer.inner().len() + self.writer.pending().len() as u64;
-        self.writer.submit(record.to_vec());
-        Ok(index)
-    }
-    fn sync(&mut self) -> io::Result<()> {
-        self.flush()
-    }
-    fn len(&self) -> u64 {
-        self.writer.inner().len() + self.writer.pending().len() as u64
-    }
-    fn read(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
-        let inner_len = self.writer.inner().len();
-        if index < inner_len {
-            return self.writer.inner().read(index);
+    /// Writes the first `count` queued records and syncs once, leaving
+    /// later records queued.
+    ///
+    /// A record that reached the log is never re-queued (re-appending it on
+    /// retry would duplicate it); on an append failure the failed record and
+    /// everything after it stay queued, and an unsynced append is synced by
+    /// the next flush.
+    fn flush_first(&mut self, count: usize) -> io::Result<()> {
+        let count = count.min(self.queued.len());
+        if count == 0 && !self.unsynced {
+            return Ok(());
         }
-        Ok(self
-            .writer
-            .pending()
-            .get((index - inner_len) as usize)
-            .cloned())
+        let mut written = 0usize;
+        let mut append_err = None;
+        for record in &self.queued[..count] {
+            match self.log.append(record) {
+                Ok(_) => written += 1,
+                Err(e) => {
+                    append_err = Some(e);
+                    break;
+                }
+            }
+        }
+        self.stats.records += written as u64;
+        self.queued.drain(..written);
+        self.unsynced = self.unsynced || written > 0;
+        if let Some(e) = append_err {
+            return Err(e);
+        }
+        self.log.sync()?;
+        self.unsynced = false;
+        self.stats.syncs += 1;
+        Ok(())
     }
-    fn truncate_prefix(&mut self, upto: u64) -> io::Result<()> {
-        self.writer.inner_mut().truncate_prefix(upto)
-    }
-    fn first_index(&self) -> u64 {
-        self.writer.inner().first_index()
-    }
-    fn fast_forward(&mut self, index: u64) -> io::Result<()> {
-        // Skipped records are summarized elsewhere (a checkpoint); queued
-        // submissions below the target would land at wrong indices.
-        self.writer.discard_pending();
-        self.writer.inner_mut().fast_forward(index)
-    }
-    fn simulate_crash(&mut self) {
-        // Queued records were never written; the device keeps its synced
-        // prefix only.
-        self.writer.discard_pending();
-        self.writer.inner_mut().simulate_crash();
-    }
-}
-
-impl<L: RecordLog> DurabilityEngine for GroupCommitEngine<L> {
-    fn policy(&self) -> SyncPolicy {
-        SyncPolicy::Sync
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-    fn flush_upto(&mut self, records: u64) -> io::Result<()> {
-        let inner_len = self.writer.inner().len();
-        let count = records.saturating_sub(inner_len) as usize;
-        self.writer.flush_first(count)
-    }
-    fn durable_len(&self) -> u64 {
-        self.writer.inner().len()
-    }
-    fn stats(&self) -> FlushStats {
-        self.writer.stats()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The segmented real-disk engine (all three rungs)
-// ---------------------------------------------------------------------------
-
-/// The persistence ladder over a [`SegmentedLog`](crate::segmented::SegmentedLog):
-/// one real-disk engine type that implements every rung, so callers select
-/// the policy at open time and keep a concrete handle with segment-level
-/// diagnostics ([`SegmentedEngine::recovery_stats`], segment counts).
-///
-/// Internally each rung reuses the corresponding generic wrapper — the rung
-/// semantics are defined exactly once in this module.
-#[derive(Debug)]
-pub struct SegmentedEngine {
-    inner: SegmentedInner,
-}
-
-#[derive(Debug)]
-enum SegmentedInner {
-    Memory(MemoryEngine<crate::segmented::SegmentedLog>),
-    Async(AsyncEngine<crate::segmented::SegmentedLog>),
-    Group(GroupCommitEngine<crate::segmented::SegmentedLog>),
 }
 
 impl SegmentedEngine {
-    /// Opens (or recovers) a segmented log under `dir` and wraps it in the
-    /// rung `policy` selects. The log file itself is opened async — the
-    /// engine layer owns all sync decisions.
+    /// Opens (or recovers) a segmented log under `dir` and runs it under
+    /// `policy`.
     ///
     /// # Errors
     ///
@@ -424,99 +178,105 @@ impl SegmentedEngine {
     pub fn open(
         dir: impl AsRef<std::path::Path>,
         policy: SyncPolicy,
-        config: crate::segmented::SegmentConfig,
+        config: SegmentConfig,
     ) -> io::Result<SegmentedEngine> {
-        let log = crate::segmented::SegmentedLog::open(dir, SyncPolicy::Async, config)?;
-        let inner = match policy {
-            SyncPolicy::None => SegmentedInner::Memory(MemoryEngine::new(log)),
-            SyncPolicy::Async => SegmentedInner::Async(AsyncEngine::new(log)),
-            SyncPolicy::Sync => SegmentedInner::Group(GroupCommitEngine::new(log)),
-        };
-        Ok(SegmentedEngine { inner })
-    }
-
-    /// The wrapped segmented log (diagnostics: segment counts, byte sizes).
-    pub fn log(&self) -> &crate::segmented::SegmentedLog {
-        match &self.inner {
-            SegmentedInner::Memory(e) => e.inner(),
-            SegmentedInner::Async(e) => e.inner(),
-            SegmentedInner::Group(e) => e.inner(),
-        }
-    }
-
-    fn as_log(&self) -> &dyn DurabilityEngine {
-        match &self.inner {
-            SegmentedInner::Memory(e) => e,
-            SegmentedInner::Async(e) => e,
-            SegmentedInner::Group(e) => e,
-        }
-    }
-
-    fn as_log_mut(&mut self) -> &mut dyn DurabilityEngine {
-        match &mut self.inner {
-            SegmentedInner::Memory(e) => e,
-            SegmentedInner::Async(e) => e,
-            SegmentedInner::Group(e) => e,
-        }
+        Ok(Engine::new(SegmentedLog::open(dir, config)?, policy))
     }
 }
 
-impl RecordLog for SegmentedEngine {
+impl<L: RecordLog> RecordLog for Engine<L> {
     fn append(&mut self, record: &[u8]) -> io::Result<u64> {
-        self.as_log_mut().append(record)
+        if self.policy == SyncPolicy::Sync {
+            self.queued.push(record.to_vec());
+            return Ok(self.len() - 1);
+        }
+        let index = self.log.append(record)?;
+        self.stats.records += 1;
+        Ok(index)
     }
     fn sync(&mut self) -> io::Result<()> {
-        self.as_log_mut().sync()
+        match self.policy {
+            // ∞-Persistence: there is no stable storage to force anything
+            // onto.
+            SyncPolicy::None => Ok(()),
+            // An *explicit* force (recovery preparation, shutdown); the
+            // policy itself never calls this.
+            SyncPolicy::Async => {
+                self.log.sync()?;
+                self.stats.syncs += 1;
+                self.synced_upto = self.log.len();
+                Ok(())
+            }
+            SyncPolicy::Sync => self.flush(),
+        }
     }
     fn len(&self) -> u64 {
-        self.as_log().len()
+        self.log.len() + self.queued.len() as u64
     }
     fn read(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
-        self.as_log().read(index)
+        let written = self.log.len();
+        if index < written {
+            return self.log.read(index);
+        }
+        Ok(self.queued.get((index - written) as usize).cloned())
     }
     fn truncate_prefix(&mut self, upto: u64) -> io::Result<()> {
-        self.as_log_mut().truncate_prefix(upto)
+        self.log.truncate_prefix(upto)
     }
     fn first_index(&self) -> u64 {
-        self.as_log().first_index()
+        self.log.first_index()
     }
     fn fast_forward(&mut self, index: u64) -> io::Result<()> {
-        self.as_log_mut().fast_forward(index)
+        // Skipped records are summarized elsewhere (a checkpoint); queued
+        // records below the target would land at wrong indices.
+        self.queued.clear();
+        self.log.fast_forward(index)?;
+        self.synced_upto = self.synced_upto.max(self.log.len().min(index));
+        Ok(())
     }
     fn simulate_crash(&mut self) {
-        self.as_log_mut().simulate_crash()
+        // Queued records were never written; the device keeps its synced
+        // prefix only (nothing, on a rung that never syncs).
+        self.queued.clear();
+        self.log.simulate_crash();
     }
 }
 
-impl DurabilityEngine for SegmentedEngine {
+impl<L: RecordLog> DurabilityEngine for Engine<L> {
     fn policy(&self) -> SyncPolicy {
-        self.as_log().policy()
+        self.policy
     }
     fn flush(&mut self) -> io::Result<()> {
-        self.as_log_mut().flush()
+        self.flush_upto(self.len())
     }
     fn flush_upto(&mut self, records: u64) -> io::Result<()> {
-        self.as_log_mut().flush_upto(records)
+        // λ-Persistence acks without waiting ("the OS flushes within λ");
+        // ∞-Persistence has nothing to flush.
+        if self.policy != SyncPolicy::Sync {
+            return Ok(());
+        }
+        let count = records.saturating_sub(self.log.len()) as usize;
+        self.flush_first(count)
     }
     fn durable_len(&self) -> u64 {
-        self.as_log().durable_len()
+        match self.policy {
+            SyncPolicy::None => 0,
+            SyncPolicy::Async => self.synced_upto,
+            SyncPolicy::Sync => self.log.len(),
+        }
     }
     fn stats(&self) -> FlushStats {
-        self.as_log().stats()
-    }
-    fn recovery_stats(&self) -> Option<crate::segmented::RecoveryStats> {
-        Some(self.log().recovery_stats())
+        self.stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::MemLog;
 
     #[test]
     fn memory_engine_reports_nothing_durable() {
-        let mut e = MemoryEngine::new(MemLog::new());
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::None);
         e.append(b"a").unwrap();
         e.sync().unwrap();
         assert_eq!(e.durable_len(), 0);
@@ -526,7 +286,7 @@ mod tests {
 
     #[test]
     fn async_engine_acks_before_durability() {
-        let mut e = AsyncEngine::new(MemLog::new());
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::Async);
         e.append(b"a").unwrap();
         e.flush().unwrap(); // the policy commit point does NOT sync
         assert_eq!(e.len(), 1);
@@ -541,7 +301,7 @@ mod tests {
 
     #[test]
     fn group_commit_coalesces_to_one_sync() {
-        let mut e = GroupCommitEngine::new(MemLog::new());
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::Sync);
         for i in 0..10u8 {
             e.append(&[i]).unwrap();
         }
@@ -559,7 +319,7 @@ mod tests {
 
     #[test]
     fn group_commit_reads_queued_records() {
-        let mut e = GroupCommitEngine::new(MemLog::new());
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::Sync);
         e.append(b"flushed").unwrap();
         e.flush().unwrap();
         e.append(b"queued").unwrap();
@@ -573,10 +333,10 @@ mod tests {
     }
 
     #[test]
-    fn plans_follow_policy() {
-        assert!(engine_for(SyncPolicy::Sync).plan(100).sync);
-        assert!(!engine_for(SyncPolicy::Async).plan(100).sync);
-        assert!(!engine_for(SyncPolicy::None).plan(100).sync);
+    fn engine_for_keeps_the_policy() {
+        for p in [SyncPolicy::Sync, SyncPolicy::Async, SyncPolicy::None] {
+            assert_eq!(engine_for(p).policy(), p);
+        }
     }
 
     /// Pipelined commit points: a sync issued before a record was queued
@@ -584,7 +344,7 @@ mod tests {
     /// prefix present at issue time, later records wait for their own sync.
     #[test]
     fn group_commit_flush_upto_leaves_later_records_queued() {
-        let mut e = GroupCommitEngine::new(MemLog::new());
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::Sync);
         e.append(b"a").unwrap();
         let boundary = e.len(); // the sync for "a" is issued here
         e.append(b"b").unwrap(); // queued while that sync is in flight
@@ -601,9 +361,143 @@ mod tests {
             }
         );
         // The non-sync rungs treat it as their (no-op) flush.
-        let mut a = AsyncEngine::new(MemLog::new());
+        let mut a = Engine::new(MemLog::new(), SyncPolicy::Async);
         a.append(b"x").unwrap();
         a.flush_upto(1).unwrap();
         assert_eq!(a.durable_len(), 0);
+    }
+
+    #[test]
+    fn group_commit_one_sync_per_flush() {
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::Sync);
+        for i in 0..10u8 {
+            e.append(&[i]).unwrap();
+        }
+        e.flush().unwrap();
+        assert_eq!(
+            e.stats(),
+            FlushStats {
+                records: 10,
+                syncs: 1
+            }
+        );
+        for i in 10..20u8 {
+            e.append(&[i]).unwrap();
+        }
+        e.flush().unwrap();
+        assert_eq!(
+            e.stats(),
+            FlushStats {
+                records: 20,
+                syncs: 2
+            }
+        );
+        assert_eq!(e.log().len(), 20);
+    }
+
+    #[test]
+    fn flush_empty_is_free() {
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::Sync);
+        e.flush().unwrap();
+        assert_eq!(e.stats(), FlushStats::default());
+    }
+
+    #[test]
+    fn flush_first_covers_only_the_prefix() {
+        let mut e = Engine::new(MemLog::new(), SyncPolicy::Sync);
+        for i in 0..5u8 {
+            e.append(&[i]).unwrap();
+        }
+        e.flush_upto(2).unwrap();
+        assert_eq!(e.log().len(), 2);
+        assert_eq!(e.len() - e.log().len(), 3, "later submissions stay queued");
+        assert_eq!(
+            e.stats(),
+            FlushStats {
+                records: 2,
+                syncs: 1
+            }
+        );
+        e.flush().unwrap();
+        assert_eq!(e.log().len(), 5);
+    }
+
+    /// A device that fails on command, for retry-path tests.
+    struct FlakyLog {
+        inner: MemLog,
+        fail_next_append: bool,
+        fail_next_sync: bool,
+    }
+
+    impl RecordLog for FlakyLog {
+        fn append(&mut self, record: &[u8]) -> io::Result<u64> {
+            if self.fail_next_append {
+                self.fail_next_append = false;
+                return Err(io::Error::other("append failed"));
+            }
+            self.inner.append(record)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            if self.fail_next_sync {
+                self.fail_next_sync = false;
+                return Err(io::Error::other("sync failed"));
+            }
+            self.inner.sync()
+        }
+        fn len(&self) -> u64 {
+            self.inner.len()
+        }
+        fn read(&self, index: u64) -> io::Result<Option<Vec<u8>>> {
+            self.inner.read(index)
+        }
+        fn truncate_prefix(&mut self, upto: u64) -> io::Result<()> {
+            self.inner.truncate_prefix(upto)
+        }
+    }
+
+    #[test]
+    fn failed_sync_retries_without_duplicating_records() {
+        let log = FlakyLog {
+            inner: MemLog::new(),
+            fail_next_append: false,
+            fail_next_sync: true,
+        };
+        let mut e = Engine::new(log, SyncPolicy::Sync);
+        for i in 0..3u8 {
+            e.append(&[i]).unwrap();
+        }
+        assert!(e.flush().is_err(), "first flush hits the sync failure");
+        // The records reached the log; the retry must only sync.
+        e.flush().unwrap();
+        assert_eq!(e.log().len(), 3, "no record may be appended twice");
+        assert_eq!(
+            e.stats(),
+            FlushStats {
+                records: 3,
+                syncs: 1
+            }
+        );
+    }
+
+    #[test]
+    fn failed_append_retries_only_the_unwritten_suffix() {
+        let log = FlakyLog {
+            inner: MemLog::new(),
+            fail_next_append: false,
+            fail_next_sync: false,
+        };
+        let mut e = Engine::new(log, SyncPolicy::Sync);
+        e.append(&[0]).unwrap();
+        e.flush().unwrap();
+        for i in 1..4u8 {
+            e.append(&[i]).unwrap();
+        }
+        e.log.fail_next_append = true; // record 1's append fails
+        assert!(e.flush().is_err());
+        e.flush().unwrap();
+        assert_eq!(e.log().len(), 4, "each record lands exactly once");
+        for i in 0..4u8 {
+            assert_eq!(e.log().read(i as u64).unwrap().unwrap(), vec![i]);
+        }
     }
 }

@@ -3,31 +3,30 @@
 //! The paper's durability analysis (Observation 1 / §II-C2) hinges on the
 //! storage behaviours this crate implements:
 //!
+//! * the **persistence ladder** (∞/λ/0-1, §V-C) as one type,
+//!   [`Engine`] ([`engine`]): the only code that decides when a record is
+//!   synced, including the group commit that coalesces many record batches
+//!   into one synchronous write — the Dura-SMaRt "parallel logging" trick
+//!   that buys the paper its 3.6×. It is consumed by both the simulated
+//!   `ChainNode` (over [`mem::MemLog`]) and the real-disk `DurableApp`
+//!   (over [`SegmentedLog`], as [`SegmentedEngine`]);
 //! * an **append-only segmented record log** with per-record framing and
 //!   CRC so a crashed replica recovers the longest valid prefix, and with
 //!   checkpoint-driven prefix truncation by whole-segment deletes
 //!   ([`segmented`]);
-//! * **group commit**: a batching writer that coalesces many record batches
-//!   into a single synchronous write, diluting fsync cost across requests —
-//!   the Dura-SMaRt "parallel logging" trick that buys the paper its 3.6×
-//!   ([`wal`]);
 //! * a **snapshot store** with atomic install, used by checkpoints
-//!   ([`snapshot`]);
-//! * the **[`DurabilityEngine`]** ([`engine`]) — the persistence ladder
-//!   (∞/λ/0-1) as a pluggable policy, consumed by both the simulated
-//!   `ChainNode` and the real-disk `DurableApp`.
+//!   ([`snapshot`]).
 //!
-//! Everything works against the [`RecordLog`] trait so the discrete-event
-//! simulator can substitute virtual-time disks with identical semantics.
+//! Everything works against the [`RecordLog`] trait: a log is a medium that
+//! writes and syncs when told to, and the engine above it holds the policy.
 
 pub mod crc32;
 pub mod engine;
 pub mod mem;
 pub mod segmented;
 pub mod snapshot;
-pub mod wal;
 
-pub use engine::{DurabilityEngine, SegmentedEngine, WritePlan};
+pub use engine::{DurabilityEngine, Engine, FlushStats, SegmentedEngine};
 pub use segmented::{RecoveryStats, SegmentConfig, SegmentedLog};
 
 use std::io;
@@ -42,10 +41,11 @@ pub(crate) fn sync_dir(dir: &std::path::Path) {
     }
 }
 
-/// How writes reach stable storage.
+/// How writes reach stable storage — the rung an [`Engine`] runs at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SyncPolicy {
-    /// Every append is followed by an fsync before it is acknowledged.
+    /// Appends queue until the engine's flush writes them with one fsync,
+    /// before they are acknowledged (group commit).
     Sync,
     /// Appends are buffered; the OS (or a timer) flushes eventually.
     Async,
@@ -55,9 +55,9 @@ pub enum SyncPolicy {
 
 /// An append-only log of opaque records.
 ///
-/// Implementations: [`SegmentedLog`] (real files + fsync) and
-/// [`mem::MemLog`] (heap only). The simulator provides a virtual-time
-/// implementation in `smartchain-sim`.
+/// Implementations: the media [`SegmentedLog`] (real files + fsync) and
+/// [`mem::MemLog`] (heap only), which write on `append` and sync on `sync`,
+/// and [`Engine`], which runs a [`SyncPolicy`] over either.
 pub trait RecordLog: Send {
     /// Appends one record; returns its zero-based index.
     ///

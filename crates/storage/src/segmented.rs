@@ -29,7 +29,7 @@
 //!   longest valid prefix: the damaged segment is re-scanned, becomes the
 //!   new active tail, and everything after it is dropped.
 
-use crate::{crc32, RecordLog, SyncPolicy};
+use crate::{crc32, RecordLog};
 use std::cell::RefCell;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -97,10 +97,14 @@ struct ActiveSegment {
 
 /// The segmented log. Record indices are global and stable across rolls and
 /// truncation (truncated indices read as `None`).
+///
+/// A medium, not a policy: `append` writes and `sync` fsyncs the active
+/// segment; when to sync is decided by the [`Engine`](crate::Engine) above
+/// it. Only sealing a segment fsyncs on its own (the manifest vouches for
+/// sealed segments).
 #[derive(Debug)]
 pub struct SegmentedLog {
     dir: PathBuf,
-    policy: SyncPolicy,
     config: SegmentConfig,
     /// Records with index < this are logically removed.
     prefix_dropped: u64,
@@ -309,11 +313,7 @@ impl SegmentedLog {
     /// # Errors
     ///
     /// Fails on I/O errors opening or scanning the directory.
-    pub fn open(
-        dir: impl AsRef<Path>,
-        policy: SyncPolicy,
-        config: SegmentConfig,
-    ) -> io::Result<SegmentedLog> {
+    pub fn open(dir: impl AsRef<Path>, config: SegmentConfig) -> io::Result<SegmentedLog> {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)?;
         let config = SegmentConfig {
@@ -322,8 +322,8 @@ impl SegmentedLog {
         let manifest = read_manifest(&dir.join("manifest")).unwrap_or(None);
         let mut recovery = RecoveryStats::default();
         let mut log = match manifest {
-            Some(m) => Self::open_from_manifest(&dir, policy, config, m, &mut recovery)?,
-            None => Self::rebuild_by_scanning(&dir, policy, config, &mut recovery)?,
+            Some(m) => Self::open_from_manifest(&dir, config, m, &mut recovery)?,
+            None => Self::rebuild_by_scanning(&dir, config, &mut recovery)?,
         };
         log.recovery = recovery;
         log.remove_orphans()?;
@@ -332,7 +332,6 @@ impl SegmentedLog {
 
     fn open_from_manifest(
         dir: &Path,
-        policy: SyncPolicy,
         config: SegmentConfig,
         manifest: Manifest,
         recovery: &mut RecoveryStats,
@@ -368,7 +367,6 @@ impl SegmentedLog {
             // tail (longest valid prefix at segment granularity).
             return Self::recover_damaged(
                 dir,
-                policy,
                 config,
                 manifest.prefix_dropped,
                 sealed,
@@ -379,7 +377,6 @@ impl SegmentedLog {
         let active = open_active(dir, manifest.active_base, false, recovery)?;
         Ok(SegmentedLog {
             dir: dir.to_path_buf(),
-            policy,
             config,
             prefix_dropped: manifest.prefix_dropped,
             sealed,
@@ -393,7 +390,6 @@ impl SegmentedLog {
     /// after it.
     fn recover_damaged(
         dir: &Path,
-        policy: SyncPolicy,
         config: SegmentConfig,
         prefix_dropped: u64,
         sealed: Vec<SealedSegment>,
@@ -403,7 +399,6 @@ impl SegmentedLog {
         let active = open_active(dir, damaged_base, true, recovery)?;
         let log = SegmentedLog {
             dir: dir.to_path_buf(),
-            policy,
             config,
             prefix_dropped: prefix_dropped.min(damaged_base),
             sealed,
@@ -419,7 +414,6 @@ impl SegmentedLog {
     /// prefix, and the last contiguous segment becomes active.
     fn rebuild_by_scanning(
         dir: &Path,
-        policy: SyncPolicy,
         config: SegmentConfig,
         recovery: &mut RecoveryStats,
     ) -> io::Result<SegmentedLog> {
@@ -477,7 +471,6 @@ impl SegmentedLog {
         let prefix_dropped = sealed.first().map(|s| s.base).unwrap_or(active.base);
         let log = SegmentedLog {
             dir: dir.to_path_buf(),
-            policy,
             config,
             prefix_dropped,
             sealed,
@@ -654,16 +647,11 @@ impl RecordLog for SegmentedLog {
         self.active.file.write_all(record)?;
         self.active.offsets.push(self.active.tail);
         self.active.tail += FRAME_HEADER_BYTES + record.len() as u64;
-        if self.policy == SyncPolicy::Sync {
-            self.sync()?;
-        }
         Ok(self.active.base + self.active.offsets.len() as u64 - 1)
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.policy != SyncPolicy::None {
-            self.active.file.sync_data()?;
-        }
+        self.active.file.sync_data()?;
         self.active.synced_records = self.active.offsets.len() as u64;
         self.active.synced_tail = self.active.tail;
         Ok(())
@@ -784,7 +772,7 @@ mod tests {
     fn roundtrip_across_rolls_and_reopen() {
         let dir = tmpdir("roundtrip");
         {
-            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(4)).unwrap();
+            let mut log = SegmentedLog::open(&dir, cfg(4)).unwrap();
             for i in 0..11u64 {
                 assert_eq!(log.append(format!("rec-{i}").as_bytes()).unwrap(), i);
             }
@@ -794,7 +782,7 @@ mod tests {
             assert_eq!(log.read(10).unwrap().unwrap(), b"rec-10");
             assert_eq!(log.read(11).unwrap(), None);
         }
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(4)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(4)).unwrap();
         assert_eq!(log.len(), 11);
         for i in 0..11u64 {
             assert_eq!(
@@ -816,7 +804,7 @@ mod tests {
     #[test]
     fn truncate_prefix_deletes_whole_segments() {
         let dir = tmpdir("truncate");
-        let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(4)).unwrap();
+        let mut log = SegmentedLog::open(&dir, cfg(4)).unwrap();
         for i in 0..14u64 {
             log.append(&[i as u8]).unwrap();
         }
@@ -831,7 +819,7 @@ mod tests {
         assert_eq!(log.len(), 14);
         assert_eq!(log.append(&[14]).unwrap(), 14);
         drop(log);
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(4)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(4)).unwrap();
         assert_eq!(log.read(5).unwrap(), None);
         assert_eq!(log.read(9).unwrap().unwrap(), vec![9]);
         assert_eq!(log.read(14).unwrap().unwrap(), vec![14]);
@@ -841,7 +829,7 @@ mod tests {
     fn torn_active_tail_is_discarded() {
         let dir = tmpdir("torn");
         {
-            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+            let mut log = SegmentedLog::open(&dir, cfg(8)).unwrap();
             for i in 0..3u64 {
                 log.append(&[i as u8; 16]).unwrap();
             }
@@ -854,7 +842,7 @@ mod tests {
                 .unwrap();
             f.write_all(&[0xFF; 5]).unwrap();
         }
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(8)).unwrap();
         assert_eq!(log.len(), 3);
         assert_eq!(log.read(2).unwrap().unwrap(), vec![2u8; 16]);
     }
@@ -863,7 +851,7 @@ mod tests {
     fn corrupt_record_stops_recovery() {
         let dir = tmpdir("corrupt");
         {
-            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+            let mut log = SegmentedLog::open(&dir, cfg(8)).unwrap();
             for record in [&b"first"[..], b"second", b"third"] {
                 log.append(record).unwrap();
             }
@@ -876,14 +864,14 @@ mod tests {
         fs::write(&path, data).unwrap();
         // Recovery keeps the longest valid prefix: the record before the
         // corruption, nothing from it on.
-        let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+        let mut log = SegmentedLog::open(&dir, cfg(8)).unwrap();
         assert_eq!(log.len(), 1);
         assert_eq!(log.read(0).unwrap().unwrap(), b"first");
         assert_eq!(log.read(1).unwrap(), None);
         // The log appends from the end of that prefix.
         assert_eq!(log.append(b"again").unwrap(), 1);
         drop(log);
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(8)).unwrap();
         assert_eq!(log.len(), 2);
         assert_eq!(log.read(1).unwrap().unwrap(), b"again");
     }
@@ -892,11 +880,11 @@ mod tests {
     fn empty_records_are_valid() {
         let dir = tmpdir("empty");
         {
-            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+            let mut log = SegmentedLog::open(&dir, cfg(8)).unwrap();
             log.append(b"").unwrap();
             log.append(b"after").unwrap();
         }
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(8)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(8)).unwrap();
         assert_eq!(log.len(), 2);
         assert_eq!(log.read(0).unwrap().unwrap(), Vec::<u8>::new());
         assert_eq!(log.read(1).unwrap().unwrap(), b"after");
@@ -905,7 +893,7 @@ mod tests {
     #[test]
     fn crash_between_manifest_and_deletes_leaves_recoverable_orphans() {
         let dir = tmpdir("orphan");
-        let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(2)).unwrap();
+        let mut log = SegmentedLog::open(&dir, cfg(2)).unwrap();
         for i in 0..6u64 {
             log.append(&[i as u8]).unwrap();
         }
@@ -914,7 +902,7 @@ mod tests {
         // was before a truncation wrote the manifest... i.e. write a
         // manifest that no longer references segment 0 while its file stays.
         {
-            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(2)).unwrap();
+            let mut log = SegmentedLog::open(&dir, cfg(2)).unwrap();
             // Truncation deletes files after the manifest; emulate the crash
             // by re-creating the dropped file afterwards.
             log.truncate_prefix(4).unwrap();
@@ -925,7 +913,7 @@ mod tests {
             f.write_all(SEGMENT_MAGIC).unwrap();
             f.write_all(&0u64.to_le_bytes()).unwrap();
         }
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(2)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(2)).unwrap();
         assert!(!orphan.exists(), "orphan segment removed at open");
         assert_eq!(log.read(3).unwrap(), None);
         assert_eq!(log.read(4).unwrap().unwrap(), vec![4]);
@@ -936,7 +924,7 @@ mod tests {
     fn manifest_segment_disagreement_degrades_to_valid_prefix() {
         let dir = tmpdir("disagree");
         {
-            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(3)).unwrap();
+            let mut log = SegmentedLog::open(&dir, cfg(3)).unwrap();
             for i in 0..9u64 {
                 log.append(&[i as u8; 8]).unwrap();
             }
@@ -950,7 +938,7 @@ mod tests {
             .unwrap()
             .set_len(len - 4)
             .unwrap();
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(3)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(3)).unwrap();
         // Records 0..3 intact; segment 3 re-scanned to its valid prefix
         // (records 3, 4 — record 5's frame was chopped); everything after is
         // dropped.
@@ -967,13 +955,13 @@ mod tests {
     fn missing_manifest_rebuilds_by_scanning() {
         let dir = tmpdir("rebuild");
         {
-            let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(3)).unwrap();
+            let mut log = SegmentedLog::open(&dir, cfg(3)).unwrap();
             for i in 0..7u64 {
                 log.append(&[i as u8]).unwrap();
             }
         }
         fs::remove_file(dir.join("manifest")).unwrap();
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(3)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(3)).unwrap();
         assert_eq!(log.len(), 7);
         assert_eq!(log.read(6).unwrap().unwrap(), vec![6]);
         assert_eq!(log.recovery_stats().segments_scanned, 3);
@@ -982,7 +970,7 @@ mod tests {
     #[test]
     fn simulate_crash_drops_unsynced_active_suffix() {
         let dir = tmpdir("crash");
-        let mut log = SegmentedLog::open(&dir, SyncPolicy::Async, cfg(8)).unwrap();
+        let mut log = SegmentedLog::open(&dir, cfg(8)).unwrap();
         log.append(b"keep").unwrap();
         log.sync().unwrap();
         log.append(b"lose").unwrap();
@@ -1005,7 +993,7 @@ mod tests {
     #[test]
     fn fast_forward_skips_without_padding() {
         let dir = tmpdir("ff");
-        let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(4)).unwrap();
+        let mut log = SegmentedLog::open(&dir, cfg(4)).unwrap();
         log.append(b"a").unwrap();
         log.fast_forward(1_000_000).unwrap();
         assert_eq!(log.len(), 1_000_000);
@@ -1013,7 +1001,7 @@ mod tests {
         assert_eq!(log.read(0).unwrap(), None);
         assert_eq!(log.append(b"b").unwrap(), 1_000_000);
         drop(log);
-        let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg(4)).unwrap();
+        let log = SegmentedLog::open(&dir, cfg(4)).unwrap();
         assert_eq!(log.read(1_000_000).unwrap().unwrap(), b"b");
     }
 }

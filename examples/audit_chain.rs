@@ -12,7 +12,7 @@ use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::ledger::Ledger;
 use smartchain::sim::SECOND;
 use smartchain::smr::app::CounterApp;
-use smartchain::storage::{RecordLog, SegmentConfig, SegmentedLog, SyncPolicy};
+use smartchain::storage::{RecordLog, SegmentConfig, SegmentedLog};
 
 fn main() -> std::io::Result<()> {
     println!("== Durable ledger + third-party audit ==\n");
@@ -26,10 +26,10 @@ fn main() -> std::io::Result<()> {
     let genesis = node.genesis().clone();
     println!("produced {} blocks in simulation", chain.len());
 
-    // 2. Persist it to a real on-disk ledger, synchronously.
+    // 2. Persist it to a real on-disk ledger and sync it.
     let dir = std::env::temp_dir().join(format!("smartchain-audit-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let open = || SegmentedLog::open(&dir, SyncPolicy::Sync, SegmentConfig::default());
+    let open = || SegmentedLog::open(&dir, SegmentConfig::default());
     {
         let mut ledger = Ledger::open(open()?, genesis.clone())?;
         for block in &chain {

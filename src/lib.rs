@@ -11,9 +11,9 @@
 //!
 //! The replica is an explicit **staged commit pipeline** — verify → order →
 //! execute → persist → reply — with every stage a separate module, every
-//! persistence rung a [`storage::DurabilityEngine`] backend, and a windowed
-//! ordering core that keeps α > 1 consensus instances in flight while
-//! earlier blocks execute and persist:
+//! persistence rung a [`storage::SyncPolicy`] of one [`storage::Engine`],
+//! and a windowed ordering core that keeps α > 1 consensus instances in
+//! flight while earlier blocks execute and persist:
 //!
 //! * [`crypto`] — SHA-2, Ed25519 (RFC 8032), HMAC-SHA256 (frame
 //!   authentication on the TCP links), Merkle trees, and the
@@ -29,12 +29,11 @@
 //! * [`storage`] — the stable-storage substrate: the CRC-framed segmented
 //!   log [`storage::segmented::SegmentedLog`] (fixed-capacity segment files +
 //!   manifest, O(segment-delete) prefix truncation, recovery that scans
-//!   only the active segment), the group-commit batching writer
-//!   ([`storage::wal`]), snapshots, and the [`storage::DurabilityEngine`]
-//!   trait with the three
-//!   persistence-ladder backends (memory / async / group commit, §V-C) —
-//!   plus [`storage::SegmentedEngine`], all three rungs over one real-disk
-//!   segmented log.
+//!   only the active segment), snapshots, and [`storage::Engine`], the
+//!   persistence ladder (memory / async / group commit, §V-C) as one type
+//!   and the only code that decides when a record is synced — over the
+//!   heap `MemLog` in the simulator and over the segmented log
+//!   ([`storage::SegmentedEngine`]) on metal.
 //! * [`sim`] — the deterministic discrete-event kernel with hardware models
 //!   (NIC, disk, CPU + verification-pool lanes) and a self-contained seeded
 //!   RNG ([`sim::rng`]); every run is reproducible bit-for-bit from its
@@ -49,8 +48,8 @@
 //!   grown on clean decisions, halved on repair — and a stalled frontier
 //!   heals via a one-round-trip `InstanceFetch`/`InstanceRep` repair
 //!   before any regency change), clients,
-//!   [`smr::durability::DurableApp`] (durable delivery over any
-//!   `DurabilityEngine`; group-commit segmented log by default — each
+//!   [`smr::durability::DurableApp`] (durable delivery over a
+//!   `SegmentedEngine` at any rung; group commit by default — each
 //!   record stores the raw decided value + decision proof, hash-chained,
 //!   checkpoints truncate the covered prefix, and restart replays only the
 //!   post-checkpoint suffix) — and the
@@ -77,10 +76,8 @@
 //!   lanes in virtual time: the stage charges the batch plan's critical
 //!   path, so lane count changes timing but never block content
 //!   (`tests/exec_lanes.rs` pins bit-identical chains across 1/2/8
-//!   lanes). The ledger's engine medium is selectable
-//!   (`NodeConfig::storage`): heap, or the real segmented log exercised in
-//!   virtual time, with opt-in checkpoint-driven compaction
-//!   (`compact_after_checkpoint`).
+//!   lanes). The ledger sits on the heap-backed `storage::Engine`, with
+//!   opt-in checkpoint-driven compaction (`compact_after_checkpoint`).
 //! * [`light_client`] — verification without replication:
 //!   [`light_client::HeaderTracker`] follows the header chain admitting
 //!   blocks purely on their quorum certificates and checks

@@ -1,5 +1,5 @@
-//! DurabilityEngine contract tests across all three backends (the paper's
-//! persistence ladder, §V-C):
+//! DurabilityEngine contract tests across the three rungs of the paper's
+//! persistence ladder (§V-C), on the heap and on real segment files:
 //!
 //! * crash recovery returns the longest valid prefix — nothing for
 //!   ∞-persistence, the synced prefix for λ-persistence, the flushed prefix
@@ -9,14 +9,13 @@
 //!   disk accounting.
 
 use smartchain::core::harness::ChainClusterBuilder;
-use smartchain::core::node::{NodeConfig, Persistence, StorageBackend, Variant};
+use smartchain::core::node::{NodeConfig, Persistence, Variant};
 use smartchain::sim::SECOND;
 use smartchain::smr::app::CounterApp;
 use smartchain::smr::ordering::OrderingConfig;
-use smartchain::storage::engine::{AsyncEngine, GroupCommitEngine, MemoryEngine};
 use smartchain::storage::mem::MemLog;
 use smartchain::storage::{
-    DurabilityEngine, RecordLog, SegmentConfig, SegmentedEngine, SegmentedLog, SyncPolicy,
+    DurabilityEngine, Engine, RecordLog, SegmentConfig, SegmentedEngine, SegmentedLog, SyncPolicy,
 };
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -34,7 +33,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// crashes (drops everything after the last real sync), and returns how many
 /// records actually survive on the device — cross-checked against the
 /// engine's own `durable_len` claim.
-fn crash_survivors(mut engine: Box<dyn DurabilityEngine>) -> u64 {
+fn crash_survivors(mut engine: impl DurabilityEngine) -> u64 {
     for i in 0..3u8 {
         engine.append(&[i]).unwrap();
     }
@@ -43,7 +42,8 @@ fn crash_survivors(mut engine: Box<dyn DurabilityEngine>) -> u64 {
         engine.append(&[i]).unwrap();
     }
     let claimed = engine.durable_len();
-    // Crash: the MemLog models the disk; everything unsynced evaporates.
+    // Crash: the medium keeps its synced prefix; everything else
+    // evaporates.
     engine.simulate_crash();
     let survivors = engine.len();
     assert_eq!(
@@ -62,30 +62,36 @@ fn crash_survivors(mut engine: Box<dyn DurabilityEngine>) -> u64 {
 
 #[test]
 fn crash_recovery_longest_valid_prefix_per_backend() {
-    // ∞-Persistence: nothing survives, by definition.
-    assert_eq!(
-        crash_survivors(Box::new(MemoryEngine::new(MemLog::new()))),
-        0
-    );
-    // λ-Persistence: the policy never syncs on its own — all five records
-    // are acknowledged, none are durable.
-    assert_eq!(
-        crash_survivors(Box::new(AsyncEngine::new(MemLog::new()))),
-        0
-    );
-    // Group commit: the flush after record 3 made exactly that prefix
-    // durable; the two later appends are still queued.
-    assert_eq!(
-        crash_survivors(Box::new(GroupCommitEngine::new(MemLog::new()))),
-        3
-    );
+    for (policy, expected) in [
+        // ∞-Persistence: nothing survives, by definition.
+        (SyncPolicy::None, 0),
+        // λ-Persistence: the policy never syncs on its own — all five
+        // records are acknowledged, none are durable.
+        (SyncPolicy::Async, 0),
+        // Group commit: the flush after record 3 made exactly that prefix
+        // durable; the two later appends are still queued.
+        (SyncPolicy::Sync, 3),
+    ] {
+        assert_eq!(
+            crash_survivors(Engine::new(MemLog::new(), policy)),
+            expected,
+            "{policy:?} on the heap"
+        );
+        let dir = tmp(&format!("ladder-{policy:?}"));
+        let engine = SegmentedEngine::open(&dir, policy, SegmentConfig::default()).unwrap();
+        assert_eq!(
+            crash_survivors(engine),
+            expected,
+            "{policy:?} on segment files"
+        );
+    }
 }
 
 #[test]
 fn crash_recovery_matches_memlog_crash_semantics() {
     // The engine's `durable_len` must agree with what the underlying
     // device actually keeps across a crash.
-    let mut engine = GroupCommitEngine::new(MemLog::new());
+    let mut engine = Engine::new(MemLog::new(), SyncPolicy::Sync);
     for i in 0..4u8 {
         engine.append(&[i]).unwrap();
     }
@@ -107,14 +113,14 @@ fn crash_recovery_matches_memlog_crash_semantics() {
 /// The real-disk segmented log under `dir`, the medium the shipped replica's
 /// group commit runs on.
 fn segmented(dir: &std::path::Path) -> SegmentedLog {
-    SegmentedLog::open(dir, SyncPolicy::Async, SegmentConfig::default()).unwrap()
+    SegmentedLog::open(dir, SegmentConfig::default()).unwrap()
 }
 
 #[test]
 fn segment_recovery_discards_torn_tail() {
     let dir = tmp("torn");
     {
-        let mut engine = GroupCommitEngine::new(segmented(&dir));
+        let mut engine = Engine::new(segmented(&dir), SyncPolicy::Sync);
         for i in 0..6u8 {
             engine.append(&[i; 32]).unwrap();
         }
@@ -165,7 +171,7 @@ fn segment_recovery_discards_torn_tail() {
 #[test]
 fn group_commit_coalesces_n_appends_into_n_over_batch_fsyncs() {
     let dir = tmp("coalesce");
-    let mut engine = GroupCommitEngine::new(segmented(&dir));
+    let mut engine = Engine::new(segmented(&dir), SyncPolicy::Sync);
     let (n, batch) = (40u64, 8u64);
     for i in 0..n {
         engine.append(&[i as u8; 16]).unwrap();
@@ -287,7 +293,7 @@ fn crash_recovery_observes_the_persistence_ladder() {
 }
 
 /// The segmented engine observes the same ladder semantics as the heap
-/// engines, against real segment files: flushed prefix survives a
+/// engine, against real segment files: flushed prefix survives a
 /// crash-and-reopen under group commit, nothing extra does.
 #[test]
 fn segmented_engine_crash_recovery_ladder() {
@@ -316,7 +322,7 @@ fn segmented_engine_crash_recovery_ladder() {
     }
     // The flush spanned a segment roll ([0..2) sealed, record 2 active):
     // recovery still only scanned the active segment.
-    let stats = engine.recovery_stats().expect("segmented engine");
+    let stats = engine.log().recovery_stats();
     assert_eq!(stats.segments_scanned, 1);
 }
 
@@ -338,7 +344,7 @@ fn segmented_crash_mid_truncation_recovers() {
     let dir = tmp("seg-trunc-pre").parent().unwrap().join("pre");
     let _ = std::fs::remove_dir_all(&dir);
     {
-        let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg).unwrap();
+        let mut log = SegmentedLog::open(&dir, cfg).unwrap();
         for i in 0..6u64 {
             log.append(&[i as u8]).unwrap();
         }
@@ -349,7 +355,7 @@ fn segmented_crash_mid_truncation_recovers() {
         .map(|e| (e.path(), std::fs::read(e.path()).unwrap()))
         .collect();
     {
-        let mut log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg).unwrap();
+        let mut log = SegmentedLog::open(&dir, cfg).unwrap();
         log.truncate_prefix(4).unwrap();
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -362,7 +368,7 @@ fn segmented_crash_mid_truncation_recovers() {
     }
     // Recovery sees the pre-truncation log in full: the truncation simply
     // never happened, which is the correct (conservative) outcome.
-    let log = SegmentedLog::open(&dir, SyncPolicy::Sync, cfg).unwrap();
+    let log = SegmentedLog::open(&dir, cfg).unwrap();
     assert_eq!(log.len(), 6);
     for i in 0..6u64 {
         assert_eq!(log.read(i).unwrap().unwrap(), vec![i as u8]);
@@ -373,7 +379,7 @@ fn segmented_crash_mid_truncation_recovers() {
     let dir2 = tmp("seg-trunc-post").parent().unwrap().join("post");
     let _ = std::fs::remove_dir_all(&dir2);
     {
-        let mut log = SegmentedLog::open(&dir2, SyncPolicy::Sync, cfg).unwrap();
+        let mut log = SegmentedLog::open(&dir2, cfg).unwrap();
         for i in 0..6u64 {
             log.append(&[i as u8]).unwrap();
         }
@@ -389,7 +395,7 @@ fn segmented_crash_mid_truncation_recovers() {
         .expect("segment 0 exists");
     let seg0_bytes = std::fs::read(&seg0).unwrap();
     {
-        let mut log = SegmentedLog::open(&dir2, SyncPolicy::Sync, cfg).unwrap();
+        let mut log = SegmentedLog::open(&dir2, cfg).unwrap();
         log.truncate_prefix(4).unwrap();
     }
     // Resurrect the deleted file: this is the state right after the rename.
@@ -397,24 +403,22 @@ fn segmented_crash_mid_truncation_recovers() {
         .unwrap()
         .write_all(&seg0_bytes)
         .unwrap();
-    let log = SegmentedLog::open(&dir2, SyncPolicy::Sync, cfg).unwrap();
+    let log = SegmentedLog::open(&dir2, cfg).unwrap();
     assert!(!seg0.exists(), "orphan swept at open");
     assert_eq!(log.read(3).unwrap(), None, "truncation sticks");
     assert_eq!(log.read(4).unwrap().unwrap(), vec![4]);
     assert_eq!(log.len(), 6);
 }
 
-/// The simulated cluster runs on the real-disk segmented backend in virtual
-/// time, with checkpoint-driven compaction: a crashed-and-recovered replica
-/// replays only the post-checkpoint suffix from its own disk, heights
-/// converge, and the ledger's retained prefix is bounded by the checkpoint
-/// interval.
+/// The simulated cluster with checkpoint-driven compaction: a
+/// crashed-and-recovered replica replays only the post-checkpoint suffix
+/// from its own (heap) disk, heights converge, and the ledger's retained
+/// prefix is bounded by the checkpoint interval.
 #[test]
-fn sim_cluster_on_segmented_backend_compacts_after_checkpoints() {
+fn sim_cluster_compacts_after_checkpoints() {
     let config = NodeConfig {
         variant: Variant::Weak,
         persistence: Persistence::Sync,
-        storage: StorageBackend::SegmentedTemp,
         compact_after_checkpoint: true,
         ordering: OrderingConfig {
             max_batch: 8,
