@@ -143,7 +143,6 @@ impl AlphaMode {
                 max_batch,
                 alpha: 1,
                 alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
-                ..OrderingConfig::default()
             },
         }
     }

@@ -30,6 +30,11 @@ pub use smartchain_crypto::ValueBytes;
 /// Identifies a replica inside a view (dense, 0-based).
 pub type ReplicaId = usize;
 
+/// The most consensus instances a replica keeps open, and so the most locks
+/// one STOPDATA may carry: the synchronizer drops a larger report before it
+/// checks any certificate.
+pub const MAX_WINDOW: u64 = 255;
+
 /// A view: the set of replicas currently running the protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct View {

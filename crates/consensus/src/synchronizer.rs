@@ -8,22 +8,24 @@
 //!    (so one faulty replica cannot trigger changes, but a correct minority
 //!    is amplified);
 //! 3. on `2f+1` STOPs the replica stops ordering and sends `STOPDATA` — its
-//!    last decided instance plus its *locked value* (the value it WROTE for,
-//!    justified by a [`WriteCertificate`]) — to the new leader
-//!    (`regency mod n`);
-//! 4. the new leader collects `n−f` STOPDATAs, picks the certified value with
-//!    the highest `(instance, epoch)` (safety: any decided value appears in
-//!    at least one correct STOPDATA, because decision and STOPDATA quorums
-//!    intersect in a correct replica), and broadcasts `SYNC` carrying the
-//!    reports so followers can re-validate the choice;
-//! 5. everyone installs the regency and the leader re-proposes.
+//!    last decided instance plus the *locked value* of every open instance
+//!    (the value it WROTE for, justified by a [`WriteCertificate`]; at most
+//!    [`MAX_WINDOW`] of them) — to the new leader (`regency mod n`);
+//! 4. the new leader collects `n−f` STOPDATAs, picks for every reported
+//!    instance the certified value with the highest epoch (safety: any
+//!    decided value appears in at least one correct STOPDATA, because
+//!    decision and STOPDATA quorums intersect in a correct replica), and
+//!    broadcasts `SYNC` carrying the reports so followers can re-validate
+//!    the choice;
+//! 5. everyone installs the regency and the leader re-proposes each carried
+//!    value at its own instance.
 //!
 //! The state machine is sans-IO like [`crate::instance`]; the embedding
 //! supplies STOPDATA contents (it owns the log) and performs sends.
 
 use crate::proof::WriteCertificate;
-use crate::{ReplicaId, View};
-use smartchain_codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use crate::{ReplicaId, View, MAX_WINDOW};
+use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
 use smartchain_crypto::ValueBytes;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -70,12 +72,10 @@ impl Decode for LockedReport {
 
 /// Body of a STOPDATA message.
 ///
-/// With a pipelined ordering core (α > 1) a replica may hold locked values
-/// for *several* in-flight instances at once, so the report carries a vector
-/// (ascending by instance, at most one entry per instance). The wire format
-/// uses a one-byte count, which is byte-identical to the former
-/// `Option<LockedReport>` encoding whenever at most one lock is reported —
-/// i.e. always at α = 1.
+/// With a pipelined ordering core a replica may hold locked values for
+/// *several* open instances at once, so the report carries a vector
+/// (ascending by instance, at most one entry per instance, at most
+/// [`MAX_WINDOW`] entries).
 #[derive(Clone, Debug, PartialEq)]
 pub struct StopData {
     /// Highest consensus instance the sender has decided.
@@ -87,31 +87,19 @@ pub struct StopData {
 impl Encode for StopData {
     fn encode(&self, out: &mut Vec<u8>) {
         self.last_decided.encode(out);
-        debug_assert!(self.locked.len() <= u8::MAX as usize);
-        (self.locked.len() as u8).encode(out);
-        for l in &self.locked {
-            l.encode(out);
-        }
+        encode_seq(&self.locked, out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.last_decided.encoded_len()
-            + 1
-            + self.locked.iter().map(Encode::encoded_len).sum::<usize>()
+        self.last_decided.encoded_len() + seq_encoded_len(&self.locked)
     }
 }
 
 impl Decode for StopData {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let last_decided = u64::decode(input)?;
-        let count = u8::decode(input)?;
-        let mut locked = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            locked.push(LockedReport::decode(input)?);
-        }
         Ok(StopData {
-            last_decided,
-            locked,
+            last_decided: u64::decode(input)?,
+            locked: decode_seq(input)?,
         })
     }
 }
@@ -142,8 +130,7 @@ pub enum SyncMsg {
         /// batches everywhere). The instances matter: only replicas still
         /// open at a carried instance may adopt its value — adopting it into
         /// a *later* instance would re-decide old content and fork the
-        /// history. Encoded with a one-byte count, byte-identical to the
-        /// former `Option` encoding for 0 or 1 entries (always at α = 1).
+        /// history.
         adopted: Vec<(u64, ValueBytes)>,
     },
 }
@@ -176,12 +163,7 @@ impl Encode for SyncMsg {
                 2u8.encode(out);
                 regency.encode(out);
                 encode_seq(reports, out);
-                debug_assert!(adopted.len() <= u8::MAX as usize);
-                (adopted.len() as u8).encode(out);
-                for (instance, value) in adopted {
-                    instance.encode(out);
-                    value.encode(out);
-                }
+                encode_seq(adopted, out);
             }
         }
     }
@@ -194,15 +176,7 @@ impl Encode for SyncMsg {
                 regency,
                 reports,
                 adopted,
-            } => {
-                regency.encoded_len()
-                    + smartchain_codec::seq_encoded_len(reports)
-                    + 1
-                    + adopted
-                        .iter()
-                        .map(|(i, v)| i.encoded_len() + v.encoded_len())
-                        .sum::<usize>()
-            }
+            } => regency.encoded_len() + seq_encoded_len(reports) + seq_encoded_len(adopted),
         }
     }
 }
@@ -217,20 +191,11 @@ impl Decode for SyncMsg {
                 regency: u32::decode(input)?,
                 data: StopData::decode(input)?,
             }),
-            2 => {
-                let regency = u32::decode(input)?;
-                let reports = decode_seq(input)?;
-                let count = u8::decode(input)?;
-                let mut adopted = Vec::with_capacity(count as usize);
-                for _ in 0..count {
-                    adopted.push((u64::decode(input)?, ValueBytes::decode(input)?));
-                }
-                Ok(SyncMsg::Sync {
-                    regency,
-                    reports,
-                    adopted,
-                })
-            }
+            2 => Ok(SyncMsg::Sync {
+                regency: u32::decode(input)?,
+                reports: decode_seq(input)?,
+                adopted: decode_seq(input)?,
+            }),
             d => Err(DecodeError::BadDiscriminant(d as u32)),
         }
     }
@@ -271,12 +236,6 @@ pub enum SyncAction {
 pub struct Synchronizer {
     me: ReplicaId,
     view: View,
-    /// Ordering-pipeline width the embedding runs at. Governs the
-    /// choice rule: α = 1 keeps the seed's single-slot rule (highest
-    /// `(instance, epoch)` lock wins, everything else dropped) bit-for-bit;
-    /// α > 1 adopts the best lock *per instance* so every in-flight
-    /// instance's possibly-decided value survives the change.
-    alpha: u64,
     regency: u32,
     /// Highest regency we have broadcast a STOP for.
     sent_stop_for: u32,
@@ -292,14 +251,11 @@ pub struct Synchronizer {
 }
 
 impl Synchronizer {
-    /// Creates the synchronizer at regency 0 for an ordering pipeline of
-    /// width `alpha` (1 = the seed's one-instance-at-a-time behavior;
-    /// clamped to 255, the wire vectors' one-byte count limit).
-    pub fn new(me: ReplicaId, view: View, alpha: u64) -> Synchronizer {
+    /// Creates the synchronizer at regency 0.
+    pub fn new(me: ReplicaId, view: View) -> Synchronizer {
         Synchronizer {
             me,
             view,
-            alpha: alpha.clamp(1, u8::MAX as u64),
             regency: 0,
             sent_stop_for: 0,
             stopped_at: None,
@@ -434,7 +390,7 @@ impl Synchronizer {
             self.synced.insert(regency);
             let reports: Vec<(u64, StopData)> =
                 entry.iter().map(|(r, d)| (*r as u64, d.clone())).collect();
-            let adopted = self.choose(&reports);
+            let adopted = Self::choose(&reports);
             let mut actions = vec![SyncAction::Broadcast(SyncMsg::Sync {
                 regency,
                 reports: reports.clone(),
@@ -453,32 +409,25 @@ impl Synchronizer {
             && locked.cert.value_hash == locked.value.hash()
     }
 
-    /// Every attached lock must verify, and the list must be strictly
-    /// ascending by instance (at most one lock per instance).
+    /// At most [`MAX_WINDOW`] locks, strictly ascending by instance (at
+    /// most one lock per instance), and every one must verify. The cheap
+    /// shape checks run first, so an oversized report costs no signature
+    /// checks.
     fn locks_well_formed(view: &View, data: &StopData) -> bool {
-        data.locked
-            .windows(2)
-            .all(|w| w[0].instance < w[1].instance)
+        data.locked.len() as u64 <= MAX_WINDOW
+            && data
+                .locked
+                .windows(2)
+                .all(|w| w[0].instance < w[1].instance)
             && data.locked.iter().all(|l| Self::lock_valid(view, l))
     }
 
-    /// The leader's (and validators') deterministic choice rule.
-    ///
-    /// At α = 1 (the seed behavior, kept bit-for-bit): the single valid lock
-    /// with the highest `(instance, epoch)` wins and everything else is
-    /// dropped. At α > 1: for *every* instance that any report locked, the
-    /// highest-epoch lock for that instance wins — any value that could have
-    /// decided at instance `i` is write-locked at a quorum, so it appears in
-    /// every `n−f` report set and is re-adopted at `i` (and only at `i`).
-    fn choose(&self, reports: &[(u64, StopData)]) -> Vec<(u64, ValueBytes)> {
-        if self.alpha <= 1 {
-            return reports
-                .iter()
-                .flat_map(|(_, d)| d.locked.iter())
-                .max_by_key(|l| (l.instance, l.epoch))
-                .map(|l| vec![(l.instance, l.value.clone())])
-                .unwrap_or_default();
-        }
+    /// The leader's (and validators') deterministic choice rule: for
+    /// *every* instance that any report locked, the highest-epoch lock for
+    /// that instance wins — any value that could have decided at instance
+    /// `i` is write-locked at a quorum, so it appears in every `n−f` report
+    /// set and is re-adopted at `i` (and only at `i`).
+    fn choose(reports: &[(u64, StopData)]) -> Vec<(u64, ValueBytes)> {
         let mut best: BTreeMap<u64, &LockedReport> = BTreeMap::new();
         for (_, d) in reports {
             for l in &d.locked {
@@ -515,7 +464,7 @@ impl Synchronizer {
         if reports.len() < self.view.reconfig_quorum() {
             return Vec::new();
         }
-        let expected = self.choose(&reports);
+        let expected = Self::choose(&reports);
         if expected != adopted {
             return Vec::new();
         }
@@ -548,9 +497,7 @@ mod tests {
             id: 0,
             members: secrets.iter().map(|s| s.public_key()).collect(),
         };
-        let syncs = (0..n)
-            .map(|i| Synchronizer::new(i, view.clone(), 1))
-            .collect();
+        let syncs = (0..n).map(|i| Synchronizer::new(i, view.clone())).collect();
         (secrets, view, syncs)
     }
 

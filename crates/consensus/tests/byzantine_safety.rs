@@ -127,10 +127,10 @@ fn equivocation_never_splits_decisions() {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined (α > 1) view-change safety
+// Pipelined view-change safety
 // ---------------------------------------------------------------------------
 
-fn sync_setup(n: usize, alpha: u64) -> (Vec<SecretKey>, View, Vec<Synchronizer>) {
+fn sync_setup(n: usize) -> (Vec<SecretKey>, View, Vec<Synchronizer>) {
     let secrets: Vec<SecretKey> = (0..n)
         .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 210; 32]))
         .collect();
@@ -138,9 +138,7 @@ fn sync_setup(n: usize, alpha: u64) -> (Vec<SecretKey>, View, Vec<Synchronizer>)
         id: 0,
         members: secrets.iter().map(|s| s.public_key()).collect(),
     };
-    let syncs = (0..n)
-        .map(|i| Synchronizer::new(i, view.clone(), alpha))
-        .collect();
+    let syncs = (0..n).map(|i| Synchronizer::new(i, view.clone())).collect();
     (secrets, view, syncs)
 }
 
@@ -219,7 +217,7 @@ fn run_change(
 /// choice rule — and all correct replicas must adopt identical vectors.
 #[test]
 fn pipelined_view_change_adopts_every_locked_instance() {
-    let (secrets, _, mut syncs) = sync_setup(4, 4);
+    let (secrets, _, mut syncs) = sync_setup(4);
     // Quorum-locked values at instances 5..=8, reported unevenly: replica 0
     // holds locks for 5..=8, replica 1 for 5..=6, replica 2 for 7..=8,
     // replica 3 for none. Any n−f = 3 reports still cover all four.
@@ -253,7 +251,7 @@ fn pipelined_view_change_adopts_every_locked_instance() {
 /// highest genuine epoch instead.
 #[test]
 fn pipelined_view_change_drops_forged_locks_keeps_genuine() {
-    let (secrets, view, mut syncs) = sync_setup(4, 4);
+    let (secrets, view, mut syncs) = sync_setup(4);
     let good5 = genuine_lock(&secrets, &[0, 1, 2], 5, 0, b"good-5");
     let good6 = genuine_lock(&secrets, &[0, 1, 3], 6, 1, b"good-6-epoch1");
     let old6 = genuine_lock(&secrets, &[0, 1, 2], 6, 0, b"good-6-epoch0");
@@ -294,7 +292,7 @@ fn pipelined_view_change_drops_forged_locks_keeps_genuine() {
 /// precise way pipelined histories would fork).
 #[test]
 fn pipelined_sync_with_shifted_adoption_rejected() {
-    let (secrets, _, mut syncs) = sync_setup(4, 4);
+    let (secrets, _, mut syncs) = sync_setup(4);
     let lock = genuine_lock(&secrets, &[0, 1, 2], 5, 0, b"locked-at-5");
     let reports: Vec<(u64, StopData)> = (0..3u64)
         .map(|r| {
@@ -340,7 +338,7 @@ fn pipelined_sync_with_shifted_adoption_rejected() {
 fn prop_pipelined_adoption_consistent() {
     let mut g = Gen::new(0xc4);
     for case in 0..24 {
-        let (secrets, _, mut syncs) = sync_setup(4, 8);
+        let (secrets, _, mut syncs) = sync_setup(4);
         let mut locks: Vec<LockedReport> = Vec::new();
         for i in 1..=6u64 {
             if !g.next_u64().is_multiple_of(2) {

@@ -3,13 +3,13 @@
 //! pipeline* of VP-Consensus instances with regency-based leader changes.
 //!
 //! [`OrderingConfig::alpha`] bounds how many instances the leader keeps in
-//! flight at once (the paper's α; 1 reproduces the seed's strictly
-//! sequential core bit-for-bit). Followers participate in any instance
-//! within the window, decisions are buffered in `undelivered`, and batches
-//! are handed to the upper layer strictly in instance order. Leader changes
-//! collect locked values for **all** in-flight instances (a per-instance
-//! STOPDATA/SYNC vector) so no possibly-decided value is lost, and the new
-//! leader re-proposes each carried value at its own instance.
+//! flight at once (the paper's α; 1 runs one instance at a time).
+//! Followers participate in any instance within the window, decisions are
+//! buffered in `undelivered`, and batches are handed to the upper layer
+//! strictly in instance order. At every α, leader changes collect locked
+//! values for **all** open instances (a per-instance STOPDATA/SYNC vector)
+//! so no possibly-decided value is lost, and the new leader re-proposes
+//! each carried value at its own instance.
 
 use crate::types::{decode_batch, encode_batch, Request};
 use smartchain_codec::{Decode, DecodeError, Encode};
@@ -19,7 +19,7 @@ use smartchain_consensus::proof::DecisionProof;
 use smartchain_consensus::synchronizer::{
     LockedReport, StopData, SyncAction, SyncMsg, Synchronizer,
 };
-use smartchain_consensus::{ReplicaId, View};
+use smartchain_consensus::{ReplicaId, View, MAX_WINDOW};
 use smartchain_crypto::keys::{SecretKey, Signature};
 use smartchain_crypto::pool::{verify_batch_sequential, VerifyPool};
 use smartchain_crypto::ValueBytes;
@@ -39,25 +39,6 @@ const INSTANCE_WINDOW: u64 = 8;
 /// schedule — deterministic under the simulator and free of extra timers on
 /// metal.
 const QUIET_EVENTS: u32 = 24;
-
-/// Largest number of *extra* consecutive instances a single
-/// [`SmrMsg::InstanceFetch`] can cover beyond its first one — the range
-/// extension travels in the upper seven bits of the flag byte.
-pub const MAX_FETCH_EXTRA: u8 = 127;
-
-/// Packs an [`SmrMsg::InstanceFetch`] flag byte: bit 0 says the requester
-/// already holds the first instance's proposed value; bits 1..7 carry how
-/// many extra consecutive instances the fetch also covers. The legacy
-/// single-instance encodings (0 and 1) round-trip unchanged.
-pub fn pack_fetch(have_value: bool, extra: u8) -> u8 {
-    (have_value as u8) | (extra.min(MAX_FETCH_EXTRA) << 1)
-}
-
-/// Splits an [`SmrMsg::InstanceFetch`] flag byte into
-/// `(have_value, extra_instances)`.
-pub fn unpack_fetch(flags: u8) -> (bool, u8) {
-    (flags & 1 != 0, flags >> 1)
-}
 
 /// Wire messages exchanged by SMR replicas (clients speak
 /// [`SmrMsg::Request`]/[`SmrMsg::Reply`]).
@@ -116,16 +97,13 @@ pub enum SmrMsg {
     /// Per-instance repair request: the sender observed traffic for later
     /// instances but none for `instance` over a quiet period, and asks its
     /// peers for the missing messages — one round trip instead of a regency
-    /// change. `have` is a packed flag byte (see [`pack_fetch`]): bit 0 is
-    /// set when the requester already holds the first instance's proposed
-    /// value (responders then omit the value-bearing reply), and bits 1..7
-    /// extend the fetch over that many extra consecutive instances, so one
-    /// request repairs a whole stretch of the window.
+    /// change.
     InstanceFetch {
-        /// The first stalled instance.
+        /// The stalled instance.
         instance: u64,
-        /// Packed have-value flag and range extension ([`pack_fetch`]).
-        have: u8,
+        /// The requester already holds the instance's proposed value
+        /// (responders then omit the value-bearing reply).
+        have: bool,
     },
     /// Per-instance repair reply. If the responder has seen the decision,
     /// `decided` carries the value plus its quorum proof (the requester
@@ -308,7 +286,7 @@ impl Decode for SmrMsg {
             }),
             7 => Ok(SmrMsg::InstanceFetch {
                 instance: u64::decode(input)?,
-                have: u8::decode(input)?,
+                have: bool::decode(input)?,
             }),
             8 => Ok(SmrMsg::InstanceRep {
                 instance: u64::decode(input)?,
@@ -393,8 +371,8 @@ pub enum CoreOutput {
 pub struct AlphaBounds {
     /// Floor of the effective window (≥ 1).
     pub min: u64,
-    /// Ceiling of the effective window (≤ 255; also sizes the catch-up
-    /// window and the view-change lock vectors).
+    /// Ceiling of the effective window (≤ [`MAX_WINDOW`]; also sizes the
+    /// catch-up window).
     pub max: u64,
 }
 
@@ -404,11 +382,10 @@ pub struct OrderingConfig {
     /// Maximum requests per proposed batch (the paper/SmartChain use 512).
     pub max_batch: usize,
     /// Maximum consensus instances the leader keeps in flight concurrently
-    /// (the pipeline width α). 1 preserves the seed's strictly sequential
-    /// ordering core; larger values overlap ORDER of instance `i+1` with
-    /// EXECUTE/PERSIST of instance `i`. Clamped to 255 at construction —
-    /// the STOPDATA/SYNC vectors carry a one-byte count on the wire.
-    /// Ignored while `alpha_adaptive` is set.
+    /// (the pipeline width α). 1 orders one instance at a time; larger values
+    /// overlap ORDER of instance `i+1` with EXECUTE/PERSIST of instance `i`.
+    /// Clamped to [`MAX_WINDOW`] at construction. Ignored while
+    /// `alpha_adaptive` is set.
     pub alpha: u64,
     /// Opt-in AIMD window: when set, the leader's effective α starts at
     /// `min`, grows by one on every cleanly decided instance, and halves
@@ -418,23 +395,6 @@ pub struct OrderingConfig {
     /// bit-for-bit reproducible. `None` (the default) keeps the fixed-α
     /// behavior untouched.
     pub alpha_adaptive: Option<AlphaBounds>,
-    /// Opt-in joint α×batch adaptation: when set (and `alpha_adaptive` is
-    /// on), the effective batch cap scales inversely with the AIMD window —
-    /// `max_batch × min_α / current_α`, floored at 1 — so the total work in
-    /// flight (α × batch) stays near `min_α × max_batch`. A wide window
-    /// fills the pipeline with more, slimmer batches (lower per-slot
-    /// latency); a loss-halved window fattens batches to hold throughput.
-    /// Like the window itself this is a pure function of observed protocol
-    /// events, so identically-seeded runs stay bit-for-bit reproducible.
-    /// Ignored in fixed-α mode.
-    pub batch_adaptive: bool,
-    /// How many consecutive instances one repair round may cover (clamped
-    /// to `1..=MAX_FETCH_EXTRA + 1` at construction): the fetch for a
-    /// stalled frontier extends over up to `repair_range - 1` additional
-    /// not-yet-decided instances, and responders answer each from the same
-    /// shared buffers. 1 (the default) preserves single-instance repair
-    /// bit-for-bit.
-    pub repair_range: u8,
 }
 
 impl Default for OrderingConfig {
@@ -443,17 +403,14 @@ impl Default for OrderingConfig {
             max_batch: 512,
             alpha: 1,
             alpha_adaptive: None,
-            batch_adaptive: false,
-            repair_range: 1,
         }
     }
 }
 
 impl OrderingConfig {
     /// The largest window this configuration can ever run at — sizes the
-    /// catch-up window, the synchronizer's lock vectors, and the simulator's
-    /// open-instance pump regardless of where the adaptive window currently
-    /// sits.
+    /// catch-up window and the simulator's open-instance pump regardless of
+    /// where the adaptive window currently sits.
     pub fn max_alpha(&self) -> u64 {
         match self.alpha_adaptive {
             Some(bounds) => bounds.max,
@@ -509,14 +466,13 @@ pub struct OrderingCore {
     /// Instance/epoch pairs we already proposed in (leader bookkeeping).
     proposed: HashMap<u64, u32>,
     /// Requests claimed by one of our in-flight proposals, per instance —
-    /// the next slot's batch must not re-propose them (only populated at
-    /// α > 1; with one slot there is never a concurrent claim).
+    /// the next slot's batch must not re-propose them.
     claimed: HashMap<u64, Vec<(u64, u64)>>,
     /// Union of the id sets in `claimed` (O(1) batch filtering).
     claimed_ids: HashSet<(u64, u64)>,
     /// Leading entries of `pending` known to be dead or claimed — the next
     /// `take_batch` starts scanning here instead of rescanning the prefix
-    /// (rewound whenever a claim is released; only ever advanced at α > 1).
+    /// (rewound whenever a claim is released).
     pending_cursor: usize,
     /// Where the last `take_batch` scan stopped; `claim` promotes it to
     /// `pending_cursor` once the scanned prefix is actually claimed.
@@ -572,21 +528,19 @@ impl OrderingCore {
         last_applied: u64,
     ) -> OrderingCore {
         let mut config = config;
-        // The view-change lock/adoption vectors carry a one-byte count.
-        config.alpha = config.alpha.clamp(1, u8::MAX as u64);
+        // A STOPDATA reports at most MAX_WINDOW locks.
+        config.alpha = config.alpha.clamp(1, MAX_WINDOW);
         if let Some(bounds) = &mut config.alpha_adaptive {
-            bounds.min = bounds.min.clamp(1, u8::MAX as u64);
-            bounds.max = bounds.max.clamp(bounds.min, u8::MAX as u64);
+            bounds.min = bounds.min.clamp(1, MAX_WINDOW);
+            bounds.max = bounds.max.clamp(bounds.min, MAX_WINDOW);
         }
-        // The fetch range extension travels in seven bits of the flag byte.
-        config.repair_range = config.repair_range.clamp(1, MAX_FETCH_EXTRA + 1);
         let start_alpha = match config.alpha_adaptive {
             Some(bounds) => bounds.min,
             None => config.alpha,
         };
         OrderingCore {
             me,
-            synchronizer: Synchronizer::new(me, view.clone(), config.max_alpha()),
+            synchronizer: Synchronizer::new(me, view.clone()),
             view,
             secret,
             config,
@@ -630,19 +584,6 @@ impl OrderingCore {
             self.current_alpha
         } else {
             self.config.alpha.max(1)
-        }
-    }
-
-    /// The batch cap in force right now: joint adaptation (opt-in) scales
-    /// it inversely with the AIMD window so α × batch stays near
-    /// `min_α × max_batch`; otherwise the configured constant.
-    fn effective_max_batch(&self) -> usize {
-        match self.config.alpha_adaptive {
-            Some(bounds) if self.config.batch_adaptive => {
-                let alpha = self.effective_alpha().max(1) as usize;
-                (self.config.max_batch * bounds.min as usize / alpha).max(1)
-            }
-            _ => self.config.max_batch,
         }
     }
 
@@ -727,7 +668,7 @@ impl OrderingCore {
     pub fn install_view(&mut self, view: View, secret: SecretKey) {
         self.view = view.clone();
         self.secret = secret;
-        self.synchronizer = Synchronizer::new(self.me, view, self.config.max_alpha());
+        self.synchronizer = Synchronizer::new(self.me, view);
         self.instances = BTreeMap::new();
         self.proposed.clear();
         self.claimed.clear();
@@ -908,15 +849,7 @@ impl OrderingCore {
         }
         if let Some(regency) = self.synchronizer.stopped_regency() {
             if self.synchronizer.leader_of(regency) == peer {
-                let locked = self.collect_locked();
-                let msg = self.synchronizer.make_stopdata(
-                    regency,
-                    StopData {
-                        last_decided: self.last_delivered,
-                        locked,
-                    },
-                );
-                outputs.push(CoreOutput::Send(peer, SmrMsg::Sync(msg)));
+                outputs.push(CoreOutput::Send(peer, SmrMsg::Sync(self.stopdata(regency))));
             }
         }
         // In-flight consensus traffic: whatever we already said about the
@@ -1040,39 +973,19 @@ impl OrderingCore {
         self.repair_round(frontier)
     }
 
-    /// Broadcasts an `InstanceFetch` for `frontier` — extended over up to
-    /// `repair_range - 1` further consecutive undecided instances — plus,
-    /// when this replica leads the instance, a re-broadcast of its own
-    /// PROPOSE, so a lost proposal heals even if no peer got it either.
+    /// Broadcasts an `InstanceFetch` for `frontier` plus, when this replica
+    /// leads the instance, a re-broadcast of its own PROPOSE, so a lost
+    /// proposal heals even if no peer got it either.
     fn repair_round(&mut self, frontier: u64) -> Vec<CoreOutput> {
         self.stats.fetches_sent += 1;
         let have = self
             .instances
             .get(&frontier)
             .is_some_and(Instance::has_value);
-        // Cover later instances still missing here; anything already
-        // decided locally (delivered or buffered) needs no repair.
-        let mut extra = 0u8;
-        let window_end = self.last_delivered + self.window();
-        while u64::from(extra) + 1 < u64::from(self.config.repair_range) {
-            let candidate = frontier + 1 + u64::from(extra);
-            if candidate > window_end
-                || self.undelivered.contains_key(&candidate)
-                || self
-                    .instances
-                    .get(&candidate)
-                    .is_some_and(Instance::is_decided)
-            {
-                break;
-            }
-            extra += 1;
-        }
-        for i in frontier..=frontier + u64::from(extra) {
-            self.fetched.insert(i);
-        }
+        self.fetched.insert(frontier);
         let mut outputs = vec![CoreOutput::Broadcast(SmrMsg::InstanceFetch {
             instance: frontier,
-            have: pack_fetch(have, extra),
+            have,
         })];
         if let Some(inst) = self.instances.get(&frontier) {
             if inst.leader() == self.me {
@@ -1084,62 +997,46 @@ impl OrderingCore {
         outputs
     }
 
-    /// Answers a peer's repair request: for every instance in the fetched
-    /// range, ship the decision plus its quorum proof when we have it
-    /// (delivered-tail or undelivered buffer) — cloning only the shared
-    /// handles, never the batch bytes — otherwise replay our own message
-    /// set for the instance. Responding is unconditional — fixed-α replicas
-    /// answer too; they just never *ask*.
-    fn on_instance_fetch(&mut self, from: ReplicaId, first: u64, flags: u8) -> Vec<CoreOutput> {
+    /// Answers a peer's repair request: ship the decision plus its quorum
+    /// proof when we have it (delivered-tail or undelivered buffer) —
+    /// cloning only the shared handles, never the batch bytes — otherwise
+    /// replay our own message set for the instance. Responding is
+    /// unconditional — fixed-α replicas answer too; they just never *ask*.
+    fn on_instance_fetch(
+        &mut self,
+        from: ReplicaId,
+        instance: u64,
+        requester_has_value: bool,
+    ) -> Vec<CoreOutput> {
         if from == self.me || from >= self.view.members.len() {
             return Vec::new();
         }
-        let (requester_has_value, extra) = unpack_fetch(flags);
-        let mut outputs = Vec::new();
-        for instance in first..=first.saturating_add(u64::from(extra)) {
-            let decided = self
-                .instances
-                .get(&instance)
-                .and_then(Instance::decision)
-                .map(|d| (d.value.clone(), d.proof.clone()))
-                .or_else(|| {
-                    self.undelivered
-                        .get(&instance)
-                        .map(|d| (d.value.clone(), d.proof.clone()))
-                });
-            if let Some((value, proof)) = decided {
-                self.stats.fetches_answered += 1;
-                outputs.push(CoreOutput::Send(
-                    from,
-                    SmrMsg::InstanceRep {
-                        instance,
-                        decided: Some((value, proof)),
-                        msgs: Vec::new(),
-                    },
-                ));
-                continue;
-            }
-            // The have-value hint only ever describes the first instance.
-            let ship_value = !(requester_has_value && instance == first);
-            let msgs = self
-                .instances
-                .get(&instance)
-                .map(|inst| inst.own_messages(ship_value))
-                .unwrap_or_default();
-            if msgs.is_empty() {
-                continue;
-            }
-            self.stats.fetches_answered += 1;
-            outputs.push(CoreOutput::Send(
-                from,
-                SmrMsg::InstanceRep {
-                    instance,
-                    decided: None,
-                    msgs,
-                },
-            ));
+        let decided = self
+            .instances
+            .get(&instance)
+            .and_then(Instance::decision)
+            .map(|d| (d.value.clone(), d.proof.clone()))
+            .or_else(|| {
+                self.undelivered
+                    .get(&instance)
+                    .map(|d| (d.value.clone(), d.proof.clone()))
+            });
+        let msgs = match (&decided, self.instances.get(&instance)) {
+            (None, Some(inst)) => inst.own_messages(!requester_has_value),
+            _ => Vec::new(),
+        };
+        if decided.is_none() && msgs.is_empty() {
+            return Vec::new();
         }
-        outputs
+        self.stats.fetches_answered += 1;
+        vec![CoreOutput::Send(
+            from,
+            SmrMsg::InstanceRep {
+                instance,
+                decided,
+                msgs,
+            },
+        )]
     }
 
     /// Applies a repair reply. A decided payload must carry a proof that (a)
@@ -1332,7 +1229,7 @@ impl OrderingCore {
     /// dead or claimed — so the slots of one window do not rescan each
     /// other's claims.
     fn take_batch(&mut self) -> Vec<Request> {
-        let limit = self.effective_max_batch();
+        let limit = self.config.max_batch;
         let mut batch = Vec::new();
         let mut scanned = self.pending_cursor;
         for r in self.pending.iter().skip(self.pending_cursor) {
@@ -1349,12 +1246,8 @@ impl OrderingCore {
     }
 
     /// Marks `batch`'s requests as claimed by the in-flight proposal for
-    /// `slot`. Only tracked at α > 1: with a single slot there is never a
-    /// concurrent proposal to keep the requests away from.
+    /// `slot`, so no other slot's batch re-proposes them.
     fn claim(&mut self, slot: u64, batch: &[Request]) {
-        if self.config.max_alpha() <= 1 {
-            return;
-        }
         // The prefix the batch's scan covered is now entirely dead or
         // claimed; the next slot's scan starts past it.
         self.pending_cursor = self.pending_cursor.max(self.take_scan_end);
@@ -1412,14 +1305,7 @@ impl OrderingCore {
                 SyncAction::Broadcast(m) => outputs.push(CoreOutput::Broadcast(SmrMsg::Sync(m))),
                 SyncAction::Send(to, m) => outputs.push(CoreOutput::Send(to, SmrMsg::Sync(m))),
                 SyncAction::ProvideStopData { regency, leader } => {
-                    let locked = self.collect_locked();
-                    let msg = self.synchronizer.make_stopdata(
-                        regency,
-                        StopData {
-                            last_decided: self.last_delivered,
-                            locked,
-                        },
-                    );
+                    let msg = self.stopdata(regency);
                     if leader == self.me {
                         let actions = self.synchronizer.on_message(self.me, msg);
                         outputs.extend(self.apply_sync_actions(actions));
@@ -1437,43 +1323,35 @@ impl OrderingCore {
         outputs
     }
 
-    /// Builds this replica's STOPDATA lock reports.
-    ///
-    /// At α = 1 this is the seed's rule, kept bit-for-bit: only the single
-    /// open slot `last_delivered + 1` is examined. At α > 1 every open
-    /// instance in the window reports its lock, so a new leader can restore
-    /// all in-flight, possibly-decided values.
-    fn collect_locked(&self) -> Vec<LockedReport> {
-        let make = |instance: u64, inst: &Instance| {
-            inst.locked_value().and_then(|(value, cert)| {
-                cert.map(|c| LockedReport {
+    /// This replica's STOPDATA for `regency`: every open instance in the
+    /// window reports its lock, so a new leader can restore all in-flight,
+    /// possibly-decided values.
+    fn stopdata(&self, regency: u32) -> SyncMsg {
+        let locked = self
+            .instances
+            .range(self.last_delivered + 1..)
+            .filter_map(|(&instance, inst)| {
+                let (value, cert) = inst.locked_value()?;
+                let cert = cert?;
+                Some(LockedReport {
                     instance,
-                    epoch: c.epoch,
+                    epoch: cert.epoch,
                     value,
-                    cert: c,
+                    cert,
                 })
             })
+            .collect();
+        let data = StopData {
+            last_decided: self.last_delivered,
+            locked,
         };
-        if self.config.max_alpha() <= 1 {
-            let next = self.last_delivered + 1;
-            return self
-                .instances
-                .get(&next)
-                .and_then(|inst| make(next, inst))
-                .into_iter()
-                .collect();
-        }
-        self.instances
-            .range(self.last_delivered + 1..)
-            .filter_map(|(&i, inst)| make(i, inst))
-            .collect()
+        self.synchronizer.make_stopdata(regency, data)
     }
 
     /// Installs a new regency: advances open instances into the new epoch,
     /// adopts carried locked values at their instances, and (as the new
-    /// leader) re-proposes them — at α > 1 filling any unlocked gap below
-    /// the highest carried instance so in-order delivery cannot stall on a
-    /// hole.
+    /// leader) re-proposes them — filling any unlocked gap below the highest
+    /// carried instance so in-order delivery cannot stall on a hole.
     fn install_regency(
         &mut self,
         regency: u32,
@@ -1490,33 +1368,9 @@ impl OrderingCore {
         }
         let mut outputs = Vec::new();
         let next = self.last_delivered + 1;
-        if self.config.max_alpha() <= 1 {
-            // The seed's single-slot path, preserved bit-for-bit: adopt only
-            // a value carried for OUR open instance. A replica that already
-            // delivered that instance must not re-decide its content one
-            // slot later — that is precisely how histories fork.
-            let inst = self.instance_entry(next);
-            inst.advance_epoch(regency, leader);
-            let adopt_here = adopt
-                .iter()
-                .find(|(instance, _)| *instance == next)
-                .map(|(_, value)| value.clone());
-            if let Some(value) = adopt_here.clone() {
-                inst.adopt_value(value);
-            }
-            if leader == self.me {
-                if let Some(value) = adopt_here {
-                    // Re-propose the locked value in the new epoch.
-                    outputs.extend(self.propose_at(next, regency, value));
-                } else {
-                    outputs.extend(self.try_propose());
-                }
-            }
-            return outputs;
-        }
-        // Windowed path: every open instance moves to the new epoch (fresh
-        // instances created below are already born at the new regency —
-        // instance_entry reads the installed synchronizer state).
+        // Every open instance moves to the new epoch (fresh instances
+        // created below are already born at the new regency — instance_entry
+        // reads the installed synchronizer state).
         let open_ids: Vec<u64> = self.instances.range(next..).map(|(&i, _)| i).collect();
         for i in open_ids {
             if let Some(inst) = self.instances.get_mut(&i) {
@@ -2159,60 +2013,36 @@ mod tests {
         }
     }
 
+    /// A fetch for a decided instance is answered from the responder's
+    /// shared buffers: value and proof ship, and no replayed messages.
     #[test]
-    fn fetch_flag_byte_packs_have_and_range() {
-        // Legacy single-instance encodings survive unchanged.
-        assert_eq!(pack_fetch(false, 0), 0);
-        assert_eq!(pack_fetch(true, 0), 1);
-        assert_eq!(unpack_fetch(0), (false, 0));
-        assert_eq!(unpack_fetch(1), (true, 0));
-        for extra in [1u8, 3, 63, 127] {
-            for have in [false, true] {
-                assert_eq!(unpack_fetch(pack_fetch(have, extra)), (have, extra));
-            }
-        }
-        // Out-of-range extensions saturate instead of corrupting the flag.
-        assert_eq!(unpack_fetch(pack_fetch(true, 255)), (true, 127));
-    }
-
-    /// A ranged fetch is answered instance by instance from the responder's
-    /// shared buffers: decided instances ship value + proof without copying
-    /// the batch bytes.
-    #[test]
-    fn ranged_instance_fetch_answers_each_instance() {
+    fn instance_fetch_of_a_decided_instance_ships_value_and_proof() {
         let mut cores = make_cluster_alpha(4, 1, 4);
-        let mut initial = Vec::new();
-        for i in 0..2u64 {
-            for out in cores[0].submit(req(70 + i, 1)) {
-                initial.push((0usize, out));
-            }
-        }
-        // Replica 3 misses everything; the rest decide instances 1 and 2.
-        let _ = pump(&mut cores, initial, &[3]);
-        assert_eq!(cores[1].last_delivered(), 2);
-        let outs = cores[1].on_message(
+        let initial = cores[0].submit(req(70, 1)).into_iter().map(|o| (0, o));
+        // Replica 3 misses everything; the rest decide instance 1.
+        pump(&mut cores, initial.collect(), &[3]);
+        let fetch = SmrMsg::InstanceFetch {
+            instance: 1,
+            have: false,
+        };
+        let outs = cores[1].on_message(3, fetch);
+        let [CoreOutput::Send(
             3,
-            SmrMsg::InstanceFetch {
+            SmrMsg::InstanceRep {
                 instance: 1,
-                have: pack_fetch(false, 1),
+                decided: Some((value, proof)),
+                msgs,
             },
+        )] = outs.as_slice()
+        else {
+            panic!("unexpected outputs {outs:?}");
+        };
+        assert!(msgs.is_empty(), "a decided instance ships no replay");
+        assert_eq!(proof.value_hash, value.hash());
+        assert!(
+            proof.verify(cores[1].view()),
+            "the shipped proof must verify"
         );
-        let mut answered = Vec::new();
-        for out in outs {
-            match out {
-                CoreOutput::Send(
-                    3,
-                    SmrMsg::InstanceRep {
-                        instance, decided, ..
-                    },
-                ) => {
-                    assert!(decided.is_some(), "instance {instance} decided here");
-                    answered.push(instance);
-                }
-                other => panic!("unexpected output {other:?}"),
-            }
-        }
-        assert_eq!(answered, vec![1, 2]);
     }
 }
 
@@ -2277,7 +2107,7 @@ mod wire_len_tests {
             },
             SmrMsg::InstanceFetch {
                 instance: 12,
-                have: 1,
+                have: true,
             },
             SmrMsg::InstanceRep {
                 instance: 12,

@@ -42,8 +42,8 @@
 //!   synchronizer; leader changes collect locked values for every
 //!   in-flight instance (per-instance STOPDATA/SYNC vectors).
 //! * [`smr`] — the *windowed* total-order core (`OrderingConfig::alpha`
-//!   consensus instances in flight at once, strictly in-order delivery;
-//!   α = 1 reproduces the seed bit-for-bit; with
+//!   consensus instances in flight at once, strictly in-order delivery,
+//!   one view-change rule at every α; with
 //!   `OrderingConfig::alpha_adaptive` the window is AIMD-controlled —
 //!   grown on clean decisions, halved on repair — and a stalled frontier
 //!   heals via a one-round-trip `InstanceFetch`/`InstanceRep` repair

@@ -12,8 +12,10 @@
 //!    instance, sub-quorum or outsider-signed proof, relabeled replayed
 //!    messages) are all rejected; the genuine reply still heals.
 
+mod common;
+
+use common::{cores, pump, req, submit};
 use smartchain::consensus::proof::DecisionProof;
-use smartchain::consensus::View;
 use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::NodeConfig;
 use smartchain::crypto::keys::{Backend, SecretKey};
@@ -37,7 +39,6 @@ fn adaptive_bursty_run(seed: u64) -> (u64, Vec<u64>, Vec<OrderingStats>) {
             max_batch: 8,
             alpha: 1,
             alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
-            ..OrderingConfig::default()
         },
         progress_timeout: 200 * MILLI,
         ..NodeConfig::default()
@@ -109,89 +110,12 @@ fn adaptive_window_shrinks_under_loss_and_regrows_clean() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Core-level pump (sans-IO, FIFO schedule with a targeted drop rule)
-// ---------------------------------------------------------------------------
-
-fn adaptive_cores(n: usize) -> Vec<OrderingCore> {
-    let secrets: Vec<SecretKey> = (0..n)
-        .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 90; 32]))
-        .collect();
-    let view = View {
-        id: 0,
-        members: secrets.iter().map(|s| s.public_key()).collect(),
-    };
-    (0..n)
-        .map(|i| {
-            OrderingCore::new(
-                i,
-                view.clone(),
-                secrets[i].clone(),
-                OrderingConfig {
-                    max_batch: 1,
-                    alpha: 1,
-                    alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
-                    ..OrderingConfig::default()
-                },
-                0,
-            )
-        })
-        .collect()
-}
-
-fn req(client: u64, seq: u64) -> Request {
-    Request {
-        client,
-        seq,
-        payload: vec![client as u8, seq as u8],
-        signature: None,
-    }
-}
-
-/// FIFO pump with a per-message drop rule. Returns each replica's delivered
-/// request ids.
-fn pump_fifo(
-    cores: &mut [OrderingCore],
-    submissions: Vec<(usize, Request)>,
-    mut drop_rule: impl FnMut(usize, usize, &SmrMsg) -> bool,
-) -> Vec<Vec<(u64, u64)>> {
-    let n = cores.len();
-    let mut delivered: Vec<Vec<(u64, u64)>> = vec![Vec::new(); n];
-    let mut queue: std::collections::VecDeque<(usize, usize, SmrMsg)> =
-        std::collections::VecDeque::new();
-    let handle = |from: usize,
-                  out: CoreOutput,
-                  queue: &mut std::collections::VecDeque<(usize, usize, SmrMsg)>,
-                  delivered: &mut Vec<Vec<(u64, u64)>>| match out {
-        CoreOutput::Broadcast(m) => {
-            for to in 0..n {
-                if to != from {
-                    queue.push_back((from, to, m.clone()));
-                }
-            }
-        }
-        CoreOutput::Send(to, m) => queue.push_back((from, to, m)),
-        CoreOutput::Deliver(b) => delivered[from].extend(b.requests.iter().map(Request::id)),
-        CoreOutput::NeedStateTransfer { .. } => {}
-    };
-    for (r, request) in submissions {
-        for out in cores[r].submit(request) {
-            handle(r, out, &mut queue, &mut delivered);
-        }
-    }
-    let mut step = 0usize;
-    while let Some((from, to, msg)) = queue.pop_front() {
-        step += 1;
-        assert!(step < 100_000, "pump did not quiesce");
-        if drop_rule(from, to, &msg) {
-            continue;
-        }
-        for out in cores[to].on_message(from, msg) {
-            handle(to, out, &mut queue, &mut delivered);
-        }
-    }
-    delivered
-}
+/// The core-level tests' cores: adaptive α in 1..=8, one request per batch.
+const ADAPTIVE: OrderingConfig = OrderingConfig {
+    max_batch: 1,
+    alpha: 1,
+    alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
+};
 
 // ---------------------------------------------------------------------------
 // 2. Dropped PROPOSE heals via InstanceFetch — no regency change
@@ -205,12 +129,13 @@ fn pump_fifo(
 /// one-round-trip alternative to a leader change.
 #[test]
 fn dropped_propose_heals_via_fetch_without_regency_change() {
-    let mut cores = adaptive_cores(4);
+    let mut cores = cores(4, ADAPTIVE);
     assert!(cores[0].is_leader(), "replica 0 leads regency 0");
     let submissions: Vec<(usize, Request)> = (0..6u64)
         .flat_map(|s| (0..4usize).map(move |r| (r, req(0, s))))
         .collect();
-    let delivered = pump_fifo(&mut cores, submissions, |_, to, msg| {
+    let initial = submit(&mut cores, submissions);
+    let delivered = pump(&mut cores, initial, |_, to, msg| {
         to == 3 && matches!(msg, SmrMsg::Consensus(m) if m.instance() == 1)
     });
     for r in 0..4 {
@@ -250,9 +175,10 @@ fn decided_cluster_with_blind_replica() -> (
     smartchain::consensus::ValueBytes,
     std::sync::Arc<DecisionProof>,
 ) {
-    let mut cores = adaptive_cores(4);
+    let mut cores = cores(4, ADAPTIVE);
     let submissions: Vec<(usize, Request)> = (0..4usize).map(|r| (r, req(0, 0))).collect();
-    let delivered = pump_fifo(&mut cores, submissions, |_, to, _| to == 3);
+    let initial = submit(&mut cores, submissions);
+    let delivered = pump(&mut cores, initial, |_, to, _| to == 3);
     assert_eq!(delivered[0].len(), 1, "replicas 0..=2 must decide");
     assert!(delivered[3].is_empty(), "replica 3 must be dark");
     // A genuine fetch against replica 0 yields the reference reply.
@@ -260,7 +186,7 @@ fn decided_cluster_with_blind_replica() -> (
         3,
         SmrMsg::InstanceFetch {
             instance: 1,
-            have: 0,
+            have: false,
         },
     );
     let (value, proof) = outs
@@ -393,9 +319,10 @@ fn relabeled_replay_messages_rejected_truthful_replay_heals() {
     // Nobody decides: every ACCEPT broadcast is dropped (each replica still
     // tallies its own), and replica 3 is fully dark — instance 1 sits
     // write-quorum-locked but undecided at replicas 0..=2.
-    let mut cores = adaptive_cores(4);
+    let mut cores = cores(4, ADAPTIVE);
     let submissions: Vec<(usize, Request)> = (0..4usize).map(|r| (r, req(0, 0))).collect();
-    let delivered = pump_fifo(&mut cores, submissions, |_, to, msg| {
+    let initial = submit(&mut cores, submissions);
+    let delivered = pump(&mut cores, initial, |_, to, msg| {
         to == 3
             || matches!(
                 msg,
@@ -411,7 +338,7 @@ fn relabeled_replay_messages_rejected_truthful_replay_heals() {
                 3,
                 SmrMsg::InstanceFetch {
                     instance: 1,
-                    have: 0,
+                    have: false,
                 },
             );
             let msgs = outs

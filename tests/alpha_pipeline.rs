@@ -2,8 +2,13 @@
 //! SmartChain stack: throughput (the pipelining win under the GroupCommit
 //! rung in a latency-dominated network), safety across a leader crash with
 //! in-flight instances, and the strong variant's out-of-order PERSIST
-//! certificates with in-order reply release.
+//! certificates with in-order reply release — plus the α = 1 leader change,
+//! which runs the same windowed lock report.
 
+mod common;
+
+use common::{cores, pump, req, submit};
+use smartchain::consensus::messages::ConsensusMsg;
 use smartchain::core::audit::verify_chain;
 use smartchain::core::block::BlockBody;
 use smartchain::core::harness::ChainClusterBuilder;
@@ -11,7 +16,7 @@ use smartchain::core::node::{NodeConfig, Persistence, Variant};
 use smartchain::sim::hw::HwSpec;
 use smartchain::sim::{MILLI, SECOND};
 use smartchain::smr::app::CounterApp;
-use smartchain::smr::ordering::OrderingConfig;
+use smartchain::smr::ordering::{OrderingConfig, SmrMsg};
 
 /// Delivered blocks (minimum across replicas) in a GroupCommit-rung run on
 /// a latency-dominated network — the `bench/src/micro.rs` α scenario at
@@ -239,4 +244,54 @@ fn alpha4_checkpoint_crash_recovery_keeps_app_state_consistent() {
             assert_eq!(a.header.hash(), b.header.hash(), "replica {r} diverged");
         }
     }
+}
+
+/// At α = 1 a lagging replica still reports its locks past its next
+/// instance. Replicas 2 and 3 miss instance 1's ACCEPTs but write-lock
+/// instance 2, which only the old leader 0 decides before it goes silent.
+/// The new leader 1 knows instance 2 only from those reports: it must
+/// re-propose the locked value there, not a fresh batch.
+#[test]
+fn alpha1_leader_change_keeps_a_lock_beyond_the_next_instance() {
+    let config = OrderingConfig {
+        max_batch: 1,
+        alpha: 1,
+        ..OrderingConfig::default()
+    };
+    let mut cores = cores(4, config);
+    // Leader 0 alone admits two requests; instance 2 opens once it
+    // delivers instance 1.
+    let initial = submit(&mut cores, vec![(0, req(10, 1)), (0, req(11, 1))]);
+    let delivered = pump(&mut cores, initial, |from, to, msg| match msg {
+        SmrMsg::Consensus(m) => {
+            let accept = matches!(m, ConsensusMsg::Accept { .. });
+            match m.instance() {
+                1 => accept && to >= 2,
+                _ => from == 1 || to == 1 || (accept && to != 0),
+            }
+        }
+        _ => false,
+    });
+    assert_eq!(
+        delivered[0],
+        [(10, 1), (11, 1)],
+        "the old leader decides both"
+    );
+    assert_eq!(delivered[1], [(10, 1)]);
+    assert!(delivered[2].is_empty() && delivered[3].is_empty());
+
+    // Leader 0 goes silent. A late request reaches the survivors (their
+    // progress timers need pending work), then their timers fire.
+    let mut initial = submit(&mut cores, (1..4).map(|r| (r, req(99, 1))).collect());
+    for (r, core) in cores.iter_mut().enumerate().skip(1) {
+        initial.extend(core.on_progress_timeout().into_iter().map(|out| (r, out)));
+    }
+    let delivered = pump(&mut cores, initial, |from, to, _| from == 0 || to == 0);
+    assert_eq!((cores[1].regency(), cores[1].leader()), (1, 1));
+    assert_eq!(
+        delivered[1],
+        [(11, 1), (99, 1)],
+        "instance 2 must carry the old leader's decision, the fresh request instance 3"
+    );
+    assert_eq!(cores[1].last_delivered(), 3);
 }

@@ -142,8 +142,12 @@ fn seed_7_outcome_pinned_lanes4() {
 /// Pinned observables: (completed requests, per-replica heights, messages
 /// delivered by the kernel). Regenerate with `dump_pins` below.
 const PIN_7: (u64, [u64; 4], u64) = (46, [21, 32, 32, 32], 24_134);
-const PIN_B: (u64, [u64; 4], u64) = (41, [37, 37, 39, 34], 24_155);
-const PIN_7_A4: (u64, [u64; 4], u64) = (49, [47, 47, 40, 40], 17_620);
+/// Delivered messages moved from 24 155 when α = 1 STOPDATAs began reporting
+/// every open instance's lock: a lagging replica reports locks past its next.
+const PIN_B: (u64, [u64; 4], u64) = (41, [37, 37, 39, 34], 22_986);
+/// Delivered messages moved from 17 620 when the STOPDATA and SYNC vectors
+/// took the codec's four-byte count instead of a one-byte one.
+const PIN_7_A4: (u64, [u64; 4], u64) = (49, [47, 47, 40, 40], 17_619);
 /// Identical to [`PIN_7`]: this scenario is fsync- and latency-bound, so
 /// the laned stage's µs-scale EXECUTE savings shift no discrete outcome —
 /// exactly the "lane count changes time, never content" guarantee.
