@@ -278,16 +278,16 @@ impl SmartCoinApp {
         result
     }
 
-    /// Globally sorted UTXO entries — a k-way merge over the (individually
-    /// sorted) shards, so the snapshot encoding is byte-identical to the
-    /// single-table original regardless of the lane count.
-    fn sorted_entries(&self) -> Vec<([u8; 32], [u8; 33], u64)> {
-        let entry = |id: &CoinId, c: &Coin| (*id, c.owner.to_wire(), c.value);
-        if self.shards.len() == 1 {
-            return self.shards[0].iter().map(|(id, c)| entry(id, c)).collect();
+    /// Visits every UTXO in global id order — the one shard directly, or a
+    /// k-way merge over the (individually sorted) shards, so the snapshot
+    /// encoding is byte-identical to the single-table original regardless
+    /// of the lane count.
+    fn for_each_sorted(&self, mut visit: impl FnMut(&CoinId, &Coin)) {
+        if let [shard] = self.shards.as_slice() {
+            shard.iter().for_each(|(id, c)| visit(id, c));
+            return;
         }
         let mut iters: Vec<_> = self.shards.iter().map(|s| s.iter().peekable()).collect();
-        let mut out = Vec::with_capacity(self.utxo_count());
         loop {
             let mut best: Option<(usize, CoinId)> = None;
             for (i, it) in iters.iter_mut().enumerate() {
@@ -299,9 +299,8 @@ impl SmartCoinApp {
             }
             let Some((i, _)) = best else { break };
             let (id, c) = iters[i].next().expect("peeked entry");
-            out.push(entry(id, c));
+            visit(id, c);
         }
-        out
     }
 }
 
@@ -428,13 +427,27 @@ impl Application for SmartCoinApp {
         out
     }
 
+    /// `encode_seq` of the sorted `(id, owner wire, value)` entries, then
+    /// of the minter wires, then the two counters — written straight into
+    /// one exactly sized buffer, with no intermediate entry list.
     fn take_snapshot(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_seq(&self.sorted_entries(), &mut out);
-        let minters: Vec<[u8; 33]> = self.minters.iter().map(PublicKey::to_wire).collect();
-        encode_seq(&minters, &mut out);
+        const ENTRY: usize = 32 + 33 + 8;
+        let coins = self.utxo_count();
+        let len = 4 + coins * ENTRY + 4 + self.minters.len() * 33 + 16;
+        let mut out = Vec::with_capacity(len);
+        (coins as u32).encode(&mut out);
+        self.for_each_sorted(|id, coin| {
+            out.extend_from_slice(id);
+            out.extend_from_slice(&coin.owner.to_wire());
+            out.extend_from_slice(&coin.value.to_le_bytes());
+        });
+        (self.minters.len() as u32).encode(&mut out);
+        for minter in self.minters.iter() {
+            out.extend_from_slice(&minter.to_wire());
+        }
         self.executed.encode(&mut out);
         self.rejected.encode(&mut out);
+        debug_assert_eq!(out.len(), len);
         out
     }
 
@@ -773,6 +786,46 @@ mod tests {
                 baseline,
                 "{lanes}-lane snapshot must be byte-identical to the single-table encoding"
             );
+        }
+    }
+
+    /// The pre-single-pass encoding: `encode_seq` over a sorted entry
+    /// list, then the minters and both counters.
+    fn reference_snapshot(app: &SmartCoinApp) -> Vec<u8> {
+        let mut entries: Vec<([u8; 32], [u8; 33], u64)> = app
+            .shards
+            .iter()
+            .flat_map(|s| s.iter().map(|(id, c)| (*id, c.owner.to_wire(), c.value)))
+            .collect();
+        entries.sort();
+        let mut out = Vec::new();
+        encode_seq(&entries, &mut out);
+        let minters: Vec<[u8; 33]> = app.minters.iter().map(PublicKey::to_wire).collect();
+        encode_seq(&minters, &mut out);
+        app.executed.encode(&mut out);
+        app.rejected.encode(&mut out);
+        out
+    }
+
+    #[test]
+    fn snapshot_matches_the_sorted_entry_encoding() {
+        for lanes in [1usize, 4] {
+            let (mut app, minter, user) = setup();
+            app.minters = Arc::new(vec![minter.public_key(), user.public_key()]);
+            app.configure_lanes(lanes);
+            app.populate_synthetic(minter.public_key(), 300);
+            let mint = CoinTx::Mint {
+                outputs: vec![Output {
+                    owner: user.public_key(),
+                    value: 7,
+                }],
+            };
+            app.execute(&signed_request(&minter, 5, 0, &mint));
+            app.execute(&signed_request(&key(9), 6, 0, &mint));
+            assert_eq!((app.executed, app.rejected), (1, 1));
+            let snapshot = app.take_snapshot();
+            assert_eq!(snapshot, reference_snapshot(&app), "{lanes} lanes");
+            assert_eq!(snapshot.capacity(), snapshot.len(), "{lanes} lanes");
         }
     }
 

@@ -10,10 +10,10 @@ pub type CoinId = Hash;
 /// Derives the id of output `index` of the transaction issued by
 /// `(client, seq)` — deterministic, so issuers can predict their coin ids.
 pub fn coin_id(client: u64, seq: u64, index: u32) -> CoinId {
-    let mut buf = Vec::with_capacity(24);
-    client.encode(&mut buf);
-    seq.encode(&mut buf);
-    index.encode(&mut buf);
+    let mut buf = [0u8; 20];
+    buf[..8].copy_from_slice(&client.to_le_bytes());
+    buf[8..16].copy_from_slice(&seq.to_le_bytes());
+    buf[16..].copy_from_slice(&index.to_le_bytes());
     sha256::digest_parts(&[b"sc-coin", &buf])
 }
 
@@ -318,5 +318,21 @@ mod tests {
         assert!(mint_len < spend_len);
         assert!((30..200).contains(&mint_len), "{mint_len}");
         assert!((60..320).contains(&spend_len), "{spend_len}");
+    }
+
+    #[test]
+    fn coin_id_hashes_the_codec_encoding() {
+        for (client, seq, index) in [
+            (0, 0, 0),
+            (1, 2, 3),
+            (u64::MAX, 7, 0),
+            (9, u64::MAX, u32::MAX),
+        ] {
+            let encoded = smartchain_codec::to_bytes(&(client, seq, index));
+            assert_eq!(
+                coin_id(client, seq, index),
+                sha256::digest_parts(&[b"sc-coin", &encoded])
+            );
+        }
     }
 }

@@ -119,8 +119,11 @@ impl Decode for Proof {
 ///
 /// Panics if `index >= leaves.len()`.
 pub fn prove(leaves: &[Vec<u8>], index: usize) -> Proof {
-    assert!(index < leaves.len(), "proof index out of range");
-    let mut level: Vec<Hash> = leaves.iter().map(|l| leaf_hash(l)).collect();
+    prove_hashes(leaves.iter().map(|l| leaf_hash(l)).collect(), index)
+}
+
+fn prove_hashes(mut level: Vec<Hash>, index: usize) -> Proof {
+    assert!(index < level.len(), "proof index out of range");
     let mut idx = index;
     let mut path = Vec::new();
     while level.len() > 1 {
@@ -221,17 +224,6 @@ impl MerkleTree {
     }
 }
 
-/// Splits `data` into fixed-size chunks — the leaves of a snapshot
-/// commitment. Empty data has zero chunks.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`.
-pub fn chunk_leaves(data: &[u8], chunk_size: usize) -> Vec<Vec<u8>> {
-    assert!(chunk_size > 0, "chunk size must be positive");
-    data.chunks(chunk_size).map(<[u8]>::to_vec).collect()
-}
-
 /// Merkle root of `data` split into `chunk_size`-byte chunks.
 pub fn chunked_root(data: &[u8], chunk_size: usize) -> Hash {
     assert!(chunk_size > 0, "chunk size must be positive");
@@ -242,9 +234,15 @@ pub fn chunked_root(data: &[u8], chunk_size: usize) -> Hash {
     tree.root()
 }
 
-/// Membership proof for chunk `index` of `data` under [`chunked_root`].
+/// Membership proof for chunk `index` of `data` under [`chunked_root`],
+/// hashing the chunks in place.
+///
+/// # Panics
+///
+/// Panics if `chunk_size == 0` or chunk `index` does not exist.
 pub fn prove_chunk(data: &[u8], chunk_size: usize, index: usize) -> Proof {
-    prove(&chunk_leaves(data, chunk_size), index)
+    assert!(chunk_size > 0, "chunk size must be positive");
+    prove_hashes(data.chunks(chunk_size).map(leaf_hash).collect(), index)
 }
 
 /// A proof that a contiguous run of leaves `[start, end)` belongs to a tree
@@ -483,13 +481,17 @@ mod tests {
         }
     }
 
+    fn chunks(data: &[u8], size: usize) -> Vec<Vec<u8>> {
+        data.chunks(size).map(<[u8]>::to_vec).collect()
+    }
+
     #[test]
     fn chunked_root_equals_leaf_root() {
         let data: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
         for chunk in [1usize, 7, 64, 256, 1000, 2000] {
             assert_eq!(
                 chunked_root(&data, chunk),
-                root(&chunk_leaves(&data, chunk)),
+                root(&chunks(&data, chunk)),
                 "chunk={chunk}"
             );
         }
@@ -500,9 +502,10 @@ mod tests {
     fn chunk_proofs_verify_and_reject_tampering() {
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
         let r = chunked_root(&data, 64);
-        let chunks = chunk_leaves(&data, 64);
-        for (i, chunk) in chunks.iter().enumerate() {
+        let leaves = chunks(&data, 64);
+        for (i, chunk) in leaves.iter().enumerate() {
             let p = prove_chunk(&data, 64, i);
+            assert_eq!(p, prove(&leaves, i), "chunk {i}");
             assert!(verify(&r, chunk, &p), "chunk {i}");
             let mut tampered = chunk.clone();
             tampered[0] ^= 1;

@@ -800,15 +800,18 @@ impl<A: Application> DurableApp<A> {
         if snap.covered_block != cert.covered {
             return Ok(None);
         }
-        let leaves = merkle::chunk_leaves(&snap.state, merkle::STATE_CHUNK);
-        let Some(chunk) = leaves.get(chunk_index as usize) else {
+        let Some(chunk) = snap
+            .state
+            .chunks(merkle::STATE_CHUNK)
+            .nth(chunk_index as usize)
+        else {
             return Ok(None);
         };
         let proof = merkle::prove_chunk(&snap.state, merkle::STATE_CHUNK, chunk_index as usize);
         Ok(Some(ReadProof {
             covered: cert.covered,
             chunk_index,
-            chunk: chunk.clone(),
+            chunk: chunk.to_vec(),
             proof,
             cert,
         }))
