@@ -9,8 +9,9 @@
 //! ```
 
 use smartchain_bench::{run_smartchain, run_smr_coin, RunResult, Scale};
-use smartchain_core::node::{Persistence, Variant};
+use smartchain_core::node::Variant;
 use smartchain_smr::actor::{AppLedger, DurabilityMode, SigMode};
+use smartchain_storage::SyncPolicy;
 
 fn cell(r: &RunResult) -> String {
     format!("{:>6.1}k", r.throughput / 1000.0)
@@ -29,10 +30,10 @@ fn main() {
     println!("paper reference n=4: strong Si+Sy ~12k, weak Si+Sy ~14k, strong Sy ~18k, weak Sy ~26k, Durable-SMaRt N ~33k");
     println!();
     let configs = [
-        ("Si+Sy", true, Persistence::Sync),
-        ("Si   ", true, Persistence::Async),
-        ("Sy   ", false, Persistence::Sync),
-        ("N    ", false, Persistence::Memory),
+        ("Si+Sy", true, SyncPolicy::Sync),
+        ("Si   ", true, SyncPolicy::Async),
+        ("Sy   ", false, SyncPolicy::Sync),
+        ("N    ", false, SyncPolicy::None),
     ];
     for n in [4usize, 7, 10] {
         println!("== n = {n} ==");

@@ -17,10 +17,11 @@
 use smartchain_coin::workload::{authorized_minters, CoinFactory};
 use smartchain_coin::SmartCoinApp;
 use smartchain_core::harness::{ChainClusterBuilder, NodeSchedule};
-use smartchain_core::node::{NodeConfig, Persistence, SigMode, Variant};
+use smartchain_core::node::{NodeConfig, SigMode, Variant};
 use smartchain_sim::hw::HwSpec;
 use smartchain_sim::SECOND;
 use smartchain_smr::ordering::OrderingConfig;
+use smartchain_storage::SyncPolicy;
 
 fn main() {
     let replicas = 4usize;
@@ -36,7 +37,7 @@ fn main() {
     let minters = authorized_minters(clients);
     let config = NodeConfig {
         variant: Variant::Strong,
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         sig_mode: SigMode::Parallel,
         ordering: OrderingConfig {
             max_batch: 512,

@@ -7,7 +7,8 @@
 //! ```
 
 use smartchain_bench::{fmt_latency, fmt_tput, run_fabric, run_smartchain, run_tendermint, Scale};
-use smartchain_core::node::{Persistence, Variant};
+use smartchain_core::node::Variant;
+use smartchain_storage::SyncPolicy;
 
 fn main() {
     let scale = Scale::default();
@@ -17,13 +18,13 @@ fn main() {
     );
     println!("paper reference: SC-strong 12560/0.210, SC-weak 14547/0.200, Tendermint 1602/1.378, Fabric 381/1.602");
     println!();
-    let strong = run_smartchain(4, Variant::Strong, Persistence::Sync, true, scale, 3);
+    let strong = run_smartchain(4, Variant::Strong, SyncPolicy::Sync, true, scale, 3);
     println!(
         "SMARTCHAIN Strong  : {}   latency {}",
         fmt_tput(&strong),
         fmt_latency(&strong)
     );
-    let weak = run_smartchain(4, Variant::Weak, Persistence::Sync, true, scale, 3);
+    let weak = run_smartchain(4, Variant::Weak, SyncPolicy::Sync, true, scale, 3);
     println!(
         "SMARTCHAIN Weak    : {}   latency {}",
         fmt_tput(&weak),

@@ -22,13 +22,14 @@ use smartchain_baselines::tendermint::{TendermintNode, TmConfig, TmMsg};
 use smartchain_coin::workload::{authorized_minters, CoinFactory};
 use smartchain_coin::SmartCoinApp;
 use smartchain_core::harness::ChainClusterBuilder;
-use smartchain_core::node::{NodeConfig, Persistence, SigMode, Variant};
+use smartchain_core::node::{NodeConfig, SigMode, Variant};
 use smartchain_sim::hw::HwSpec;
 use smartchain_sim::metrics::trimmed_mean;
 use smartchain_sim::{Actor, Cluster, NodeId, SECOND};
 use smartchain_smr::actor::{client_id, AppLedger, DurabilityMode, ReplicaActor, ReplicaConfig};
 use smartchain_smr::client::{ClientActor, ClientConfig};
 use smartchain_smr::ordering::{OrderingConfig, SmrMsg};
+use smartchain_storage::SyncPolicy;
 
 /// Result of one throughput run.
 #[derive(Clone, Copy, Debug)]
@@ -235,7 +236,7 @@ fn client_latency<M: 'static>(cluster: &Cluster<M>, client_nodes: &[NodeId]) -> 
 pub fn run_smartchain(
     n: usize,
     variant: Variant,
-    persistence: Persistence,
+    persistence: SyncPolicy,
     signatures: bool,
     scale: Scale,
     seed: u64,

@@ -10,7 +10,7 @@
 
 use smartchain_consensus::View;
 use smartchain_core::harness::ChainClusterBuilder;
-use smartchain_core::node::{NodeConfig, Persistence, Variant};
+use smartchain_core::node::{NodeConfig, Variant};
 use smartchain_crypto::keys::{Backend, SecretKey};
 use smartchain_sim::hw::HwSpec;
 use smartchain_sim::{MILLI, SECOND};
@@ -38,7 +38,7 @@ pub struct AlphaThroughput {
 }
 
 /// Runs the α-pipeline scenario: 4 replicas under the GroupCommit rung
-/// (`Persistence::Sync`), a closed-loop client fleet, fixed seed, on a
+/// (`SyncPolicy::Sync`), a closed-loop client fleet, fixed seed, on a
 /// latency-dominated network (paper-testbed disk and CPU, 2.5 ms one-way
 /// propagation — a metro/WAN deployment of the same machines).
 ///
@@ -53,7 +53,7 @@ pub fn alpha_pipeline_throughput(alpha: u64, virtual_secs: u64) -> AlphaThroughp
     hw.nic.propagation_ns = 2_500_000; // 2.5 ms one-way
     let config = NodeConfig {
         variant: Variant::Weak,
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 16,
             alpha,
@@ -378,7 +378,7 @@ impl smartchain_smr::app::Application for SkewedCounterApp {
 pub fn exec_lane_throughput(lanes: usize, skewed: bool, virtual_secs: u64) -> ExecLaneThroughput {
     let config = NodeConfig {
         variant: Variant::Weak,
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 16,
             ..OrderingConfig::default()

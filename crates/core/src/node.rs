@@ -34,11 +34,11 @@ use smartchain_smr::app::Application;
 use smartchain_smr::ordering::{CoreOutput, OrderedBatch, OrderingConfig, OrderingCore, SmrMsg};
 use smartchain_smr::types::Request;
 use smartchain_storage::mem::MemLog;
-use smartchain_storage::{DurabilityEngine, Engine, RecordLog};
-use std::collections::{HashMap, VecDeque};
+use smartchain_storage::{DurabilityEngine, Engine, RecordLog, SyncPolicy};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 pub use crate::messages::ChainMsg;
-pub use crate::pipeline::persist::{OpenBlock, Persistence, Variant};
+pub use crate::pipeline::persist::{OpenBlock, Variant};
 pub use crate::pipeline::{
     app_payload, exclude_vote_payload, unwrap_app_payload, verify_envelope_signature,
 };
@@ -49,8 +49,9 @@ pub use smartchain_smr::actor::{client_id, client_node, SigMode};
 pub struct NodeConfig {
     /// Weak or strong persistence variant.
     pub variant: Variant,
-    /// Storage policy.
-    pub persistence: Persistence,
+    /// The persistence ladder's rung (§V-C): `None` (∞-persistence),
+    /// `Async` (λ-persistence) or `Sync` (0/1-persistence, by variant).
+    pub persistence: SyncPolicy,
     /// Truncate the ledger's log prefix once a checkpoint covering it is
     /// durable. Off by default: full-history ledgers keep the seed's
     /// observable behavior (`chain()` from genesis, audits from block 1).
@@ -89,7 +90,7 @@ impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
             variant: Variant::Weak,
-            persistence: Persistence::Sync,
+            persistence: SyncPolicy::Sync,
             compact_after_checkpoint: false,
             sig_mode: SigMode::None,
             ordering: OrderingConfig::default(),
@@ -150,6 +151,11 @@ pub(crate) struct MemberState {
     /// completion (`t == Time::MAX`, Sync rung). A crash before completion
     /// loses the snapshot.
     pub(crate) snapshot_inflight: Option<Time>,
+    /// Per-client highest `seq` in the chain this replica holds, the
+    /// snapshot-summarized prefix included: raised by EXECUTE, replay and an
+    /// installed snapshot; it is what a checkpoint ships as its dedup
+    /// frontier and what seeds every fresh or recovering ordering core.
+    pub(crate) executed: BTreeMap<u64, u64>,
     pub(crate) delivery_queue: VecDeque<OrderedBatch>,
     /// Blocks mid-pipeline (executed, awaiting persistence/certificate),
     /// ascending by number; at most α at once. Durability obligations may
@@ -193,6 +199,7 @@ impl MemberState {
             snapshot: None,
             snapshot_fallback: None,
             snapshot_inflight: None,
+            executed: BTreeMap::new(),
             delivery_queue: VecDeque::new(),
             open: VecDeque::new(),
             persist_stash: HashMap::new(),
@@ -205,6 +212,27 @@ impl MemberState {
             next_token: 100,
             syncing: false,
         }
+    }
+
+    /// Raises the per-client record by `(client, seq)` pairs: a block's
+    /// requests, or an installed snapshot's frontier.
+    pub(crate) fn raise_executed(&mut self, pairs: impl IntoIterator<Item = (u64, u64)>) {
+        for (client, seq) in pairs {
+            let top = self.executed.entry(client).or_insert(seq);
+            *top = (*top).max(seq);
+        }
+    }
+
+    /// The per-client record as a `(client, seq)` frontier, by client id.
+    pub(crate) fn executed_frontier(&self) -> Vec<(u64, u64)> {
+        self.executed.iter().map(|(&c, &s)| (c, s)).collect()
+    }
+
+    /// Seeds the ordering core's duplicate filter from the per-client record
+    /// (after a view install, a state-transfer install or crash recovery).
+    pub(crate) fn seed_core(&mut self) {
+        let frontier = self.executed_frontier();
+        self.core.seed_delivered(&frontier);
     }
 }
 

@@ -9,21 +9,22 @@
 //! Snapshot *durability* is modeled, not assumed: the snapshot's device
 //! write is tracked while in flight, so a crash before completion falls
 //! back to the previous durable snapshot (Async rung: modeled completion
-//! time; Sync rung: an explicit fsync completion event). The snapshot also
-//! carries the ordering core's per-client dedup frontier, so a joiner
-//! anchored on it can reject retransmissions of requests inside the
-//! summarized prefix.
+//! time; Sync rung: an explicit fsync completion event); a state-transfer
+//! install models its device write the same way. The snapshot also carries
+//! the replica's per-client record (each client's highest `seq` up to the
+//! covered block) as its dedup frontier, so a joiner anchored on it can
+//! reject retransmissions of requests inside the summarized prefix.
 
 use crate::block::BlockHeader;
 use crate::messages::ChainMsg;
 use crate::node::ChainNode;
-use crate::pipeline::persist::Persistence;
 use crate::pipeline::KIND_SNAPSHOT;
 use smartchain_codec::{Decode, DecodeError, Encode};
 use smartchain_crypto::Hash;
 use smartchain_merkle as merkle;
 use smartchain_sim::{Ctx, Time};
 use smartchain_smr::app::Application;
+use smartchain_storage::SyncPolicy;
 
 /// The commitment a snapshot is verified against at install time: the
 /// header of the covered block (whose `hash_results` folds the state root
@@ -73,7 +74,8 @@ impl Decode for SnapshotCommit {
 }
 
 /// A checkpoint snapshot: the serialized application state, the block it
-/// covers, and the ordering core's duplicate-filter frontier at that block.
+/// covers, and the per-client record (duplicate-filter frontier) at that
+/// block.
 #[derive(Clone, Debug)]
 pub(crate) struct SnapshotState {
     /// Highest block the snapshot summarizes.
@@ -91,12 +93,41 @@ pub(crate) struct SnapshotState {
 }
 
 impl<A: Application> ChainNode<A> {
-    /// Modeled application state size (configured, else the real snapshot).
-    pub(crate) fn state_size(&self) -> u64 {
+    /// Modeled size of a `len`-byte snapshot (configured, else `len`).
+    pub(crate) fn modeled_size(&self, len: usize) -> u64 {
         if self.config.state_size > 0 {
             self.config.state_size
         } else {
-            self.app.take_snapshot().len() as u64
+            len as u64
+        }
+    }
+
+    /// Starts the device write a snapshot of `size` modeled bytes covering
+    /// block `covered` needs on the configured rung, and returns when (in
+    /// virtual time) it completes: `None` on the Memory rung, which never
+    /// writes; `after` the caller's own delay plus the modeled streaming
+    /// write on Async (an approximation that ignores disk queueing —
+    /// buffered writes carry no completion event to wait on); `Time::MAX`
+    /// on Sync, whose explicit fsync completion ([`KIND_SNAPSHOT`]) promotes
+    /// it.
+    pub(crate) fn write_snapshot(
+        &self,
+        size: u64,
+        covered: u64,
+        after: Time,
+        ctx: &mut Ctx<'_, ChainMsg>,
+    ) -> Option<Time> {
+        let size = size as usize;
+        match self.config.persistence {
+            SyncPolicy::None => None,
+            SyncPolicy::Async => {
+                ctx.disk_write(size, false, 0);
+                Some(ctx.now() + after + ctx.hw().disk.write_time(size, false))
+            }
+            SyncPolicy::Sync => {
+                ctx.disk_write(size, true, KIND_SNAPSHOT | covered);
+                Some(Time::MAX)
+            }
         }
     }
 
@@ -154,55 +185,13 @@ impl<A: Application> ChainNode<A> {
         }
         // Serialize once; the modeled size falls back to the real length.
         let snapshot = self.app.take_snapshot();
-        let size = if self.config.state_size > 0 {
-            self.config.state_size
-        } else {
-            snapshot.len() as u64
-        };
+        let size = self.modeled_size(snapshot.len());
         let serialize_ns = self.config.snapshot_ns_per_byte * size;
         ctx.charge(serialize_ns);
-        // The in-flight window: when (in virtual time) the snapshot's device
-        // write completes. Memory rung never writes; Async completes after
-        // the modeled streaming write (an approximation that ignores disk
-        // queueing — buffered writes carry no completion event to wait on);
-        // Sync completes at the explicit fsync OpDone.
-        let inflight = match self.config.persistence {
-            Persistence::Memory => None,
-            Persistence::Async => {
-                ctx.disk_write(size as usize, false, 0);
-                Some(ctx.now() + serialize_ns + ctx.hw().disk.write_time(size as usize, false))
-            }
-            Persistence::Sync => {
-                ctx.disk_write(size as usize, true, KIND_SNAPSHOT | covered_block);
-                Some(Time::MAX)
-            }
-        };
+        let inflight = self.write_snapshot(size, covered_block, serialize_ns, ctx);
         let Some(m) = self.member.as_mut() else {
             return;
         };
-        // The frontier must describe exactly the snapshotted state: derive
-        // it from the chain (plus the summarized prefix carried by the
-        // previous snapshot — its dedup covers blocks up to its own covered
-        // block, so only the suffix after it needs scanning). The ordering
-        // core's own frontier can run ahead of execution — batches sitting
-        // in the delivery queue are already marked delivered there but are
-        // not in this snapshot.
-        let mut frontier: std::collections::BTreeMap<u64, u64> = m
-            .snapshot
-            .as_ref()
-            .map(|s| s.dedup.iter().copied().collect())
-            .unwrap_or_default();
-        let scan_from = m.snapshot.as_ref().map(|s| s.covered + 1).unwrap_or(1);
-        for block in m.ledger.blocks_from(scan_from).unwrap_or_default() {
-            if let crate::block::BlockBody::Transactions { requests, .. } = &block.body {
-                for req in requests {
-                    frontier
-                        .entry(req.client)
-                        .and_modify(|s| *s = (*s).max(req.seq))
-                        .or_insert(req.seq);
-                }
-            }
-        }
         // The snapshot is taken at EXECUTE time of the covered block, so its
         // chunked root is exactly the state root the block's header bound —
         // capture the header as the commitment receivers verify against.
@@ -223,7 +212,11 @@ impl<A: Application> ChainNode<A> {
         let new = SnapshotState {
             covered: covered_block,
             state: snapshot,
-            dedup: frontier.into_iter().collect(),
+            // The per-client record describes exactly the snapshotted
+            // state: the checkpoint runs right after its covered block
+            // executed. (The ordering core's own frontier can run ahead —
+            // batches in the delivery queue are marked delivered there.)
+            dedup: m.executed_frontier(),
             commit,
         };
         // The superseded snapshot becomes the crash fallback, tagged with
@@ -246,7 +239,7 @@ impl<A: Application> ChainNode<A> {
         // ∞-persistence: the snapshot is never "durable" (nothing is), so
         // the compaction point is the snapshot itself — a crash loses log
         // and snapshot together either way.
-        if self.config.persistence == Persistence::Memory {
+        if self.config.persistence == SyncPolicy::None {
             self.maybe_compact(covered_block);
         }
     }

@@ -17,7 +17,7 @@
 //!        │                       the block body (Algorithm 1 lines 16-29)
 //!   [4] PERSIST   (persist.rs)   the persistence ladder: the block is
 //!        │                       appended through a DurabilityEngine
-//!        │                       (Memory/Async/GroupCommit); the strong
+//!        │                       (a SyncPolicy rung); the strong
 //!        │                       variant adds the PERSIST certificate round.
 //!        │                       Up to α blocks are open concurrently;
 //!        │                       device syncs and certificates complete

@@ -2,19 +2,19 @@
 //! [`DurabilityEngine`], plus the strong variant's PERSIST certificate round
 //! (Fig. 3) and reply release.
 //!
-//! Every Persistence × Variant combination routes its block bytes through
-//! the same engine type the real-disk `smr::DurableApp` uses
-//! (`smartchain_storage::Engine`, here over a heap `MemLog`) — the engine
-//! owns the *data plane* (what survives a crash) while the simulator's disk
-//! model charges the *time plane* according to the engine's policy:
+//! Every rung × variant combination routes its block bytes through the same
+//! engine type the real-disk `smr::DurableApp` uses
+//! (`smartchain_storage::Engine`, here over a heap `MemLog`, built from
+//! `NodeConfig::persistence` — a [`SyncPolicy`]) — the engine owns the
+//! *data plane* (what survives a crash) while the simulator's disk model
+//! charges the *time plane* according to the same policy:
 //!
-//! * [`Persistence::Memory`] → `SyncPolicy::None` (∞-persistence): no
-//!   device time, nothing durable;
-//! * [`Persistence::Async`] → `SyncPolicy::Async` (λ-persistence):
-//!   buffered device write, reply does not wait;
-//! * [`Persistence::Sync`] → `SyncPolicy::Sync` (0/1-persistence): a
-//!   synchronous device write gates the reply; the engine's `flush` is the
-//!   group-commit point.
+//! * [`SyncPolicy::None`] (∞-persistence): no device time, nothing
+//!   durable;
+//! * [`SyncPolicy::Async`] (λ-persistence): buffered device write, reply
+//!   does not wait;
+//! * [`SyncPolicy::Sync`] (0/1-persistence): a synchronous device write
+//!   gates the reply; the engine's `flush` is the group-commit point.
 //!
 //! On top of the ladder, [`Variant::Strong`] adds the PERSIST round: replies
 //! release only after a Byzantine quorum certifies the header
@@ -40,36 +40,7 @@ use smartchain_sim::{Ctx, NodeId};
 use smartchain_smr::app::Application;
 use smartchain_smr::ordering::SmrMsg;
 use smartchain_smr::types::Reply;
-use smartchain_storage::mem::MemLog;
-use smartchain_storage::{DurabilityEngine, Engine, SyncPolicy};
-
-/// Where blocks are persisted (the paper's persistence ladder, §V-C).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Persistence {
-    /// Memory only (∞-Persistence).
-    Memory,
-    /// Asynchronous writes (λ-Persistence).
-    Async,
-    /// Synchronous header writes (0/1-Persistence depending on variant).
-    Sync,
-}
-
-impl Persistence {
-    /// The engine rung implementing this policy.
-    pub fn sync_policy(self) -> SyncPolicy {
-        match self {
-            Persistence::Memory => SyncPolicy::None,
-            Persistence::Async => SyncPolicy::Async,
-            Persistence::Sync => SyncPolicy::Sync,
-        }
-    }
-
-    /// Builds the durability engine for this rung over the simulator's
-    /// heap-backed "disk".
-    pub fn make_engine(self) -> Engine<MemLog> {
-        smartchain_storage::engine::engine_for(self.sync_policy())
-    }
-}
+use smartchain_storage::{DurabilityEngine, SyncPolicy};
 
 /// Weak (1-Persistence) or strong (0-Persistence, PERSIST phase) variant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -115,7 +86,7 @@ impl<A: Application> ChainNode<A> {
             let token = KIND_HEADER | number;
             ctx.disk_write(size, true, token);
         } else {
-            if self.config.persistence == Persistence::Async {
+            if self.config.persistence == SyncPolicy::Async {
                 ctx.disk_write(size, false, 0)
             }
             self.header_done(number, ctx);
@@ -286,7 +257,7 @@ impl<A: Application> ChainNode<A> {
         m.ledger
             .set_certificate(number, cert)
             .expect("ledger certificate");
-        if self.config.persistence != Persistence::Memory {
+        if self.config.persistence != SyncPolicy::None {
             // Asynchronous write: recoverable after a full crash (§V-C).
             ctx.disk_write(cert_size, false, 0);
         }

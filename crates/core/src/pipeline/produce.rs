@@ -9,10 +9,10 @@
 //! block clears the persist stage — rotating view keys mid-PERSIST would
 //! orphan the in-flight certificate.
 
-use crate::block::{vote_payload, BlockBody, ReconfigOp, ReconfigTx};
+use crate::block::{vote_payload, Block, BlockBody, ReconfigOp, ReconfigTx};
 use crate::messages::ChainMsg;
 use crate::node::{ChainNode, ReconfigInstall};
-use crate::pipeline::persist::{OpenBlock, Persistence};
+use crate::pipeline::persist::OpenBlock;
 use crate::pipeline::{
     unwrap_app_payload, verify_envelope_signature, KIND_RECONFIG, PAYLOAD_EXCLUDE_VOTE,
     PAYLOAD_RECONFIG,
@@ -24,7 +24,7 @@ use smartchain_smr::actor::SigMode;
 use smartchain_smr::app::Application;
 use smartchain_smr::ordering::{OrderedBatch, OrderingCore};
 use smartchain_smr::types::{Reply, Request};
-use smartchain_storage::{DurabilityEngine, RecordLog};
+use smartchain_storage::{DurabilityEngine, RecordLog, SyncPolicy};
 
 /// Whether a request carries protocol traffic (reconfigurations, exclude
 /// votes) rather than an application payload.
@@ -35,7 +35,60 @@ fn is_protocol_request(req: &Request) -> bool {
     )
 }
 
+/// How EXECUTE treats one request of a decided batch; live execution, crash
+/// replay and state-transfer install all classify through
+/// [`ChainNode::slot`], so replay runs exactly what EXECUTE ran.
+enum Slot {
+    /// Reconfiguration / exclude vote: empty result, no reply.
+    Protocol,
+    /// Forged under Sequential verification: dropped at execution.
+    Forged,
+    /// Application transaction (None = unwrappable payload: empty app
+    /// result, but still replied to).
+    App(Option<Request>),
+}
+
 impl<A: Application> ChainNode<A> {
+    /// Classifies one request of a decided batch (see [`Slot`]).
+    fn slot(&self, req: &Request) -> Slot {
+        if is_protocol_request(req) {
+            Slot::Protocol
+        } else if self.config.sig_mode == SigMode::Sequential && !verify_envelope_signature(req) {
+            Slot::Forged
+        } else {
+            Slot::App(unwrap_app_payload(&req.payload).map(|bytes| Request {
+                client: req.client,
+                seq: req.seq,
+                payload: bytes.to_vec(),
+                signature: req.signature,
+            }))
+        }
+    }
+
+    /// Replays one ledger block: raises the per-client record for every
+    /// request and, with `execute`, runs the application slots EXECUTE ran
+    /// (none of a block the installed snapshot already summarizes). Returns
+    /// how many requests executed.
+    pub(crate) fn replay_block(&mut self, block: &Block, execute: bool) -> u64 {
+        let BlockBody::Transactions { requests, .. } = &block.body else {
+            return 0;
+        };
+        if let Some(m) = self.member.as_mut() {
+            m.raise_executed(requests.iter().map(|r| (r.client, r.seq)));
+        }
+        if !execute {
+            return 0;
+        }
+        let mut executed = 0;
+        for req in requests {
+            if let Slot::App(Some(inner)) = self.slot(req) {
+                self.app.execute(&inner);
+                executed += 1;
+            }
+        }
+        executed
+    }
+
     /// Stage entry (Algorithm 1 lines 16-29, and 37-48 for
     /// reconfigurations): split one ordered batch and produce block(s).
     pub(crate) fn start_block(&mut self, batch: OrderedBatch, ctx: &mut Ctx<'_, ChainMsg>) {
@@ -141,35 +194,7 @@ impl<A: Application> ChainNode<A> {
         self.meter.record(ctx.now(), count as u64);
         self.committed_log.push((ctx.now(), count as u64));
         let lanes = self.config.execute_lanes.max(1);
-        // Classify each batch slot once; only App(Some) slots execute.
-        enum Slot {
-            /// Reconfiguration / exclude vote: empty result, no reply.
-            Protocol,
-            /// Forged under Sequential verification: dropped at execution.
-            Forged,
-            /// Application transaction (None = unwrappable payload: empty
-            /// app result, but still replied to).
-            App(Option<Request>),
-        }
-        let slots: Vec<Slot> = requests
-            .iter()
-            .map(|req| {
-                if is_protocol_request(req) {
-                    Slot::Protocol
-                } else if self.config.sig_mode == SigMode::Sequential
-                    && !verify_envelope_signature(req)
-                {
-                    Slot::Forged
-                } else {
-                    Slot::App(unwrap_app_payload(&req.payload).map(|bytes| Request {
-                        client: req.client,
-                        seq: req.seq,
-                        payload: bytes.to_vec(),
-                        signature: req.signature,
-                    }))
-                }
-            })
-            .collect();
+        let slots: Vec<Slot> = requests.iter().map(|req| self.slot(req)).collect();
         // EXECUTE cost: serial charges one execute_ns per transaction; the
         // laned stage charges the plan's critical path — the longest lane of
         // each parallel group plus one slot per cross-lane barrier. Block
@@ -239,6 +264,7 @@ impl<A: Application> ChainNode<A> {
         let Some(m) = self.member.as_mut() else {
             return;
         };
+        m.raise_executed(requests.iter().map(|r| (r.client, r.seq)));
         let body = BlockBody::Transactions {
             consensus_id,
             requests,
@@ -316,14 +342,14 @@ impl<A: Application> ChainNode<A> {
             height,
             joiner,
         };
-        if self.config.persistence == Persistence::Sync {
+        if self.config.persistence == SyncPolicy::Sync {
             // The view installs in the synchronous write's completion event
             // (same OpDone hop as a tx block's KIND_HEADER gate).
             m.reconfig_install = Some(install);
             ctx.disk_write(size, true, KIND_RECONFIG | height);
             return;
         }
-        if self.config.persistence == Persistence::Async {
+        if self.config.persistence == SyncPolicy::Async {
             ctx.disk_write(size, false, 0);
         }
         self.install_reconfig(install, ctx);
@@ -386,10 +412,10 @@ impl<A: Application> ChainNode<A> {
             m.delivery_queue.clear();
             // Requests admitted before the view change (e.g. duplicate
             // reconfiguration submissions) are dropped with the old core;
-            // clients retransmit if still relevant. The duplicate filter is
-            // rebuilt from the chain so retransmissions of already-delivered
-            // requests are not re-decided.
-            self.reseed_dedup_from_ledger();
+            // clients retransmit if still relevant. The duplicate filter
+            // starts from the per-client record so retransmissions of
+            // already-executed requests are not re-decided.
+            m.seed_core();
         } else {
             // We left (or were excluded): deactivate, but only after the
             // reconfiguration is installed (the paper requires departing

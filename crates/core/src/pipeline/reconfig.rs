@@ -37,7 +37,7 @@ impl<A: Application> ChainNode<A> {
             self.config.ordering,
             last_applied,
         );
-        let engine = self.config.persistence.make_engine();
+        let engine = smartchain_storage::engine::engine_for(self.config.persistence);
         let ledger = Ledger::open(engine, self.genesis.clone()).expect("engine ledger opens");
         self.member = Some(MemberState::new(view, core, ledger));
     }

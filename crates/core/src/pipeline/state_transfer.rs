@@ -1,6 +1,13 @@
 //! Side stage — state transfer: snapshot + block suffix from peers (joins,
 //! recoveries, lagging replicas), and crash recovery from the local ledger.
 //!
+//! Both replay blocks through `ChainNode::replay_block`, which classifies
+//! requests with the same rule as live EXECUTE: a request EXECUTE dropped
+//! (forged under sequential verification) is not executed on replay
+//! either. Every replayed request raises the replica's per-client record,
+//! and each install or recovery ends by seeding the ordering core's
+//! duplicate filter from that record.
+//!
 //! Only one designated replica ships the full state; the rest send
 //! hash-sized acknowledgements (the PBFT optimization). The shipper is the
 //! highest-id member other than the requester — never the leader, whose NIC
@@ -18,13 +25,11 @@ use crate::block::{Block, BlockBody, ViewInfo};
 use crate::messages::ChainMsg;
 use crate::node::{ChainNode, MemberState};
 use crate::pipeline::checkpoint::{SnapshotCommit, SnapshotState};
-use crate::pipeline::persist::Persistence;
-use crate::pipeline::unwrap_app_payload;
 use smartchain_merkle as merkle;
 use smartchain_sim::{Ctx, NodeId};
 use smartchain_smr::app::Application;
 use smartchain_smr::ordering::OrderingCore;
-use smartchain_smr::types::Request;
+use smartchain_storage::SyncPolicy;
 
 /// Consecutive recent heights carried in every state-reply digest set (the
 /// exponential tail takes over beyond it). Sized so members within a normal
@@ -112,16 +117,14 @@ impl<A: Application> ChainNode<A> {
         let blocks = m.ledger.blocks_from(start).unwrap_or_default();
         let blocks_size: usize = blocks.iter().map(Block::wire_size).sum();
         let modeled = if full {
-            let snap_size = if snapshot.is_some() {
-                self.state_size()
-            } else {
-                0
-            };
+            let snap_size = snapshot
+                .as_ref()
+                .map_or(0, |s| self.modeled_size(s.state.len()));
             snap_size + blocks_size as u64
         } else {
             64
         };
-        if full && self.config.persistence != Persistence::Memory {
+        if full && self.config.persistence != SyncPolicy::None {
             ctx.disk_read(modeled as usize, 0);
         }
         let (snapshot, commit, snapshot_dedup) = if full {
@@ -396,11 +399,7 @@ impl<A: Application> ChainNode<A> {
                 if std::env::var("SC_ST_DEBUG").is_ok() {
                     eprintln!("[st] snapshot commitment rejected at block {covered}");
                 }
-                if let Some(m) = self.member.as_mut() {
-                    let height = m.ledger.height();
-                    m.core.fast_forward(height);
-                    m.syncing = false;
-                }
+                self.finish_sync();
                 return;
             }
         }
@@ -410,26 +409,7 @@ impl<A: Application> ChainNode<A> {
             // The received snapshot must reach the LOCAL device to survive
             // this replica's crashes — same durability model as a locally
             // taken checkpoint (take_checkpoint).
-            let size = if self.config.state_size > 0 {
-                self.config.state_size
-            } else {
-                state.len() as u64
-            };
-            let inflight = match self.config.persistence {
-                Persistence::Memory => None,
-                Persistence::Async => {
-                    ctx.disk_write(size as usize, false, 0);
-                    Some(ctx.now() + ctx.hw().disk.write_time(size as usize, false))
-                }
-                Persistence::Sync => {
-                    ctx.disk_write(
-                        size as usize,
-                        true,
-                        crate::pipeline::KIND_SNAPSHOT | covered,
-                    );
-                    Some(smartchain_sim::Time::MAX)
-                }
-            };
+            let inflight = self.write_snapshot(self.modeled_size(state.len()), covered, 0, ctx);
             if let Some(m) = self.member.as_mut() {
                 if covered > m.ledger.height() {
                     // The snapshot summarizes blocks we never had: fast-
@@ -445,9 +425,7 @@ impl<A: Application> ChainNode<A> {
                 // without it, a retransmission of a request the snapshot
                 // already contains would be re-ordered and fork this
                 // replica's delivered sequence.
-                for &(client, seq) in &snapshot_dedup {
-                    m.core.note_delivered(client, seq);
-                }
+                m.raise_executed(snapshot_dedup.iter().copied());
                 m.snapshot = Some(SnapshotState {
                     covered,
                     state,
@@ -475,7 +453,7 @@ impl<A: Application> ChainNode<A> {
             // Blocks the installed snapshot already summarizes must not
             // re-execute on top of it (they can be shipped when the sender's
             // snapshot ran ahead of this replica's surviving ledger prefix);
-            // they still append and feed the duplicate filter.
+            // they still append and raise the per-client record.
             let in_snapshot = self
                 .member
                 .as_ref()
@@ -497,37 +475,13 @@ impl<A: Application> ChainNode<A> {
                 }
                 // Clear `syncing` so the next NeedStateTransfer trigger can
                 // start a fresh round against (hopefully) honest shippers.
-                if let Some(m) = self.member.as_mut() {
-                    let height = m.ledger.height();
-                    m.core.fast_forward(height);
-                    m.syncing = false;
-                }
+                self.finish_sync();
                 return;
             }
-            match &block.body {
-                BlockBody::Transactions { requests, .. } => {
-                    for req in requests {
-                        if let Some(m) = self.member.as_mut() {
-                            m.core.note_delivered(req.client, req.seq);
-                        }
-                        if in_snapshot {
-                            continue;
-                        }
-                        if let Some(bytes) = unwrap_app_payload(&req.payload) {
-                            let inner = Request {
-                                client: req.client,
-                                seq: req.seq,
-                                payload: bytes.to_vec(),
-                                signature: req.signature,
-                            };
-                            let _ = self.app.execute(&inner);
-                        }
-                    }
-                }
-                BlockBody::Reconfiguration { new_view: v, .. } => {
-                    new_view = Some(v.clone());
-                }
+            if let BlockBody::Reconfiguration { new_view: v, .. } = &block.body {
+                new_view = Some(v.clone());
             }
+            self.replay_block(&block, !in_snapshot);
         }
         if let Some(v) = new_view {
             let my_pk = self.keys.permanent_public();
@@ -546,39 +500,23 @@ impl<A: Application> ChainNode<A> {
                         height,
                     );
                 }
-                self.reseed_dedup_from_ledger();
             } else {
                 self.member = None;
                 return;
             }
         }
+        self.finish_sync();
+    }
+
+    /// Ends a sync round: seeds the ordering core's duplicate filter from
+    /// the per-client record (covering whatever was just installed or
+    /// replayed) and fast-forwards it to the ledger tip.
+    fn finish_sync(&mut self) {
         if let Some(m) = self.member.as_mut() {
+            m.seed_core();
             let height = m.ledger.height();
             m.core.fast_forward(height);
             m.syncing = false;
-        }
-    }
-
-    /// Rebuilds the ordering core's duplicate filter from the whole local
-    /// chain plus the current snapshot's dedup frontier (used whenever a
-    /// fresh core is paired with replayed history — the snapshot frontier is
-    /// what covers a summarized prefix whose blocks we never held).
-    pub(crate) fn reseed_dedup_from_ledger(&mut self) {
-        let Some(m) = self.member.as_mut() else {
-            return;
-        };
-        if let Some(snapshot) = &m.snapshot {
-            for &(client, seq) in &snapshot.dedup {
-                m.core.note_delivered(client, seq);
-            }
-        }
-        let blocks = m.ledger.blocks_from(1).unwrap_or_default();
-        for block in &blocks {
-            if let BlockBody::Transactions { requests, .. } = &block.body {
-                for req in requests {
-                    m.core.note_delivered(req.client, req.seq);
-                }
-            }
         }
     }
 
@@ -611,54 +549,33 @@ impl<A: Application> ChainNode<A> {
             // Checkpoints only reach the disk on the non-Memory rungs
             // (take_checkpoint); under ∞-persistence the snapshot was RAM
             // and died with it.
-            if self.config.persistence == Persistence::Memory {
+            if self.config.persistence == SyncPolicy::None {
                 m.snapshot = None;
             } else if let Some(covered) = m.snapshot.as_ref().map(|s| s.covered) {
                 m.ledger.set_last_checkpoint(covered);
             }
+            // The per-client record restarts from the surviving snapshot's
+            // frontier; the replay below raises it through the ledger.
+            m.executed = m
+                .snapshot
+                .as_ref()
+                .map(|s| s.dedup.iter().copied().collect())
+                .unwrap_or_default();
             m.ledger.blocks_from(1).unwrap_or_default()
         };
         // A surviving snapshot restores the (possibly anchor-summarized)
-        // prefix — state, and the dedup frontier for requests inside it;
-        // blocks it covers must not re-execute on top of it.
+        // prefix; blocks it covers must not re-execute on top of it.
         let mut replay_from = 1u64;
-        if let Some(snapshot) = self.member.as_ref().and_then(|m| m.snapshot.clone()) {
+        if let Some(snapshot) = self.member.as_ref().and_then(|m| m.snapshot.as_ref()) {
             self.app.install_snapshot(&snapshot.state);
             replay_from = snapshot.covered + 1;
-            if let Some(m) = self.member.as_mut() {
-                for &(client, seq) in &snapshot.dedup {
-                    m.core.note_delivered(client, seq);
-                }
-            }
         }
         let mut replayed = 0u64;
         for block in &replay {
-            if let BlockBody::Transactions { requests, .. } = &block.body {
-                for req in requests {
-                    if let Some(m) = self.member.as_mut() {
-                        m.core.note_delivered(req.client, req.seq);
-                    }
-                    if block.header.number < replay_from {
-                        continue; // state already inside the snapshot
-                    }
-                    if let Some(bytes) = unwrap_app_payload(&req.payload) {
-                        let inner = Request {
-                            client: req.client,
-                            seq: req.seq,
-                            payload: bytes.to_vec(),
-                            signature: req.signature,
-                        };
-                        let _ = self.app.execute(&inner);
-                        replayed += 1;
-                    }
-                }
-            }
+            replayed += self.replay_block(block, block.header.number >= replay_from);
         }
         ctx.charge(self.config.execute_ns * replayed);
-        if let Some(m) = self.member.as_mut() {
-            let height = m.ledger.height();
-            m.core.fast_forward(height);
-        }
+        self.finish_sync();
         self.start_state_transfer(ctx);
     }
 }

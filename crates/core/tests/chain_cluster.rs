@@ -4,12 +4,13 @@
 //! transfer, and third-party auditability of the produced chains.
 
 use smartchain_core::audit::verify_chain;
-use smartchain_core::block::BlockBody;
-use smartchain_core::harness::{ChainClusterBuilder, NodeSchedule};
-use smartchain_core::node::{NodeConfig, Persistence, Variant};
+use smartchain_core::block::{Block, BlockBody};
+use smartchain_core::harness::{ChainCluster, ChainClusterBuilder, NodeSchedule};
+use smartchain_core::node::{NodeConfig, Variant};
 use smartchain_sim::{MILLI, SECOND};
 use smartchain_smr::app::CounterApp;
 use smartchain_smr::ordering::OrderingConfig;
+use smartchain_storage::SyncPolicy;
 
 fn builder(n: usize) -> ChainClusterBuilder<CounterApp> {
     ChainClusterBuilder::new(n, |_| CounterApp::new()).node_config(NodeConfig {
@@ -19,6 +20,36 @@ fn builder(n: usize) -> ChainClusterBuilder<CounterApp> {
         },
         ..NodeConfig::default()
     })
+}
+
+/// The per-client dedup frontier a chain implies: each client's highest
+/// `seq` over its transaction blocks — the reference a quiescent replica's
+/// duplicate filter must match.
+fn chain_frontier(chain: &[Block]) -> Vec<(u64, u64)> {
+    let mut frontier = std::collections::BTreeMap::new();
+    for block in chain {
+        if let BlockBody::Transactions { requests, .. } = &block.body {
+            for req in requests {
+                let seq = frontier.entry(req.client).or_insert(req.seq);
+                *seq = (*seq).max(req.seq);
+            }
+        }
+    }
+    frontier.into_iter().collect()
+}
+
+/// Every active replica's dedup frontier equals the one its chain implies.
+fn assert_frontiers_match_chains(cluster: &ChainCluster, replicas: usize) {
+    for r in 0..replicas {
+        let node = cluster.node::<CounterApp>(r);
+        if node.is_active() {
+            assert_eq!(
+                node.dedup_frontier(),
+                chain_frontier(&node.chain()),
+                "replica {r}'s dedup frontier must match its chain"
+            );
+        }
+    }
 }
 
 #[test]
@@ -87,7 +118,7 @@ fn weak_variant_has_no_certificates_but_audits_via_proofs() {
 
 #[test]
 fn memory_and_async_persistence_still_order_correctly() {
-    for persistence in [Persistence::Memory, Persistence::Async] {
+    for persistence in [SyncPolicy::None, SyncPolicy::Async] {
         let config = NodeConfig {
             persistence,
             ordering: OrderingConfig {
@@ -244,6 +275,8 @@ fn joiner_catches_up_via_state_transfer() {
     let h0 = cluster.node::<CounterApp>(0).height().expect("active");
     assert!(h4 > 0, "joiner has blocks");
     assert!(h0 - h4 < 20, "joiner caught up (h0={h0}, h4={h4})");
+    // The joiner's fresh core was seeded from the installed suffix.
+    assert_frontiers_match_chains(&cluster, 5);
 }
 
 #[test]
@@ -288,6 +321,9 @@ fn replica_crash_and_recovery_with_state_transfer() {
     // ... and the recovered replica caught back up.
     let h3 = cluster.node::<CounterApp>(3).height().expect("active");
     assert!(h0 - h3 < 20, "replica 3 caught up (h0={h0}, h3={h3})");
+    // Ledger replay and state transfer leave the duplicate filter in step
+    // with the chain.
+    assert_frontiers_match_chains(&cluster, 4);
 }
 
 #[test]
@@ -368,6 +404,8 @@ fn member_excluded_by_group_vote() {
         )
     });
     assert!(has_exclusion, "exclusion recorded on-chain");
+    // The new view's fresh cores were seeded across the view install.
+    assert_frontiers_match_chains(&cluster, 4);
 }
 
 /// Ablation for the paper's checkpoint-stagger remark (§VI): with aligned
@@ -376,15 +414,13 @@ fn member_excluded_by_group_vote() {
 /// serving. We compare the worst commit gap at replica 0.
 #[test]
 fn staggered_checkpoints_reduce_stall() {
-    use smartchain_core::node::Persistence;
-
     fn worst_client_latency(stagger: bool) -> f64 {
         let config = NodeConfig {
             ordering: OrderingConfig {
                 max_batch: 8,
                 ..OrderingConfig::default()
             },
-            persistence: Persistence::Memory,
+            persistence: SyncPolicy::None,
             // Make snapshots expensive enough to observe (100 ms each).
             snapshot_ns_per_byte: 100,
             state_size: 1_000_000,
@@ -418,15 +454,13 @@ fn staggered_checkpoints_reduce_stall() {
 /// cluster-wide stalls — the deep Fig. 7 dip).
 #[test]
 fn staggered_checkpoints_never_align() {
-    use smartchain_core::node::Persistence;
-
     fn checkpoint_blocks(stagger: bool) -> Vec<Vec<u64>> {
         let config = NodeConfig {
             ordering: OrderingConfig {
                 max_batch: 8,
                 ..OrderingConfig::default()
             },
-            persistence: Persistence::Memory,
+            persistence: SyncPolicy::None,
             stagger_checkpoints: stagger,
             ..NodeConfig::default()
         };

@@ -661,40 +661,11 @@ impl OrderingCore {
         self.pending_ids.len()
     }
 
-    /// Replaces the view and resets consensus machinery (used after
-    /// reconfiguration installs a new membership, per paper §V-D). Open
-    /// instances are dropped — reconfigurations happen at instance
-    /// boundaries, right after a delivery.
-    pub fn install_view(&mut self, view: View, secret: SecretKey) {
-        self.view = view.clone();
-        self.secret = secret;
-        self.synchronizer = Synchronizer::new(self.me, view);
-        self.instances = BTreeMap::new();
-        self.proposed.clear();
-        self.claimed.clear();
-        self.claimed_ids.clear();
-        self.pending_cursor = 0;
-        self.take_scan_end = 0;
-    }
-
     /// Signs `payload` with this replica's consensus secret key — used by
     /// the embedding to produce checkpoint-certificate shares, so the
     /// certificate verifies against the same view keys as decision proofs.
     pub fn sign(&self, payload: &[u8]) -> Signature {
         self.secret.sign(payload)
-    }
-
-    /// Records that `(client, seq)` was delivered in replayed history —
-    /// state transfer MUST call this for every replayed request, or the
-    /// recovering replica's duplicate filter diverges from its peers' and
-    /// client retransmissions fork the delivered sequence.
-    pub fn note_delivered(&mut self, client: u64, seq: u64) {
-        self.delivered_seq
-            .entry(client)
-            .and_modify(|s| *s = (*s).max(seq))
-            .or_insert(seq);
-        self.pending_ids.remove(&(client, seq));
-        self.compact_pending();
     }
 
     /// Seeds the duplicate filter from a durable `client → seq` frontier

@@ -12,11 +12,12 @@ use smartchain::consensus::messages::ConsensusMsg;
 use smartchain::core::audit::verify_chain;
 use smartchain::core::block::BlockBody;
 use smartchain::core::harness::ChainClusterBuilder;
-use smartchain::core::node::{NodeConfig, Persistence, Variant};
+use smartchain::core::node::{NodeConfig, Variant};
 use smartchain::sim::hw::HwSpec;
 use smartchain::sim::{MILLI, SECOND};
 use smartchain::smr::app::CounterApp;
 use smartchain::smr::ordering::{OrderingConfig, SmrMsg};
+use smartchain::storage::SyncPolicy;
 
 /// Delivered blocks (minimum across replicas) in a GroupCommit-rung run on
 /// a latency-dominated network — the `bench/src/micro.rs` α scenario at
@@ -26,7 +27,7 @@ fn group_commit_blocks(alpha: u64, variant: Variant) -> u64 {
     hw.nic.propagation_ns = 2_500_000; // 2.5 ms one-way: latency-bound ORDER
     let config = NodeConfig {
         variant,
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 16,
             alpha,
@@ -87,7 +88,7 @@ fn alpha4_outdelivers_alpha1_under_group_commit() {
 fn strong_variant_pipelines_persist_certificates() {
     let config = NodeConfig {
         variant: Variant::Strong,
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
             alpha: 4,
@@ -131,7 +132,7 @@ fn strong_variant_pipelines_persist_certificates() {
 #[test]
 fn alpha4_leader_crash_preserves_identical_chains() {
     let config = NodeConfig {
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
             alpha: 4,
@@ -200,7 +201,7 @@ fn alpha4_leader_crash_preserves_identical_chains() {
 fn alpha4_checkpoint_crash_recovery_keeps_app_state_consistent() {
     use smartchain::smr::app::Application;
     let config = NodeConfig {
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
             alpha: 4,

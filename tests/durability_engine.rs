@@ -9,7 +9,7 @@
 //!   disk accounting.
 
 use smartchain::core::harness::ChainClusterBuilder;
-use smartchain::core::node::{NodeConfig, Persistence, Variant};
+use smartchain::core::node::{NodeConfig, Variant};
 use smartchain::sim::SECOND;
 use smartchain::smr::app::CounterApp;
 use smartchain::smr::ordering::OrderingConfig;
@@ -207,7 +207,7 @@ fn group_commit_coalesces_n_appends_into_n_over_batch_fsyncs() {
 fn sim_disk_accounting_matches_engine_stats() {
     let config = NodeConfig {
         variant: Variant::Weak,
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 8,
             ..OrderingConfig::default()
@@ -249,7 +249,7 @@ fn sim_disk_accounting_matches_engine_stats() {
 /// though both eventually catch up via state transfer.
 #[test]
 fn crash_recovery_observes_the_persistence_ladder() {
-    fn height_right_after_recovery(persistence: Persistence) -> (u64, u64, u64) {
+    fn height_right_after_recovery(persistence: SyncPolicy) -> (u64, u64, u64) {
         let config = NodeConfig {
             variant: Variant::Weak,
             persistence,
@@ -275,13 +275,13 @@ fn crash_recovery_observes_the_persistence_ladder() {
         (pre_crash, local, caught_up)
     }
 
-    let (peers_sync, local_sync, final_sync) = height_right_after_recovery(Persistence::Sync);
+    let (peers_sync, local_sync, final_sync) = height_right_after_recovery(SyncPolicy::Sync);
     assert!(peers_sync > 0);
     assert!(
         local_sync > 0,
         "Sync rung: the flushed prefix survives the crash locally (got height {local_sync})"
     );
-    let (peers_mem, local_mem, final_mem) = height_right_after_recovery(Persistence::Memory);
+    let (peers_mem, local_mem, final_mem) = height_right_after_recovery(SyncPolicy::None);
     assert!(peers_mem > 0);
     assert_eq!(
         local_mem, 0,
@@ -418,7 +418,7 @@ fn segmented_crash_mid_truncation_recovers() {
 fn sim_cluster_compacts_after_checkpoints() {
     let config = NodeConfig {
         variant: Variant::Weak,
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         compact_after_checkpoint: true,
         ordering: OrderingConfig {
             max_batch: 8,
@@ -472,7 +472,7 @@ fn sim_cluster_compacts_after_checkpoints() {
 fn memory_engine_keeps_chain_volatile() {
     let config = NodeConfig {
         variant: Variant::Weak,
-        persistence: Persistence::Memory,
+        persistence: SyncPolicy::None,
         ordering: OrderingConfig {
             max_batch: 8,
             ..OrderingConfig::default()

@@ -10,12 +10,13 @@
 //! accounting.
 
 use smartchain::core::harness::ChainClusterBuilder;
-use smartchain::core::node::{NodeConfig, Persistence, Variant};
+use smartchain::core::node::{NodeConfig, Variant};
 use smartchain::sim::SECOND;
 use smartchain::smr::app::CounterApp;
 use smartchain::smr::ordering::OrderingConfig;
+use smartchain::storage::SyncPolicy;
 
-fn run(variant: Variant, persistence: Persistence) -> (u64, Vec<u64>) {
+fn run(variant: Variant, persistence: SyncPolicy) -> (u64, Vec<u64>) {
     let config = NodeConfig {
         variant,
         persistence,
@@ -38,7 +39,7 @@ fn run(variant: Variant, persistence: Persistence) -> (u64, Vec<u64>) {
 /// ∞-Persistence: everything completes, nothing ever touches the disk.
 #[test]
 fn memory_mode_never_syncs() {
-    let (completed, syncs) = run(Variant::Weak, Persistence::Memory);
+    let (completed, syncs) = run(Variant::Weak, SyncPolicy::None);
     assert_eq!(completed, 50);
     assert!(syncs.iter().all(|&s| s == 0), "{syncs:?}");
 }
@@ -48,7 +49,7 @@ fn memory_mode_never_syncs() {
 /// the anomaly: a full crash now would lose client-acknowledged history.
 #[test]
 fn async_mode_acknowledges_before_durability() {
-    let (completed, syncs) = run(Variant::Weak, Persistence::Async);
+    let (completed, syncs) = run(Variant::Weak, SyncPolicy::Async);
     assert_eq!(completed, 50);
     assert!(
         syncs.iter().all(|&s| s == 0),
@@ -61,7 +62,7 @@ fn async_mode_acknowledges_before_durability() {
 /// produced.
 #[test]
 fn weak_sync_flushes_every_block() {
-    let (completed, syncs) = run(Variant::Weak, Persistence::Sync);
+    let (completed, syncs) = run(Variant::Weak, SyncPolicy::Sync);
     assert_eq!(completed, 50);
     assert!(syncs.iter().all(|&s| s > 0), "{syncs:?}");
 }
@@ -71,7 +72,7 @@ fn weak_sync_flushes_every_block() {
 /// system-wide property: at least a quorum of replicas issued flushes.
 #[test]
 fn strong_sync_has_quorum_durability() {
-    let (completed, syncs) = run(Variant::Strong, Persistence::Sync);
+    let (completed, syncs) = run(Variant::Strong, SyncPolicy::Sync);
     assert_eq!(completed, 50);
     let flushed = syncs.iter().filter(|&&s| s > 0).count();
     assert!(flushed >= 3, "quorum of replicas must flush, got {syncs:?}");

@@ -8,22 +8,29 @@
 //!   event promotes the snapshot to durable.
 //! * Under the Sync rung a reconfiguration block's synchronous write gates
 //!   the view install through the same OpDone hop as transaction blocks.
-//! * Checkpoint snapshots ship the ordering core's dedup frontier, so a
+//! * Checkpoint snapshots ship the per-client dedup frontier, so a
 //!   snapshot-anchored joiner rejects retransmissions of requests inside
 //!   the summarized prefix.
+//! * Replay — from the local ledger after a crash, or of a shipped suffix
+//!   at a state-transfer install — executes exactly what live EXECUTE ran:
+//!   a request forged under sequential verification stays dropped.
 
 use smartchain::core::block::BlockBody;
 use smartchain::core::harness::{ChainClusterBuilder, NodeSchedule};
-use smartchain::core::node::{client_id, NodeConfig, Persistence};
+use smartchain::core::node::{client_id, NodeConfig, SigMode};
+use smartchain::crypto::keys::{Backend, SecretKey};
 use smartchain::sim::hw::HwSpec;
 use smartchain::sim::{Time, MILLI, SECOND};
-use smartchain::smr::app::CounterApp;
+use smartchain::smr::app::{Application, CounterApp};
+use smartchain::smr::client::{CounterFactory, RequestFactory};
 use smartchain::smr::ordering::OrderingConfig;
+use smartchain::smr::types::Request;
+use smartchain::storage::SyncPolicy;
 
 /// Builds a 4-replica cluster with checkpoints every 4 blocks and a modeled
 /// 1 GB state (100 ms streaming write on the test-fast disk), serialization
 /// cost zeroed so virtual time is dominated by the device write.
-fn checkpoint_cluster(persistence: Persistence) -> smartchain::core::harness::ChainCluster {
+fn checkpoint_cluster(persistence: SyncPolicy) -> smartchain::core::harness::ChainCluster {
     let config = NodeConfig {
         persistence,
         ordering: OrderingConfig {
@@ -66,7 +73,7 @@ fn run_until_first_checkpoint(
 /// conservatively survived).
 #[test]
 fn async_inflight_snapshot_dies_in_crash() {
-    let mut cluster = checkpoint_cluster(Persistence::Async);
+    let mut cluster = checkpoint_cluster(SyncPolicy::Async);
     let observed = run_until_first_checkpoint(&mut cluster, 2);
     assert!(cluster.node::<CounterApp>(2).snapshot_covered().is_some());
     // Crash replica 2 right away — far inside the 100 ms write window.
@@ -85,7 +92,7 @@ fn async_inflight_snapshot_dies_in_crash() {
 #[test]
 fn sync_snapshot_durable_only_after_fsync_completion() {
     // Crash before the fsync completes → gone.
-    let mut cluster = checkpoint_cluster(Persistence::Sync);
+    let mut cluster = checkpoint_cluster(SyncPolicy::Sync);
     let observed = run_until_first_checkpoint(&mut cluster, 2);
     cluster.sim().crash(2, observed + MILLI);
     cluster.run_until(observed + 5 * MILLI);
@@ -96,7 +103,7 @@ fn sync_snapshot_durable_only_after_fsync_completion() {
     );
 
     // Crash long after the fsync completed → survives.
-    let mut cluster = checkpoint_cluster(Persistence::Sync);
+    let mut cluster = checkpoint_cluster(SyncPolicy::Sync);
     let observed = run_until_first_checkpoint(&mut cluster, 2);
     let covered = cluster.node::<CounterApp>(2).snapshot_covered();
     assert!(covered.is_some());
@@ -118,7 +125,7 @@ fn reconfig_install_gated_by_sync_write() {
     let mut hw = HwSpec::test_fast();
     hw.disk.sync_latency_ns = 50 * MILLI; // make the fsync window visible
     let config = NodeConfig {
-        persistence: Persistence::Sync,
+        persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 8,
             ..OrderingConfig::default()
@@ -213,6 +220,85 @@ fn snapshot_ships_dedup_frontier_to_joiner() {
             at0, at4,
             "joiner's dedup frontier must cover the summarized prefix for \
              client {client}"
+        );
+    }
+}
+
+/// Signs honestly, except that `seq` 1 of client `target` carries a
+/// signature by the wrong key (the client's public key is kept).
+struct ForgingFactory {
+    honest: CounterFactory,
+    forger: SecretKey,
+    target: u64,
+}
+
+impl RequestFactory for ForgingFactory {
+    fn make(&mut self, client: u64, seq: u64) -> Request {
+        let mut req = self.honest.make(client, seq);
+        if client == self.target && seq == 1 {
+            let payload = Request::sign_payload(client, seq, &req.payload);
+            if let Some((_, signature)) = req.signature.as_mut() {
+                *signature = self.forger.sign(&payload);
+            }
+        }
+        req
+    }
+}
+
+/// Under sequential verification a forged request is ordered and lands in
+/// the chain, but EXECUTE drops it. A replica that crashes and recovers
+/// must drop it too, whether it replays its own ledger (Sync rung) or
+/// installs the suffix shipped by state transfer (Memory rung, whose
+/// ledger dies with the crash): otherwise its state forks from the rest.
+#[test]
+fn replay_skips_forged_requests_like_live_execute() {
+    // Client actor node 4 (after the 4 replicas), logical slot 0.
+    let target = client_id(4, 0);
+    for persistence in [SyncPolicy::Sync, SyncPolicy::None] {
+        let config = NodeConfig {
+            persistence,
+            sig_mode: SigMode::Sequential,
+            ordering: OrderingConfig {
+                max_batch: 8,
+                ..OrderingConfig::default()
+            },
+            ..NodeConfig::default()
+        };
+        let mut cluster = ChainClusterBuilder::new(4, |_| CounterApp::new())
+            .node_config(config)
+            .clients(1, 4, Some(50))
+            .client_factory(move || {
+                Box::new(ForgingFactory {
+                    honest: CounterFactory::new(true),
+                    forger: SecretKey::from_seed(Backend::Sim, &[0xee; 32]),
+                    target,
+                })
+            })
+            .build();
+        cluster.sim().crash(3, 3 * SECOND);
+        cluster.sim().recover(3, 5 * SECOND);
+        cluster.run_until(30 * SECOND);
+        let live = cluster.node::<CounterApp>(0);
+        let recovered = cluster.node::<CounterApp>(3);
+        let forged_in_chain = live.chain().iter().any(|b| match &b.body {
+            BlockBody::Transactions { requests, .. } => {
+                requests.iter().any(|r| r.client == target && r.seq == 1)
+            }
+            BlockBody::Reconfiguration { .. } => false,
+        });
+        assert!(
+            forged_in_chain,
+            "{persistence:?}: the forged request is ordered"
+        );
+        assert_eq!(
+            recovered.height(),
+            live.height(),
+            "{persistence:?}: replica 3 caught up"
+        );
+        assert_eq!(
+            recovered.app().take_snapshot(),
+            live.app().take_snapshot(),
+            "{persistence:?}: replay must drop the forged request like EXECUTE did"
         );
     }
 }
