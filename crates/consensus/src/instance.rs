@@ -7,6 +7,7 @@
 
 use crate::messages::{accept_sign_payload, ConsensusMsg, Output};
 use crate::proof::{write_sign_payload, DecisionProof, WriteCertificate};
+use crate::synchronizer::LockedReport;
 use crate::{ReplicaId, View};
 use smartchain_crypto::keys::{SecretKey, Signature};
 use smartchain_crypto::{Hash, ValueBytes};
@@ -30,11 +31,18 @@ pub struct Decision {
     pub proof: Arc<DecisionProof>,
 }
 
-/// Per-epoch vote tallies.
+/// Signed votes per value hash.
+type Tally = HashMap<Hash, Vec<(ReplicaId, Signature)>>;
+
+/// Everything one epoch binds: its value and its vote tallies.
 #[derive(Debug, Default)]
 struct EpochState {
-    writes: HashMap<Hash, Vec<(ReplicaId, Signature)>>,
-    accepts: HashMap<Hash, Vec<(ReplicaId, Signature)>>,
+    /// The value this epoch may decide: the leader's echoed PROPOSE, a
+    /// SYNC-adopted value, or a fetched value a quorum of this epoch
+    /// vouches for. Its hash is memoized inside the handle.
+    value: Option<ValueBytes>,
+    writes: Tally,
+    accepts: Tally,
     sent_write: bool,
     sent_accept: Option<Hash>,
 }
@@ -48,10 +56,10 @@ pub struct Instance {
     secret: SecretKey,
     epoch: u32,
     leader: ReplicaId,
-    /// Value received via PROPOSE (or SYNC re-proposal); its hash is
-    /// memoized inside the handle.
-    value: Option<ValueBytes>,
     epoch_state: EpochState,
+    /// The highest-epoch write certificate an earlier epoch formed, with
+    /// its value: the lock STOPDATA keeps reporting after that epoch ends.
+    lock: Option<LockedReport>,
     decision: Option<Decision>,
     fetch_requested: bool,
 }
@@ -74,8 +82,8 @@ impl Instance {
             secret,
             epoch,
             leader,
-            value: None,
             epoch_state: EpochState::default(),
+            lock: None,
             decision: None,
             fetch_requested: false,
         }
@@ -106,10 +114,10 @@ impl Instance {
         self.decision.is_some()
     }
 
-    /// True once this replica learned the proposed value (via PROPOSE, a
-    /// SYNC adoption, or a ValueReply).
+    /// True once this replica learned the current epoch's value (via
+    /// PROPOSE, a SYNC adoption, or a vouched ValueReply).
     pub fn has_value(&self) -> bool {
-        self.value.is_some()
+        self.epoch_state.value.is_some()
     }
 
     /// Re-emittable copies of this replica's own messages for the current
@@ -125,7 +133,7 @@ impl Instance {
     /// Byzantine replica gains nothing by asking.
     pub fn own_messages(&self, include_value: bool) -> Vec<ConsensusMsg> {
         let mut msgs = Vec::new();
-        if let Some(value) = &self.value {
+        if let Some(value) = &self.epoch_state.value {
             let hash = value.hash();
             if self.me == self.leader {
                 msgs.push(ConsensusMsg::Propose {
@@ -174,30 +182,26 @@ impl Instance {
         msgs
     }
 
-    /// The value this replica is bound to in the current epoch, along with a
-    /// write certificate if a quorum of writes was observed — the "locked
-    /// value" reported in STOPDATA during leader changes.
-    ///
-    /// A lock is reported when this replica WROTE for the value *or* when it
-    /// collected a full write certificate without echoing the proposal
-    /// itself (its WRITE may have been lost, but a quorum's wasn't — the
-    /// certificate alone proves the value may have decided and must survive
-    /// the leader change).
-    pub fn locked_value(&self) -> Option<(ValueBytes, Option<WriteCertificate>)> {
-        let value = self.value.as_ref()?;
-        let hash = value.hash();
-        let cert = self.epoch_state.writes.get(&hash).and_then(|sigs| {
-            (sigs.len() >= self.view.quorum()).then(|| WriteCertificate {
-                instance: self.id,
-                epoch: self.epoch,
-                value_hash: hash,
-                writes: sigs.clone(),
+    /// The lock reported in STOPDATA: the value with the highest-epoch
+    /// write certificate this replica formed or received — the current
+    /// epoch's if it has one, else the one carried from an earlier epoch.
+    /// Only a certificate proves a value may have decided; an echo alone
+    /// locks nothing.
+    pub fn locked_value(&self) -> Option<LockedReport> {
+        let current = self.epoch_state.value.as_ref().and_then(|value| {
+            let value_hash = value.hash();
+            let writes = self.quorum(&self.epoch_state.writes, &value_hash)?;
+            Some(LockedReport {
+                value: value.clone(),
+                cert: WriteCertificate {
+                    instance: self.id,
+                    epoch: self.epoch,
+                    value_hash,
+                    writes: writes.clone(),
+                },
             })
         });
-        if !self.epoch_state.sent_write && cert.is_none() {
-            return None;
-        }
-        Some((value.clone(), cert))
+        current.or_else(|| self.lock.clone())
     }
 
     /// Leader entry point: proposes `value` for this instance.
@@ -216,15 +220,13 @@ impl Instance {
     }
 
     /// Moves to a new epoch with a new leader (synchronization phase
-    /// outcome). Vote tallies reset; a locked value, if any, survives in
-    /// `self.value` so a SYNC re-proposal can match it.
+    /// outcome). The value and the vote tallies reset; the lock survives,
+    /// so STOPDATA still reports it and only a SYNC binds the new value.
     pub fn advance_epoch(&mut self, epoch: u32, leader: ReplicaId) {
-        if epoch <= self.epoch && !(epoch == self.epoch && self.epoch == 0) {
-            // Never move backwards.
-            if epoch < self.epoch {
-                return;
-            }
+        if epoch < self.epoch {
+            return; // never move backwards
         }
+        self.lock = self.locked_value();
         self.epoch = epoch;
         self.leader = leader;
         self.epoch_state = EpochState::default();
@@ -233,7 +235,7 @@ impl Instance {
     /// Adopts `value` as the one to decide in this epoch (used when a SYNC
     /// message certifies a locked value from a previous epoch).
     pub fn adopt_value(&mut self, value: impl Into<ValueBytes>) {
-        self.value = Some(value.into());
+        self.epoch_state.value = Some(value.into());
     }
 
     /// Handles a protocol message from `from`.
@@ -271,27 +273,20 @@ impl Instance {
             return (Vec::new(), None);
         }
         let mut out = Vec::new();
-        match msg {
+        let hash = match msg {
             ConsensusMsg::Propose {
                 instance,
                 epoch,
                 value,
             } => {
                 debug_assert_eq!(instance, self.id);
-                if epoch != self.epoch || from != self.leader {
-                    return (out, None); // stale epoch or usurper
-                }
-                if self.epoch_state.sent_write {
-                    return (out, None); // already echoed a proposal this epoch
+                if epoch != self.epoch || from != self.leader || self.epoch_state.sent_write {
+                    return (out, None); // stale epoch, usurper, or already echoed
                 }
                 let hash = value.hash();
-                if let Some(locked) = &self.value {
-                    // A SYNC-adopted value constrains what we echo.
-                    if locked.hash() != hash {
-                        return (out, None);
-                    }
-                } else {
-                    self.value = Some(value);
+                // A SYNC-adopted or vouched value constrains what we echo.
+                if self.epoch_state.value.get_or_insert(value).hash() != hash {
+                    return (out, None);
                 }
                 self.epoch_state.sent_write = true;
                 let own_sig = self.sign_write(&hash);
@@ -303,9 +298,8 @@ impl Instance {
                 }));
                 // Tally our own write immediately (the broadcast above does
                 // not loop back to us).
-                if self.record_write(self.me, hash, own_sig, &mut out) {
-                    return self.try_decide(hash, &mut out);
-                }
+                self.record_write(self.me, hash, own_sig, &mut out);
+                hash
             }
             ConsensusMsg::Write {
                 instance,
@@ -329,9 +323,8 @@ impl Instance {
                         return (out, None);
                     }
                 }
-                if self.record_write(from, value_hash, signature, &mut out) {
-                    return self.try_decide(value_hash, &mut out);
-                }
+                self.record_write(from, value_hash, signature, &mut out);
+                value_hash
             }
             ConsensusMsg::Accept {
                 instance,
@@ -357,9 +350,7 @@ impl Instance {
                     return (out, None);
                 }
                 entry.push((from, signature));
-                if entry.len() >= self.view.quorum() {
-                    return self.try_decide(value_hash, &mut out);
-                }
+                value_hash
             }
             ConsensusMsg::FetchValue { instance } => {
                 return (self.serve_fetch(from, instance), None);
@@ -370,24 +361,19 @@ impl Instance {
                 value,
             } => {
                 debug_assert_eq!(instance, self.id);
-                if self.value.is_none() {
-                    self.value = Some(value);
+                // Only a quorum of this epoch can vouch for a fetched value;
+                // an unsolicited one must not bind the epoch.
+                let hash = value.hash();
+                if self.quorum(&self.epoch_state.writes, &hash).is_none()
+                    && self.quorum(&self.epoch_state.accepts, &hash).is_none()
+                {
+                    return (out, None);
                 }
-                // A pending accept quorum may now be completable.
-                if let Some(v) = &self.value {
-                    let h = v.hash();
-                    if self
-                        .epoch_state
-                        .accepts
-                        .get(&h)
-                        .is_some_and(|a| a.len() >= self.view.quorum())
-                    {
-                        return self.try_decide(h, &mut out);
-                    }
-                }
+                self.epoch_state.value = Some(value);
+                hash
             }
-        }
-        (out, None)
+        };
+        self.try_decide(hash, out)
     }
 
     fn sign_write(&self, hash: &Hash) -> Signature {
@@ -395,53 +381,57 @@ impl Instance {
             .sign(&write_sign_payload(self.id, self.epoch, hash))
     }
 
-    /// Records a WRITE vote; returns true when this replica's own ACCEPT
-    /// (issued here on reaching the write quorum) completed an accept quorum,
-    /// meaning the caller should attempt to decide.
+    /// The votes `tally` holds for `hash`, if they make a quorum.
+    fn quorum<'a>(&self, tally: &'a Tally, hash: &Hash) -> Option<&'a Vec<(ReplicaId, Signature)>> {
+        tally
+            .get(hash)
+            .filter(|votes| votes.len() >= self.view.quorum())
+    }
+
+    /// Records a WRITE vote; on reaching the write quorum, broadcasts and
+    /// tallies this replica's ACCEPT.
     fn record_write(
         &mut self,
         from: ReplicaId,
         hash: Hash,
         signature: Signature,
         out: &mut Vec<Output<ConsensusMsg>>,
-    ) -> bool {
+    ) {
         let entry = self.epoch_state.writes.entry(hash).or_default();
         if entry.iter().any(|(r, _)| *r == from) {
-            return false;
+            return;
         }
         entry.push((from, signature));
-        if entry.len() >= self.view.quorum() && self.epoch_state.sent_accept.is_none() {
-            self.epoch_state.sent_accept = Some(hash);
-            let payload = accept_sign_payload(self.id, self.epoch, &hash);
-            let signature = self.secret.sign(&payload);
-            out.push(Output::Broadcast(ConsensusMsg::Accept {
-                instance: self.id,
-                epoch: self.epoch,
-                value_hash: hash,
-                signature,
-            }));
-            // Tally our own accept immediately.
-            let entry = self.epoch_state.accepts.entry(hash).or_default();
-            if !entry.iter().any(|(r, _)| *r == self.me) {
-                entry.push((self.me, signature));
-            }
-            return entry.len() >= self.view.quorum();
+        if entry.len() < self.view.quorum() || self.epoch_state.sent_accept.is_some() {
+            return;
         }
-        false
+        self.epoch_state.sent_accept = Some(hash);
+        let payload = accept_sign_payload(self.id, self.epoch, &hash);
+        let signature = self.secret.sign(&payload);
+        out.push(Output::Broadcast(ConsensusMsg::Accept {
+            instance: self.id,
+            epoch: self.epoch,
+            value_hash: hash,
+            signature,
+        }));
+        // Tally our own accept immediately.
+        let entry = self.epoch_state.accepts.entry(hash).or_default();
+        if !entry.iter().any(|(r, _)| *r == self.me) {
+            entry.push((self.me, signature));
+        }
     }
 
+    /// The one decide trigger: decides once `value_hash` has an accept
+    /// quorum and is this epoch's value.
     fn try_decide(
         &mut self,
         value_hash: Hash,
-        out: &mut Vec<Output<ConsensusMsg>>,
+        mut out: Vec<Output<ConsensusMsg>>,
     ) -> (Vec<Output<ConsensusMsg>>, Option<Decision>) {
-        let accepts = self
-            .epoch_state
-            .accepts
-            .get(&value_hash)
-            .cloned()
-            .unwrap_or_default();
-        match &self.value {
+        let Some(accepts) = self.quorum(&self.epoch_state.accepts, &value_hash) else {
+            return (out, None);
+        };
+        match &self.epoch_state.value {
             Some(value) if value.hash() == value_hash => {
                 let decision = Decision {
                     instance: self.id,
@@ -451,11 +441,11 @@ impl Instance {
                         instance: self.id,
                         epoch: self.epoch,
                         value_hash,
-                        accepts,
+                        accepts: accepts.clone(),
                     }),
                 };
                 self.decision = Some(decision.clone());
-                (std::mem::take(out), Some(decision))
+                (out, Some(decision))
             }
             _ => {
                 // Accept-quorum without the value: fetch it. Ask the whole
@@ -468,14 +458,15 @@ impl Instance {
                         instance: self.id,
                     }));
                 }
-                (std::mem::take(out), None)
+                (out, None)
             }
         }
     }
 
     fn serve_fetch(&self, to: ReplicaId, instance: u64) -> Vec<Output<ConsensusMsg>> {
         debug_assert_eq!(instance, self.id);
-        match &self.value {
+        let decided = self.decision.as_ref().map(|d| &d.value);
+        match decided.or(self.epoch_state.value.as_ref()) {
             Some(value) => vec![Output::Send(
                 to,
                 ConsensusMsg::ValueReply {
@@ -726,20 +717,22 @@ mod tests {
         let mut net = Net::new(4);
         let value = b"cert-only".to_vec();
         let h = sha256::digest(&value);
-        // Replica 3 learns the value via a ValueReply (fetch path), never
-        // via the leader's PROPOSE, so it never sends its own WRITE.
-        let (_, dec) = net.instances[3].on_message(
-            0,
-            ConsensusMsg::ValueReply {
-                instance: 7,
-                epoch: 0,
-                value: value.clone().into(),
-            },
-        );
+        let reply = ConsensusMsg::ValueReply {
+            instance: 7,
+            epoch: 0,
+            value: value.clone().into(),
+        };
+        // Replica 3 never sees the leader's PROPOSE, so it never sends its
+        // own WRITE; a ValueReply no quorum vouches for yet is dropped.
+        let (_, dec) = net.instances[3].on_message(0, reply.clone());
         assert!(dec.is_none());
         assert!(
+            !net.instances[3].has_value(),
+            "an unvouched reply is dropped"
+        );
+        assert!(
             net.instances[3].locked_value().is_none(),
-            "no echo, no certificate: nothing to report yet"
+            "no value, no certificate: nothing to report yet"
         );
         // A write quorum from the other three replicas arrives.
         for from in 0..3usize {
@@ -756,13 +749,50 @@ mod tests {
                 },
             );
         }
-        let (locked, cert) = net.instances[3]
+        // Now the quorum vouches for the value's hash: the reply binds it.
+        let (_, dec) = net.instances[3].on_message(0, reply);
+        assert!(dec.is_none());
+        let lock = net.instances[3]
             .locked_value()
             .expect("write certificate alone must surface the lock");
-        assert_eq!(locked, value);
-        let cert = cert.expect("certificate present");
-        assert!(cert.verify(&net.instances[3].view));
-        assert_eq!(cert.value_hash, h);
+        assert_eq!(lock.value, value);
+        assert!(lock.cert.verify(&net.instances[3].view));
+        assert_eq!(lock.cert.value_hash, h);
+    }
+
+    /// Three genuine ACCEPTs reach a replica before the leader's PROPOSE;
+    /// the PROPOSE itself completes the decision, with no fetch round.
+    #[test]
+    fn late_propose_completes_a_pending_accept_quorum() {
+        let mut net = Net::new(4);
+        let value = b"late-propose".to_vec();
+        let h = sha256::digest(&value);
+        for from in 0..3usize {
+            let sig = net.instances[from]
+                .secret
+                .sign(&accept_sign_payload(7, 0, &h));
+            let (_, dec) = net.instances[3].on_message(
+                from,
+                ConsensusMsg::Accept {
+                    instance: 7,
+                    epoch: 0,
+                    value_hash: h,
+                    signature: sig,
+                },
+            );
+            assert!(dec.is_none(), "no value yet");
+        }
+        let (_, dec) = net.instances[3].on_message(
+            0,
+            ConsensusMsg::Propose {
+                instance: 7,
+                epoch: 0,
+                value: value.clone().into(),
+            },
+        );
+        let d = dec.expect("the PROPOSE completes the pending accept quorum");
+        assert_eq!(d.value, value);
+        assert!(d.proof.verify(&net.instances[3].view));
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!    (so one faulty replica cannot trigger changes, but a correct minority
 //!    is amplified);
 //! 3. on `2f+1` STOPs the replica stops ordering and sends `STOPDATA` — its
-//!    last decided instance plus the *locked value* of every open instance
-//!    (the value it WROTE for, justified by a [`WriteCertificate`]; at most
-//!    [`MAX_WINDOW`] of them) — to the new leader (`regency mod n`);
+//!    last decided instance plus the *lock* of every open instance (the
+//!    value with the highest-epoch [`WriteCertificate`] it formed or
+//!    received, carried across epochs; at most [`MAX_WINDOW`] of them) — to
+//!    the new leader (`regency mod n`);
 //! 4. the new leader collects `n−f` STOPDATAs, picks for every reported
 //!    instance the certified value with the highest epoch (safety: any
 //!    decided value appears in at least one correct STOPDATA, because
@@ -29,13 +30,10 @@ use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeEr
 use smartchain_crypto::ValueBytes;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// A replica's locked value, reported in STOPDATA.
+/// A replica's lock on one open instance, reported in STOPDATA: a value
+/// and the write certificate naming its instance and epoch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LockedReport {
-    /// The open instance the value belongs to.
-    pub instance: u64,
-    /// Epoch in which the value gathered its write certificate.
-    pub epoch: u32,
     /// The value itself (shared handle; cloning a report into lock
     /// vectors and SYNC messages never copies the bytes).
     pub value: ValueBytes,
@@ -45,25 +43,18 @@ pub struct LockedReport {
 
 impl Encode for LockedReport {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.instance.encode(out);
-        self.epoch.encode(out);
         self.value.encode(out);
         self.cert.encode(out);
     }
 
     fn encoded_len(&self) -> usize {
-        self.instance.encoded_len()
-            + self.epoch.encoded_len()
-            + self.value.encoded_len()
-            + self.cert.encoded_len()
+        self.value.encoded_len() + self.cert.encoded_len()
     }
 }
 
 impl Decode for LockedReport {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(LockedReport {
-            instance: u64::decode(input)?,
-            epoch: u32::decode(input)?,
             value: ValueBytes::decode(input)?,
             cert: WriteCertificate::decode(input)?,
         })
@@ -208,9 +199,8 @@ pub enum SyncAction {
     Broadcast(SyncMsg),
     /// Send a message to one replica.
     Send(ReplicaId, SyncMsg),
-    /// Ordering must stop; the embedding should call
-    /// [`Synchronizer::make_stopdata`] with its log state and send the
-    /// result to `leader`.
+    /// Ordering must stop; the embedding should send a
+    /// [`SyncMsg::StopData`] with its log state to `leader`.
     ProvideStopData {
         /// Regency awaiting data.
         regency: u32,
@@ -359,11 +349,6 @@ impl Synchronizer {
         actions
     }
 
-    /// Builds this replica's STOPDATA message for `regency`.
-    pub fn make_stopdata(&self, regency: u32, data: StopData) -> SyncMsg {
-        SyncMsg::StopData { regency, data }
-    }
-
     /// Handles a synchronization message.
     pub fn on_message(&mut self, from: ReplicaId, msg: SyncMsg) -> Vec<SyncAction> {
         match msg {
@@ -403,10 +388,7 @@ impl Synchronizer {
     }
 
     fn lock_valid(view: &View, locked: &LockedReport) -> bool {
-        locked.cert.verify(view)
-            && locked.cert.instance == locked.instance
-            && locked.cert.epoch == locked.epoch
-            && locked.cert.value_hash == locked.value.hash()
+        locked.cert.verify(view) && locked.cert.value_hash == locked.value.hash()
     }
 
     /// At most [`MAX_WINDOW`] locks, strictly ascending by instance (at
@@ -418,7 +400,7 @@ impl Synchronizer {
             && data
                 .locked
                 .windows(2)
-                .all(|w| w[0].instance < w[1].instance)
+                .all(|w| w[0].cert.instance < w[1].cert.instance)
             && data.locked.iter().all(|l| Self::lock_valid(view, l))
     }
 
@@ -431,16 +413,16 @@ impl Synchronizer {
         let mut best: BTreeMap<u64, &LockedReport> = BTreeMap::new();
         for (_, d) in reports {
             for l in &d.locked {
-                match best.get(&l.instance) {
-                    Some(b) if b.epoch >= l.epoch => {}
+                match best.get(&l.cert.instance) {
+                    Some(b) if b.cert.epoch >= l.cert.epoch => {}
                     _ => {
-                        best.insert(l.instance, l);
+                        best.insert(l.cert.instance, l);
                     }
                 }
             }
         }
         best.into_values()
-            .map(|l| (l.instance, l.value.clone()))
+            .map(|l| (l.cert.instance, l.value.clone()))
             .collect()
     }
 
@@ -521,7 +503,10 @@ mod tests {
                     }
                     SyncAction::Send(peer, m) => queue.push((to, peer, m)),
                     SyncAction::ProvideStopData { regency, leader } => {
-                        let msg = syncs[to].make_stopdata(regency, stopdata(to));
+                        let msg = SyncMsg::StopData {
+                            regency,
+                            data: stopdata(to),
+                        };
                         if leader == to {
                             queue.push((to, to, msg));
                         } else {
@@ -629,8 +614,6 @@ mod tests {
         };
         assert!(cert.verify(&view));
         let locked = LockedReport {
-            instance: 5,
-            epoch: 0,
             value: value.clone().into(),
             cert,
         };
@@ -675,8 +658,6 @@ mod tests {
         };
         assert!(!bad_cert.verify(&view));
         let locked = LockedReport {
-            instance: 5,
-            epoch: 0,
             value: value.into(),
             cert: bad_cert,
         };
@@ -787,8 +768,6 @@ mod wire_len_tests {
             writes: vec![(0, sk.sign(b"w")), (1, sk.sign(b"x"))],
         };
         let locked = LockedReport {
-            instance: 4,
-            epoch: 1,
             value: vec![7; 40].into(),
             cert: cert.clone(),
         };

@@ -152,8 +152,6 @@ fn genuine_lock(
     let h = sha256::digest(value);
     let payload = write_sign_payload(instance, epoch, &h);
     LockedReport {
-        instance,
-        epoch,
         value: value.to_vec().into(),
         cert: WriteCertificate {
             instance,
@@ -202,7 +200,10 @@ fn run_change(
                 }
                 SyncAction::Send(peer, m) => queue.push((to, peer, m)),
                 SyncAction::ProvideStopData { regency, leader } => {
-                    let msg = syncs[to].make_stopdata(regency, stopdata(to));
+                    let msg = SyncMsg::StopData {
+                        regency,
+                        data: stopdata(to),
+                    };
                     queue.push((to, leader, msg));
                 }
                 SyncAction::Install { adopt, .. } => adopted[to] = Some(adopt),
@@ -256,9 +257,8 @@ fn pipelined_view_change_drops_forged_locks_keeps_genuine() {
     let good6 = genuine_lock(&secrets, &[0, 1, 3], 6, 1, b"good-6-epoch1");
     let old6 = genuine_lock(&secrets, &[0, 1, 2], 6, 0, b"good-6-epoch0");
     let forged7 = {
-        let mut l = genuine_lock(&secrets, &[3], 7, 0, b"forged-7");
+        let l = genuine_lock(&secrets, &[3], 7, 0, b"forged-7");
         assert!(!l.cert.verify(&view), "sub-quorum cert must not verify");
-        l.epoch = 0;
         l
     };
     let adopted = run_change(&mut syncs, |r| StopData {
@@ -380,7 +380,7 @@ fn prop_pipelined_adoption_consistent() {
                     .find(|l| l.value == *value)
                     .unwrap_or_else(|| panic!("case {case}: unknown value adopted"));
                 assert_eq!(
-                    lock.instance, *instance,
+                    lock.cert.instance, *instance,
                     "case {case}: value moved across instances"
                 );
             }
@@ -474,9 +474,9 @@ fn repair_replay_binds_messages_to_wire_sender() {
 /// repair path.
 #[test]
 fn tampered_fetched_value_never_decides() {
-    let (mut instances, _, _) = decided_with_blind_replica();
+    let (mut instances, _, value) = decided_with_blind_replica();
 
-    // The tampered value lands first and occupies the value slot.
+    // The tampered value lands first; no quorum vouches for its hash.
     let (_, decision) = instances[3].on_message(
         2,
         ConsensusMsg::ValueReply {
@@ -486,19 +486,19 @@ fn tampered_fetched_value_never_decides() {
         },
     );
     assert!(decision.is_none(), "a bare value reply never decides");
+    assert!(!instances[3].has_value(), "the forged reply is dropped");
 
     // Genuine votes arrive: full write + accept quorums on the real hash.
     for r in 0..3usize {
         for msg in instances[r].own_messages(false) {
             let (_, decision) = instances[3].on_message(r, msg);
-            assert!(
-                decision.is_none(),
-                "quorum on the real hash must not marry the forged value"
-            );
+            if let Some(d) = decision {
+                assert_eq!(d.value, value, "only the real value decides");
+            }
         }
     }
     assert!(
-        !instances[3].is_decided(),
-        "hash binding keeps the forged value out of any decision"
+        instances[3].is_decided(),
+        "the forged reply must not keep replica 3 from deciding"
     );
 }

@@ -16,9 +16,7 @@ use smartchain_codec::{Decode, DecodeError, Encode};
 use smartchain_consensus::instance::{Decision, Instance};
 use smartchain_consensus::messages::{ConsensusMsg, Output};
 use smartchain_consensus::proof::DecisionProof;
-use smartchain_consensus::synchronizer::{
-    LockedReport, StopData, SyncAction, SyncMsg, Synchronizer,
-};
+use smartchain_consensus::synchronizer::{StopData, SyncAction, SyncMsg, Synchronizer};
 use smartchain_consensus::{ReplicaId, View, MAX_WINDOW};
 use smartchain_crypto::keys::{SecretKey, Signature};
 use smartchain_crypto::pool::{verify_batch_sequential, VerifyPool};
@@ -1301,22 +1299,13 @@ impl OrderingCore {
         let locked = self
             .instances
             .range(self.last_delivered + 1..)
-            .filter_map(|(&instance, inst)| {
-                let (value, cert) = inst.locked_value()?;
-                let cert = cert?;
-                Some(LockedReport {
-                    instance,
-                    epoch: cert.epoch,
-                    value,
-                    cert,
-                })
-            })
+            .filter_map(|(_, inst)| inst.locked_value())
             .collect();
         let data = StopData {
             last_decided: self.last_delivered,
             locked,
         };
-        self.synchronizer.make_stopdata(regency, data)
+        SyncMsg::StopData { regency, data }
     }
 
     /// Installs a new regency: advances open instances into the new epoch,

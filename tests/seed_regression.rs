@@ -141,17 +141,24 @@ fn seed_7_outcome_pinned_lanes4() {
 
 /// Pinned observables: (completed requests, per-replica heights, messages
 /// delivered by the kernel). Regenerate with `dump_pins` below.
-const PIN_7: (u64, [u64; 4], u64) = (46, [21, 32, 32, 32], 24_134);
+///
+/// Moved from (46, [21, 32, 32, 32], 24 134) when an echo stopped pinning
+/// later epochs: survivors no longer refuse a new leader's proposal.
+const PIN_7: (u64, [u64; 4], u64) = (53, [21, 39, 41, 40], 18_860);
 /// Delivered messages moved from 24 155 when α = 1 STOPDATAs began reporting
 /// every open instance's lock: a lagging replica reports locks past its next.
-const PIN_B: (u64, [u64; 4], u64) = (41, [37, 37, 39, 34], 22_986);
+/// Moved again from 22 986 when STOPDATAs began reporting locks carried
+/// from earlier epochs.
+const PIN_B: (u64, [u64; 4], u64) = (41, [37, 37, 39, 34], 25_404);
 /// Delivered messages moved from 17 620 when the STOPDATA and SYNC vectors
-/// took the codec's four-byte count instead of a one-byte one.
-const PIN_7_A4: (u64, [u64; 4], u64) = (49, [47, 47, 40, 40], 17_619);
+/// took the codec's four-byte count instead of a one-byte one, then from
+/// 17 619 when a lock dropped its instance and epoch (12 B), which its
+/// certificate already names.
+const PIN_7_A4: (u64, [u64; 4], u64) = (49, [47, 47, 40, 40], 17_621);
 /// Identical to [`PIN_7`]: this scenario is fsync- and latency-bound, so
 /// the laned stage's µs-scale EXECUTE savings shift no discrete outcome —
 /// exactly the "lane count changes time, never content" guarantee.
-const PIN_7_L4: (u64, [u64; 4], u64) = (46, [21, 32, 32, 32], 24_134);
+const PIN_7_L4: (u64, [u64; 4], u64) = (53, [21, 39, 41, 40], 18_860);
 
 #[test]
 #[ignore = "pin regeneration helper: cargo test -q --test seed_regression -- --ignored --nocapture"]
