@@ -4,9 +4,9 @@
 //! regressions in the hot paths the `benches/` targets cover.
 //!
 //! Also hosts the deterministic (virtual-time) α-pipeline scenario used by
-//! the `bench_check` CI gate: delivered-batches/virtual-second at α = 1 vs
-//! α = 4 under the GroupCommit rung, where overlapping ORDER of instance
-//! `i+1` with PERSIST of instance `i` is the whole win.
+//! the `bench_check` CI gate: delivered-batches/virtual-second at windows
+//! {1, 1} vs {4, 4} under the GroupCommit rung, where overlapping ORDER of
+//! instance `i+1` with PERSIST of instance `i` is the whole win.
 
 use smartchain_consensus::View;
 use smartchain_core::harness::ChainClusterBuilder;
@@ -27,8 +27,8 @@ use std::time::{Duration, Instant};
 /// numbers are bit-for-bit reproducible across machines.
 #[derive(Clone, Copy, Debug)]
 pub struct AlphaThroughput {
-    /// Pipeline width the run used.
-    pub alpha: u64,
+    /// Pipeline window the run used.
+    pub window: AlphaBounds,
     /// Blocks delivered by every replica (minimum across the cluster).
     pub blocks: u64,
     /// Virtual seconds simulated.
@@ -40,7 +40,8 @@ pub struct AlphaThroughput {
 /// Runs the α-pipeline scenario: 4 replicas under the GroupCommit rung
 /// (`SyncPolicy::Sync`), a closed-loop client fleet, fixed seed, on a
 /// latency-dominated network (paper-testbed disk and CPU, 2.5 ms one-way
-/// propagation — a metro/WAN deployment of the same machines).
+/// propagation — a metro/WAN deployment of the same machines), with the
+/// pipeline `window` and a uniform frame-drop probability `drop`.
 ///
 /// The regime matters: on the 120 µs LAN the pipeline is fsync-bound even
 /// at α = 1, because ORDER already overlaps PERSIST through the delivery
@@ -48,7 +49,11 @@ pub struct AlphaThroughput {
 /// instance `i+1` is only proposed after `i` decides, so block rate is
 /// capped at 1/round. With propagation ≫ fsync that cap binds, and α > 1
 /// lifts it by keeping α instances in flight (HotStuff-style chaining).
-pub fn alpha_pipeline_throughput(alpha: u64, virtual_secs: u64) -> AlphaThroughput {
+pub fn alpha_pipeline_throughput(
+    window: AlphaBounds,
+    drop: f64,
+    virtual_secs: u64,
+) -> AlphaThroughput {
     let mut hw = HwSpec::paper_testbed();
     hw.nic.propagation_ns = 2_500_000; // 2.5 ms one-way
     let config = NodeConfig {
@@ -56,8 +61,7 @@ pub fn alpha_pipeline_throughput(alpha: u64, virtual_secs: u64) -> AlphaThroughp
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 16,
-            alpha,
-            ..OrderingConfig::default()
+            window,
         },
         progress_timeout: 800 * MILLI,
         ..NodeConfig::default()
@@ -68,13 +72,14 @@ pub fn alpha_pipeline_throughput(alpha: u64, virtual_secs: u64) -> AlphaThroughp
         .seed(20_260_730)
         .clients(4, 32, None)
         .build();
+    cluster.sim().set_drop_probability(drop);
     cluster.run_until(virtual_secs * SECOND);
     let blocks = (0..4)
         .map(|r| cluster.node::<CounterApp>(r).height().unwrap_or(0))
         .min()
         .unwrap_or(0);
     AlphaThroughput {
-        alpha,
+        window,
         blocks,
         virtual_secs,
         batches_per_vsec: blocks as f64 / virtual_secs as f64,
@@ -106,14 +111,15 @@ impl LossProfile {
     }
 }
 
-/// Window mode of one loss-grid cell.
+/// Window of one loss-grid cell. Every mode repairs; they differ only in
+/// the pipeline window.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AlphaMode {
-    /// Fixed α = 1 (the seed's strictly sequential core).
+    /// The window {1, 1}: α = 1, the seed's strictly sequential core.
     Fixed1,
-    /// Fixed α = 4.
+    /// The window {4, 4}: α = 4.
     Fixed4,
-    /// AIMD window over 1..=8 with per-instance repair.
+    /// The AIMD window {1, 8}.
     Adaptive,
 }
 
@@ -127,24 +133,14 @@ impl AlphaMode {
         }
     }
 
-    fn ordering(self, max_batch: usize) -> OrderingConfig {
-        match self {
-            AlphaMode::Fixed1 => OrderingConfig {
-                max_batch,
-                alpha: 1,
-                ..OrderingConfig::default()
-            },
-            AlphaMode::Fixed4 => OrderingConfig {
-                max_batch,
-                alpha: 4,
-                ..OrderingConfig::default()
-            },
-            AlphaMode::Adaptive => OrderingConfig {
-                max_batch,
-                alpha: 1,
-                alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
-            },
-        }
+    /// The pipeline window this mode runs.
+    pub fn window(self) -> AlphaBounds {
+        let (min, max) = match self {
+            AlphaMode::Fixed1 => (1, 1),
+            AlphaMode::Fixed4 => (4, 4),
+            AlphaMode::Adaptive => (1, 8),
+        };
+        AlphaBounds { min, max }
     }
 }
 
@@ -177,12 +173,15 @@ impl LossGridCell {
 /// seed-regression scenario (4 replicas, max_batch 8, 200 ms progress
 /// timeout, seed 7, 4 closed-loop clients × 30 requests, 120 virtual
 /// seconds) under `profile` × `mode`. The `Drop5` × `Fixed1`/`Fixed4`
-/// cells reproduce the seed pins (46 and 49 completed) bit-for-bit — the
-/// grid shares one scenario so adaptive α is measured against exactly the
-/// numbers the pins already freeze.
+/// cells reproduce the seed pins `PIN_7` and `PIN_7_A4` bit-for-bit — the
+/// grid shares one scenario so the windows are measured against exactly
+/// the numbers the pins already freeze.
 pub fn loss_grid_cell(profile: LossProfile, mode: AlphaMode) -> LossGridCell {
     let config = NodeConfig {
-        ordering: mode.ordering(8),
+        ordering: OrderingConfig {
+            max_batch: 8,
+            window: mode.window(),
+        },
         progress_timeout: 200 * MILLI,
         ..NodeConfig::default()
     };
@@ -278,8 +277,7 @@ pub fn hash_once_scenario() -> HashOnce {
     };
     let config = OrderingConfig {
         max_batch: 1,
-        alpha: 4,
-        ..OrderingConfig::default()
+        window: AlphaBounds { min: 4, max: 4 },
     };
     let mut cores: Vec<OrderingCore> = (0..n)
         .map(|i| OrderingCore::new(i, view.clone(), secrets[i].clone(), config, 0))

@@ -125,14 +125,18 @@ impl Instance {
     ///
     /// The set contains at most: this replica's PROPOSE (only while it leads
     /// the epoch — a relayed proposal from anyone else fails the receiver's
-    /// leader check), a ValueReply carrying the value when
-    /// `include_value` and we are not the leader, and this replica's own
-    /// signed WRITE and ACCEPT. Every message is exactly what this replica
-    /// already sent (or was entitled to send), so the receiver's ordinary
-    /// signature/leader/epoch checks authenticate a replay unchanged — a
-    /// Byzantine replica gains nothing by asking.
+    /// leader check), this replica's own signed WRITE and ACCEPT, and last a
+    /// ValueReply carrying the value when `include_value` and we are not the
+    /// leader. The value comes after the votes so that, when they complete
+    /// the receiver's write or accept quorum, that quorum vouches for it and
+    /// the receiver binds it without a `FetchValue` round trip. Every
+    /// message is exactly what this replica already sent (or was entitled
+    /// to send), so the receiver's ordinary signature/leader/epoch checks
+    /// authenticate a replay unchanged — a Byzantine replica gains nothing
+    /// by asking.
     pub fn own_messages(&self, include_value: bool) -> Vec<ConsensusMsg> {
         let mut msgs = Vec::new();
+        let mut value_reply = None;
         if let Some(value) = &self.epoch_state.value {
             let hash = value.hash();
             if self.me == self.leader {
@@ -142,7 +146,7 @@ impl Instance {
                     value: value.clone(),
                 });
             } else if include_value {
-                msgs.push(ConsensusMsg::ValueReply {
+                value_reply = Some(ConsensusMsg::ValueReply {
                     instance: self.id,
                     epoch: self.epoch,
                     value: value.clone(),
@@ -179,6 +183,7 @@ impl Instance {
                 });
             }
         }
+        msgs.extend(value_reply);
         msgs
     }
 

@@ -504,7 +504,7 @@ impl<A: Application> ChainNode<A> {
         // Up to α blocks ride the EXECUTE/PERSIST stages concurrently
         // (α = 1 restores Algorithm 1's strictly sequential processing); a
         // decided reconfiguration drains the pipeline before installing.
-        let max_open = self.config.ordering.max_alpha().max(1) as usize;
+        let max_open = self.config.ordering.window.max.max(1) as usize;
         loop {
             let batch = {
                 let Some(m) = self.member.as_mut() else {

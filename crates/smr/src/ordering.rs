@@ -2,14 +2,17 @@
 //! requests into an ordered stream of batches by running a *windowed
 //! pipeline* of VP-Consensus instances with regency-based leader changes.
 //!
-//! [`OrderingConfig::alpha`] bounds how many instances the leader keeps in
-//! flight at once (the paper's α; 1 runs one instance at a time).
-//! Followers participate in any instance within the window, decisions are
-//! buffered in `undelivered`, and batches are handed to the upper layer
-//! strictly in instance order. At every α, leader changes collect locked
-//! values for **all** open instances (a per-instance STOPDATA/SYNC vector)
-//! so no possibly-decided value is lost, and the new leader re-proposes
-//! each carried value at its own instance.
+//! [`OrderingConfig::window`] bounds how many instances the leader keeps in
+//! flight at once (the paper's α; 1 runs one instance at a time): α moves
+//! inside the window, AIMD style, and a fixed α is the window `{k, k}`.
+//! Followers participate in any instance within the catch-up window,
+//! decisions are buffered in `undelivered`, and batches are handed to the
+//! upper layer strictly in instance order. Every core repairs: a stalled
+//! frontier is fetched from peers (`InstanceFetch`) before any leader
+//! change. At every α, leader changes collect locked values for **all**
+//! open instances (a per-instance STOPDATA/SYNC vector) so no
+//! possibly-decided value is lost, and the new leader re-proposes each
+//! carried value at its own instance.
 
 use crate::types::{decode_batch, encode_batch, Request};
 use smartchain_codec::{Decode, DecodeError, Encode};
@@ -24,18 +27,18 @@ use smartchain_crypto::ValueBytes;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// How many instances ahead of `last_decided` a replica will participate in
-/// (catch-up window before state transfer is required).
+/// Catch-up slack: a replica takes part in instances up to the widest
+/// pipeline plus this many ahead of `last_delivered`; traffic beyond that
+/// requires state transfer.
 const INSTANCE_WINDOW: u64 = 8;
 
 /// Quiet period for per-instance repair, measured in consensus events: when
-/// a replica running adaptive α observes this many in-window consensus
-/// messages for instances *other than* its delivery frontier while the
-/// frontier itself stays silent, the frontier's traffic was almost
-/// certainly lost and a targeted `InstanceFetch` round fires. Counting
-/// events instead of time keeps the trigger a pure function of the message
-/// schedule — deterministic under the simulator and free of extra timers on
-/// metal.
+/// a replica observes this many in-window consensus messages for instances
+/// *other than* its delivery frontier while the frontier itself stays
+/// silent, the frontier's traffic was almost certainly lost and a targeted
+/// `InstanceFetch` round fires. Counting events instead of time keeps the
+/// trigger a pure function of the message schedule — deterministic under
+/// the simulator and free of extra timers on metal.
 const QUIET_EVENTS: u32 = 24;
 
 /// Wire messages exchanged by SMR replicas (clients speak
@@ -363,14 +366,13 @@ pub enum CoreOutput {
     },
 }
 
-/// Bounds for the adaptive pipeline window (see
-/// [`OrderingConfig::alpha_adaptive`]).
+/// Bounds of the pipeline window (see [`OrderingConfig::window`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AlphaBounds {
     /// Floor of the effective window (≥ 1).
     pub min: u64,
     /// Ceiling of the effective window (≤ [`MAX_WINDOW`]; also sizes the
-    /// catch-up window).
+    /// catch-up window and the simulator's open-block pump).
     pub max: u64,
 }
 
@@ -379,47 +381,30 @@ pub struct AlphaBounds {
 pub struct OrderingConfig {
     /// Maximum requests per proposed batch (the paper/SmartChain use 512).
     pub max_batch: usize,
-    /// Maximum consensus instances the leader keeps in flight concurrently
-    /// (the pipeline width α). 1 orders one instance at a time; larger values
-    /// overlap ORDER of instance `i+1` with EXECUTE/PERSIST of instance `i`.
-    /// Clamped to [`MAX_WINDOW`] at construction. Ignored while
-    /// `alpha_adaptive` is set.
-    pub alpha: u64,
-    /// Opt-in AIMD window: when set, the leader's effective α starts at
-    /// `min`, grows by one on every cleanly decided instance, and halves
-    /// (floored at `min`) whenever loss is observed — a repair fetch fires
-    /// or the progress timer expires. The window is a pure function of
+    /// The pipeline window: how many consensus instances the leader keeps
+    /// in flight (α). α = 1 orders one instance at a time; larger values
+    /// overlap ORDER of instance `i+1` with EXECUTE/PERSIST of instance
+    /// `i`. α starts at `min`, grows by one on every cleanly decided
+    /// instance up to `max`, and halves (floored at `min`) whenever loss is
+    /// observed — a repair fetch fires or the progress timer expires. A
+    /// fixed α is the window `{k, k}`. The window is a pure function of
     /// observed protocol events, so identically-seeded runs remain
-    /// bit-for-bit reproducible. `None` (the default) keeps the fixed-α
-    /// behavior untouched.
-    pub alpha_adaptive: Option<AlphaBounds>,
+    /// bit-for-bit reproducible. Both bounds are clamped to
+    /// `1..=`[`MAX_WINDOW`] at construction.
+    pub window: AlphaBounds,
 }
 
 impl Default for OrderingConfig {
     fn default() -> Self {
         OrderingConfig {
             max_batch: 512,
-            alpha: 1,
-            alpha_adaptive: None,
+            window: AlphaBounds { min: 1, max: 1 },
         }
     }
 }
 
-impl OrderingConfig {
-    /// The largest window this configuration can ever run at — sizes the
-    /// catch-up window and the simulator's open-instance pump regardless of
-    /// where the adaptive window currently sits.
-    pub fn max_alpha(&self) -> u64 {
-        match self.alpha_adaptive {
-            Some(bounds) => bounds.max,
-            None => self.alpha,
-        }
-    }
-}
-
-/// Repair/adaptation counters, maintained by every core (fixed-α cores
-/// never *send* fetches, but they answer them and count regency changes).
-/// All counters are cumulative since construction.
+/// Repair/adaptation counters, maintained by every core. All counters are
+/// cumulative since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OrderingStats {
     /// InstanceFetch requests this replica broadcast.
@@ -428,7 +413,7 @@ pub struct OrderingStats {
     pub fetches_answered: u64,
     /// Instances delivered after this replica fetched them.
     pub repaired_instances: u64,
-    /// The effective window right now (equals `alpha` in fixed mode).
+    /// The effective window right now.
     pub alpha_current: u64,
     /// Smallest effective window observed so far.
     pub alpha_min_seen: u64,
@@ -477,8 +462,8 @@ pub struct OrderingCore {
     take_scan_end: usize,
     /// Per-client highest delivered sequence number (dedup).
     delivered_seq: HashMap<u64, u64>,
-    /// Effective pipeline width right now (AIMD state; equals
-    /// `config.alpha` in fixed mode).
+    /// Effective pipeline width right now (AIMD state, inside
+    /// `config.window`).
     current_alpha: u64,
     /// Consensus events observed for in-window instances *other than* the
     /// delivery frontier since the frontier last moved or spoke — the
@@ -527,15 +512,10 @@ impl OrderingCore {
     ) -> OrderingCore {
         let mut config = config;
         // A STOPDATA reports at most MAX_WINDOW locks.
-        config.alpha = config.alpha.clamp(1, MAX_WINDOW);
-        if let Some(bounds) = &mut config.alpha_adaptive {
-            bounds.min = bounds.min.clamp(1, MAX_WINDOW);
-            bounds.max = bounds.max.clamp(bounds.min, MAX_WINDOW);
-        }
-        let start_alpha = match config.alpha_adaptive {
-            Some(bounds) => bounds.min,
-            None => config.alpha,
-        };
+        let bounds = &mut config.window;
+        bounds.min = bounds.min.clamp(1, MAX_WINDOW);
+        bounds.max = bounds.max.clamp(bounds.min, MAX_WINDOW);
+        let start_alpha = bounds.min;
         OrderingCore {
             me,
             synchronizer: Synchronizer::new(me, view.clone()),
@@ -569,38 +549,25 @@ impl OrderingCore {
     }
 
     /// Catch-up window: how far ahead of `last_delivered` this replica will
-    /// participate (at least the pipeline width, so a leader at full α never
-    /// pushes followers into state transfer).
+    /// participate — the widest pipeline plus [`INSTANCE_WINDOW`] of slack,
+    /// so a follower a few instances behind a leader at full α still takes
+    /// part instead of dropping in-window traffic for state transfer.
     fn window(&self) -> u64 {
-        INSTANCE_WINDOW.max(self.config.max_alpha().max(1))
-    }
-
-    /// The pipeline width in force right now: the AIMD window when adaptive
-    /// α is enabled, the configured constant otherwise.
-    fn effective_alpha(&self) -> u64 {
-        if self.config.alpha_adaptive.is_some() {
-            self.current_alpha
-        } else {
-            self.config.alpha.max(1)
-        }
+        INSTANCE_WINDOW + self.config.window.max
     }
 
     /// Additive increase: one more slot per cleanly decided instance, capped
-    /// at the configured ceiling. No-op in fixed mode.
+    /// at the window's ceiling.
     fn grow_alpha(&mut self) {
-        if let Some(bounds) = self.config.alpha_adaptive {
-            self.current_alpha = (self.current_alpha + 1).min(bounds.max);
-            self.note_alpha();
-        }
+        self.current_alpha = (self.current_alpha + 1).min(self.config.window.max);
+        self.note_alpha();
     }
 
-    /// Multiplicative decrease: halve the window (floored at the configured
-    /// minimum) when loss is observed. No-op in fixed mode.
+    /// Multiplicative decrease: halve the window (floored at the window's
+    /// minimum) when loss is observed.
     fn halve_alpha(&mut self) {
-        if let Some(bounds) = self.config.alpha_adaptive {
-            self.current_alpha = (self.current_alpha / 2).max(bounds.min);
-            self.note_alpha();
-        }
+        self.current_alpha = (self.current_alpha / 2).max(self.config.window.min);
+        self.note_alpha();
     }
 
     fn note_alpha(&mut self) {
@@ -611,9 +578,7 @@ impl OrderingCore {
 
     /// Repair/adaptation counters (cumulative).
     pub fn stats(&self) -> OrderingStats {
-        let mut stats = self.stats;
-        stats.alpha_current = self.effective_alpha();
-        stats
+        self.stats
     }
 
     /// Attaches a shared signature-verification pool; repair-reply
@@ -748,23 +713,20 @@ impl OrderingCore {
     }
 
     /// Called by the embedding when its progress timer fires and nothing was
-    /// delivered since the timer was armed: starts a leader change — except
-    /// under adaptive α, where the first timeout for a stalled frontier
-    /// tries one cheap per-instance repair round and only a second timeout
-    /// for the *same* frontier escalates to the regency change.
+    /// delivered since the timer was armed. The first timeout for a stalled
+    /// frontier tries one cheap per-instance repair round; only a second
+    /// timeout for the *same* frontier starts a leader change.
     pub fn on_progress_timeout(&mut self) -> Vec<CoreOutput> {
         if self.pending_ids.is_empty() && self.undelivered.is_empty() {
             return Vec::new();
         }
-        if self.config.alpha_adaptive.is_some() {
-            let frontier = self.last_delivered + 1;
-            if self.timeout_repair != Some(frontier) {
-                self.timeout_repair = Some(frontier);
-                self.halve_alpha();
-                return self.repair_round(frontier);
-            }
-            self.timeout_repair = None;
+        let frontier = self.last_delivered + 1;
+        if self.timeout_repair != Some(frontier) {
+            self.timeout_repair = Some(frontier);
+            self.halve_alpha();
+            return self.repair_round(frontier);
         }
+        self.timeout_repair = None;
         let actions = self.synchronizer.request_change();
         self.apply_sync_actions(actions)
     }
@@ -900,10 +862,7 @@ impl OrderingCore {
                 observed_instance: instance_id,
             }];
         }
-        let mut outputs = Vec::new();
-        if self.config.alpha_adaptive.is_some() {
-            outputs.extend(self.tick_quiet(instance_id));
-        }
+        let mut outputs = self.tick_quiet(instance_id);
         let inst = self.instance_entry(instance_id);
         let (outs, decision) = if verify_sigs {
             inst.on_message(from, msg)
@@ -922,7 +881,7 @@ impl OrderingCore {
     /// frontier ticks the counter; an event for the frontier (or the
     /// frontier moving) resets it. [`QUIET_EVENTS`] ticks of silence mean
     /// the frontier's traffic was lost — halve the window and fire a
-    /// targeted fetch round. Adaptive mode only.
+    /// targeted fetch round.
     fn tick_quiet(&mut self, instance_id: u64) -> Vec<CoreOutput> {
         let frontier = self.last_delivered + 1;
         if self.frontier_watch != frontier {
@@ -969,8 +928,7 @@ impl OrderingCore {
     /// Answers a peer's repair request: ship the decision plus its quorum
     /// proof when we have it (delivered-tail or undelivered buffer) —
     /// cloning only the shared handles, never the batch bytes — otherwise
-    /// replay our own message set for the instance. Responding is
-    /// unconditional — fixed-α replicas answer too; they just never *ask*.
+    /// replay our own message set for the instance.
     fn on_instance_fetch(
         &mut self,
         from: ReplicaId,
@@ -1184,7 +1142,7 @@ impl OrderingCore {
     /// The lowest window slot with no live proposal of ours and no decision.
     fn next_open_slot(&self, regency: u32) -> Option<u64> {
         let first = self.last_delivered + 1;
-        let last = self.last_delivered + self.effective_alpha();
+        let last = self.last_delivered + self.current_alpha;
         (first..=last).find(|slot| {
             self.proposed.get(slot).is_none_or(|&e| e < regency)
                 && !self.instances.get(slot).is_some_and(Instance::is_decided)
@@ -1403,6 +1361,10 @@ mod tests {
     }
 
     fn make_cluster_alpha(n: usize, max_batch: usize, alpha: u64) -> Vec<OrderingCore> {
+        let window = AlphaBounds {
+            min: alpha,
+            max: alpha,
+        };
         let secrets: Vec<SecretKey> = (0..n)
             .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 30; 32]))
             .collect();
@@ -1416,11 +1378,7 @@ mod tests {
                     i,
                     view.clone(),
                     secrets[i].clone(),
-                    OrderingConfig {
-                        max_batch,
-                        alpha,
-                        ..OrderingConfig::default()
-                    },
+                    OrderingConfig { max_batch, window },
                     0,
                 )
             })
@@ -1476,6 +1434,29 @@ mod tests {
             }
             for out in cores[to].on_message(from, msg) {
                 handle(to, out, &mut queue, &mut delivered);
+            }
+        }
+        delivered
+    }
+
+    /// Leader 0 is down: the progress timer fires twice at replicas 1–3,
+    /// each round pumped to quiescence. The first timeout sends a repair
+    /// fetch, the second starts the leader change. `initial` goes out with
+    /// the first round. Returns everything delivered in both rounds.
+    fn two_timeout_rounds(
+        cores: &mut [OrderingCore],
+        mut initial: Vec<(ReplicaId, CoreOutput)>,
+    ) -> Vec<Vec<OrderedBatch>> {
+        let mut delivered = vec![Vec::new(); cores.len()];
+        for _ in 0..2 {
+            for r in 1..cores.len() {
+                for out in cores[r].on_progress_timeout() {
+                    initial.push((r, out));
+                }
+            }
+            let got = pump(cores, std::mem::take(&mut initial), &[0]);
+            for (all, new) in delivered.iter_mut().zip(got) {
+                all.extend(new);
             }
         }
         delivered
@@ -1570,13 +1551,7 @@ mod tests {
         let delivered = pump(&mut cores, initial, &[0]);
         assert!(delivered.iter().all(|d| d.is_empty()));
         // Timeouts fire at the live replicas.
-        let mut initial = Vec::new();
-        for r in 1..4usize {
-            for out in cores[r].on_progress_timeout() {
-                initial.push((r, out));
-            }
-        }
-        let delivered = pump(&mut cores, initial, &[0]);
+        let delivered = two_timeout_rounds(&mut cores, Vec::new());
         for r in 1..4usize {
             let total: usize = delivered[r].iter().map(|b| b.requests.len()).sum();
             assert_eq!(total, 1, "replica {r} must deliver after leader change");
@@ -1819,13 +1794,7 @@ mod tests {
         }
         assert_eq!(delivered_pre, 0, "nothing may decide in phase 1");
         // Phase 2: leader 0 crashes; progress timeouts fire at the rest.
-        let mut initial = Vec::new();
-        for r in 1..4usize {
-            for out in cores[r].on_progress_timeout() {
-                initial.push((r, out));
-            }
-        }
-        let delivered = pump(&mut cores, initial, &[0]);
+        let delivered = two_timeout_rounds(&mut cores, Vec::new());
         for r in 1..4usize {
             let ids: Vec<(u64, u64)> = delivered[r]
                 .iter()
@@ -1912,12 +1881,7 @@ mod tests {
                 initial.push((r, out));
             }
         }
-        for r in 1..4usize {
-            for out in cores[r].on_progress_timeout() {
-                initial.push((r, out));
-            }
-        }
-        let delivered = pump(&mut cores, initial, &[0]);
+        let delivered = two_timeout_rounds(&mut cores, initial);
         for r in 1..3usize {
             let per_instance: Vec<(u64, usize)> = delivered[r]
                 .iter()
@@ -1953,14 +1917,9 @@ mod tests {
                 }
             }
         }
-        // Leader 0 is down; the timeout hands leadership to replica 1,
+        // Leader 0 is down; the timeouts hand leadership to replica 1,
         // whose try_propose fills all four slots from the queued backlog.
-        for r in 1..4usize {
-            for out in cores[r].on_progress_timeout() {
-                initial.push((r, out));
-            }
-        }
-        let delivered = pump(&mut cores, initial, &[0]);
+        let delivered = two_timeout_rounds(&mut cores, initial);
         let expected: Vec<Vec<(u64, u64)>> = (0..4u64)
             .map(|slot| vec![(60 + 2 * slot, 1), (61 + 2 * slot, 1)])
             .collect();

@@ -7,7 +7,9 @@
 //!    regrows it to the configured maximum once the network turns clean.
 //! 2. Core: a replica blinded to one instance's PROPOSE heals it through a
 //!    single `InstanceFetch`/`InstanceRep` round trip — with **zero**
-//!    regency changes.
+//!    regency changes — and a reply whose own votes complete the
+//!    requester's quorums binds the value it lists after them, with no
+//!    `FetchValue` round trip.
 //! 3. Adversary: forged repair replies (tampered value, mislabeled
 //!    instance, sub-quorum or outsider-signed proof, relabeled replayed
 //!    messages) are all rejected; the genuine reply still heals.
@@ -15,6 +17,7 @@
 mod common;
 
 use common::{cores, pump, req, submit};
+use smartchain::consensus::messages::ConsensusMsg;
 use smartchain::consensus::proof::DecisionProof;
 use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::NodeConfig;
@@ -37,8 +40,7 @@ fn adaptive_bursty_run(seed: u64) -> (u64, Vec<u64>, Vec<OrderingStats>) {
     let config = NodeConfig {
         ordering: OrderingConfig {
             max_batch: 8,
-            alpha: 1,
-            alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
+            window: AlphaBounds { min: 1, max: 8 },
         },
         progress_timeout: 200 * MILLI,
         ..NodeConfig::default()
@@ -113,8 +115,7 @@ fn adaptive_window_shrinks_under_loss_and_regrows_clean() {
 /// The core-level tests' cores: adaptive α in 1..=8, one request per batch.
 const ADAPTIVE: OrderingConfig = OrderingConfig {
     max_batch: 1,
-    alpha: 1,
-    alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
+    window: AlphaBounds { min: 1, max: 8 },
 };
 
 // ---------------------------------------------------------------------------
@@ -161,6 +162,46 @@ fn dropped_propose_heals_via_fetch_without_regency_change() {
             "replica {r}: repair must heal the gap without any leader change"
         );
     }
+}
+
+/// Replica 3 misses instance 1's PROPOSE and everything replica 2 sends
+/// it, so it holds two WRITEs and two ACCEPTs, one short of each quorum,
+/// and no value. Replica 2 misses every ACCEPT and stays undecided, so it
+/// answers replica 3's fetch with its own votes and the value. The votes
+/// come first and complete replica 3's quorums, which then vouch for the
+/// value: replica 3 decides on that one reply, with no `FetchValue` round
+/// trip.
+#[test]
+fn value_reply_after_its_votes_binds_without_a_fetch_round() {
+    let mut cores = cores(4, ADAPTIVE);
+    let initial = submit(&mut cores, vec![(0, req(5, 1))]);
+    let delivered = pump(&mut cores, initial, |from, to, msg| {
+        let SmrMsg::Consensus(m) = msg else {
+            return false;
+        };
+        match to {
+            2 => matches!(m, ConsensusMsg::Accept { .. }),
+            3 => from == 2 || matches!(m, ConsensusMsg::Propose { .. }),
+            _ => false,
+        }
+    });
+    assert_eq!(delivered[0], vec![(5, 1)], "replicas 0 and 1 decide");
+    assert!(delivered[2].is_empty() && delivered[3].is_empty());
+    let fetch = SmrMsg::InstanceFetch {
+        instance: 1,
+        have: false,
+    };
+    let outs = cores[2].on_message(3, fetch);
+    let [CoreOutput::Send(3, rep)] = outs.as_slice() else {
+        panic!("replica 2 answers the fetch: {outs:?}");
+    };
+    let outs = cores[3].on_message(2, rep.clone());
+    assert!(
+        outs.iter()
+            .any(|o| matches!(o, CoreOutput::Deliver(b) if b.instance == 1)),
+        "the reply's own votes vouch for its value: {outs:?}"
+    );
+    assert_eq!(cores[3].last_delivered(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -323,16 +364,12 @@ fn relabeled_replay_messages_rejected_truthful_replay_heals() {
     let submissions: Vec<(usize, Request)> = (0..4usize).map(|r| (r, req(0, 0))).collect();
     let initial = submit(&mut cores, submissions);
     let delivered = pump(&mut cores, initial, |_, to, msg| {
-        to == 3
-            || matches!(
-                msg,
-                SmrMsg::Consensus(smartchain::consensus::messages::ConsensusMsg::Accept { .. })
-            )
+        to == 3 || matches!(msg, SmrMsg::Consensus(ConsensusMsg::Accept { .. }))
     });
     assert!(delivered.iter().all(Vec::is_empty), "nobody may decide yet");
 
     // Collect each responder's undecided-path repair payload.
-    let replay: Vec<(usize, Vec<smartchain::consensus::messages::ConsensusMsg>)> = (0..3)
+    let replay: Vec<(usize, Vec<ConsensusMsg>)> = (0..3)
         .map(|r| {
             let outs = cores[r].on_message(
                 3,

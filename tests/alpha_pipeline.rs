@@ -16,7 +16,7 @@ use smartchain::core::node::{NodeConfig, Variant};
 use smartchain::sim::hw::HwSpec;
 use smartchain::sim::{MILLI, SECOND};
 use smartchain::smr::app::CounterApp;
-use smartchain::smr::ordering::{OrderingConfig, SmrMsg};
+use smartchain::smr::ordering::{AlphaBounds, OrderingConfig, SmrMsg};
 use smartchain::storage::SyncPolicy;
 
 /// Delivered blocks (minimum across replicas) in a GroupCommit-rung run on
@@ -30,8 +30,10 @@ fn group_commit_blocks(alpha: u64, variant: Variant) -> u64 {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 16,
-            alpha,
-            ..OrderingConfig::default()
+            window: AlphaBounds {
+                min: alpha,
+                max: alpha,
+            },
         },
         progress_timeout: 800 * MILLI,
         ..NodeConfig::default()
@@ -91,8 +93,7 @@ fn strong_variant_pipelines_persist_certificates() {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
-            alpha: 4,
-            ..OrderingConfig::default()
+            window: AlphaBounds { min: 4, max: 4 },
         },
         ..NodeConfig::default()
     };
@@ -135,8 +136,7 @@ fn alpha4_leader_crash_preserves_identical_chains() {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
-            alpha: 4,
-            ..OrderingConfig::default()
+            window: AlphaBounds { min: 4, max: 4 },
         },
         progress_timeout: 200 * MILLI,
         ..NodeConfig::default()
@@ -204,8 +204,7 @@ fn alpha4_checkpoint_crash_recovery_keeps_app_state_consistent() {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
-            alpha: 4,
-            ..OrderingConfig::default()
+            window: AlphaBounds { min: 4, max: 4 },
         },
         ..NodeConfig::default()
     };
@@ -256,8 +255,7 @@ fn alpha4_checkpoint_crash_recovery_keeps_app_state_consistent() {
 fn alpha1_leader_change_keeps_a_lock_beyond_the_next_instance() {
     let config = OrderingConfig {
         max_batch: 1,
-        alpha: 1,
-        ..OrderingConfig::default()
+        window: AlphaBounds { min: 1, max: 1 },
     };
     let mut cores = cores(4, config);
     // Leader 0 alone admits two requests; instance 2 opens once it
@@ -282,12 +280,23 @@ fn alpha1_leader_change_keeps_a_lock_beyond_the_next_instance() {
     assert!(delivered[2].is_empty() && delivered[3].is_empty());
 
     // Leader 0 goes silent. A late request reaches the survivors (their
-    // progress timers need pending work), then their timers fire.
+    // progress timers need pending work), then their timers fire twice: a
+    // frontier's first timeout sends a repair fetch, its second starts the
+    // leader change. The repair replies are lost, so replicas 2 and 3 stay
+    // behind instance 1 and report instance 2's lock past their next.
     let mut initial = submit(&mut cores, (1..4).map(|r| (r, req(99, 1))).collect());
-    for (r, core) in cores.iter_mut().enumerate().skip(1) {
-        initial.extend(core.on_progress_timeout().into_iter().map(|out| (r, out)));
+    let mut delivered = vec![Vec::new(); 4];
+    for _ in 0..2 {
+        for (r, core) in cores.iter_mut().enumerate().skip(1) {
+            initial.extend(core.on_progress_timeout().into_iter().map(|out| (r, out)));
+        }
+        let got = pump(&mut cores, std::mem::take(&mut initial), |from, to, msg| {
+            from == 0 || to == 0 || matches!(msg, SmrMsg::InstanceRep { .. })
+        });
+        for (all, new) in delivered.iter_mut().zip(got) {
+            all.extend(new);
+        }
     }
-    let delivered = pump(&mut cores, initial, |from, to, _| from == 0 || to == 0);
     assert_eq!((cores[1].regency(), cores[1].leader()), (1, 1));
     assert_eq!(
         delivered[1],

@@ -154,39 +154,48 @@ fn stopdata_with_more_than_max_window_locks_is_ignored() {
 
 const FIXED_1: OrderingConfig = OrderingConfig {
     max_batch: 1,
-    alpha: 1,
-    alpha_adaptive: None,
+    window: AlphaBounds { min: 1, max: 1 },
 };
 const FIXED_4: OrderingConfig = OrderingConfig {
-    alpha: 4,
+    window: AlphaBounds { min: 4, max: 4 },
     ..FIXED_1
 };
 const ADAPTIVE: OrderingConfig = OrderingConfig {
-    alpha_adaptive: Some(AlphaBounds { min: 1, max: 8 }),
+    window: AlphaBounds { min: 1, max: 8 },
     ..FIXED_1
 };
 
+/// A PROPOSE, sent directly or replayed in a repair reply.
 fn is_propose(msg: &SmrMsg) -> bool {
-    matches!(msg, SmrMsg::Consensus(ConsensusMsg::Propose { .. }))
+    let propose = |m: &ConsensusMsg| matches!(m, ConsensusMsg::Propose { .. });
+    match msg {
+        SmrMsg::Consensus(m) => propose(m),
+        SmrMsg::InstanceRep { msgs, .. } => msgs.iter().any(propose),
+        _ => false,
+    }
 }
 
-/// One progress-timeout round with replica 0 crashed: the timer fires at
-/// replicas 1–3, then their traffic runs to quiescence, minus every
-/// message `lost` names. Appends what each replica delivers.
+/// Two progress-timeout rounds with replica 0 crashed: each time the timer
+/// fires at replicas 1–3, their traffic runs to quiescence, minus every
+/// message `lost` names. A frontier's first timeout sends a repair fetch,
+/// its second starts the leader change. Appends what each replica
+/// delivers.
 fn timeout_round(
     cores: &mut [OrderingCore],
     delivered: &mut [Vec<(u64, u64)>],
     mut lost: impl FnMut(usize, &SmrMsg) -> bool,
 ) {
-    let mut outputs = Vec::new();
-    for (r, core) in cores.iter_mut().enumerate().skip(1) {
-        outputs.extend(core.on_progress_timeout().into_iter().map(|o| (r, o)));
-    }
-    let got = pump(cores, outputs, |from, to, msg| {
-        from == 0 || to == 0 || lost(from, msg)
-    });
-    for (all, new) in delivered.iter_mut().zip(got) {
-        all.extend(new);
+    for _ in 0..2 {
+        let mut outputs = Vec::new();
+        for (r, core) in cores.iter_mut().enumerate().skip(1) {
+            outputs.extend(core.on_progress_timeout().into_iter().map(|o| (r, o)));
+        }
+        let got = pump(cores, outputs, |from, to, msg| {
+            from == 0 || to == 0 || lost(from, msg)
+        });
+        for (all, new) in delivered.iter_mut().zip(got) {
+            all.extend(new);
+        }
     }
 }
 
@@ -229,10 +238,11 @@ fn uncertified_echo_does_not_wedge_adaptive_alpha() {
 }
 
 /// Every replica forms the write certificate for `(10, 1)`, but only
-/// leader 0 sees the ACCEPT quorum and decides; then 0 crashes, and leader
-/// 1's re-proposal in regency 1 is lost. The certificate survives epoch 1
-/// as a lock, so regency 2 re-proposes `(10, 1)`, and every survivor
-/// delivers it before `(99, 1)`.
+/// leader 0 sees the ACCEPT quorum and decides: the survivors never see
+/// each other's ACCEPTs, not even replayed in a repair reply. Then 0
+/// crashes, and every PROPOSE of leader 1 in regency 1 is lost. The
+/// certificate survives epoch 1 as a lock, so regency 2 re-proposes
+/// `(10, 1)`, and every survivor delivers it before `(99, 1)`.
 fn crashed_leaders_decision_survives_two_leader_changes(config: OrderingConfig) {
     let mut cores = cores(4, config);
     let first = submit(&mut cores, vec![(0, req(10, 1))]);
@@ -242,14 +252,15 @@ fn crashed_leaders_decision_survives_two_leader_changes(config: OrderingConfig) 
     assert_eq!(at_0[0], vec![(10, 1)], "leader 0 decides alone");
     let retry = submit(&mut cores, (1..4).map(|r| (r, req(99, 1))).collect());
     let mut delivered = pump(&mut cores, retry, |from, to, _| from == 0 || to == 0);
+    let lost = |from: usize, msg: &SmrMsg| from == 1 && is_propose(msg);
     timeout_round(&mut cores, &mut delivered, |from, msg| {
-        from == 1 && is_propose(msg)
+        lost(from, msg) || matches!(msg, SmrMsg::InstanceRep { .. })
     });
     assert!(
         delivered.iter().all(Vec::is_empty),
         "regency 1 decides nothing"
     );
-    timeout_round(&mut cores, &mut delivered, |_, _| false);
+    timeout_round(&mut cores, &mut delivered, lost);
     for r in 1..4 {
         assert_eq!(delivered[r], vec![(10, 1), (99, 1)], "replica {r}");
         assert_eq!(cores[r].regency(), 2, "replica {r}");
