@@ -371,8 +371,9 @@ pub enum CoreOutput {
 pub struct AlphaBounds {
     /// Floor of the effective window (≥ 1).
     pub min: u64,
-    /// Ceiling of the effective window (≤ [`MAX_WINDOW`]; also sizes the
-    /// catch-up window and the simulator's open-block pump).
+    /// Ceiling of the effective window (≤ [`MAX_WINDOW`] − 8, so the
+    /// catch-up window it sizes stays within [`MAX_WINDOW`]; also sizes
+    /// the simulator's open-block pump).
     pub max: u64,
 }
 
@@ -390,7 +391,9 @@ pub struct OrderingConfig {
     /// fixed α is the window `{k, k}`. The window is a pure function of
     /// observed protocol events, so identically-seeded runs remain
     /// bit-for-bit reproducible. Both bounds are clamped to
-    /// `1..=`[`MAX_WINDOW`] at construction.
+    /// `1..=`[`MAX_WINDOW`]` − 8` at construction, so a STOPDATA, which
+    /// reports a lock per instance of the catch-up window (the window's
+    /// ceiling plus 8), carries at most [`MAX_WINDOW`] locks.
     pub window: AlphaBounds,
 }
 
@@ -511,10 +514,12 @@ impl OrderingCore {
         last_applied: u64,
     ) -> OrderingCore {
         let mut config = config;
-        // A STOPDATA reports at most MAX_WINDOW locks.
+        // A STOPDATA reports at most MAX_WINDOW locks: one per instance of
+        // the catch-up window, INSTANCE_WINDOW + max.
         let bounds = &mut config.window;
-        bounds.min = bounds.min.clamp(1, MAX_WINDOW);
-        bounds.max = bounds.max.clamp(bounds.min, MAX_WINDOW);
+        let ceiling = MAX_WINDOW - INSTANCE_WINDOW;
+        bounds.min = bounds.min.clamp(1, ceiling);
+        bounds.max = bounds.max.clamp(bounds.min, ceiling);
         let start_alpha = bounds.min;
         OrderingCore {
             me,
@@ -1460,6 +1465,27 @@ mod tests {
             }
         }
         delivered
+    }
+
+    #[test]
+    fn catch_up_window_never_exceeds_max_window() {
+        for max in [1, 8, MAX_WINDOW - INSTANCE_WINDOW, MAX_WINDOW, u64::MAX] {
+            let config = OrderingConfig {
+                max_batch: 1,
+                window: AlphaBounds { min: 1, max },
+            };
+            let secret = SecretKey::from_seed(Backend::Sim, &[30; 32]);
+            let view = View {
+                id: 0,
+                members: vec![secret.public_key()],
+            };
+            let core = OrderingCore::new(0, view, secret, config, 0);
+            assert!(core.window() <= MAX_WINDOW, "max {max}: {}", core.window());
+            assert_eq!(
+                core.config.window.max,
+                max.min(MAX_WINDOW - INSTANCE_WINDOW)
+            );
+        }
     }
 
     #[test]

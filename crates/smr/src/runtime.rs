@@ -40,7 +40,9 @@ pub struct RuntimeConfig {
     pub replicas: usize,
     /// Batch bound.
     pub max_batch: usize,
-    /// Progress timeout before a leader change.
+    /// Progress timeout: a deadline, reached when nothing was delivered
+    /// for this long while requests are pending. The first expiry for a
+    /// stalled frontier sends a repair round, the second a leader change.
     pub progress_timeout: Duration,
     /// Storage root (one subdirectory per replica); `None` = temp dir.
     pub storage_dir: Option<PathBuf>,
@@ -602,6 +604,11 @@ fn replica_loop<A: Application>(
 ) {
     let me = transport.me();
     let mut last_progress = std::time::Instant::now();
+    // When the timer arm runs next. It is a deadline, not a silence: a
+    // client retransmitting every 500 ms or peers' repair traffic must not
+    // hold off a replica's progress timeout. Each run of the arm and each
+    // delivery pushes it one timeout on.
+    let mut next_check = last_progress + timeout;
     // Non-client events encountered while draining a verify batch wait here
     // and are processed before blocking on the transport again.
     let mut backlog: std::collections::VecDeque<NetEvent> = std::collections::VecDeque::new();
@@ -612,7 +619,10 @@ fn replica_loop<A: Application>(
     loop {
         let event = match backlog.pop_front() {
             Some(ev) => Ok(ev),
-            None => transport.recv_timeout(timeout),
+            None => match next_check.checked_duration_since(std::time::Instant::now()) {
+                Some(left) if !left.is_zero() => transport.recv_timeout(left),
+                _ => Err(RecvError::Timeout),
+            },
         };
         let outputs = match event {
             Ok(NetEvent::Peer {
@@ -777,6 +787,7 @@ fn replica_loop<A: Application>(
             }
             Ok(NetEvent::Shutdown) | Err(RecvError::Closed) => return,
             Err(RecvError::Timeout) => {
+                next_check = std::time::Instant::now() + timeout;
                 if let Some(sync) = &mut syncing {
                     // Unanswered state request: rotate shippers. Give up —
                     // re-enabling the normal timeout/view-change path —
@@ -827,6 +838,7 @@ fn replica_loop<A: Application>(
                 CoreOutput::Send(to, msg) => transport.send(to, msg),
                 CoreOutput::Deliver(batch) => {
                     last_progress = std::time::Instant::now();
+                    next_check = last_progress + timeout;
                     match durable.apply_batch(&batch) {
                         Ok(results) => {
                             // One fan-out per decided batch: the reactor

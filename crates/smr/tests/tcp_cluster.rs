@@ -171,6 +171,32 @@ fn leader_crash_and_rejoin_mid_view_change() {
     cluster.shutdown();
 }
 
+/// With the default 500 ms progress timeout — the client's retransmit
+/// period — a killed leader is replaced within a few timeouts: the
+/// survivors' timers are deadlines, so the retransmitted request arriving
+/// every 500 ms does not keep postponing them, and the second expiry (the
+/// first sends a repair round) raises STOP at every survivor.
+#[test]
+fn leader_crash_fails_over_within_a_few_timeouts_despite_retransmits() {
+    let config = RuntimeConfig {
+        storage_dir: Some(fresh_dir("failover")),
+        ..RuntimeConfig::default()
+    };
+    let timeout = config.progress_timeout;
+    let mut cluster =
+        TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
+    let r = cluster
+        .execute(vec![1], Duration::from_secs(15))
+        .expect("warm-up");
+    assert_eq!(sum_of(&r), 1);
+    cluster.kill_replica(0);
+    let r = cluster
+        .execute(vec![2], 8 * timeout)
+        .expect("op across the leader change within 8 timeouts");
+    assert_eq!(sum_of(&r), 3);
+    cluster.shutdown();
+}
+
 /// Kill-and-restart against a *truncated* segmented log: with a small
 /// checkpoint period the replicas' durable logs have had their prefixes
 /// compacted away by the time replica 3 is killed. Its restart must recover
