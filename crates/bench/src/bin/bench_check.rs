@@ -17,7 +17,7 @@
 use smartchain_bench::micro::{
     alpha_pipeline_throughput, black_box, chunked_install_scenario, exec_lane_throughput,
     hash_once_scenario, loss_grid_cell, measure, segmented_recovery_scenario, tcp_client_soak,
-    tcp_smoke, AlphaMode, LossProfile,
+    tcp_smoke, LossProfile,
 };
 use smartchain_crypto::sha256;
 use smartchain_merkle as merkle;
@@ -149,8 +149,8 @@ fn main() {
     };
 
     // Deterministic virtual-time scenario: pipelined consensus.
-    let a1 = alpha_pipeline_throughput(AlphaMode::Fixed1.window(), 0.0, 10);
-    let a4 = alpha_pipeline_throughput(AlphaMode::Fixed4.window(), 0.0, 10);
+    let a1 = alpha_pipeline_throughput(1, 0.0, 10);
+    let a4 = alpha_pipeline_throughput(4, 0.0, 10);
     println!(
         "alpha scenario: alpha=1 {:.1} batches/vsec, alpha=4 {:.1} batches/vsec",
         a1.batches_per_vsec, a4.batches_per_vsec
@@ -170,90 +170,63 @@ fn main() {
         gate.band("alpha4_blocks_10s", a4.blocks as f64, 0.25);
     }
 
-    // The same scenario at the AIMD window {1, 8} under 1% uniform drops:
-    // at α = 8 a follower one instance behind the leader must still take
-    // part in in-window traffic (the catch-up window exceeds the pipeline
-    // width), or reordering and loss push it into state transfer.
-    let lossy = alpha_pipeline_throughput(AlphaMode::Adaptive.window(), 0.01, 10);
+    // The same scenario at window 8 under 1% uniform drops: at α = 8 a
+    // follower one instance behind the leader must still take part in
+    // in-window traffic (the catch-up window exceeds the pipeline width),
+    // or reordering and loss push it into state transfer.
+    let lossy = alpha_pipeline_throughput(8, 0.01, 10);
     println!(
-        "alpha scenario, 1% drops: window {{1, 8}} {:.1} batches/vsec",
+        "alpha scenario, 1% drops: window 8 {:.1} batches/vsec",
         lossy.batches_per_vsec
     );
     gate.measured
-        .insert("adaptive_drop1_blocks_10s".into(), lossy.blocks as f64);
+        .insert("alpha8_drop1_blocks_10s".into(), lossy.blocks as f64);
     if !print_baseline {
-        gate.band("adaptive_drop1_blocks_10s", lossy.blocks as f64, 0.25);
+        gate.band("alpha8_drop1_blocks_10s", lossy.blocks as f64, 0.25);
     }
 
     // Loss grid (deterministic): the pinned seed-regression scenario under
-    // clean / 5%-drop / bursty loss, each at the windows {1, 1}, {4, 4}
-    // and the AIMD {1, 8}; every cell repairs. Adaptive must complete at
-    // least as much as every fixed window on every profile. On the pinned
-    // 5%-drop cells every window must beat the deleted repair-less path:
-    // ≥ 1.5× its completions and strictly fewer regencies than its best
-    // cell — repair rounds, not view changes, do the healing.
+    // clean / 5%-drop / bursty loss, each at the windows 1, 4 and 8; every
+    // cell repairs. On the pinned 5%-drop cells every window must beat the
+    // deleted repair-less path: ≥ 1.5× its completions and strictly fewer
+    // regencies than its best cell — repair rounds, not view changes, do
+    // the healing.
     for profile in [LossProfile::Clean, LossProfile::Drop5, LossProfile::Bursty] {
-        let cells: Vec<_> = [AlphaMode::Fixed1, AlphaMode::Fixed4, AlphaMode::Adaptive]
+        let cells: Vec<_> = [1, 4, 8]
             .into_iter()
-            .map(|mode| loss_grid_cell(profile, mode))
+            .map(|window| loss_grid_cell(profile, window))
             .collect();
         for cell in &cells {
             println!(
                 "loss grid {:>6} x {:>8}: {} completed, {} regency changes, {} fetches sent",
                 profile.key(),
-                cell.mode.key(),
+                cell.window_key(),
                 cell.completed,
                 cell.regency_changes(),
                 cell.fetches_sent(),
             );
-            if cell.mode == AlphaMode::Adaptive {
-                for (r, s) in cell.stats.iter().enumerate() {
-                    println!(
-                        "  node {r}: alpha {} (min {} / max {}), {} fetches sent / {} answered, {} repaired, {} regency changes",
-                        s.alpha_current,
-                        s.alpha_min_seen,
-                        s.alpha_max_seen,
-                        s.fetches_sent,
-                        s.fetches_answered,
-                        s.repaired_instances,
-                        s.regency_changes,
-                    );
-                }
-            }
-            let key = format!("grid_{}_{}_completed", profile.key(), cell.mode.key());
+            let key = format!("grid_{}_{}_completed", profile.key(), cell.window_key());
             gate.measured.insert(key.clone(), cell.completed as f64);
             if !print_baseline {
                 gate.band(&key, cell.completed as f64, 0.25);
             }
         }
-        let (a1, a4, ad) = (&cells[0], &cells[1], &cells[2]);
-        if !print_baseline {
-            if ad.completed < a1.completed || ad.completed < a4.completed {
-                gate.failures.push(format!(
-                    "loss grid {}: adaptive must complete >= every fixed window (got {} vs alpha1 {} / alpha4 {})",
-                    profile.key(),
-                    ad.completed,
-                    a1.completed,
-                    a4.completed
-                ));
-            }
-            if profile == LossProfile::Drop5 {
-                let threshold = (3 * NO_REPAIR_DROP5_COMPLETED).div_ceil(2);
-                for cell in &cells {
-                    if cell.completed < threshold {
-                        gate.failures.push(format!(
-                            "loss grid drop5: {} must complete >= 1.5x the repair-less path (got {} vs threshold {threshold})",
-                            cell.mode.key(),
-                            cell.completed
-                        ));
-                    }
-                    if cell.regency_changes() >= NO_REPAIR_DROP5_REGENCY_CHANGES {
-                        gate.failures.push(format!(
-                            "loss grid drop5: {} must install strictly fewer regencies than the repair-less path (got {} vs {NO_REPAIR_DROP5_REGENCY_CHANGES})",
-                            cell.mode.key(),
-                            cell.regency_changes()
-                        ));
-                    }
+        if !print_baseline && profile == LossProfile::Drop5 {
+            let threshold = (3 * NO_REPAIR_DROP5_COMPLETED).div_ceil(2);
+            for cell in &cells {
+                if cell.completed < threshold {
+                    gate.failures.push(format!(
+                        "loss grid drop5: {} must complete >= 1.5x the repair-less path (got {} vs threshold {threshold})",
+                        cell.window_key(),
+                        cell.completed
+                    ));
+                }
+                if cell.regency_changes() >= NO_REPAIR_DROP5_REGENCY_CHANGES {
+                    gate.failures.push(format!(
+                        "loss grid drop5: {} must install strictly fewer regencies than the repair-less path (got {} vs {NO_REPAIR_DROP5_REGENCY_CHANGES})",
+                        cell.window_key(),
+                        cell.regency_changes()
+                    ));
                 }
             }
         }

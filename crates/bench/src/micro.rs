@@ -5,7 +5,7 @@
 //!
 //! Also hosts the deterministic (virtual-time) α-pipeline scenario used by
 //! the `bench_check` CI gate: delivered-batches/virtual-second at windows
-//! {1, 1} vs {4, 4} under the GroupCommit rung, where overlapping ORDER of
+//! 1 vs 4 under the GroupCommit rung, where overlapping ORDER of
 //! instance `i+1` with PERSIST of instance `i` is the whole win.
 
 use smartchain_consensus::View;
@@ -16,7 +16,7 @@ use smartchain_sim::hw::HwSpec;
 use smartchain_sim::{MILLI, SECOND};
 use smartchain_smr::app::CounterApp;
 use smartchain_smr::durability::{ckpt_sign_payload, CheckpointCert, DurableApp};
-use smartchain_smr::ordering::{AlphaBounds, OrderingConfig, OrderingStats};
+use smartchain_smr::ordering::{OrderingConfig, OrderingStats};
 use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain_smr::transport::{TcpClientPool, TransportStats};
 use smartchain_smr::types::Request;
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Copy, Debug)]
 pub struct AlphaThroughput {
     /// Pipeline window the run used.
-    pub window: AlphaBounds,
+    pub window: u64,
     /// Blocks delivered by every replica (minimum across the cluster).
     pub blocks: u64,
     /// Virtual seconds simulated.
@@ -49,11 +49,7 @@ pub struct AlphaThroughput {
 /// instance `i+1` is only proposed after `i` decides, so block rate is
 /// capped at 1/round. With propagation ≫ fsync that cap binds, and α > 1
 /// lifts it by keeping α instances in flight (HotStuff-style chaining).
-pub fn alpha_pipeline_throughput(
-    window: AlphaBounds,
-    drop: f64,
-    virtual_secs: u64,
-) -> AlphaThroughput {
+pub fn alpha_pipeline_throughput(window: u64, drop: f64, virtual_secs: u64) -> AlphaThroughput {
     let mut hw = HwSpec::paper_testbed();
     hw.nic.propagation_ns = 2_500_000; // 2.5 ms one-way
     let config = NodeConfig {
@@ -95,8 +91,8 @@ pub enum LossProfile {
     /// scenario's loss model.
     Drop5,
     /// Bursty loss: 1 virtual second at 80% drops, then 1 s clean,
-    /// repeating — the regime where a fixed window keeps paying view-change
-    /// tax during bursts it can't see coming.
+    /// repeating — the regime where ordering without repair keeps paying
+    /// view-change tax during bursts it can't see coming.
     Bursty,
 }
 
@@ -111,53 +107,25 @@ impl LossProfile {
     }
 }
 
-/// Window of one loss-grid cell. Every mode repairs; they differ only in
-/// the pipeline window.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AlphaMode {
-    /// The window {1, 1}: α = 1, the seed's strictly sequential core.
-    Fixed1,
-    /// The window {4, 4}: α = 4.
-    Fixed4,
-    /// The AIMD window {1, 8}.
-    Adaptive,
-}
-
-impl AlphaMode {
-    /// Short identifier used in pin names and printed rows.
-    pub fn key(self) -> &'static str {
-        match self {
-            AlphaMode::Fixed1 => "alpha1",
-            AlphaMode::Fixed4 => "alpha4",
-            AlphaMode::Adaptive => "adaptive",
-        }
-    }
-
-    /// The pipeline window this mode runs.
-    pub fn window(self) -> AlphaBounds {
-        let (min, max) = match self {
-            AlphaMode::Fixed1 => (1, 1),
-            AlphaMode::Fixed4 => (4, 4),
-            AlphaMode::Adaptive => (1, 8),
-        };
-        AlphaBounds { min, max }
-    }
-}
-
 /// Outcome of one loss-grid cell (virtual time, deterministic).
 #[derive(Clone, Debug)]
 pub struct LossGridCell {
     /// The loss profile the cell ran under.
     pub profile: LossProfile,
-    /// The window mode the cell ran with.
-    pub mode: AlphaMode,
+    /// The pipeline window the cell ran with.
+    pub window: u64,
     /// Client requests completed cluster-wide.
     pub completed: u64,
-    /// Per-replica repair/adaptation counters.
+    /// Per-replica repair counters.
     pub stats: Vec<OrderingStats>,
 }
 
 impl LossGridCell {
+    /// Short identifier of the window used in pin names and printed rows.
+    pub fn window_key(&self) -> String {
+        format!("alpha{}", self.window)
+    }
+
     /// Sum of regency changes across the cluster.
     pub fn regency_changes(&self) -> u64 {
         self.stats.iter().map(|s| s.regency_changes).sum()
@@ -172,15 +140,15 @@ impl LossGridCell {
 /// Runs one cell of the loss grid gated in `bench_check`: the pinned
 /// seed-regression scenario (4 replicas, max_batch 8, 200 ms progress
 /// timeout, seed 7, 4 closed-loop clients × 30 requests, 120 virtual
-/// seconds) under `profile` × `mode`. The `Drop5` × `Fixed1`/`Fixed4`
-/// cells reproduce the seed pins `PIN_7` and `PIN_7_A4` bit-for-bit — the
-/// grid shares one scenario so the windows are measured against exactly
-/// the numbers the pins already freeze.
-pub fn loss_grid_cell(profile: LossProfile, mode: AlphaMode) -> LossGridCell {
+/// seconds) under `profile` at pipeline `window`. The `Drop5` cells at
+/// windows 1 and 4 reproduce the seed pins `PIN_7` and `PIN_7_A4`
+/// bit-for-bit — the grid shares one scenario so the windows are measured
+/// against exactly the numbers the pins already freeze.
+pub fn loss_grid_cell(profile: LossProfile, window: u64) -> LossGridCell {
     let config = NodeConfig {
         ordering: OrderingConfig {
             max_batch: 8,
-            window: mode.window(),
+            window,
         },
         progress_timeout: 200 * MILLI,
         ..NodeConfig::default()
@@ -224,7 +192,7 @@ pub fn loss_grid_cell(profile: LossProfile, mode: AlphaMode) -> LossGridCell {
         .collect();
     LossGridCell {
         profile,
-        mode,
+        window,
         completed,
         stats,
     }
@@ -277,7 +245,7 @@ pub fn hash_once_scenario() -> HashOnce {
     };
     let config = OrderingConfig {
         max_batch: 1,
-        window: AlphaBounds { min: 4, max: 4 },
+        window: 4,
     };
     let mut cores: Vec<OrderingCore> = (0..n)
         .map(|i| OrderingCore::new(i, view.clone(), secrets[i].clone(), config, 0))

@@ -45,6 +45,8 @@ struct EpochState {
     accepts: Tally,
     sent_write: bool,
     sent_accept: Option<Hash>,
+    /// A `FetchValue` went out for this epoch's accept quorum.
+    fetch_requested: bool,
 }
 
 /// One consensus instance on one replica.
@@ -61,7 +63,6 @@ pub struct Instance {
     /// its value: the lock STOPDATA keeps reporting after that epoch ends.
     lock: Option<LockedReport>,
     decision: Option<Decision>,
-    fetch_requested: bool,
 }
 
 impl Instance {
@@ -85,7 +86,6 @@ impl Instance {
             epoch_state: EpochState::default(),
             lock: None,
             decision: None,
-            fetch_requested: false,
         }
     }
 
@@ -225,8 +225,9 @@ impl Instance {
     }
 
     /// Moves to a new epoch with a new leader (synchronization phase
-    /// outcome). The value and the vote tallies reset; the lock survives,
-    /// so STOPDATA still reports it and only a SYNC binds the new value.
+    /// outcome). The value, the vote tallies and the value fetch reset; the
+    /// lock survives, so STOPDATA still reports it and only a SYNC binds the
+    /// new value.
     pub fn advance_epoch(&mut self, epoch: u32, leader: ReplicaId) {
         if epoch < self.epoch {
             return; // never move backwards
@@ -457,8 +458,8 @@ impl Instance {
                 // view — an accepter may itself hold only the hash, but the
                 // leader and every replica that echoed the proposal have the
                 // value, and at least one of those is correct and reachable.
-                if !self.fetch_requested {
-                    self.fetch_requested = true;
+                if !self.epoch_state.fetch_requested {
+                    self.epoch_state.fetch_requested = true;
                     out.push(Output::Broadcast(ConsensusMsg::FetchValue {
                         instance: self.id,
                     }));
@@ -870,5 +871,47 @@ mod tests {
         let d = dec.expect("replica 3 decides after fetching the value");
         assert_eq!(d.value, value);
         assert_eq!(d.proof.value_hash, h);
+    }
+
+    /// A replica that holds an accept quorum but not the value asks for it
+    /// once per epoch: the WRITE quorum that follows re-runs the decide
+    /// check without a second `FetchValue`, and a later epoch, whose quorum
+    /// may be for a value nobody has sent it, asks again.
+    #[test]
+    fn missing_value_is_fetched_again_in_a_later_epoch() {
+        let mut net = Net::new(4);
+        let h = sha256::digest(b"never-proposed-here");
+        for epoch in [0u32, 1] {
+            if epoch > 0 {
+                net.instances[3].advance_epoch(epoch, 1);
+            }
+            let mut fetches = 0;
+            for from in 0..3usize {
+                let secret = net.instances[from].secret.clone();
+                let votes = [
+                    ConsensusMsg::Accept {
+                        instance: 7,
+                        epoch,
+                        value_hash: h,
+                        signature: secret.sign(&accept_sign_payload(7, epoch, &h)),
+                    },
+                    ConsensusMsg::Write {
+                        instance: 7,
+                        epoch,
+                        value_hash: h,
+                        signature: secret.sign(&write_sign_payload(7, epoch, &h)),
+                    },
+                ];
+                for vote in votes {
+                    let (outs, dec) = net.instances[3].on_message(from, vote);
+                    assert!(dec.is_none(), "epoch {epoch}: no value, no decision");
+                    fetches += outs
+                        .iter()
+                        .filter(|o| matches!(o, Output::Broadcast(ConsensusMsg::FetchValue { .. })))
+                        .count();
+                }
+            }
+            assert_eq!(fetches, 1, "epoch {epoch}: one FetchValue");
+        }
     }
 }

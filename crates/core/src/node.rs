@@ -345,8 +345,8 @@ impl<A: Application> ChainNode<A> {
         self.member.as_ref().is_some_and(|m| m.syncing)
     }
 
-    /// Repair/adaptation counters from the ordering core (fetches, repaired
-    /// instances, the AIMD window's current/min/max, regency changes).
+    /// Repair counters from the ordering core (fetches, repaired
+    /// instances, regency changes).
     pub fn ordering_stats(&self) -> Option<smartchain_smr::ordering::OrderingStats> {
         self.member.as_ref().map(|m| m.core.stats())
     }
@@ -504,7 +504,7 @@ impl<A: Application> ChainNode<A> {
         // Up to α blocks ride the EXECUTE/PERSIST stages concurrently
         // (α = 1 restores Algorithm 1's strictly sequential processing); a
         // decided reconfiguration drains the pipeline before installing.
-        let max_open = self.config.ordering.window.max.max(1) as usize;
+        let max_open = self.config.ordering.window.max(1) as usize;
         loop {
             let batch = {
                 let Some(m) = self.member.as_mut() else {

@@ -2,9 +2,8 @@
 //! requests into an ordered stream of batches by running a *windowed
 //! pipeline* of VP-Consensus instances with regency-based leader changes.
 //!
-//! [`OrderingConfig::window`] bounds how many instances the leader keeps in
-//! flight at once (the paper's α; 1 runs one instance at a time): α moves
-//! inside the window, AIMD style, and a fixed α is the window `{k, k}`.
+//! [`OrderingConfig::window`] is how many instances the leader keeps in
+//! flight at once (the paper's α; 1 runs one instance at a time).
 //! Followers participate in any instance within the catch-up window,
 //! decisions are buffered in `undelivered`, and batches are handed to the
 //! upper layer strictly in instance order. Every core repairs: a stalled
@@ -27,8 +26,8 @@ use smartchain_crypto::ValueBytes;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
-/// Catch-up slack: a replica takes part in instances up to the widest
-/// pipeline plus this many ahead of `last_delivered`; traffic beyond that
+/// Catch-up slack: a replica takes part in instances up to the pipeline
+/// window plus this many ahead of `last_delivered`; traffic beyond that
 /// requires state transfer.
 const INSTANCE_WINDOW: u64 = 8;
 
@@ -366,17 +365,6 @@ pub enum CoreOutput {
     },
 }
 
-/// Bounds of the pipeline window (see [`OrderingConfig::window`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AlphaBounds {
-    /// Floor of the effective window (≥ 1).
-    pub min: u64,
-    /// Ceiling of the effective window (≤ [`MAX_WINDOW`] − 8, so the
-    /// catch-up window it sizes stays within [`MAX_WINDOW`]; also sizes
-    /// the simulator's open-block pump).
-    pub max: u64,
-}
-
 /// Configuration of the ordering core.
 #[derive(Clone, Copy, Debug)]
 pub struct OrderingConfig {
@@ -385,28 +373,23 @@ pub struct OrderingConfig {
     /// The pipeline window: how many consensus instances the leader keeps
     /// in flight (α). α = 1 orders one instance at a time; larger values
     /// overlap ORDER of instance `i+1` with EXECUTE/PERSIST of instance
-    /// `i`. α starts at `min`, grows by one on every cleanly decided
-    /// instance up to `max`, and halves (floored at `min`) whenever loss is
-    /// observed — a repair fetch fires or the progress timer expires. A
-    /// fixed α is the window `{k, k}`. The window is a pure function of
-    /// observed protocol events, so identically-seeded runs remain
-    /// bit-for-bit reproducible. Both bounds are clamped to
+    /// `i` (it also sizes the simulator's open-block pump). Clamped to
     /// `1..=`[`MAX_WINDOW`]` − 8` at construction, so a STOPDATA, which
-    /// reports a lock per instance of the catch-up window (the window's
-    /// ceiling plus 8), carries at most [`MAX_WINDOW`] locks.
-    pub window: AlphaBounds,
+    /// reports a lock per instance of the catch-up window (the window plus
+    /// 8), carries at most [`MAX_WINDOW`] locks.
+    pub window: u64,
 }
 
 impl Default for OrderingConfig {
     fn default() -> Self {
         OrderingConfig {
             max_batch: 512,
-            window: AlphaBounds { min: 1, max: 1 },
+            window: 1,
         }
     }
 }
 
-/// Repair/adaptation counters, maintained by every core. All counters are
+/// Repair counters, maintained by every core. All counters are
 /// cumulative since construction.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OrderingStats {
@@ -416,12 +399,6 @@ pub struct OrderingStats {
     pub fetches_answered: u64,
     /// Instances delivered after this replica fetched them.
     pub repaired_instances: u64,
-    /// The effective window right now.
-    pub alpha_current: u64,
-    /// Smallest effective window observed so far.
-    pub alpha_min_seen: u64,
-    /// Largest effective window observed so far.
-    pub alpha_max_seen: u64,
     /// Regencies installed (leader changes completed locally).
     pub regency_changes: u64,
 }
@@ -465,9 +442,6 @@ pub struct OrderingCore {
     take_scan_end: usize,
     /// Per-client highest delivered sequence number (dedup).
     delivered_seq: HashMap<u64, u64>,
-    /// Effective pipeline width right now (AIMD state, inside
-    /// `config.window`).
-    current_alpha: u64,
     /// Consensus events observed for in-window instances *other than* the
     /// delivery frontier since the frontier last moved or spoke — the
     /// deterministic quiet clock behind per-instance repair.
@@ -476,13 +450,13 @@ pub struct OrderingCore {
     /// count when delivery advances).
     frontier_watch: u64,
     /// Instances this replica sent an InstanceFetch for and has not yet
-    /// delivered (their delivery counts as a repair, not clean progress).
+    /// delivered (their delivery counts as a repair).
     fetched: HashSet<u64>,
     /// Frontier instance already given one repair round after a progress
     /// timeout — the next timeout for the same frontier escalates to a
     /// leader change.
     timeout_repair: Option<u64>,
-    /// Repair/adaptation counters.
+    /// Repair counters.
     stats: OrderingStats,
     /// Optional shared signature-verification pool: when set, repair-reply
     /// admission checks the replayed WRITE/ACCEPT signatures as one batch
@@ -515,12 +489,8 @@ impl OrderingCore {
     ) -> OrderingCore {
         let mut config = config;
         // A STOPDATA reports at most MAX_WINDOW locks: one per instance of
-        // the catch-up window, INSTANCE_WINDOW + max.
-        let bounds = &mut config.window;
-        let ceiling = MAX_WINDOW - INSTANCE_WINDOW;
-        bounds.min = bounds.min.clamp(1, ceiling);
-        bounds.max = bounds.max.clamp(bounds.min, ceiling);
-        let start_alpha = bounds.min;
+        // the catch-up window, INSTANCE_WINDOW + window.
+        config.window = config.window.clamp(1, MAX_WINDOW - INSTANCE_WINDOW);
         OrderingCore {
             me,
             synchronizer: Synchronizer::new(me, view.clone()),
@@ -538,50 +508,24 @@ impl OrderingCore {
             pending_cursor: 0,
             take_scan_end: 0,
             delivered_seq: HashMap::new(),
-            current_alpha: start_alpha,
             frontier_quiet: 0,
             frontier_watch: last_applied + 1,
             fetched: HashSet::new(),
             timeout_repair: None,
-            stats: OrderingStats {
-                alpha_current: start_alpha,
-                alpha_min_seen: start_alpha,
-                alpha_max_seen: start_alpha,
-                ..OrderingStats::default()
-            },
+            stats: OrderingStats::default(),
             verify_pool: None,
         }
     }
 
     /// Catch-up window: how far ahead of `last_delivered` this replica will
-    /// participate — the widest pipeline plus [`INSTANCE_WINDOW`] of slack,
+    /// participate — the pipeline window plus [`INSTANCE_WINDOW`] of slack,
     /// so a follower a few instances behind a leader at full α still takes
     /// part instead of dropping in-window traffic for state transfer.
     fn window(&self) -> u64 {
-        INSTANCE_WINDOW + self.config.window.max
+        INSTANCE_WINDOW + self.config.window
     }
 
-    /// Additive increase: one more slot per cleanly decided instance, capped
-    /// at the window's ceiling.
-    fn grow_alpha(&mut self) {
-        self.current_alpha = (self.current_alpha + 1).min(self.config.window.max);
-        self.note_alpha();
-    }
-
-    /// Multiplicative decrease: halve the window (floored at the window's
-    /// minimum) when loss is observed.
-    fn halve_alpha(&mut self) {
-        self.current_alpha = (self.current_alpha / 2).max(self.config.window.min);
-        self.note_alpha();
-    }
-
-    fn note_alpha(&mut self) {
-        self.stats.alpha_current = self.current_alpha;
-        self.stats.alpha_min_seen = self.stats.alpha_min_seen.min(self.current_alpha);
-        self.stats.alpha_max_seen = self.stats.alpha_max_seen.max(self.current_alpha);
-    }
-
-    /// Repair/adaptation counters (cumulative).
+    /// Repair counters (cumulative).
     pub fn stats(&self) -> OrderingStats {
         self.stats
     }
@@ -728,7 +672,6 @@ impl OrderingCore {
         let frontier = self.last_delivered + 1;
         if self.timeout_repair != Some(frontier) {
             self.timeout_repair = Some(frontier);
-            self.halve_alpha();
             return self.repair_round(frontier);
         }
         self.timeout_repair = None;
@@ -885,8 +828,7 @@ impl OrderingCore {
     /// in-window consensus event for an instance other than the delivery
     /// frontier ticks the counter; an event for the frontier (or the
     /// frontier moving) resets it. [`QUIET_EVENTS`] ticks of silence mean
-    /// the frontier's traffic was lost — halve the window and fire a
-    /// targeted fetch round.
+    /// the frontier's traffic was lost — fire a targeted fetch round.
     fn tick_quiet(&mut self, instance_id: u64) -> Vec<CoreOutput> {
         let frontier = self.last_delivered + 1;
         if self.frontier_watch != frontier {
@@ -902,7 +844,6 @@ impl OrderingCore {
             return Vec::new();
         }
         self.frontier_quiet = 0;
-        self.halve_alpha();
         self.repair_round(frontier)
     }
 
@@ -1068,14 +1009,10 @@ impl OrderingCore {
         while let Some(d) = self.undelivered.remove(&(self.last_delivered + 1)) {
             self.last_delivered = d.instance;
             self.release_claim(d.instance);
-            // AIMD bookkeeping: a fetched instance delivering is a repair
-            // (the halving already happened when the fetch fired); anything
-            // else is clean progress and grows the window. Delivery also
+            // A fetched instance delivering is a repair. Delivery also
             // restarts the quiet clock and the timeout-repair ratchet.
             if self.fetched.remove(&d.instance) {
                 self.stats.repaired_instances += 1;
-            } else {
-                self.grow_alpha();
             }
             self.frontier_watch = self.last_delivered + 1;
             self.frontier_quiet = 0;
@@ -1147,7 +1084,7 @@ impl OrderingCore {
     /// The lowest window slot with no live proposal of ours and no decision.
     fn next_open_slot(&self, regency: u32) -> Option<u64> {
         let first = self.last_delivered + 1;
-        let last = self.last_delivered + self.current_alpha;
+        let last = self.last_delivered + self.config.window;
         (first..=last).find(|slot| {
             self.proposed.get(slot).is_none_or(|&e| e < regency)
                 && !self.instances.get(slot).is_some_and(Instance::is_decided)
@@ -1365,11 +1302,7 @@ mod tests {
         make_cluster_alpha(n, 4, 1)
     }
 
-    fn make_cluster_alpha(n: usize, max_batch: usize, alpha: u64) -> Vec<OrderingCore> {
-        let window = AlphaBounds {
-            min: alpha,
-            max: alpha,
-        };
+    fn make_cluster_alpha(n: usize, max_batch: usize, window: u64) -> Vec<OrderingCore> {
         let secrets: Vec<SecretKey> = (0..n)
             .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 30; 32]))
             .collect();
@@ -1469,10 +1402,10 @@ mod tests {
 
     #[test]
     fn catch_up_window_never_exceeds_max_window() {
-        for max in [1, 8, MAX_WINDOW - INSTANCE_WINDOW, MAX_WINDOW, u64::MAX] {
+        for window in [0, 1, 8, MAX_WINDOW - INSTANCE_WINDOW, MAX_WINDOW, u64::MAX] {
             let config = OrderingConfig {
                 max_batch: 1,
-                window: AlphaBounds { min: 1, max },
+                window,
             };
             let secret = SecretKey::from_seed(Backend::Sim, &[30; 32]);
             let view = View {
@@ -1480,10 +1413,14 @@ mod tests {
                 members: vec![secret.public_key()],
             };
             let core = OrderingCore::new(0, view, secret, config, 0);
-            assert!(core.window() <= MAX_WINDOW, "max {max}: {}", core.window());
+            assert!(
+                core.window() <= MAX_WINDOW,
+                "window {window}: {}",
+                core.window()
+            );
             assert_eq!(
-                core.config.window.max,
-                max.min(MAX_WINDOW - INSTANCE_WINDOW)
+                core.config.window,
+                window.clamp(1, MAX_WINDOW - INSTANCE_WINDOW)
             );
         }
     }

@@ -61,6 +61,11 @@ use std::time::{Duration, Instant};
 /// Read chunk size per `read(2)`.
 const READ_CHUNK: usize = 64 * 1024;
 
+/// Reassembly capacity a [`FrameReader`] keeps once it has drained: past
+/// this, the memory of a large frame (a state transfer, up to
+/// `MAX_FRAME`) goes back instead of staying pinned to the connection.
+const KEEP_CAPACITY: usize = 16 * READ_CHUNK;
+
 thread_local! {
     /// The block every [`FrameReader`] on this thread reads into. A reader
     /// uses it only inside [`FrameReader::fill`], so one block per thread
@@ -159,6 +164,9 @@ impl FrameReader {
         if self.start > 0 {
             self.buf.drain(..self.start);
             self.start = 0;
+        }
+        if self.buf.capacity() > KEEP_CAPACITY && self.buf.len() <= READ_CHUNK {
+            self.buf.shrink_to(READ_CHUNK);
         }
     }
 }
@@ -1250,6 +1258,35 @@ mod tests {
         assert_eq!(frames.len(), 2);
         assert_eq!(frames[0], vec![0xabu8; 300]);
         assert_eq!(frames[1], b"second");
+    }
+
+    /// A 2 MiB frame grows the reassembly buffer; once it has popped, the
+    /// next fill gives that memory back instead of keeping it for the life
+    /// of the connection.
+    #[test]
+    fn frame_reader_gives_back_a_large_frames_memory() {
+        let key = FrameKey::link(&[7u8; 32], 0, 1);
+        let mut reader = FrameReader::new();
+        let mut pop_after_fills = |payload: &[u8]| {
+            let mut wire = Vec::new();
+            write_frame(&mut wire, &key, payload).unwrap();
+            let mut src = ChunkedReader::new(&wire, READ_CHUNK);
+            for _ in 0..=wire.len() / READ_CHUNK {
+                reader.fill(&mut src).unwrap();
+                if let Some((_, got)) = reader.next_frame().unwrap() {
+                    assert_eq!(got, payload);
+                    return reader.buf.capacity();
+                }
+            }
+            panic!("frame of {} bytes never completed", payload.len());
+        };
+        let large = pop_after_fills(&vec![0x5a; 2 << 20]);
+        assert!(large >= 2 << 20, "capacity {large}");
+        let small = pop_after_fills(b"small");
+        assert!(
+            small <= 2 * READ_CHUNK,
+            "capacity {small} after a small frame"
+        );
     }
 
     /// Readers share one scratch block per thread: two of them, filled in

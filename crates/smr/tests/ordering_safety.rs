@@ -11,7 +11,7 @@
 
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::{Backend, SecretKey};
-use smartchain_smr::ordering::{AlphaBounds, CoreOutput, OrderingConfig, OrderingCore, SmrMsg};
+use smartchain_smr::ordering::{CoreOutput, OrderingConfig, OrderingCore, SmrMsg};
 use smartchain_smr::types::Request;
 
 use smartchain_sim::rng::SimRng;
@@ -29,15 +29,7 @@ impl Gen {
     }
 }
 
-/// The pipeline window of a fixed α: `{alpha, alpha}`.
-fn fixed(alpha: u64) -> AlphaBounds {
-    AlphaBounds {
-        min: alpha,
-        max: alpha,
-    }
-}
-
-fn make_cluster(n: usize, max_batch: usize, window: AlphaBounds) -> Vec<OrderingCore> {
+fn make_cluster(n: usize, max_batch: usize, window: u64) -> Vec<OrderingCore> {
     let secrets: Vec<SecretKey> = (0..n)
         .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 40; 32]))
         .collect();
@@ -120,7 +112,7 @@ fn pump_randomized(
 /// prefix-compatible across replicas and contain no duplicates.
 #[test]
 fn prop_no_divergence_under_drops() {
-    prop_no_divergence_under_drops_at(fixed(1));
+    prop_no_divergence_under_drops_at(1);
 }
 
 /// The same safety property with a pipelined core (α = 4): several
@@ -128,10 +120,10 @@ fn prop_no_divergence_under_drops() {
 /// delivery must still be prefix-compatible and duplicate-free everywhere.
 #[test]
 fn prop_no_divergence_under_drops_alpha4() {
-    prop_no_divergence_under_drops_at(fixed(4));
+    prop_no_divergence_under_drops_at(4);
 }
 
-fn prop_no_divergence_under_drops_at(window: AlphaBounds) {
+fn prop_no_divergence_under_drops_at(window: u64) {
     let mut g = Gen::new(0xa1);
     for case in 0..48 {
         let order: Vec<u8> = (0..64).map(|_| g.next_u64() as u8).collect();
@@ -175,30 +167,24 @@ fn prop_no_divergence_under_drops_at(window: AlphaBounds) {
 /// LIVENESS (no drops): everything submitted is delivered everywhere.
 #[test]
 fn prop_all_delivered_without_drops() {
-    prop_all_delivered_without_drops_at(fixed(1));
+    prop_all_delivered_without_drops_at(1);
 }
 
 /// Liveness with a pipelined core (α = 4).
 #[test]
 fn prop_all_delivered_without_drops_alpha4() {
-    prop_all_delivered_without_drops_at(fixed(4));
+    prop_all_delivered_without_drops_at(4);
 }
 
-/// Liveness at the widest window the adaptive grid runs, {1, 8}: a
-/// follower a few instances behind a leader at α = 8 must still take part
-/// in the in-window traffic, so reordering alone never turns into loss.
-#[test]
-fn prop_all_delivered_without_drops_adaptive() {
-    prop_all_delivered_without_drops_at(AlphaBounds { min: 1, max: 8 });
-}
-
-/// Liveness at a fixed α = 8, the window {8, 8}.
+/// Liveness at α = 8: a follower a few instances behind the leader must
+/// still take part in the in-window traffic, so reordering alone never
+/// turns into loss.
 #[test]
 fn prop_all_delivered_without_drops_alpha8() {
-    prop_all_delivered_without_drops_at(fixed(8));
+    prop_all_delivered_without_drops_at(8);
 }
 
-fn prop_all_delivered_without_drops_at(window: AlphaBounds) {
+fn prop_all_delivered_without_drops_at(window: u64) {
     let mut g = Gen::new(0xa2);
     for case in 0..48 {
         let order: Vec<u8> = (0..64).map(|_| g.next_u64() as u8).collect();

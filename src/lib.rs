@@ -41,13 +41,12 @@
 //! * [`consensus`] — VP-Consensus instances and the Mod-SMaRt
 //!   synchronizer; leader changes collect locked values for every
 //!   in-flight instance (per-instance STOPDATA/SYNC vectors).
-//! * [`smr`] — the *windowed* total-order core (up to α consensus
-//!   instances in flight at once, strictly in-order delivery, one
-//!   ordering path and one view-change rule at every α: α moves
-//!   AIMD-style inside `OrderingConfig::window` — grown on clean
-//!   decisions, halved on repair; a fixed α is the window `{k, k}` — and
-//!   a stalled frontier heals via a one-round-trip
-//!   `InstanceFetch`/`InstanceRep` repair before any regency change),
+//! * [`smr`] — the *windowed* total-order core (up to α =
+//!   `OrderingConfig::window` consensus instances in flight at once,
+//!   strictly in-order delivery, one ordering path and one view-change
+//!   rule at every α, and a stalled frontier that heals via a
+//!   one-round-trip `InstanceFetch`/`InstanceRep` repair before any
+//!   regency change),
 //!   clients,
 //!   [`smr::durability::DurableApp`] (durable delivery over a
 //!   `SegmentedEngine` at any rung; group commit by default — each

@@ -1,10 +1,9 @@
-//! Adaptive α (AIMD pipeline window) and per-instance repair.
+//! Per-instance repair at the pipeline window α = 8.
 //!
 //! Three layers of coverage:
 //!
-//! 1. Harness: an adaptive cluster under bursty loss is bit-for-bit
-//!    reproducible from its seed, shrinks the window when repairs fire, and
-//!    regrows it to the configured maximum once the network turns clean.
+//! 1. Harness: a cluster under bursty loss is bit-for-bit reproducible from
+//!    its seed, and the bursts heal through repair fetches.
 //! 2. Core: a replica blinded to one instance's PROPOSE heals it through a
 //!    single `InstanceFetch`/`InstanceRep` round trip — with **zero**
 //!    regency changes — and a reply whose own votes complete the
@@ -24,23 +23,21 @@ use smartchain::core::node::NodeConfig;
 use smartchain::crypto::keys::{Backend, SecretKey};
 use smartchain::sim::{MILLI, SECOND};
 use smartchain::smr::app::CounterApp;
-use smartchain::smr::ordering::{
-    AlphaBounds, CoreOutput, OrderingConfig, OrderingCore, OrderingStats, SmrMsg,
-};
+use smartchain::smr::ordering::{CoreOutput, OrderingConfig, OrderingCore, OrderingStats, SmrMsg};
 use smartchain::smr::types::Request;
 
 // ---------------------------------------------------------------------------
-// 1. Harness: determinism + shrink-then-regrow
+// 1. Harness: determinism + repair under bursts
 // ---------------------------------------------------------------------------
 
-/// One adaptive run under front-loaded bursty loss: 8 virtual seconds of
+/// One run at α = 8 under front-loaded bursty loss: 8 virtual seconds of
 /// alternating 1 s at 80% drops / 1 s clean, then a 4 s clean tail with
 /// the remaining requests draining. Returns (completed, heights, stats).
-fn adaptive_bursty_run(seed: u64) -> (u64, Vec<u64>, Vec<OrderingStats>) {
+fn bursty_run(seed: u64) -> (u64, Vec<u64>, Vec<OrderingStats>) {
     let config = NodeConfig {
         ordering: OrderingConfig {
             max_batch: 8,
-            window: AlphaBounds { min: 1, max: 8 },
+            window: 8,
         },
         progress_timeout: 200 * MILLI,
         ..NodeConfig::default()
@@ -75,47 +72,32 @@ fn adaptive_bursty_run(seed: u64) -> (u64, Vec<u64>, Vec<OrderingStats>) {
     (completed, heights, stats)
 }
 
-/// The adaptive window is a pure function of observed events: the same seed
-/// reproduces completions, heights, and every adaptation counter exactly.
+/// Repair is a pure function of observed events: the same seed reproduces
+/// completions, heights, and every repair counter exactly.
 #[test]
-fn adaptive_run_is_deterministic() {
+fn bursty_repair_run_is_deterministic() {
     assert_eq!(
-        adaptive_bursty_run(7),
-        adaptive_bursty_run(7),
-        "a seed fully determines the adaptive run, window moves and all"
+        bursty_run(7),
+        bursty_run(7),
+        "a seed fully determines the run, repair fetches and all"
     );
 }
 
-/// Under bursts the window halves (visible as repair fetches); in the clean
-/// tail it regrows to the configured maximum.
+/// Bursts trigger repair fetches, and at least one instance heals by one.
 #[test]
-fn adaptive_window_shrinks_under_loss_and_regrows_clean() {
-    let (completed, _, stats) = adaptive_bursty_run(7);
+fn bursts_heal_through_repair_fetches() {
+    let (completed, _, stats) = bursty_run(7);
     assert!(completed > 0, "clients must make progress");
     let fetches: u64 = stats.iter().map(|s| s.fetches_sent).sum();
     let repaired: u64 = stats.iter().map(|s| s.repaired_instances).sum();
-    assert!(
-        fetches > 0,
-        "bursts must trigger repair fetches (each halves the window)"
-    );
+    assert!(fetches > 0, "bursts must trigger repair fetches");
     assert!(repaired > 0, "at least one instance must heal via repair");
-    for (r, s) in stats.iter().enumerate() {
-        assert_eq!(
-            s.alpha_max_seen, 8,
-            "replica {r}: window must regrow to the configured max in the clean tail"
-        );
-        assert_eq!(
-            s.alpha_current, 8,
-            "replica {r}: window must sit at the max after the clean tail"
-        );
-        assert_eq!(s.alpha_min_seen, 1, "replica {r}: window starts at min");
-    }
 }
 
-/// The core-level tests' cores: adaptive α in 1..=8, one request per batch.
-const ADAPTIVE: OrderingConfig = OrderingConfig {
+/// The core-level tests' cores: α = 8, one request per batch.
+const WINDOW_8: OrderingConfig = OrderingConfig {
     max_batch: 1,
-    window: AlphaBounds { min: 1, max: 8 },
+    window: 8,
 };
 
 // ---------------------------------------------------------------------------
@@ -130,7 +112,7 @@ const ADAPTIVE: OrderingConfig = OrderingConfig {
 /// one-round-trip alternative to a leader change.
 #[test]
 fn dropped_propose_heals_via_fetch_without_regency_change() {
-    let mut cores = cores(4, ADAPTIVE);
+    let mut cores = cores(4, WINDOW_8);
     assert!(cores[0].is_leader(), "replica 0 leads regency 0");
     let submissions: Vec<(usize, Request)> = (0..6u64)
         .flat_map(|s| (0..4usize).map(move |r| (r, req(0, s))))
@@ -173,7 +155,7 @@ fn dropped_propose_heals_via_fetch_without_regency_change() {
 /// trip.
 #[test]
 fn value_reply_after_its_votes_binds_without_a_fetch_round() {
-    let mut cores = cores(4, ADAPTIVE);
+    let mut cores = cores(4, WINDOW_8);
     let initial = submit(&mut cores, vec![(0, req(5, 1))]);
     let delivered = pump(&mut cores, initial, |from, to, msg| {
         let SmrMsg::Consensus(m) = msg else {
@@ -216,7 +198,7 @@ fn decided_cluster_with_blind_replica() -> (
     smartchain::consensus::ValueBytes,
     std::sync::Arc<DecisionProof>,
 ) {
-    let mut cores = cores(4, ADAPTIVE);
+    let mut cores = cores(4, WINDOW_8);
     let submissions: Vec<(usize, Request)> = (0..4usize).map(|r| (r, req(0, 0))).collect();
     let initial = submit(&mut cores, submissions);
     let delivered = pump(&mut cores, initial, |_, to, _| to == 3);
@@ -360,7 +342,7 @@ fn relabeled_replay_messages_rejected_truthful_replay_heals() {
     // Nobody decides: every ACCEPT broadcast is dropped (each replica still
     // tallies its own), and replica 3 is fully dark — instance 1 sits
     // write-quorum-locked but undecided at replicas 0..=2.
-    let mut cores = cores(4, ADAPTIVE);
+    let mut cores = cores(4, WINDOW_8);
     let submissions: Vec<(usize, Request)> = (0..4usize).map(|r| (r, req(0, 0))).collect();
     let initial = submit(&mut cores, submissions);
     let delivered = pump(&mut cores, initial, |_, to, msg| {

@@ -16,7 +16,7 @@ use smartchain::core::node::{NodeConfig, Variant};
 use smartchain::sim::hw::HwSpec;
 use smartchain::sim::{MILLI, SECOND};
 use smartchain::smr::app::CounterApp;
-use smartchain::smr::ordering::{AlphaBounds, OrderingConfig, SmrMsg};
+use smartchain::smr::ordering::{OrderingConfig, SmrMsg};
 use smartchain::storage::SyncPolicy;
 
 /// Delivered blocks (minimum across replicas) in a GroupCommit-rung run on
@@ -30,10 +30,7 @@ fn group_commit_blocks(alpha: u64, variant: Variant) -> u64 {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 16,
-            window: AlphaBounds {
-                min: alpha,
-                max: alpha,
-            },
+            window: alpha,
         },
         progress_timeout: 800 * MILLI,
         ..NodeConfig::default()
@@ -93,7 +90,7 @@ fn strong_variant_pipelines_persist_certificates() {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
-            window: AlphaBounds { min: 4, max: 4 },
+            window: 4,
         },
         ..NodeConfig::default()
     };
@@ -136,7 +133,7 @@ fn alpha4_leader_crash_preserves_identical_chains() {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
-            window: AlphaBounds { min: 4, max: 4 },
+            window: 4,
         },
         progress_timeout: 200 * MILLI,
         ..NodeConfig::default()
@@ -204,7 +201,7 @@ fn alpha4_checkpoint_crash_recovery_keeps_app_state_consistent() {
         persistence: SyncPolicy::Sync,
         ordering: OrderingConfig {
             max_batch: 4,
-            window: AlphaBounds { min: 4, max: 4 },
+            window: 4,
         },
         ..NodeConfig::default()
     };
@@ -255,7 +252,7 @@ fn alpha4_checkpoint_crash_recovery_keeps_app_state_consistent() {
 fn alpha1_leader_change_keeps_a_lock_beyond_the_next_instance() {
     let config = OrderingConfig {
         max_batch: 1,
-        window: AlphaBounds { min: 1, max: 1 },
+        window: 1,
     };
     let mut cores = cores(4, config);
     // Leader 0 alone admits two requests; instance 2 opens once it

@@ -8,7 +8,7 @@ mod common;
 
 use common::{cores, pump, req, submit};
 use smartchain::crypto::value::hashes_computed;
-use smartchain::smr::ordering::{AlphaBounds, OrderingConfig};
+use smartchain::smr::ordering::OrderingConfig;
 
 /// α = 4 pipelined ordering over 4 replicas: eight one-request decisions
 /// cost exactly eight digest computations cluster-wide. Every PROPOSE
@@ -19,7 +19,7 @@ use smartchain::smr::ordering::{AlphaBounds, OrderingConfig};
 fn ordering_hashes_each_decided_value_exactly_once() {
     let config = OrderingConfig {
         max_batch: 1,
-        window: AlphaBounds { min: 4, max: 4 },
+        window: 4,
     };
     let mut cores = cores(4, config);
     assert!(cores[0].is_leader());

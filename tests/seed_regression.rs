@@ -13,7 +13,7 @@ use smartchain::core::harness::ChainClusterBuilder;
 use smartchain::core::node::NodeConfig;
 use smartchain::sim::{MILLI, SECOND};
 use smartchain::smr::app::CounterApp;
-use smartchain::smr::ordering::{AlphaBounds, OrderingConfig};
+use smartchain::smr::ordering::OrderingConfig;
 
 /// One lossy-network run (the `tests/lossy_network.rs` scenario, pinned):
 /// 4 replicas, 5% drops, 4 clients × 30 requests, 120 virtual seconds.
@@ -30,10 +30,7 @@ fn lossy_run_lanes(seed: u64, alpha: u64, execute_lanes: usize) -> (u64, Vec<u64
     let config = NodeConfig {
         ordering: OrderingConfig {
             max_batch: 8,
-            window: AlphaBounds {
-                min: alpha,
-                max: alpha,
-            },
+            window: alpha,
         },
         progress_timeout: 200 * MILLI,
         execute_lanes,
@@ -144,7 +141,7 @@ fn seed_7_outcome_pinned_lanes4() {
 /// Pinned observables: (completed requests, per-replica heights, messages
 /// delivered by the kernel). Regenerate with `dump_pins` below.
 ///
-/// Moved from (53, [21, 39, 41, 40], 18 860) when the window {1, 1} began
+/// Moved from (53, [21, 39, 41, 40], 18 860) when the window 1 began
 /// repairing a stalled frontier before changing leader: with the
 /// repair-less path put back alone the run reads (69, [21, 44, 49, 49],
 /// 18 917), and with the old catch-up window put back too it reads the old
@@ -155,7 +152,7 @@ const PIN_7: (u64, [u64; 4], u64) = (120, [104, 104, 104, 104], 7_076);
 /// [58, 36, 57, 52], 21 768 with the repair-less path put back alone).
 const PIN_B: (u64, [u64; 4], u64) = (120, [109, 109, 109, 109], 7_040);
 /// Moved from (49, [47, 47, 40, 40], 17 621) by the same repair, at the
-/// window {4, 4} (43, [42, 39, 39, 38], 33 227 with the repair-less path
+/// window 4 (43, [42, 39, 39, 38], 33 227 with the repair-less path
 /// put back alone).
 const PIN_7_A4: (u64, [u64; 4], u64) = (120, [114, 114, 114, 114], 12_082);
 /// Same completions as [`PIN_7`]: this scenario is fsync- and

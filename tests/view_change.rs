@@ -19,7 +19,7 @@ use smartchain::consensus::synchronizer::{
 };
 use smartchain::consensus::{ValueBytes, View, MAX_WINDOW};
 use smartchain::crypto::keys::{Backend, SecretKey};
-use smartchain::smr::ordering::{AlphaBounds, OrderingConfig, OrderingCore, SmrMsg};
+use smartchain::smr::ordering::{OrderingConfig, OrderingCore, SmrMsg};
 
 fn setup() -> (Vec<SecretKey>, Vec<Synchronizer>) {
     let secrets: Vec<SecretKey> = (0..4u8)
@@ -154,14 +154,14 @@ fn stopdata_with_more_than_max_window_locks_is_ignored() {
 
 const FIXED_1: OrderingConfig = OrderingConfig {
     max_batch: 1,
-    window: AlphaBounds { min: 1, max: 1 },
+    window: 1,
 };
 const FIXED_4: OrderingConfig = OrderingConfig {
-    window: AlphaBounds { min: 4, max: 4 },
+    window: 4,
     ..FIXED_1
 };
-const ADAPTIVE: OrderingConfig = OrderingConfig {
-    window: AlphaBounds { min: 1, max: 8 },
+const FIXED_8: OrderingConfig = OrderingConfig {
+    window: 8,
     ..FIXED_1
 };
 
@@ -228,8 +228,8 @@ fn uncertified_echo_does_not_wedge_alpha_4() {
 }
 
 #[test]
-fn uncertified_echo_does_not_wedge_adaptive_alpha() {
-    uncertified_echo_does_not_pin_later_epochs(ADAPTIVE);
+fn uncertified_echo_does_not_wedge_alpha_8() {
+    uncertified_echo_does_not_pin_later_epochs(FIXED_8);
 }
 
 /// Every replica forms the write certificate for `(10, 1)`, but only
