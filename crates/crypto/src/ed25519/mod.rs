@@ -8,18 +8,29 @@
 //! constants are literals, signing multiplies the basepoint through a
 //! radix-16 table ([`Point::mul_base`]: 64 additions, 4 doublings, no branch
 //! or table index that depends on the secret scalar), and verification checks
-//! the cofactored equation `[8]([s]B - [k]A - R) = 0` in one pass of 256
-//! doublings over two non-adjacent forms ([`Point::mul_double_base`],
-//! variable time: its inputs are public). Measured on the 2-vCPU sandbox,
-//! 310-byte message: sign 27 µs, verify 62 µs. The reduction mod L (binary
-//! long division in `scalar.rs`, 2 µs a call: three per signature, one per
-//! verification) still branches on secret bits; the 4-bit ladder
-//! [`Point::mul`] remains as the general routine and as the reference the
-//! fast paths are tested against.
+//! the cofactored equation `[8]([s]B - [k]A - R) = 0`, variable time (its
+//! inputs are public). The first time a key is seen, that takes one pass of
+//! 256 doublings over two non-adjacent forms ([`Point::mul_double_base`]).
+//! Once two signatures under the key have verified, [`cache`] keeps the
+//! key's comb table (64 affine multiples of `−A`, 7 680 B), and later
+//! signatures under it go through [`Point::mul_double_comb`]: 28 doublings
+//! and at most 128 additions, with no decompression of A. An invalid
+//! signature never admits a key, and a key that signs once costs a set
+//! insert, not a table; the second valid signature costs one table build,
+//! about 1.1 first-sighting verifications. The cache admits at most
+//! [`cache::CAPACITY`] keys (7.9 MB) and then stops, so a process builds at
+//! most that many tables. Measured on a 2-vCPU x86-64 host, 310-byte
+//! message, when quiet: sign 27 µs, verify 62 µs on first sighting and 35
+//! µs cached (a busy host measured 45–52, 97–117 and 51–67). The reduction
+//! mod L (binary long division in `scalar.rs`, 2–4 µs a call: three per
+//! signature, one per verification) still branches on secret bits; the
+//! 4-bit ladder [`Point::mul`] remains as the general routine and as the
+//! reference the fast paths are tested against.
 //!
 //! Verified against the RFC 8032 test vectors in the unit tests below, which
 //! also pin the accepted set to the two-ladder `verify` this one replaced.
 
+pub mod cache;
 pub mod field;
 pub mod point;
 pub mod scalar;
@@ -110,35 +121,71 @@ impl SigningKey {
 }
 
 /// Verifies an Ed25519 signature (RFC 8032 §5.1.7, with the canonical-`s`
-/// malleability check).
+/// malleability check). Under a key that has signed validly before, the
+/// check runs through the key's cached comb table; see [`cache`].
 pub fn verify(public_key: &[u8; PUBLIC_KEY_LEN], msg: &[u8], sig: &[u8; SIGNATURE_LEN]) -> bool {
+    verify_with(cache::keys(), public_key, msg, sig)
+}
+
+/// [`verify`] against the given cache: through the comb if `public_key` is
+/// in it, else the slow way, noting the key with the cache if the
+/// signature holds.
+fn verify_with(
+    keys: &cache::KeyCache,
+    public_key: &[u8; PUBLIC_KEY_LEN],
+    msg: &[u8],
+    sig: &[u8; SIGNATURE_LEN],
+) -> bool {
+    if let Some(table) = keys.get(public_key) {
+        return parse(public_key, msg, sig).is_some_and(|(s, big_r, k)| {
+            is_cofactored_zero(Point::mul_double_comb(&k, &table, &s), &big_r)
+        });
+    }
+    let a = verify_first_sighting(public_key, msg, sig);
+    if let Some(a) = &a {
+        keys.note_valid(public_key, a);
+    }
+    a.is_some()
+}
+
+/// The uncached check, through [`Point::mul_double_base`]: the decompressed
+/// A if the signature holds.
+fn verify_first_sighting(
+    public_key: &[u8; PUBLIC_KEY_LEN],
+    msg: &[u8],
+    sig: &[u8; SIGNATURE_LEN],
+) -> Option<Point> {
+    let a = Point::decompress(public_key)?;
+    let (s, big_r, k) = parse(public_key, msg, sig)?;
+    is_cofactored_zero(Point::mul_double_base(&k, &a.neg(), &s), &big_r).then_some(a)
+}
+
+/// `(s, R, k = H(R ‖ A ‖ M))` of a signature; `None` if `s` is not
+/// canonical or R is not a point.
+fn parse(
+    public_key: &[u8; PUBLIC_KEY_LEN],
+    msg: &[u8],
+    sig: &[u8; SIGNATURE_LEN],
+) -> Option<(Scalar, Point, Scalar)> {
     let mut r_bytes = [0u8; 32];
     r_bytes.copy_from_slice(&sig[..32]);
     let mut s_bytes = [0u8; 32];
     s_bytes.copy_from_slice(&sig[32..]);
-
-    let s = match Scalar::from_canonical_bytes(&s_bytes) {
-        Some(s) => s,
-        None => return false,
-    };
-    let a = match Point::decompress(public_key) {
-        Some(a) => a,
-        None => return false,
-    };
-    let big_r = match Point::decompress(&r_bytes) {
-        Some(r) => r,
-        None => return false,
-    };
+    let s = Scalar::from_canonical_bytes(&s_bytes)?;
+    let big_r = Point::decompress(&r_bytes)?;
 
     let mut h = Sha512::new();
     h.update(&r_bytes);
     h.update(public_key);
     h.update(msg);
-    let k = Scalar::from_wide_bytes(&h.finalize());
+    Some((s, big_r, Scalar::from_wide_bytes(&h.finalize())))
+}
 
-    // Check [8]([s]B - [k]A - R) == 0, i.e. [8][s]B == [8]R + [8][k]A, to
-    // tolerate small-order components the same way batchable verifiers do.
-    Point::mul_double_base(&k, &a.neg(), &s)
+/// Checks `[8]([s]B - [k]A - R) == 0` given `[s]B - [k]A`, i.e. [8][s]B ==
+/// [8]R + [8][k]A, to tolerate small-order components the same way
+/// batchable verifiers do.
+fn is_cofactored_zero(sb_minus_ka: Point, big_r: &Point) -> bool {
+    sb_minus_ka
         .add(&big_r.neg())
         .mul_by_cofactor()
         .is_identity()
@@ -476,25 +523,134 @@ mod tests {
         cases
     }
 
-    /// The accepted set did not move: on every class of input above,
-    /// `verify` answers what the reference answers.
+    /// The accepted set did not move, on either path: on every class of
+    /// input above, each case verified three times against one cache (the
+    /// slow way twice, then the comb wherever the second call admitted the
+    /// key) and once uncached answers what the reference answers; and so
+    /// does the comb once every key that decompresses has been admitted.
     #[test]
     fn verify_agrees_with_reference_on_every_edge_class() {
         let cases = accept_set_cases();
         assert!(cases.len() >= 1000, "{} cases", cases.len());
+        let keys = cache::KeyCache::new(cases.len());
         let mut accepted = std::collections::BTreeMap::new();
+        let mut signed_validly = std::collections::HashSet::new();
         for (i, case) in cases.iter().enumerate() {
-            let got = verify(&case.public, &case.msg, &case.sig);
-            let want = verify_reference(&case.public, &case.msg, &case.sig);
-            assert_eq!(got, want, "case {i} ({})", case.class);
-            if let Some(expect) = case.expect {
-                assert_eq!(got, expect, "case {i} ({})", case.class);
+            let (public, msg, sig) = (&case.public, &case.msg[..], &case.sig);
+            let want = verify_reference(public, msg, sig);
+            for call in 1..=3 {
+                let got = verify_with(&keys, public, msg, sig);
+                assert_eq!(got, want, "case {i} ({}), call {call}", case.class);
             }
-            *accepted.entry(case.class).or_insert(0usize) += usize::from(got);
+            let slow = verify_first_sighting(public, msg, sig).is_some();
+            assert_eq!(slow, want, "case {i} ({}), uncached", case.class);
+            if let Some(expect) = case.expect {
+                assert_eq!(want, expect, "case {i} ({})", case.class);
+            }
+            *accepted.entry(case.class).or_insert(0usize) += usize::from(want);
+            if want {
+                signed_validly.insert(*public);
+            }
         }
         // y = p and y = p + 1 are the order-4 points (±sqrt(-1), 0) and the
         // identity under a second name: taken as y mod p, they pass.
         assert!(accepted["y >= p"] >= 6, "{accepted:?}");
+
+        // A key is in the cache exactly when a signature under it verified.
+        for case in &cases {
+            let admitted = keys.get(&case.public).is_some();
+            let valid = signed_validly.contains(&case.public);
+            assert_eq!(admitted, valid, "{}", case.class);
+        }
+        for case in &cases {
+            if let Some(a) = Point::decompress(&case.public) {
+                keys.admit(&case.public, &a);
+            }
+        }
+        for (i, case) in cases.iter().enumerate() {
+            let (public, msg, sig) = (&case.public, &case.msg[..], &case.sig);
+            if keys.get(public).is_some() {
+                let got = verify_with(&keys, public, msg, sig);
+                let want = verify_reference(public, msg, sig);
+                assert_eq!(got, want, "case {i} ({}), comb", case.class);
+            }
+        }
+    }
+
+    /// The comb computes `[k]P + [s]B` exactly as the NAF pass does, on
+    /// seeded scalars and on points with and without small-order parts.
+    #[test]
+    fn mul_double_comb_matches_mul_double_base() {
+        let mut rng = SimRng::seed_from_u64(0xc0b);
+        let small = small_order_points(&mut rng);
+        let base = Point::basepoint();
+        let mut points: Vec<Point> = small.to_vec();
+        for t in &small {
+            let p = base.mul(&random_scalar(&mut rng));
+            points.extend([p, p.add(t), p.neg().add(t)]);
+        }
+        let edges = [Scalar::ZERO, Scalar::ONE, Scalar::order_minus_one()];
+        for (i, p) in points.iter().enumerate() {
+            let table = point::CombTable::new(p);
+            let mut pairs: Vec<(Scalar, Scalar)> = (0..8)
+                .map(|_| (random_scalar(&mut rng), random_scalar(&mut rng)))
+                .collect();
+            pairs.extend(
+                edges
+                    .iter()
+                    .flat_map(|&k| edges.iter().map(move |&s| (k, s))),
+            );
+            for (k, s) in pairs {
+                let comb = Point::mul_double_comb(&k, &table, &s);
+                let naf = Point::mul_double_base(&k, p, &s);
+                assert!(comb.eq_point(&naf), "point {i}, k {k:?}, s {s:?}");
+            }
+        }
+    }
+
+    /// A key is admitted on its second valid signature, never on one valid
+    /// signature or on any number of bad ones; the cache stops at its
+    /// capacity, and the seen-once set never passes it.
+    #[test]
+    fn key_cache_admits_on_the_second_valid_signature_up_to_capacity() {
+        const CAP: usize = 8;
+        let keys = cache::KeyCache::new(CAP);
+        let mut rng = SimRng::seed_from_u64(0xb0d);
+        let mut fresh = || {
+            let key = SigningKey::from_seed(&random32(&mut rng));
+            (key.public_key(), key.sign(b"fresh"))
+        };
+        for i in 0..10 * CAP {
+            let (public, sig) = fresh();
+            assert!(verify_with(&keys, &public, b"fresh", &sig));
+            assert!(keys.get(&public).is_none(), "one-shot key {i} admitted");
+            assert!(keys.seen_once_len() <= CAP, "one-shot key {i}");
+        }
+        assert_eq!(keys.len(), 0);
+        for i in 0..10 * CAP {
+            let (public, mut sig) = fresh();
+            sig[40] ^= 1;
+            for _ in 0..3 {
+                assert!(!verify_with(&keys, &public, b"fresh", &sig));
+            }
+            assert!(
+                keys.get(&public).is_none(),
+                "key {i} admitted on bad signatures"
+            );
+            sig[40] ^= 1;
+            for call in 1..=3 {
+                assert!(verify_with(&keys, &public, b"fresh", &sig));
+                let cached = keys.get(&public).is_some();
+                assert_eq!(cached, call >= 2 && i < CAP, "key {i}, call {call}");
+            }
+            assert!(keys.len() <= CAP, "{} keys after key {i}", keys.len());
+            assert!(keys.seen_once_len() <= CAP, "key {i}");
+        }
+        assert_eq!(keys.len(), CAP);
+        // Two verifiers racing past the fullness check still keep the bound.
+        let (public, _) = fresh();
+        keys.admit(&public, &Point::decompress(&public).expect("a key"));
+        assert_eq!(keys.len(), CAP);
     }
 
     /// Fixed-base key derivation and signing are byte-identical to the same

@@ -9,7 +9,7 @@
 //! which the next step takes what it needs: a doubling reads only
 //! (X : Y : Z) — a `Projective`, three multiplications — an addition also
 //! T, a fourth. The right-hand operand of an addition is prepared once as a
-//! `Cached` (any point) or an `Affine` (Z = 1: the basepoint tables).
+//! `Cached` (any point) or an `Affine` (Z = 1: the basepoint and comb tables).
 
 use super::field::{Fe, D, D2, SQRT_M1};
 use super::scalar::Scalar;
@@ -63,7 +63,8 @@ struct Affine {
 /// Multiples of the basepoint, built from [`Point::add`] and
 /// [`Point::double`] at first use (320 entries, 37.5 KB).
 struct BaseTables {
-    /// `radix16[i][j] = (j+1)·256^i·B`, for signing's fixed-base product.
+    /// `radix16[i][j] = (j+1)·256^i·B`, for signing's fixed-base product;
+    /// rows 0, 4, …, 28 are also the B half of [`Point::mul_double_comb`].
     radix16: [[Affine; 8]; 32],
     /// `odd[j] = (2j+1)·B`, for verification's width-8 NAF.
     odd: [Affine; 64],
@@ -94,6 +95,51 @@ const BASEPOINT: Point = Point {
         1821297809914039,
     ]),
 };
+
+/// The comb table of one point P: `rows[r][j] = (j+1)·16^(8r)·P` for r, j
+/// in 0..8, affine (64 entries, 7 680 B). With it, [`Point::mul_double_comb`]
+/// computes `[k]P + [s]B` in 28 doublings instead of 256.
+pub struct CombTable {
+    /// On the heap, like the build's temporaries: tables are built on
+    /// whichever thread verifies, and its stack should not keep their pages.
+    rows: Box<[[Affine; 8]]>,
+}
+
+impl CombTable {
+    /// Builds P's table: 224 doublings, 56 additions and one batched
+    /// inversion, about the cost of one [`Point::mul_double_base`].
+    pub fn new(point: &Point) -> CombTable {
+        // points[8r + j] = (j+1)·16^(8r)·P.
+        let mut points = vec![Point::identity(); 64];
+        let mut base = *point;
+        for (r, row) in points.chunks_exact_mut(8).enumerate() {
+            if r > 0 {
+                for _ in 0..32 {
+                    base = base.double();
+                }
+            }
+            let step = base.to_cached();
+            row[0] = base;
+            for j in 1..8 {
+                row[j] = row[j - 1].add_cached(&step).to_point();
+            }
+        }
+        // Montgomery's trick: one inversion for all 64 Zs.
+        let mut prefix = vec![Fe::ONE; 64];
+        let mut product = Fe::ONE;
+        for (p, point) in prefix.iter_mut().zip(&points) {
+            *p = product;
+            product = product.mul(point.z);
+        }
+        let mut inverse = product.invert();
+        let mut rows = vec![[Affine::IDENTITY; 8]; 8].into_boxed_slice();
+        for i in (0..64).rev() {
+            rows[i / 8][i % 8] = points[i].to_affine_with(inverse.mul(prefix[i]));
+            inverse = inverse.mul(points[i].z);
+        }
+        CombTable { rows }
+    }
+}
 
 fn base_tables() -> &'static BaseTables {
     static TABLES: OnceLock<BaseTables> = OnceLock::new();
@@ -203,6 +249,13 @@ impl Affine {
         }
     }
 
+    /// `digit·P` from `multiples = [P, 2P, …, 8P]` for a non-zero digit in
+    /// -8..=8, indexed by the digit: for public scalars only.
+    fn signed(multiples: &[Affine; 8], digit: i8) -> Affine {
+        let q = multiples[usize::from(digit.unsigned_abs() - 1)];
+        q.neg_if((digit >> 7) as u64)
+    }
+
     /// `digit·P` from `multiples = [P, 2P, …, 8P]` for a digit in -8..=8,
     /// reading every entry so that neither a branch nor an address depends
     /// on the digit.
@@ -245,7 +298,11 @@ impl Point {
 
     /// Normalizes to Z = 1 (one inversion: for building tables).
     fn to_affine(self) -> Affine {
-        let zinv = self.z.invert();
+        self.to_affine_with(self.z.invert())
+    }
+
+    /// Normalizes to Z = 1 given `zinv = 1/Z`.
+    fn to_affine_with(self, zinv: Fe) -> Affine {
         let (x, y) = (self.x.mul(zinv), self.y.mul(zinv));
         Affine {
             y_plus_x: y.add(x),
@@ -365,6 +422,37 @@ impl Point {
             }
         }
         // The last step computes T as well: the caller may add to the result.
+        acc.to_point()
+    }
+
+    /// Computes `[k]P + [s]B` from P's [`CombTable`]: the same product as
+    /// [`Point::mul_double_base`], walking the signed radix-16 digits of `k`
+    /// and `s` column by column — digit `8r + c` of each scalar is one table
+    /// addition in row r, and the columns are 16 apart: 28 shared doublings
+    /// and at most 128 additions. Not constant time; verification inputs
+    /// are public.
+    pub fn mul_double_comb(k: &Scalar, table: &CombTable, s: &Scalar) -> Point {
+        let (digits_k, digits_s) = (k.to_radix16(), s.to_radix16());
+        let base = &base_tables().radix16;
+        let mut acc = Completed::IDENTITY;
+        for c in (0..8).rev() {
+            if c < 7 {
+                for _ in 0..4 {
+                    acc = acc.to_projective().double();
+                }
+            }
+            for r in 0..8 {
+                let (dk, ds) = (digits_k[8 * r + c], digits_s[8 * r + c]);
+                if dk != 0 {
+                    acc = acc
+                        .to_point()
+                        .add_affine(&Affine::signed(&table.rows[r], dk));
+                }
+                if ds != 0 {
+                    acc = acc.to_point().add_affine(&Affine::signed(&base[4 * r], ds));
+                }
+            }
+        }
         acc.to_point()
     }
 
