@@ -520,10 +520,10 @@ impl<A: Application> ChainNode<A> {
         }
     }
 
-    /// Crash recovery: volatile pipeline state is gone; reinstall the last
-    /// durable snapshot (if any), replay the surviving ledger suffix into
-    /// the application, fast-forward the core, and fetch the lost tail from
-    /// peers.
+    /// Crash recovery: volatile pipeline state is gone; rebuild the
+    /// ordering core, reinstall the last durable snapshot (if any), replay
+    /// the surviving ledger suffix into the application, and fetch the lost
+    /// tail from peers.
     pub(crate) fn recover_from_ledger(&mut self, ctx: &mut Ctx<'_, ChainMsg>) {
         self.app.reset();
         let replay = {
@@ -546,6 +546,17 @@ impl<A: Application> ChainNode<A> {
             // almost everything locally, an Async/Memory replica must fetch
             // the lost suffix from its peers.
             m.ledger.reload().expect("ledger reload");
+            // The ordering core is volatile too: a restarted replica's
+            // duplicate filter, pending pool and open instances start empty,
+            // and `finish_sync` seeds the filter from the record below.
+            m.generation += 1;
+            m.core = OrderingCore::new(
+                m.core.id(),
+                m.view.to_consensus_view(),
+                self.keys.consensus().clone(),
+                self.config.ordering,
+                m.ledger.height(),
+            );
             // Checkpoints only reach the disk on the non-Memory rungs
             // (take_checkpoint); under ∞-persistence the snapshot was RAM
             // and died with it.

@@ -326,6 +326,25 @@ fn replica_crash_and_recovery_with_state_transfer() {
     assert_frontiers_match_chains(&cluster, 4);
 }
 
+/// A crash loses the ordering core, as a restarted process does: requests a
+/// follower admitted before it crashed are no longer pending once it
+/// recovers. With replicas 0 and 1 down the cluster has no quorum, so
+/// nothing is ordered and every admitted request stays pending; the client
+/// first retransmits at 2 s, after the check.
+#[test]
+fn crash_recovery_rebuilds_the_ordering_core() {
+    let mut cluster = builder(4).clients(1, 2, Some(10)).build();
+    cluster.sim().crash(0, 0);
+    cluster.sim().crash(1, 0);
+    cluster.sim().crash(3, 500 * MILLI);
+    cluster.sim().recover(3, SECOND);
+    cluster.run_until(400 * MILLI);
+    let pending = |c: &ChainCluster| c.node::<CounterApp>(3).ordering_status().unwrap().1;
+    assert_eq!(pending(&cluster), 2, "both clients' requests pending");
+    cluster.run_until(SECOND + MILLI);
+    assert_eq!(pending(&cluster), 0, "the crash emptied the pending pool");
+}
+
 #[test]
 fn checkpoints_cover_blocks_and_link_into_headers() {
     let mut cluster = builder(4)

@@ -203,7 +203,7 @@ impl TcpLightClient {
         Ok(proof)
     }
 
-    /// Closes every connection and joins the reader threads.
+    /// Closes every connection.
     pub fn shutdown(self) {
         self.client.shutdown();
     }

@@ -350,12 +350,6 @@ fn run_replica<A: Application>(
 // The replica loop
 // ---------------------------------------------------------------------------
 
-/// Batched verify stage (wall-clock backend): checks every signed request in
-/// `batch` on the pool lanes at once and feeds the survivors to the order
-/// stage. Unsigned requests pass through only when the deployment does not
-/// `require_signed` — on an open TCP surface an unsigned request would let
-/// any network peer forge another client's `(client, seq)` and poison its
-/// duplicate filter, so public deployments must require signatures.
 /// Payload prefix marking a light-client read-proof request. Such requests
 /// are served locally from the replica's latest *certified* checkpoint —
 /// they are never ordered, never executed, and need no signature: the reply
@@ -481,6 +475,12 @@ impl CertAssembly {
     }
 }
 
+/// Batched verify stage (wall-clock backend): checks every signed request in
+/// `batch` on the pool lanes at once and feeds the survivors to the order
+/// stage. Unsigned requests pass through only when the deployment does not
+/// `require_signed` — on an open TCP surface an unsigned request would let
+/// any network peer forge another client's `(client, seq)` and poison its
+/// duplicate filter, so public deployments must require signatures.
 fn verify_and_submit(
     core: &mut OrderingCore,
     pool: &VerifyPool,

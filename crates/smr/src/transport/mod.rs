@@ -13,7 +13,9 @@
 //!   world. Sends are *at-most-once* (a torn connection or full outbox
 //!   drops messages), which is exactly what the protocol layers already
 //!   tolerate — consensus repairs via `FetchValue` and state transfer, the
-//!   synchronizer via [`NetEvent::PeerUp`]-triggered resends;
+//!   synchronizer via [`NetEvent::PeerUp`]-triggered resends. The same
+//!   module holds the client side, [`TcpClientPool`] and [`TcpClient`] (a
+//!   pool of one), which polls its connections from the caller's thread;
 //! * [`reactor`] — the event loop itself plus its building blocks:
 //!   incremental frame reassembly, pooled write queues, and the
 //!   [`TransportStats`] counters;

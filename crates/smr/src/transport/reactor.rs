@@ -584,7 +584,8 @@ pub(super) struct Reactor {
     poll_targets: Vec<Target>,
 }
 
-fn resolve(addr: &str) -> io::Result<SocketAddr> {
+/// The first socket address `addr` resolves to.
+pub(super) fn resolve(addr: &str) -> io::Result<SocketAddr> {
     addr.to_socket_addrs()?
         .next()
         .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "unresolvable address"))

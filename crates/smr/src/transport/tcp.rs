@@ -16,6 +16,16 @@
 //! context switch per frame (the measured bottleneck of the old
 //! thread-pair design).
 //!
+//! The client side spawns no thread either: [`TcpClientPool`] multiplexes
+//! every connection of every logical client over one `poll(2)` set in the
+//! caller's thread, and [`TcpClient`] is a pool of one. A request goes to
+//! every replica and is answered once `quorum` connections return the same
+//! result. A reply counts for the connection it arrived on, that is for the
+//! replica address the client dialed, and not for the `replica` field it
+//! carries, which nothing authenticates: client frames carry only a public
+//! checksum ([`FrameKey::client`]). So one replier cannot vote twice by
+//! naming two replicas.
+//!
 //! Loss model: sends are at-most-once. A torn connection drops whatever was
 //! in flight; the reactor redials, emits [`NetEvent::PeerUp`], and the
 //! protocol layers re-send what cannot be regenerated (synchronizer state)
@@ -25,23 +35,21 @@
 //! the queue drains so the same repair path runs. This is precisely the
 //! fair-lossy link the consensus layer already assumes.
 
-use super::frame::{read_frame, write_client_hello, write_frame, FrameKey};
-use super::reactor::{FrameReader, Reactor, StatsInner, TransportStats, WriteQueue};
+use super::frame::{encode_frame_into, write_client_hello, FrameKey};
+use super::reactor::{resolve, FrameReader, Reactor, StatsInner, TransportStats, WriteQueue};
 use super::sys::{poll_wait, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use super::{NetEvent, RecvError};
 use crate::ordering::SmrMsg;
 use crate::types::{Reply, Request};
-use smartchain_codec::{from_bytes, to_bytes};
+use smartchain_codec::from_bytes;
 use smartchain_consensus::ReplicaId;
-use std::collections::HashMap;
 use std::io::{self, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The write half of the reactor's wake pipe plus the dedup flag: any
@@ -300,35 +308,126 @@ impl TcpTransport {
     }
 }
 
-fn resolve(addr: &str) -> io::Result<SocketAddr> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "unresolvable address"))
-}
-
 // ---------------------------------------------------------------------------
-// Client side
+// Client side (poll-based, zero threads)
 // ---------------------------------------------------------------------------
 
-/// A TCP client of the replica cluster: one connection per replica, requests
-/// broadcast to all, replies tallied to an `f+1` matching quorum.
-pub struct TcpClient {
-    client_id: u64,
-    addrs: Vec<String>,
-    conns: Vec<Option<TcpStream>>,
-    replies: Receiver<Reply>,
-    replies_tx: Sender<Reply>,
-    readers: Vec<JoinHandle<()>>,
-    stop: Arc<AtomicBool>,
+/// How often an unanswered request is retransmitted.
+const RETRANSMIT: Duration = Duration::from_millis(500);
+
+/// How long a dial waits for a replica to accept.
+const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+
+struct ClientConn {
+    stream: TcpStream,
+    reader: FrameReader,
+    wq: WriteQueue,
 }
 
-impl std::fmt::Debug for TcpClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpClient")
-            .field("client_id", &self.client_id)
-            .field("replicas", &self.addrs.len())
-            .finish_non_exhaustive()
+impl ClientConn {
+    /// Dials `addr`, introduces itself as `client`, and turns nonblocking.
+    fn dial(addr: &str, client: u64) -> Option<ClientConn> {
+        let addr = resolve(addr).ok()?;
+        let mut stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT).ok()?;
+        stream.set_nodelay(true).ok();
+        write_client_hello(&mut stream, client).ok()?;
+        stream.set_nonblocking(true).ok()?;
+        Some(ClientConn {
+            stream,
+            reader: FrameReader::new(),
+            wq: WriteQueue::new(64),
+        })
     }
+}
+
+/// The one request a client has in flight.
+struct InFlight {
+    seq: u64,
+    /// The request's frame, encoded once and queued again per retransmit.
+    frame: Vec<u8>,
+    /// The result each connection returned, by connection index. A voter is
+    /// the connection a reply arrived on, never the reply's own `replica`
+    /// field: client frames carry only a public checksum, so that field is
+    /// whatever the sender wrote.
+    votes: Vec<Option<Vec<u8>>>,
+    sent_at: Instant,
+}
+
+/// One logical client: a connection per replica (dialed on demand), at most
+/// one request in flight, and the result of the last one answered.
+struct ClientSlot {
+    id: u64,
+    next_seq: u64,
+    completed: u64,
+    result: Option<Vec<u8>>,
+    in_flight: Option<InFlight>,
+    conns: Vec<Option<ClientConn>>,
+}
+
+impl ClientSlot {
+    /// Puts `request` in flight and sends it.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` when the request does not fit in one frame.
+    fn start(&mut self, request: Request, addrs: &[String]) -> io::Result<()> {
+        let seq = request.seq;
+        let mut frame = Vec::new();
+        let msg = SmrMsg::Request(request);
+        encode_frame_into(&mut frame, &FrameKey::client(), &msg)?;
+        self.in_flight = Some(InFlight {
+            seq,
+            frame,
+            votes: vec![None; self.conns.len()],
+            sent_at: Instant::now(),
+        });
+        self.send(addrs);
+        Ok(())
+    }
+
+    /// Queues the request in flight on every replica's connection, dialing
+    /// the missing ones first.
+    fn send(&mut self, addrs: &[String]) {
+        let Some(flight) = &mut self.in_flight else {
+            return;
+        };
+        flight.sent_at = Instant::now();
+        for (slot, addr) in self.conns.iter_mut().zip(addrs) {
+            if slot.is_none() {
+                *slot = ClientConn::dial(addr, self.id);
+            }
+            if let Some(conn) = slot {
+                // Full queue: skip — the retransmit timer repairs it.
+                let _ = conn.wq.push(flight.frame.clone());
+            }
+        }
+    }
+
+    /// Counts `reply`, which arrived on connection `conn`; `quorum`
+    /// connections returning the same result answer the request.
+    fn on_reply(&mut self, conn: usize, reply: Reply, quorum: usize) {
+        let Some(flight) = &mut self.in_flight else {
+            return;
+        };
+        if reply.client != self.id || reply.seq != flight.seq {
+            return; // stale reply from an earlier operation
+        }
+        flight.votes[conn] = Some(reply.result);
+        let vote = &flight.votes[conn];
+        if flight.votes.iter().filter(|v| *v == vote).count() >= quorum {
+            self.result = vote.clone();
+            self.in_flight = None;
+            self.completed += 1;
+        }
+    }
+}
+
+/// A TCP client of the replica cluster: a [`TcpClientPool`] of one client,
+/// which sends each request to every replica and accepts a result once
+/// `quorum` replicas' connections return it.
+#[derive(Debug)]
+pub struct TcpClient {
+    pool: TcpClientPool,
 }
 
 impl TcpClient {
@@ -336,161 +435,50 @@ impl TcpClient {
     /// established lazily per send, so a down replica does not block
     /// construction.
     pub fn new(client_id: u64, addrs: Vec<String>) -> TcpClient {
-        let (replies_tx, replies) = mpsc::channel();
-        let conns = (0..addrs.len()).map(|_| None).collect();
         TcpClient {
-            client_id,
-            addrs,
-            conns,
-            replies,
-            replies_tx,
-            readers: Vec::new(),
-            stop: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Ensures a live connection to `replica`, dialing if needed.
-    fn ensure_conn(&mut self, replica: ReplicaId) -> Option<&mut TcpStream> {
-        if self.conns[replica].is_none() {
-            let addr = resolve(&self.addrs[replica]).ok()?;
-            let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
-            stream.set_nodelay(true).ok();
-            write_client_hello(&mut stream, self.client_id).ok()?;
-            // Reader for this connection's replies.
-            let read_half = stream.try_clone().ok()?;
-            let replies_tx = self.replies_tx.clone();
-            let stop = Arc::clone(&self.stop);
-            self.readers.retain(|h| !h.is_finished());
-            self.readers.push(
-                std::thread::Builder::new()
-                    .name("sc-client-reader".into())
-                    .spawn(move || client_reader(read_half, replies_tx, stop))
-                    .expect("spawn client reader"),
-            );
-            self.conns[replica] = Some(stream);
-        }
-        self.conns[replica].as_mut()
-    }
-
-    /// Broadcasts `request` to every replica (best effort).
-    pub fn submit(&mut self, request: &Request) {
-        let key = FrameKey::client();
-        let payload = to_bytes(&SmrMsg::Request(request.clone()));
-        for replica in 0..self.addrs.len() {
-            let ok = match self.ensure_conn(replica) {
-                Some(stream) => write_frame(stream, &key, &payload).is_ok(),
-                None => false,
-            };
-            if !ok {
-                self.conns[replica] = None;
-            }
+            pool: TcpClientPool::new(addrs, client_id, 1),
         }
     }
 
     /// Submits `request` and waits for `quorum` matching replies,
-    /// retransmitting every 500 ms.
+    /// retransmitting every 500 ms. `request.client` must be this client's
+    /// id: replicas route replies by it.
     ///
     /// # Errors
     ///
-    /// `TimedOut` when no quorum forms within `deadline`.
+    /// `TimedOut` when no quorum forms within `deadline`; `InvalidInput`
+    /// when the request does not fit in one frame.
     pub fn execute_request(
         &mut self,
         request: Request,
         quorum: usize,
         deadline: Duration,
     ) -> io::Result<Vec<u8>> {
-        self.submit(&request);
-        let deadline_at = std::time::Instant::now() + deadline;
-        let mut tally: HashMap<Vec<u8>, std::collections::HashSet<ReplicaId>> = HashMap::new();
-        let mut next_retransmit = std::time::Instant::now() + Duration::from_millis(500);
-        loop {
-            let now = std::time::Instant::now();
-            if now >= deadline_at {
+        let deadline_at = Instant::now() + deadline;
+        let pool = &mut self.pool;
+        pool.clients[0].start(request, &pool.addrs)?;
+        while pool.clients[0].in_flight.is_some() {
+            if Instant::now() >= deadline_at {
+                pool.clients[0].in_flight = None;
                 return Err(io::Error::new(io::ErrorKind::TimedOut, "no reply quorum"));
             }
-            if now >= next_retransmit {
-                // Lost requests or replies (e.g. a replica restarting) are
-                // repaired by client retransmission, as in the paper.
-                self.submit(&request);
-                next_retransmit = now + Duration::from_millis(500);
-            }
-            let wait = next_retransmit.min(deadline_at) - now;
-            match self.replies.recv_timeout(wait) {
-                Ok(reply) if reply.seq == request.seq && reply.client == request.client => {
-                    let set = tally.entry(reply.result.clone()).or_default();
-                    set.insert(reply.replica);
-                    if set.len() >= quorum {
-                        return Ok(reply.result);
-                    }
-                }
-                Ok(_) => {}  // stale reply from an earlier operation
-                Err(_) => {} // timeout tick: loop re-checks deadline
-            }
+            pool.pump(deadline_at, quorum);
         }
+        Ok(pool.clients[0].result.take().unwrap_or_default())
     }
 
-    /// Closes every connection and joins the reader threads.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for conn in self.conns.iter().flatten() {
-            let _ = conn.shutdown(Shutdown::Both);
-        }
-        for h in self.readers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-fn client_reader(mut stream: TcpStream, replies_tx: Sender<Reply>, stop: Arc<AtomicBool>) {
-    let key = FrameKey::client();
-    while !stop.load(Ordering::Relaxed) {
-        let payload = match read_frame(&mut stream, &key) {
-            Ok(p) => p,
-            Err(_) => return,
-        };
-        if let Ok(SmrMsg::Reply(reply)) = from_bytes::<SmrMsg>(&payload) {
-            if replies_tx.send(reply).is_err() {
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Multi-client driver (poll-based, zero threads)
-// ---------------------------------------------------------------------------
-
-/// How often an unanswered request is retransmitted by the pool.
-const POOL_RETRANSMIT: Duration = Duration::from_millis(500);
-
-struct PoolConn {
-    stream: TcpStream,
-    reader: FrameReader,
-    wq: WriteQueue,
-}
-
-/// Per-result set of replicas that voted for it.
-type ReplyTally = HashMap<Vec<u8>, std::collections::HashSet<ReplicaId>>;
-
-struct PoolClient {
-    id: u64,
-    next_seq: u64,
-    completed: u64,
-    /// The in-flight request's seq and per-result reply tally.
-    in_flight: Option<(u64, ReplyTally)>,
-    last_sent: Instant,
-    conns: Vec<Option<PoolConn>>,
+    /// Closes every connection.
+    pub fn shutdown(self) {}
 }
 
 /// Drives many logical clients over nonblocking sockets from a single
-/// caller thread — the load-generation side of the 1k-client soak. Where
-/// [`TcpClient`] spawns a reader thread per connection, the pool spawns
-/// none: every connection of every client is multiplexed over one
-/// `poll(2)` set, which is exactly the discipline the replica-side reactor
-/// is being tested against.
+/// caller thread — the load-generation side of the 1k-client soak, and
+/// (with one client) [`TcpClient`]. No thread is spawned: every connection
+/// of every client is multiplexed over one `poll(2)` set, which is exactly
+/// the discipline the replica-side reactor is being tested against.
 pub struct TcpClientPool {
     addrs: Vec<String>,
-    clients: Vec<PoolClient>,
+    clients: Vec<ClientSlot>,
 }
 
 impl std::fmt::Debug for TcpClientPool {
@@ -503,40 +491,31 @@ impl std::fmt::Debug for TcpClientPool {
 }
 
 impl TcpClientPool {
-    /// Connects `count` logical clients (ids `first_id..first_id+count`) to
-    /// every replica in `addrs`. Failed dials leave holes that requests
-    /// simply skip — the quorum tally tolerates missing replicas.
-    pub fn connect(addrs: Vec<String>, first_id: u64, count: usize) -> TcpClientPool {
-        let now = Instant::now();
-        let clients = (0..count as u64)
-            .map(|i| {
-                let id = first_id + i;
-                let conns = (0..addrs.len())
-                    .map(|replica| {
-                        let addr = resolve(&addrs[replica]).ok()?;
-                        let mut stream =
-                            TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
-                        stream.set_nodelay(true).ok();
-                        write_client_hello(&mut stream, id).ok()?;
-                        stream.set_nonblocking(true).ok()?;
-                        Some(PoolConn {
-                            stream,
-                            reader: FrameReader::new(),
-                            wq: WriteQueue::new(64),
-                        })
-                    })
-                    .collect();
-                PoolClient {
-                    id,
-                    next_seq: 1,
-                    completed: 0,
-                    in_flight: None,
-                    last_sent: now,
-                    conns,
-                }
+    fn new(addrs: Vec<String>, first_id: u64, count: usize) -> TcpClientPool {
+        let clients = (first_id..first_id + count as u64)
+            .map(|id| ClientSlot {
+                id,
+                next_seq: 1,
+                completed: 0,
+                result: None,
+                in_flight: None,
+                conns: addrs.iter().map(|_| None).collect(),
             })
             .collect();
         TcpClientPool { addrs, clients }
+    }
+
+    /// Connects `count` logical clients (ids `first_id..first_id+count`) to
+    /// every replica in `addrs`. Failed dials leave holes that are dialed
+    /// again at the next send or retransmission.
+    pub fn connect(addrs: Vec<String>, first_id: u64, count: usize) -> TcpClientPool {
+        let mut pool = TcpClientPool::new(addrs, first_id, count);
+        for slot in &mut pool.clients {
+            for (conn, addr) in slot.conns.iter_mut().zip(&pool.addrs) {
+                *conn = ClientConn::dial(addr, slot.id);
+            }
+        }
+        pool
     }
 
     /// Live connection count (diagnostics).
@@ -561,150 +540,101 @@ impl TcpClientPool {
         let deadline_at = Instant::now() + deadline;
         let target = ops_per_client * self.clients.len() as u64;
         loop {
-            let now = Instant::now();
             let mut done = 0u64;
-            // Issue / retransmit.
-            for ci in 0..self.clients.len() {
-                let client = &mut self.clients[ci];
-                done += client.completed;
-                if client.completed >= ops_per_client {
-                    continue;
-                }
-                match &client.in_flight {
-                    None => {
-                        let seq = client.next_seq;
-                        client.next_seq += 1;
-                        client.in_flight = Some((seq, HashMap::new()));
-                        client.last_sent = now;
-                        Self::submit(client, payload, seq);
+            for slot in &mut self.clients {
+                done += slot.completed;
+                if slot.completed < ops_per_client && slot.in_flight.is_none() {
+                    let request = Request {
+                        client: slot.id,
+                        seq: slot.next_seq,
+                        payload: payload.to_vec(),
+                        signature: None,
+                    };
+                    slot.next_seq += 1;
+                    if slot.start(request, &self.addrs).is_err() {
+                        return done;
                     }
-                    Some((seq, _)) if now.duration_since(client.last_sent) >= POOL_RETRANSMIT => {
-                        let seq = *seq;
-                        client.last_sent = now;
-                        Self::submit(client, payload, seq);
-                    }
-                    Some(_) => {}
                 }
             }
-            if done >= target || now >= deadline_at {
+            if done >= target || Instant::now() >= deadline_at {
                 return done;
             }
-            self.pump(deadline_at.min(now + POOL_RETRANSMIT), quorum);
+            self.pump(deadline_at, quorum);
         }
     }
 
-    /// Encodes `seq`'s request once and queues it on every live connection
-    /// (the client frame key is shared, so the bytes are identical).
-    fn submit(client: &mut PoolClient, payload: &[u8], seq: u64) {
-        let request = Request {
-            client: client.id,
-            seq,
-            payload: payload.to_vec(),
-            signature: None,
-        };
-        let mut frame = Vec::new();
-        if super::frame::encode_frame_into(
-            &mut frame,
-            &FrameKey::client(),
-            &SmrMsg::Request(request),
-        )
-        .is_err()
-        {
-            return;
-        }
-        for conn in client.conns.iter_mut().flatten() {
-            // Full queue: skip — the retransmit timer repairs it.
-            let _ = conn.wq.push(frame.clone());
-        }
-    }
-
-    /// One poll round: flush pending writes, read replies, tally quorums.
-    fn pump(&mut self, until: Instant, quorum: usize) {
-        // Opportunistic flush before polling.
-        for client in &mut self.clients {
-            for slot in &mut client.conns {
-                if let Some(conn) = slot {
-                    if !conn.wq.is_empty() && conn.wq.drain(&mut conn.stream).is_err() {
-                        *slot = None;
-                    }
-                }
-            }
-        }
+    /// One round: retransmits every request that is due, flushes queued
+    /// frames, polls until the next retransmission or `deadline_at`, and
+    /// counts each reply for the connection it arrived on.
+    fn pump(&mut self, deadline_at: Instant, quorum: usize) {
+        let now = Instant::now();
+        let mut until = deadline_at;
         let mut fds = Vec::new();
         let mut index = Vec::new();
-        for (ci, client) in self.clients.iter().enumerate() {
-            for (ri, conn) in client.conns.iter().enumerate() {
-                let Some(conn) = conn else { continue };
+        for (ci, slot) in self.clients.iter_mut().enumerate() {
+            if let Some(flight) = &slot.in_flight {
+                let mut at = flight.sent_at + RETRANSMIT;
+                if now >= at {
+                    // Lost requests or replies (a replica restarting, a
+                    // torn connection) are repaired by retransmission, as
+                    // in the paper.
+                    slot.send(&self.addrs);
+                    at = now + RETRANSMIT;
+                }
+                until = until.min(at);
+            }
+            for (ri, conn_slot) in slot.conns.iter_mut().enumerate() {
+                let Some(conn) = conn_slot else { continue };
+                if !conn.wq.is_empty() && conn.wq.drain(&mut conn.stream).is_err() {
+                    *conn_slot = None;
+                    continue;
+                }
                 let events = POLLIN | if conn.wq.is_empty() { 0 } else { POLLOUT };
                 fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
                 index.push((ci, ri));
             }
         }
-        if fds.is_empty() {
-            return;
-        }
+        // An empty set still waits out the timeout rather than spin.
         let timeout = until.saturating_duration_since(Instant::now());
-        let Ok(ready) = poll_wait(&mut fds, Some(timeout)) else {
-            return;
-        };
-        if ready == 0 {
+        if !matches!(poll_wait(&mut fds, Some(timeout)), Ok(ready) if ready > 0) {
             return;
         }
         let key = FrameKey::client();
         for (fd, &(ci, ri)) in fds.iter().zip(&index) {
-            if fd.revents == 0 {
+            let slot = &mut self.clients[ci];
+            let Some(conn) = &mut slot.conns[ri] else {
                 continue;
-            }
-            let client = &mut self.clients[ci];
+            };
+            let mut drop_conn =
+                fd.revents & POLLOUT != 0 && conn.wq.drain(&mut conn.stream).is_err();
             let mut replies = Vec::new();
-            let mut drop_conn = false;
-            {
-                let Some(conn) = &mut client.conns[ri] else {
-                    continue;
-                };
-                if fd.revents & POLLOUT != 0 && conn.wq.drain(&mut conn.stream).is_err() {
-                    drop_conn = true;
-                }
-                if !drop_conn && fd.revents & (POLLIN | POLLHUP | POLLERR) != 0 {
-                    drop_conn = match conn.reader.fill(&mut conn.stream) {
-                        Ok((_, eof)) => eof,
-                        Err(_) => true,
-                    };
-                    loop {
-                        match conn.reader.next_frame() {
-                            Ok(Some((tag, payload))) if key.verify(&payload, &tag) => {
-                                if let Ok(SmrMsg::Reply(reply)) = from_bytes::<SmrMsg>(&payload) {
-                                    replies.push(reply);
-                                }
+            if !drop_conn && fd.revents & (POLLIN | POLLHUP | POLLERR) != 0 {
+                drop_conn = conn
+                    .reader
+                    .fill(&mut conn.stream)
+                    .map_or(true, |(_, eof)| eof);
+                loop {
+                    match conn.reader.next_frame() {
+                        Ok(Some((tag, payload))) if key.verify(&payload, &tag) => {
+                            if let Ok(SmrMsg::Reply(reply)) = from_bytes::<SmrMsg>(&payload) {
+                                replies.push(reply);
                             }
-                            Ok(Some(_)) => {}
-                            Ok(None) => break,
-                            Err(_) => break,
+                        }
+                        Ok(Some(_)) => {}
+                        // A malformed header leaves nothing to resync on.
+                        end => {
+                            drop_conn |= end.is_err();
+                            break;
                         }
                     }
                 }
             }
             if drop_conn {
-                client.conns[ri] = None;
+                slot.conns[ri] = None;
             }
             for reply in replies {
-                Self::tally(client, ri, reply, quorum);
+                slot.on_reply(ri, reply, quorum);
             }
-        }
-    }
-
-    fn tally(client: &mut PoolClient, _replica_conn: usize, reply: Reply, quorum: usize) {
-        let Some((seq, tally)) = &mut client.in_flight else {
-            return;
-        };
-        if reply.client != client.id || reply.seq != *seq {
-            return; // stale reply from an earlier operation
-        }
-        let set = tally.entry(reply.result).or_default();
-        set.insert(reply.replica);
-        if set.len() >= quorum {
-            client.in_flight = None;
-            client.completed += 1;
         }
     }
 }

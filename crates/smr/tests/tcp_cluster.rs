@@ -1,6 +1,7 @@
 //! The TCP deployment, end to end over real loopback sockets: signed
-//! requests, torn connections, spoofed frames, and a replica that is killed
-//! and rejoins via runtime state transfer.
+//! requests, torn connections, spoofed frames, a replica that is killed
+//! and rejoins via runtime state transfer, and a client pool that redials
+//! a replica that was down.
 //!
 //! These tests are wall-clock (CI runs them in the workspace-test job) and
 //! are budgeted to stay well under 30 s combined.
@@ -12,6 +13,7 @@ use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain_smr::transport::frame::{
     read_frame, write_client_hello, write_frame, write_peer_hello, FrameKey,
 };
+use smartchain_smr::transport::TcpClientPool;
 use smartchain_smr::types::Request;
 use std::io::Write;
 use std::net::TcpStream;
@@ -34,6 +36,28 @@ fn config(tag: &str) -> RuntimeConfig {
 
 fn sum_of(reply: &[u8]) -> u64 {
     u64::from_le_bytes(reply[..8].try_into().expect("8-byte sum"))
+}
+
+/// A client pool dials a missing connection again when it sends: a pool
+/// connected while replica 3 was down reaches it once it is back, so with
+/// replica 1 killed in turn, replicas 0, 2 and 3 still form a reply quorum
+/// of 2f + 1 = 3.
+#[test]
+fn client_pool_redials_a_replica_that_was_down() {
+    let mut cluster = TcpCluster::start(config("redial"), Backend::Sim, CounterApp::new)
+        .expect("boot tcp cluster");
+    let addrs = cluster.cluster_config().replicas.clone();
+    cluster.kill_replica(3);
+    let mut pool = TcpClientPool::connect(addrs, 0x4ED1A1, 2);
+    assert_eq!(pool.connections(), 6, "replica 3 is down at connect");
+    cluster.restart_replica(3).expect("restart replica 3");
+    cluster.kill_replica(1);
+    assert_eq!(
+        pool.run_closed_loop(5, 3, &[1], Duration::from_secs(10)),
+        10
+    );
+    assert_eq!(pool.connections(), 6, "replica 3 redialed, replica 1 gone");
+    cluster.shutdown();
 }
 
 /// Signed and unsigned client requests complete over real sockets, a forged

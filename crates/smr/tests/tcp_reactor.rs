@@ -1,18 +1,22 @@
 //! Reactor-specific transport behavior over real loopback sockets: bounded
 //! outbox overflow surfacing as repair, the client admission cap, slow-client
-//! isolation, retransmissions answered from the durable reply record, and
-//! the per-connection counters. The protocol-level TCP suite lives in
+//! isolation, retransmissions answered from the durable reply record, the
+//! per-connection counters, and clients that count a reply for the
+//! connection it arrived on. The protocol-level TCP suite lives in
 //! `tcp_cluster.rs`; these tests exercise the transport alone.
 
 use smartchain_crypto::keys::Backend;
 use smartchain_smr::app::CounterApp;
 use smartchain_smr::ordering::SmrMsg;
 use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
-use smartchain_smr::transport::frame::{read_hello, write_client_hello, write_frame, FrameKey};
-use smartchain_smr::transport::{NetEvent, TcpConfig, TcpTransport};
-use smartchain_smr::types::Request;
+use smartchain_smr::transport::frame::{
+    read_frame, read_hello, write_client_hello, write_frame, FrameKey,
+};
+use smartchain_smr::transport::{NetEvent, TcpClient, TcpClientPool, TcpConfig, TcpTransport};
+use smartchain_smr::types::{Reply, Request};
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const SECRET: [u8; 32] = [0x5A; 32];
@@ -387,4 +391,87 @@ fn stalled_client_is_isolated_and_stats_count_traffic() {
     assert_eq!(stats.queue_full_drops, 0, "no backpressure at this load");
     drop(stalled);
     cluster.shutdown();
+}
+
+/// Four loopback "replicas" of which only the first answers: it accepts one
+/// client connection and answers each request twice, once as replica 0 and
+/// once as replica 1. The other three accept nothing; their backlogs still
+/// complete the client's dials. Returns the addresses, the listeners to
+/// keep open, and the answering thread, which ends when the client hangs up.
+fn forged_quorum_cluster() -> (Vec<String>, Vec<TcpListener>, JoinHandle<()>) {
+    let listeners: Vec<TcpListener> = (0..4)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    let addrs = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    let forger = listeners[0].try_clone().expect("clone listener");
+    let answering = std::thread::spawn(move || {
+        let key = FrameKey::client();
+        let (mut stream, _) = forger.accept().expect("accept client");
+        read_frame(&mut stream, &key).expect("client hello");
+        while let Ok(payload) = read_frame(&mut stream, &key) {
+            let Ok(SmrMsg::Request(request)) = smartchain_codec::from_bytes::<SmrMsg>(&payload)
+            else {
+                continue;
+            };
+            for replica in 0..2 {
+                let reply = SmrMsg::Reply(Reply {
+                    client: request.client,
+                    seq: request.seq,
+                    result: b"forged".to_vec(),
+                    replica,
+                });
+                if write_frame(&mut stream, &key, &smartchain_codec::to_bytes(&reply)).is_err() {
+                    return;
+                }
+            }
+        }
+    });
+    (addrs, listeners, answering)
+}
+
+/// Two replies on one connection are one vote, whatever `replica` they
+/// claim: a single replier cannot assemble `TcpClient`'s quorum of two. The
+/// same replier's one vote does meet a quorum of one.
+#[test]
+fn client_counts_one_vote_per_connection() {
+    let (addrs, listeners, answering) = forged_quorum_cluster();
+    let mut client = TcpClient::new(9, addrs);
+    let request = |seq| Request {
+        client: 9,
+        seq,
+        payload: vec![1],
+        signature: None,
+    };
+    let err = client
+        .execute_request(request(1), 2, Duration::from_secs(2))
+        .expect_err("one replier must not make a quorum of two");
+    assert_eq!(err.kind(), std::io::ErrorKind::TimedOut);
+    let result = client
+        .execute_request(request(2), 1, Duration::from_secs(2))
+        .expect("the replier's one vote meets a quorum of one");
+    assert_eq!(result, b"forged");
+    client.shutdown();
+    answering.join().unwrap();
+    drop(listeners);
+}
+
+/// The pool counts votes the same way: at quorum 2 the forged replies
+/// complete nothing, and at quorum 1 the same request completes.
+#[test]
+fn client_pool_counts_one_vote_per_connection() {
+    let (addrs, listeners, answering) = forged_quorum_cluster();
+    let mut pool = TcpClientPool::connect(addrs, 9, 1);
+    assert_eq!(pool.connections(), 4);
+    assert_eq!(
+        pool.run_closed_loop(1, 2, &[1], Duration::from_secs(2)),
+        0,
+        "one replier must not make a quorum of two"
+    );
+    assert_eq!(pool.run_closed_loop(1, 1, &[1], Duration::from_secs(2)), 1);
+    drop(pool);
+    answering.join().unwrap();
+    drop(listeners);
 }
