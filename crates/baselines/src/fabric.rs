@@ -19,6 +19,7 @@
 //! (the simulated client sends its transaction once; peer 0 acts as the
 //! submitting gateway) so the standard closed-loop client actor drives it.
 
+use smartchain_crypto::keys::Signature;
 use smartchain_sim::metrics::ThroughputMeter;
 use smartchain_sim::{Actor, Ctx, Event, NodeId, Time, MILLI};
 use smartchain_smr::app::Application;
@@ -82,12 +83,15 @@ impl FabMsg {
     pub fn wire_size(&self) -> usize {
         match self {
             FabMsg::Submit(r) | FabMsg::EndorseReq(r) => 8 + r.wire_size(),
-            FabMsg::EndorseRep { .. } => 8 + 16 + 65,
+            FabMsg::EndorseRep { .. } => 8 + 16 + Signature::WIRE_LEN,
             // Envelopes carry the tx plus `endorsements` signatures.
-            FabMsg::Envelope(r) => 8 + r.wire_size() + 2 * 73,
+            FabMsg::Envelope(r) => 8 + r.wire_size() + 2 * ENDORSEMENT_BYTES,
             FabMsg::OrderEcho { .. } => 48,
             FabMsg::Block { txs, .. } => {
-                64 + txs.iter().map(|t| t.wire_size() + 2 * 73).sum::<usize>()
+                64 + txs
+                    .iter()
+                    .map(|t| t.wire_size() + 2 * ENDORSEMENT_BYTES)
+                    .sum::<usize>()
             }
             FabMsg::Reply(r) => 8 + r.wire_size(),
         }
@@ -123,6 +127,9 @@ impl Default for FabConfig {
 }
 
 const TOKEN_BATCH: u64 = 1;
+
+/// Wire bytes of one endorsement: the endorser id and its signature.
+const ENDORSEMENT_BYTES: usize = 8 + Signature::WIRE_LEN;
 
 /// One Fabric-model node (acts as peer + endorser; node 0 also as gateway
 /// and lead orderer).
@@ -214,7 +221,11 @@ impl<A: Application> FabricNode<A> {
         let _pool = ctx.pool_charge(ctx.hw().cpu.verify_ns, verifies);
         ctx.charge(self.config.vscc_overhead_ns * count as Time);
         ctx.charge(ctx.hw().cpu.execute_tx_ns * count as Time);
-        let block_bytes = 64 + txs.iter().map(|t| t.wire_size() + 2 * 73).sum::<usize>();
+        let block_bytes = 64
+            + txs
+                .iter()
+                .map(|t| t.wire_size() + 2 * ENDORSEMENT_BYTES)
+                .sum::<usize>();
         // Ledger append: synchronous (maximum durability configuration).
         ctx.disk_write(block_bytes, true, 0);
         self.meter.record(ctx.now(), count as u64);

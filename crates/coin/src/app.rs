@@ -189,22 +189,15 @@ impl SmartCoinApp {
 
     /// Decodes the minter list from genesis app data (see
     /// [`SmartCoinApp::encode_minters`]).
-    pub fn from_genesis_data(data: &[u8]) -> SmartCoinApp {
-        let minters = Self::decode_minters(data).unwrap_or_default();
-        SmartCoinApp::new(minters)
+    pub fn from_genesis_data(mut data: &[u8]) -> SmartCoinApp {
+        SmartCoinApp::new(decode_seq(&mut data).unwrap_or_default())
     }
 
     /// Encodes a minter list for embedding in the genesis block.
     pub fn encode_minters(minters: &[PublicKey]) -> Vec<u8> {
-        let wires: Vec<[u8; 33]> = minters.iter().map(PublicKey::to_wire).collect();
         let mut out = Vec::new();
-        encode_seq(&wires, &mut out);
+        encode_seq(minters, &mut out);
         out
-    }
-
-    fn decode_minters(mut data: &[u8]) -> Option<Vec<PublicKey>> {
-        let wires: Vec<[u8; 33]> = decode_seq(&mut data).ok()?;
-        Some(wires.iter().map(PublicKey::from_wire).collect())
     }
 
     /// Number of execution lanes the state is currently sharded for.

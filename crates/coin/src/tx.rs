@@ -28,7 +28,7 @@ pub struct Output {
 
 impl Encode for Output {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.owner.to_wire().encode(out);
+        self.owner.encode(out);
         self.value.encode(out);
     }
 }
@@ -36,7 +36,7 @@ impl Encode for Output {
 impl Decode for Output {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(Output {
-            owner: PublicKey::from_wire(&<[u8; 33]>::decode(input)?),
+            owner: PublicKey::decode(input)?,
             value: u64::decode(input)?,
         })
     }

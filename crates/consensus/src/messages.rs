@@ -155,7 +155,7 @@ impl Encode for ConsensusMsg {
                 instance.encode(out);
                 epoch.encode(out);
                 value_hash.encode(out);
-                signature.to_wire().encode(out);
+                signature.encode(out);
             }
             ConsensusMsg::Accept {
                 instance,
@@ -167,7 +167,7 @@ impl Encode for ConsensusMsg {
                 instance.encode(out);
                 epoch.encode(out);
                 value_hash.encode(out);
-                signature.to_wire().encode(out);
+                signature.encode(out);
             }
             ConsensusMsg::FetchValue { instance } => {
                 3u8.encode(out);
@@ -199,7 +199,9 @@ impl Encode for ConsensusMsg {
                 epoch,
                 value,
             } => instance.encoded_len() + epoch.encoded_len() + value.encoded_len(),
-            ConsensusMsg::Write { .. } | ConsensusMsg::Accept { .. } => 8 + 4 + 32 + 65,
+            ConsensusMsg::Write { signature, .. } | ConsensusMsg::Accept { signature, .. } => {
+                8 + 4 + 32 + signature.encoded_len()
+            }
             ConsensusMsg::FetchValue { instance } => instance.encoded_len(),
         }
     }
@@ -217,13 +219,13 @@ impl Decode for ConsensusMsg {
                 instance: u64::decode(input)?,
                 epoch: u32::decode(input)?,
                 value_hash: <[u8; 32]>::decode(input)?,
-                signature: Signature::from_wire(&<[u8; 65]>::decode(input)?),
+                signature: Signature::decode(input)?,
             }),
             2 => Ok(ConsensusMsg::Accept {
                 instance: u64::decode(input)?,
                 epoch: u32::decode(input)?,
                 value_hash: <[u8; 32]>::decode(input)?,
-                signature: Signature::from_wire(&<[u8; 65]>::decode(input)?),
+                signature: Signature::decode(input)?,
             }),
             3 => Ok(ConsensusMsg::FetchValue {
                 instance: u64::decode(input)?,

@@ -7,8 +7,8 @@
 
 use crate::messages::accept_sign_payload;
 use crate::{ReplicaId, View};
-use smartchain_codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
-use smartchain_crypto::keys::Signature;
+use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
+use smartchain_crypto::keys::{PublicKey, Signature};
 use smartchain_crypto::Hash;
 
 /// Canonical bytes a replica signs in a WRITE message.
@@ -35,27 +35,41 @@ pub struct DecisionProof {
     pub accepts: Vec<(ReplicaId, Signature)>,
 }
 
+/// The one quorum rule every certificate shares — decision proofs, write
+/// certificates, checkpoint certificates and PERSIST certificates: valid
+/// when at least `quorum` distinct signers below `n` signed `payload`, each
+/// signature checking under `key(signer)`. A signer outside the view, a
+/// repeated signer or one bad signature rejects the whole certificate.
+/// `key` is only called with ids below `n`.
+pub fn verify_quorum<'k>(
+    signers: &[(ReplicaId, Signature)],
+    payload: &[u8],
+    key: impl Fn(ReplicaId) -> &'k PublicKey,
+    n: usize,
+    quorum: usize,
+) -> bool {
+    let mut seen = vec![false; n];
+    for &(signer, ref signature) in signers {
+        if signer >= n || seen[signer] || !key(signer).verify(payload, signature) {
+            return false;
+        }
+        seen[signer] = true;
+    }
+    signers.len() >= quorum
+}
+
 impl DecisionProof {
-    /// Checks the proof against `view`: enough distinct signers, all of them
-    /// members, every signature valid over the canonical accept payload.
+    /// Checks the proof against `view` by [`verify_quorum`] over the
+    /// canonical accept payload.
     pub fn verify(&self, view: &View) -> bool {
         let payload = accept_sign_payload(self.instance, self.epoch, &self.value_hash);
-        let mut seen = vec![false; view.n()];
-        let mut valid = 0usize;
-        for (signer, signature) in &self.accepts {
-            let Some(key) = view.members.get(*signer) else {
-                return false;
-            };
-            if seen[*signer] {
-                return false; // duplicate signer — malformed proof
-            }
-            seen[*signer] = true;
-            if !key.verify(&payload, signature) {
-                return false;
-            }
-            valid += 1;
-        }
-        valid >= view.quorum()
+        verify_quorum(
+            &self.accepts,
+            &payload,
+            |i| &view.members[i],
+            view.n(),
+            view.quorum(),
+        )
     }
 
     /// Wire size (for the simulator and for block storage accounting) —
@@ -70,36 +84,23 @@ impl Encode for DecisionProof {
         self.instance.encode(out);
         self.epoch.encode(out);
         self.value_hash.encode(out);
-        let entries: Vec<(u64, [u8; 65])> = self
-            .accepts
-            .iter()
-            .map(|(r, s)| (*r as u64, s.to_wire()))
-            .collect();
-        encode_seq(&entries, out);
+        encode_seq(&self.accepts, out);
     }
     fn encoded_len(&self) -> usize {
         self.instance.encoded_len()
             + self.epoch.encoded_len()
             + self.value_hash.encoded_len()
-            + 4
-            + self.accepts.len() * (8 + 65)
+            + seq_encoded_len(&self.accepts)
     }
 }
 
 impl Decode for DecisionProof {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let instance = u64::decode(input)?;
-        let epoch = u32::decode(input)?;
-        let value_hash = <[u8; 32]>::decode(input)?;
-        let entries: Vec<(u64, [u8; 65])> = decode_seq(input)?;
         Ok(DecisionProof {
-            instance,
-            epoch,
-            value_hash,
-            accepts: entries
-                .into_iter()
-                .map(|(r, s)| (r as usize, Signature::from_wire(&s)))
-                .collect(),
+            instance: u64::decode(input)?,
+            epoch: u32::decode(input)?,
+            value_hash: <[u8; 32]>::decode(input)?,
+            accepts: decode_seq(input)?,
         })
     }
 }
@@ -119,25 +120,17 @@ pub struct WriteCertificate {
 }
 
 impl WriteCertificate {
-    /// Verifies against `view` (same rules as [`DecisionProof::verify`]).
+    /// Checks the certificate against `view` by [`verify_quorum`] over the
+    /// canonical write payload.
     pub fn verify(&self, view: &View) -> bool {
         let payload = write_sign_payload(self.instance, self.epoch, &self.value_hash);
-        let mut seen = vec![false; view.n()];
-        let mut valid = 0usize;
-        for (signer, signature) in &self.writes {
-            let Some(key) = view.members.get(*signer) else {
-                return false;
-            };
-            if seen[*signer] {
-                return false;
-            }
-            seen[*signer] = true;
-            if !key.verify(&payload, signature) {
-                return false;
-            }
-            valid += 1;
-        }
-        valid >= view.quorum()
+        verify_quorum(
+            &self.writes,
+            &payload,
+            |i| &view.members[i],
+            view.n(),
+            view.quorum(),
+        )
     }
 }
 
@@ -146,36 +139,23 @@ impl Encode for WriteCertificate {
         self.instance.encode(out);
         self.epoch.encode(out);
         self.value_hash.encode(out);
-        let entries: Vec<(u64, [u8; 65])> = self
-            .writes
-            .iter()
-            .map(|(r, s)| (*r as u64, s.to_wire()))
-            .collect();
-        encode_seq(&entries, out);
+        encode_seq(&self.writes, out);
     }
     fn encoded_len(&self) -> usize {
         self.instance.encoded_len()
             + self.epoch.encoded_len()
             + self.value_hash.encoded_len()
-            + 4
-            + self.writes.len() * (8 + 65)
+            + seq_encoded_len(&self.writes)
     }
 }
 
 impl Decode for WriteCertificate {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let instance = u64::decode(input)?;
-        let epoch = u32::decode(input)?;
-        let value_hash = <[u8; 32]>::decode(input)?;
-        let entries: Vec<(u64, [u8; 65])> = decode_seq(input)?;
         Ok(WriteCertificate {
-            instance,
-            epoch,
-            value_hash,
-            writes: entries
-                .into_iter()
-                .map(|(r, s)| (r as usize, Signature::from_wire(&s)))
-                .collect(),
+            instance: u64::decode(input)?,
+            epoch: u32::decode(input)?,
+            value_hash: <[u8; 32]>::decode(input)?,
+            writes: decode_seq(input)?,
         })
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::view_keys::CertifiedKey;
 use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
-use smartchain_consensus::proof::DecisionProof;
+use smartchain_consensus::proof::{verify_quorum, DecisionProof};
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::{PublicKey, Signature};
 use smartchain_crypto::{sha256, Hash};
@@ -212,11 +212,11 @@ impl Encode for ReconfigOp {
             }
             ReconfigOp::Leave { leaver } => {
                 1u8.encode(out);
-                leaver.to_wire().encode(out);
+                leaver.encode(out);
             }
             ReconfigOp::Exclude { target } => {
                 2u8.encode(out);
-                target.to_wire().encode(out);
+                target.encode(out);
             }
         }
     }
@@ -224,7 +224,9 @@ impl Encode for ReconfigOp {
     fn encoded_len(&self) -> usize {
         1 + match self {
             ReconfigOp::Join { joiner } => joiner.encoded_len(),
-            ReconfigOp::Leave { .. } | ReconfigOp::Exclude { .. } => 33,
+            ReconfigOp::Leave { leaver: key } | ReconfigOp::Exclude { target: key } => {
+                key.encoded_len()
+            }
         }
     }
 }
@@ -236,10 +238,10 @@ impl Decode for ReconfigOp {
                 joiner: CertifiedKey::decode(input)?,
             }),
             1 => Ok(ReconfigOp::Leave {
-                leaver: PublicKey::from_wire(&<[u8; 33]>::decode(input)?),
+                leaver: PublicKey::decode(input)?,
             }),
             2 => Ok(ReconfigOp::Exclude {
-                target: PublicKey::from_wire(&<[u8; 33]>::decode(input)?),
+                target: PublicKey::decode(input)?,
             }),
             d => Err(DecodeError::BadDiscriminant(d as u32)),
         }
@@ -262,11 +264,11 @@ impl Encode for ReconfigVote {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.voter as u64).encode(out);
         self.new_key.encode(out);
-        self.signature.to_wire().encode(out);
+        self.signature.encode(out);
     }
 
     fn encoded_len(&self) -> usize {
-        8 + self.new_key.encoded_len() + 65
+        8 + self.new_key.encoded_len() + self.signature.encoded_len()
     }
 }
 
@@ -275,7 +277,7 @@ impl Decode for ReconfigVote {
         Ok(ReconfigVote {
             voter: u64::decode(input)? as usize,
             new_key: CertifiedKey::decode(input)?,
-            signature: Signature::from_wire(&<[u8; 65]>::decode(input)?),
+            signature: Signature::decode(input)?,
         })
     }
 }
@@ -621,51 +623,35 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    /// Verifies the certificate for a block's header under `view`.
+    /// Checks the certificate for a block's header under `view` by
+    /// [`verify_quorum`] over [`persist_sign_payload`], with the members'
+    /// consensus keys.
     pub fn verify(&self, header: &BlockHeader, view: &ViewInfo) -> bool {
         let payload = persist_sign_payload(header.number, &header.hash());
-        let mut seen = vec![false; view.n()];
-        let mut valid = 0usize;
-        for (signer, signature) in &self.signatures {
-            let Some(member) = view.members.get(*signer) else {
-                return false;
-            };
-            if seen[*signer] {
-                return false;
-            }
-            seen[*signer] = true;
-            if !member.consensus.verify(&payload, signature) {
-                return false;
-            }
-            valid += 1;
-        }
-        valid >= view.quorum()
+        verify_quorum(
+            &self.signatures,
+            &payload,
+            |i| &view.members[i].consensus,
+            view.n(),
+            view.quorum(),
+        )
     }
 }
 
 impl Encode for Certificate {
     fn encode(&self, out: &mut Vec<u8>) {
-        let entries: Vec<(u64, [u8; 65])> = self
-            .signatures
-            .iter()
-            .map(|(r, s)| (*r as u64, s.to_wire()))
-            .collect();
-        encode_seq(&entries, out);
+        encode_seq(&self.signatures, out);
     }
 
     fn encoded_len(&self) -> usize {
-        4 + self.signatures.len() * (8 + 65)
+        seq_encoded_len(&self.signatures)
     }
 }
 
 impl Decode for Certificate {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let entries: Vec<(u64, [u8; 65])> = decode_seq(input)?;
         Ok(Certificate {
-            signatures: entries
-                .into_iter()
-                .map(|(r, s)| (r as usize, Signature::from_wire(&s)))
-                .collect(),
+            signatures: decode_seq(input)?,
         })
     }
 }

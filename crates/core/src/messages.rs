@@ -125,7 +125,7 @@ impl Encode for ChainMsg {
                 1u8.encode(out);
                 block.encode(out);
                 header_hash.encode(out);
-                signature.to_wire().encode(out);
+                signature.encode(out);
             }
             ChainMsg::StateReq { from_block } => {
                 2u8.encode(out);
@@ -183,7 +183,7 @@ impl Encode for ChainMsg {
                 block,
                 header_hash,
                 signature,
-            } => block.encoded_len() + header_hash.encoded_len() + signature.to_wire().len(),
+            } => block.encoded_len() + header_hash.encoded_len() + signature.encoded_len(),
             ChainMsg::StateReq { from_block } => from_block.encoded_len(),
             ChainMsg::StateRep {
                 snapshot,
@@ -228,7 +228,7 @@ impl Decode for ChainMsg {
             1 => Ok(ChainMsg::Persist {
                 block: u64::decode(input)?,
                 header_hash: <[u8; 32]>::decode(input)?,
-                signature: Signature::from_wire(&<[u8; 65]>::decode(input)?),
+                signature: Signature::decode(input)?,
             }),
             2 => Ok(ChainMsg::StateReq {
                 from_block: u64::decode(input)?,

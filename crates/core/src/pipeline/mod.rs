@@ -100,7 +100,7 @@ pub(crate) fn reconfig_payload(tx: &ReconfigTx) -> Vec<u8> {
 /// Builds the ordered payload for one member's exclude vote (paper Fig. 5b).
 pub fn exclude_vote_payload(target: &PublicKey, vote: &ReconfigVote) -> Vec<u8> {
     let mut out = vec![PAYLOAD_EXCLUDE_VOTE];
-    target.to_wire().encode(&mut out);
+    target.encode(&mut out);
     vote.encode(&mut out);
     out
 }
@@ -121,7 +121,7 @@ pub fn verify_envelope_signature(req: &Request) -> bool {
 pub(crate) fn parse_exclude_vote(
     mut input: &[u8],
 ) -> Result<(PublicKey, ReconfigVote), DecodeError> {
-    let target = PublicKey::from_wire(&<[u8; 33]>::decode(&mut input)?);
+    let target = PublicKey::decode(&mut input)?;
     let vote = ReconfigVote::decode(&mut input)?;
     Ok((target, vote))
 }

@@ -18,7 +18,7 @@ pub fn key_cert_payload(view_id: u64, consensus_key: &PublicKey) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
     b"sc-viewkey".as_slice().encode(&mut out);
     view_id.encode(&mut out);
-    consensus_key.to_wire().encode(&mut out);
+    consensus_key.encode(&mut out);
     out
 }
 
@@ -43,22 +43,22 @@ impl CertifiedKey {
 
 impl Encode for CertifiedKey {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.permanent.to_wire().encode(out);
-        self.consensus.to_wire().encode(out);
-        self.cert.to_wire().encode(out);
+        self.permanent.encode(out);
+        self.consensus.encode(out);
+        self.cert.encode(out);
     }
 
     fn encoded_len(&self) -> usize {
-        33 + 33 + 65
+        self.permanent.encoded_len() + self.consensus.encoded_len() + self.cert.encoded_len()
     }
 }
 
 impl Decode for CertifiedKey {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         Ok(CertifiedKey {
-            permanent: PublicKey::from_wire(&<[u8; 33]>::decode(input)?),
-            consensus: PublicKey::from_wire(&<[u8; 33]>::decode(input)?),
-            cert: Signature::from_wire(&<[u8; 65]>::decode(input)?),
+            permanent: PublicKey::decode(input)?,
+            consensus: PublicKey::decode(input)?,
+            cert: Signature::decode(input)?,
         })
     }
 }

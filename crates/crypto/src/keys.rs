@@ -13,6 +13,7 @@
 
 use crate::ed25519;
 use crate::sim_signer;
+use smartchain_codec::{Decode, DecodeError, Encode};
 
 /// Which signature scheme a key belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -132,6 +133,37 @@ impl Signature {
     }
 }
 
+/// The canonical wire form of keys and signatures, the same bytes as
+/// `to_wire`: the backend tag, then the raw bytes. Any tag decodes; a key
+/// whose tag names no backend verifies only signatures with the same tag.
+macro_rules! impl_tagged_codec {
+    ($($ty:ident: $len:literal),*) => {$(
+        impl $ty {
+            /// Bytes of the wire form: the backend tag, then the raw bytes.
+            pub const WIRE_LEN: usize = 1 + $len;
+        }
+        impl Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.push(self.backend_tag);
+                out.extend_from_slice(&self.bytes);
+            }
+            fn encoded_len(&self) -> usize {
+                Self::WIRE_LEN
+            }
+        }
+        impl Decode for $ty {
+            fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+                Ok($ty {
+                    backend_tag: u8::decode(input)?,
+                    bytes: <[u8; $len]>::decode(input)?,
+                })
+            }
+        }
+    )*};
+}
+
+impl_tagged_codec!(PublicKey: 32, Signature: 64);
+
 /// A secret (signing) key.
 #[derive(Clone)]
 pub enum SecretKey {
@@ -225,6 +257,26 @@ mod tests {
         let sig = sk.sign(b"m");
         assert_eq!(PublicKey::from_wire(&pk.to_wire()), pk);
         assert_eq!(Signature::from_wire(&sig.to_wire()), sig);
+    }
+
+    #[test]
+    fn codec_matches_wire_form_for_every_tag() {
+        let sk = SecretKey::from_seed(Backend::Sim, &[3u8; 32]);
+        let (pk, sig) = (sk.public_key(), sk.sign(b"m"));
+        assert_eq!(pk.to_vec(), pk.to_wire());
+        assert_eq!(sig.to_vec(), sig.to_wire());
+        assert_eq!((pk.encoded_len(), sig.encoded_len()), (33, 65));
+        for tag in [0u8, 1, 7, 255] {
+            let mut wire = pk.to_wire();
+            wire[0] = tag;
+            let decoded: PublicKey = smartchain_codec::from_bytes(&wire).unwrap();
+            assert_eq!(decoded, PublicKey::from_wire(&wire));
+            let mut wire = sig.to_wire();
+            wire[0] = tag;
+            let decoded: Signature = smartchain_codec::from_bytes(&wire).unwrap();
+            assert_eq!(decoded, Signature::from_wire(&wire));
+        }
+        assert!(smartchain_codec::from_bytes::<Signature>(&sig.to_wire()[..64]).is_err());
     }
 
     #[test]

@@ -91,8 +91,8 @@ impl Default for ClientConfig {
 struct Outstanding {
     request: Request,
     sent_at: Time,
-    /// result bytes -> set of replicas that replied with them.
-    replies: HashMap<Vec<u8>, Vec<usize>>,
+    /// result bytes -> the nodes that sent a reply with them.
+    replies: HashMap<Vec<u8>, Vec<NodeId>>,
 }
 
 /// A simulation actor hosting `logical_clients` closed-loop clients.
@@ -148,12 +148,6 @@ impl<M: SmrEnvelope> ClientActor<M> {
         &self.latency
     }
 
-    /// Replaces the replica set (after a reconfiguration).
-    pub fn set_replicas(&mut self, replicas: Vec<NodeId>, f: usize) {
-        self.replicas = replicas;
-        self.f = f;
-    }
-
     fn required_matching(&self) -> usize {
         if self.config.durable_quorum {
             2 * self.f + 1
@@ -187,17 +181,20 @@ impl<M: SmrEnvelope> ClientActor<M> {
         );
     }
 
-    fn on_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, M>) {
+    /// Counts `reply` for the node that sent it: the `replica` field is
+    /// written by the replier, so one faulty node could otherwise claim to
+    /// be a quorum on its own.
+    fn on_reply(&mut self, from: NodeId, reply: Reply, ctx: &mut Ctx<'_, M>) {
         let key = (reply.client, reply.seq);
         let required = self.required_matching();
         let Some(entry) = self.outstanding.get_mut(&key) else {
             return; // duplicate/late reply
         };
         let repliers = entry.replies.entry(reply.result).or_default();
-        if repliers.contains(&reply.replica) {
+        if repliers.contains(&from) {
             return;
         }
-        repliers.push(reply.replica);
+        repliers.push(from);
         if repliers.len() >= required {
             let sent_at = entry.sent_at;
             self.outstanding.remove(&key);
@@ -212,11 +209,6 @@ impl<M: SmrEnvelope> Actor<M> for ClientActor<M> {
     fn on_event(&mut self, event: Event<M>, ctx: &mut Ctx<'_, M>) {
         match event {
             Event::Start => {
-                for slot in 0..self.config.logical_clients {
-                    let logical = client_id(self.node, slot);
-                    // Stagger starts slightly for realism.
-                    let _ = logical;
-                }
                 ctx.set_timer(self.config.start_delay, 0);
                 ctx.set_timer(self.config.retransmit_after, 1);
             }
@@ -248,10 +240,9 @@ impl<M: SmrEnvelope> Actor<M> for ClientActor<M> {
                 ctx.set_timer(self.config.retransmit_after, 1);
             }
             Event::Timer { .. } => {}
-            Event::Message { msg, .. } => {
+            Event::Message { from, msg } => {
                 if let Some(reply) = msg.as_reply() {
-                    let reply = reply.clone();
-                    self.on_reply(reply, ctx);
+                    self.on_reply(from, reply.clone(), ctx);
                 }
             }
             Event::OpDone { .. } | Event::Crash | Event::Recover => {}
@@ -262,6 +253,8 @@ impl<M: SmrEnvelope> Actor<M> for ClientActor<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartchain_sim::hw::HwSpec;
+    use smartchain_sim::Cluster;
 
     #[test]
     fn factory_produces_increasing_seqs() {
@@ -277,5 +270,65 @@ mod tests {
     fn client_ids_embed_node() {
         let c = client_id(7, 3);
         assert_eq!(crate::actor::client_node(c), 7);
+    }
+
+    /// A scripted replier: answers each request with one reply per id in
+    /// `claims`, all with the same result. Silent when `claims` is empty.
+    struct Replier {
+        claims: Vec<usize>,
+    }
+
+    impl Actor<SmrMsg> for Replier {
+        fn on_event(&mut self, event: Event<SmrMsg>, ctx: &mut Ctx<'_, SmrMsg>) {
+            if let Event::Message {
+                from,
+                msg: SmrMsg::Request(request),
+            } = event
+            {
+                for &replica in &self.claims {
+                    let reply = SmrMsg::Reply(Reply {
+                        client: request.client,
+                        seq: request.seq,
+                        result: vec![7],
+                        replica,
+                    });
+                    let size = reply.envelope_size();
+                    ctx.send(from, reply, size);
+                }
+            }
+        }
+    }
+
+    /// Requests completed by a client at f = 1 whose four replicas are
+    /// scripted by `claims[node]`.
+    fn completed_with(claims: [Vec<usize>; 4]) -> u64 {
+        let mut actors: Vec<Box<dyn Actor<SmrMsg>>> = Vec::new();
+        for claims in claims {
+            actors.push(Box::new(Replier { claims }));
+        }
+        actors.push(Box::new(ClientActor::<SmrMsg>::new(
+            4,
+            (0..4).collect(),
+            1,
+            ClientConfig {
+                requests_per_client: Some(3),
+                ..ClientConfig::default()
+            },
+            Box::new(CounterFactory::new(false)),
+        )));
+        let mut cluster = Cluster::new(actors, HwSpec::test_fast(), 5);
+        cluster.run_until(10 * SECOND);
+        cluster
+            .actor(4)
+            .as_any()
+            .downcast_ref::<ClientActor>()
+            .expect("client actor")
+            .completed()
+    }
+
+    #[test]
+    fn one_node_claiming_two_replica_ids_is_one_reply() {
+        assert_eq!(completed_with([vec![0, 1], vec![], vec![], vec![]]), 0);
+        assert_eq!(completed_with([vec![0], vec![1], vec![], vec![]]), 3);
     }
 }

@@ -39,8 +39,10 @@
 use crate::app::Application;
 use crate::ordering::OrderedBatch;
 use crate::types::{decode_batch, encode_batch, Request};
-use smartchain_codec::{decode_seq, encode_seq, from_bytes, to_bytes, Decode, DecodeError, Encode};
-use smartchain_consensus::proof::DecisionProof;
+use smartchain_codec::{
+    decode_seq, encode_seq, from_bytes, seq_encoded_len, to_bytes, Decode, DecodeError, Encode,
+};
+use smartchain_consensus::proof::{verify_quorum, DecisionProof};
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::Signature;
 use smartchain_crypto::sha256;
@@ -166,27 +168,17 @@ pub struct CheckpointCert {
 }
 
 impl CheckpointCert {
-    /// Checks the certificate against `view` (same rules as
-    /// [`DecisionProof::verify`]: distinct member signers, every signature
-    /// valid, quorum reached).
+    /// Checks the certificate against `view` by [`verify_quorum`] over
+    /// [`ckpt_sign_payload`].
     pub fn verify(&self, view: &View) -> bool {
         let payload = ckpt_sign_payload(self.covered, &self.state_root, &self.tip);
-        let mut seen = vec![false; view.n()];
-        let mut valid = 0usize;
-        for (signer, signature) in &self.signatures {
-            let Some(key) = view.members.get(*signer) else {
-                return false;
-            };
-            if seen[*signer] {
-                return false; // duplicate signer — malformed certificate
-            }
-            seen[*signer] = true;
-            if !key.verify(&payload, signature) {
-                return false;
-            }
-            valid += 1;
-        }
-        valid >= view.quorum()
+        verify_quorum(
+            &self.signatures,
+            &payload,
+            |i| &view.members[i],
+            view.n(),
+            view.quorum(),
+        )
     }
 }
 
@@ -195,32 +187,20 @@ impl Encode for CheckpointCert {
         self.covered.encode(out);
         self.state_root.encode(out);
         self.tip.encode(out);
-        let entries: Vec<(u64, [u8; 65])> = self
-            .signatures
-            .iter()
-            .map(|(r, s)| (*r as u64, s.to_wire()))
-            .collect();
-        encode_seq(&entries, out);
+        encode_seq(&self.signatures, out);
     }
     fn encoded_len(&self) -> usize {
-        self.covered.encoded_len() + 32 + 32 + 4 + self.signatures.len() * (8 + 65)
+        self.covered.encoded_len() + 32 + 32 + seq_encoded_len(&self.signatures)
     }
 }
 
 impl Decode for CheckpointCert {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let covered = u64::decode(input)?;
-        let state_root = <[u8; 32]>::decode(input)?;
-        let tip = <[u8; 32]>::decode(input)?;
-        let entries: Vec<(u64, [u8; 65])> = decode_seq(input)?;
         Ok(CheckpointCert {
-            covered,
-            state_root,
-            tip,
-            signatures: entries
-                .into_iter()
-                .map(|(r, s)| (r as usize, Signature::from_wire(&s)))
-                .collect(),
+            covered: u64::decode(input)?,
+            state_root: <[u8; 32]>::decode(input)?,
+            tip: <[u8; 32]>::decode(input)?,
+            signatures: decode_seq(input)?,
         })
     }
 }

@@ -202,7 +202,7 @@ impl Encode for SmrMsg {
                 covered.encode(out);
                 state_root.encode(out);
                 tip.encode(out);
-                signature.to_wire().encode(out);
+                signature.encode(out);
             }
             SmrMsg::InstanceFetch { instance, have } => {
                 7u8.encode(out);
@@ -244,7 +244,7 @@ impl Encode for SmrMsg {
                     + regency.encoded_len()
                     + cert.encoded_len()
             }
-            SmrMsg::CkptShare { .. } => 8 + 8 + 32 + 32 + 65,
+            SmrMsg::CkptShare { signature, .. } => 8 + 8 + 32 + 32 + signature.encoded_len(),
             SmrMsg::InstanceFetch { instance, have } => instance.encoded_len() + have.encoded_len(),
             SmrMsg::InstanceRep {
                 instance,
@@ -282,7 +282,7 @@ impl Decode for SmrMsg {
                 covered: u64::decode(input)?,
                 state_root: <[u8; 32]>::decode(input)?,
                 tip: <[u8; 32]>::decode(input)?,
-                signature: Signature::from_wire(&<[u8; 65]>::decode(input)?),
+                signature: Signature::decode(input)?,
             }),
             7 => Ok(SmrMsg::InstanceFetch {
                 instance: u64::decode(input)?,

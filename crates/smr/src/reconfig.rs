@@ -10,7 +10,7 @@
 //! SmartChain's decentralized protocol in `smartchain-core`.
 
 use crate::types::Request;
-use smartchain_codec::{Decode, DecodeError, Encode};
+use smartchain_codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
 use smartchain_crypto::keys::{PublicKey, SecretKey, Signature};
 
 /// A View Manager's signed instruction to change the replica set.
@@ -29,10 +29,7 @@ pub fn command_payload(new_view_id: u64, members: &[PublicKey]) -> Vec<u8> {
     let mut out = Vec::new();
     b"sc-viewmgr".as_slice().encode(&mut out);
     new_view_id.encode(&mut out);
-    (members.len() as u32).encode(&mut out);
-    for m in members {
-        m.to_wire().encode(&mut out);
-    }
+    encode_seq(members, &mut out);
     out
 }
 
@@ -79,29 +76,22 @@ pub const VIEW_MANAGER_MARKER: u8 = 0xAD;
 impl Encode for ViewChangeCommand {
     fn encode(&self, out: &mut Vec<u8>) {
         self.new_view_id.encode(out);
-        (self.members.len() as u32).encode(out);
-        for m in &self.members {
-            m.to_wire().encode(out);
-        }
-        self.signature.to_wire().encode(out);
+        encode_seq(&self.members, out);
+        self.signature.encode(out);
     }
 }
 
 impl Decode for ViewChangeCommand {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let new_view_id = u64::decode(input)?;
-        let n = u32::decode(input)? as usize;
-        if n > 1024 {
-            return Err(DecodeError::BadLength(n as u64));
-        }
-        let mut members = Vec::with_capacity(n);
-        for _ in 0..n {
-            members.push(PublicKey::from_wire(&<[u8; 33]>::decode(input)?));
+        let members: Vec<PublicKey> = decode_seq(input)?;
+        if members.len() > 1024 {
+            return Err(DecodeError::BadLength(members.len() as u64));
         }
         Ok(ViewChangeCommand {
             new_view_id,
             members,
-            signature: Signature::from_wire(&<[u8; 65]>::decode(input)?),
+            signature: Signature::decode(input)?,
         })
     }
 }

@@ -58,44 +58,24 @@ impl Encode for Request {
         self.client.encode(out);
         self.seq.encode(out);
         self.payload.encode(out);
-        match &self.signature {
-            None => 0u8.encode(out),
-            Some((key, sig)) => {
-                1u8.encode(out);
-                key.to_wire().encode(out);
-                sig.to_wire().encode(out);
-            }
-        }
+        self.signature.encode(out);
     }
 
     fn encoded_len(&self) -> usize {
         self.client.encoded_len()
             + self.seq.encoded_len()
             + self.payload.encoded_len()
-            + 1
-            + if self.signature.is_some() { 33 + 65 } else { 0 }
+            + self.signature.encoded_len()
     }
 }
 
 impl Decode for Request {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let client = u64::decode(input)?;
-        let seq = u64::decode(input)?;
-        let payload = Vec::<u8>::decode(input)?;
-        let signature = match u8::decode(input)? {
-            0 => None,
-            1 => {
-                let key = PublicKey::from_wire(&<[u8; 33]>::decode(input)?);
-                let sig = Signature::from_wire(&<[u8; 65]>::decode(input)?);
-                Some((key, sig))
-            }
-            d => return Err(DecodeError::BadDiscriminant(d as u32)),
-        };
         Ok(Request {
-            client,
-            seq,
-            payload,
-            signature,
+            client: u64::decode(input)?,
+            seq: u64::decode(input)?,
+            payload: Vec::<u8>::decode(input)?,
+            signature: Option::decode(input)?,
         })
     }
 }

@@ -9,9 +9,18 @@
 //! test: other tests would allocate concurrently) and checks that crafted
 //! frames fail on the peer path (full `SmrMsg` decode) reserving at most
 //! twice their own length, and on the client path
-//! (`SmrMsg::decode_request`) reserving nothing.
+//! (`SmrMsg::decode_request`) reserving nothing. The same holds for the
+//! signer lists of checkpoint, decision-proof and block certificates, which
+//! share one generic decoder.
 
-use smartchain_codec::{from_bytes, Encode};
+use smartchain_codec::{from_bytes, Decode, Encode};
+use smartchain_consensus::messages::accept_sign_payload;
+use smartchain_consensus::proof::DecisionProof;
+use smartchain_consensus::View;
+use smartchain_core::block::{persist_sign_payload, BlockHeader, Certificate, ViewInfo};
+use smartchain_core::view_keys::KeyStore;
+use smartchain_crypto::keys::{Backend, SecretKey};
+use smartchain_smr::durability::{ckpt_sign_payload, CheckpointCert};
 use smartchain_smr::ordering::SmrMsg;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -118,5 +127,116 @@ fn crafted_frames_reserve_at_most_twice_their_length() {
             "discriminant {}: client decode reserved {client} bytes",
             head[0]
         );
+    }
+    signer_lists_reserve_at_most_twice_their_length();
+}
+
+/// Decodes `payload` as `T`, asserting the outcome (`Ok` when `decodes`)
+/// and that the live heap never rose by more than twice the input length.
+fn decode_bounded<T: Decode>(name: &str, payload: &[u8], decodes: bool) -> Option<T> {
+    let mut out = None;
+    let grew = peak_growth(|| out = from_bytes::<T>(payload).ok());
+    assert_eq!(out.is_some(), decodes, "{name}: decode outcome");
+    assert!(
+        grew <= 2 * payload.len(),
+        "{name}: reserved {grew} bytes for a {}-byte input",
+        payload.len()
+    );
+    out
+}
+
+/// Signer lists crafted after each certificate's fixed fields: a count of
+/// `u32::MAX` over a short input, an entry cut off inside its signature, a
+/// count of one entry per remaining byte, and a quorum of valid entries plus
+/// one naming signer `u64::MAX` — which decodes on a 64-bit host and so must
+/// never verify.
+fn signer_lists_reserve_at_most_twice_their_length() {
+    let stores: Vec<KeyStore> = (0..4u8)
+        .map(|i| KeyStore::new(SecretKey::from_seed(Backend::Sim, &[i; 32]), Backend::Sim))
+        .collect();
+    let view_info = ViewInfo {
+        id: 0,
+        members: stores.iter().map(|s| s.certified_key_for(0)).collect(),
+    };
+    let view: View = view_info.to_consensus_view();
+    let header = BlockHeader {
+        number: 3,
+        last_reconfig: 0,
+        last_checkpoint: 0,
+        hash_transactions: [1; 32],
+        hash_results: [2; 32],
+        hash_last_block: [3; 32],
+    };
+    let quorum_over = |payload: &[u8]| -> Vec<_> {
+        (0..view.quorum())
+            .map(|i| (i, stores[i].consensus().sign(payload)))
+            .collect()
+    };
+
+    let ckpt = CheckpointCert {
+        covered: 9,
+        state_root: [4; 32],
+        tip: [5; 32],
+        signatures: quorum_over(&ckpt_sign_payload(9, &[4; 32], &[5; 32])),
+    };
+    let proof = DecisionProof {
+        instance: 2,
+        epoch: 0,
+        value_hash: [6; 32],
+        accepts: quorum_over(&accept_sign_payload(2, 0, &[6; 32])),
+    };
+    let block_cert = Certificate {
+        signatures: quorum_over(&persist_sign_payload(header.number, &header.hash())),
+    };
+    assert!(ckpt.verify(&view) && proof.verify(&view) && block_cert.verify(&header, &view_info));
+
+    let ckpt_head = 8 + 32 + 32;
+    let proof_head = 8 + 4 + 32;
+    let with_max_signer = |valid: Vec<u8>, head: usize| {
+        let mut bytes = valid[..head].to_vec();
+        (view.quorum() as u32 + 1).encode(&mut bytes);
+        bytes.extend_from_slice(&valid[head + 4..]);
+        u64::MAX.encode(&mut bytes);
+        stores[3].consensus().sign(b"any").encode(&mut bytes);
+        bytes
+    };
+    let ckpt_bytes = with_max_signer(ckpt.to_vec(), ckpt_head);
+    let decoded: CheckpointCert = decode_bounded("CheckpointCert", &ckpt_bytes, true).unwrap();
+    assert!(
+        !decoded.verify(&view),
+        "CheckpointCert with signer u64::MAX"
+    );
+    let proof_bytes = with_max_signer(proof.to_vec(), proof_head);
+    let decoded: DecisionProof = decode_bounded("DecisionProof", &proof_bytes, true).unwrap();
+    assert!(!decoded.verify(&view), "DecisionProof with signer u64::MAX");
+    let cert_bytes = with_max_signer(block_cert.to_vec(), 0);
+    let decoded: Certificate = decode_bounded("Certificate", &cert_bytes, true).unwrap();
+    assert!(
+        !decoded.verify(&header, &view_info),
+        "Certificate with signer u64::MAX"
+    );
+
+    malformed_lists::<CheckpointCert>("CheckpointCert", &ckpt.to_vec()[..ckpt_head]);
+    malformed_lists::<DecisionProof>("DecisionProof", &proof.to_vec()[..proof_head]);
+    malformed_lists::<Certificate>("Certificate", &[]);
+}
+
+/// Malformed signer lists after `head` (the fields before the list), each
+/// of which must fail to decode as `T` within the allocation bound.
+fn malformed_lists<T: Decode>(name: &str, head: &[u8]) {
+    let mut huge_count = head.to_vec();
+    u32::MAX.encode(&mut huge_count);
+    huge_count.resize(huge_count.len() + 100, 0xFF);
+    let mut cut = head.to_vec();
+    1u32.encode(&mut cut);
+    0u64.encode(&mut cut);
+    cut.push(1); // signature tag, then 30 of its 64 bytes
+    cut.resize(cut.len() + 30, 0xAB);
+    for (case, payload) in [
+        ("count u32::MAX", huge_count),
+        ("entry cut inside its signature", cut),
+        ("one entry claimed per byte", crafted(head, 1 << 20)),
+    ] {
+        decode_bounded::<T>(&format!("{name}, {case}"), &payload, false);
     }
 }
