@@ -357,7 +357,6 @@ mod tests {
             ClientConfig {
                 logical_clients: clients,
                 requests_per_client: Some(per_client),
-                ..ClientConfig::default()
             },
             Box::new(CounterFactory::new(true)),
         )));

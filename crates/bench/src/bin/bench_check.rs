@@ -15,9 +15,8 @@
 //! bench_check -- --print-baseline` and pasting the output.
 
 use smartchain_bench::micro::{
-    alpha_pipeline_throughput, black_box, chunked_install_scenario, exec_lane_throughput,
-    hash_once_scenario, loss_grid_cell, measure, segmented_recovery_scenario, tcp_client_soak,
-    tcp_smoke, LossProfile,
+    alpha_pipeline_throughput, black_box, chunked_install_scenario, hash_once_scenario,
+    loss_grid_cell, measure, segmented_recovery_scenario, tcp_client_soak, tcp_smoke, LossProfile,
 };
 use smartchain_crypto::sha256;
 use smartchain_merkle as merkle;
@@ -230,62 +229,6 @@ fn main() {
                 }
             }
         }
-    }
-
-    // Execution-lane scaling (deterministic): an execution-bound pipeline
-    // (3 ms/tx) at 1 vs 4 lanes over uniformly sharded accounts, plus a
-    // fully skewed control (every account on one lane). Uniform 4-lane must
-    // deliver at least 2x the serial blocks; the skewed run must not — the
-    // speedup comes from the plan, not from dropped work. The conflict
-    // stats printed are the per-batch observability counters (satellite:
-    // single-lane vs barrier classification and critical-path cost).
-    let l1 = exec_lane_throughput(1, false, 10);
-    let l4 = exec_lane_throughput(4, false, 10);
-    let s4 = exec_lane_throughput(4, true, 10);
-    println!(
-        "exec lanes: lanes=1 {:.1} blocks/vsec, lanes=4 {:.1} blocks/vsec, lanes=4(skew) {:.1} blocks/vsec",
-        l1.batches_per_vsec, l4.batches_per_vsec, s4.batches_per_vsec
-    );
-    println!(
-        "exec lanes=4 conflict stats: {} batches, {} single-lane tx, {} cross-lane tx, {} parallel groups, critical path {} tx (of {} planned)",
-        l4.stats.batches,
-        l4.stats.single_lane_txs,
-        l4.stats.cross_lane_txs,
-        l4.stats.parallel_groups,
-        l4.stats.critical_path_txs,
-        l4.stats.planned_txs(),
-    );
-    if !print_baseline {
-        if l4.blocks < 2 * l1.blocks {
-            gate.failures.push(format!(
-                "4 execution lanes must deliver >= 2x the serial blocks on the uniform workload (got {} vs {})",
-                l4.blocks, l1.blocks
-            ));
-        }
-        if s4.blocks >= 2 * l1.blocks {
-            gate.failures.push(format!(
-                "the skewed control must not scale (got {} vs serial {})",
-                s4.blocks, l1.blocks
-            ));
-        }
-        if l4.stats.critical_path_txs >= l4.stats.planned_txs() {
-            gate.failures.push(format!(
-                "uniform 4-lane critical path must beat the serial sum (got {} of {})",
-                l4.stats.critical_path_txs,
-                l4.stats.planned_txs()
-            ));
-        }
-    }
-    gate.measured
-        .insert("exec_lanes1_blocks_10s".into(), l1.blocks as f64);
-    gate.measured
-        .insert("exec_lanes4_blocks_10s".into(), l4.blocks as f64);
-    gate.measured
-        .insert("exec_skew4_blocks_10s".into(), s4.blocks as f64);
-    if !print_baseline {
-        gate.band("exec_lanes1_blocks_10s", l1.blocks as f64, 0.25);
-        gate.band("exec_lanes4_blocks_10s", l4.blocks as f64, 0.25);
-        gate.band("exec_skew4_blocks_10s", s4.blocks as f64, 0.25);
     }
 
     // Segmented-engine recovery replay (deterministic): 50 batches at

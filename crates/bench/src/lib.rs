@@ -169,7 +169,6 @@ pub fn run_smr_coin(
             ClientConfig {
                 logical_clients: scale.logical_per_actor,
                 requests_per_client: Some(scale.requests_per_client),
-                ..ClientConfig::default()
             },
             Box::new(CoinFactory::new(scale.requests_per_client / 2)),
         )));
@@ -326,7 +325,6 @@ pub fn run_tendermint(n: usize, scale: Scale, seed: u64) -> RunResult {
             ClientConfig {
                 logical_clients: scale.logical_per_actor,
                 requests_per_client: Some(scale.requests_per_client),
-                ..ClientConfig::default()
             },
             Box::new(CoinFactory::new(scale.requests_per_client / 2)),
         )));
@@ -378,7 +376,6 @@ pub fn run_fabric(n: usize, scale: Scale, seed: u64) -> RunResult {
             ClientConfig {
                 logical_clients: scale.logical_per_actor / 4, // 600 of 2400
                 requests_per_client: Some(scale.requests_per_client),
-                ..ClientConfig::default()
             },
             Box::new(CoinFactory::new(scale.requests_per_client / 2)),
         )));

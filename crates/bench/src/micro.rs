@@ -293,142 +293,6 @@ pub fn hash_once_scenario() -> HashOnce {
     }
 }
 
-/// Outcome of one execution-lane scaling run (virtual time, deterministic).
-#[derive(Clone, Copy, Debug)]
-pub struct ExecLaneThroughput {
-    /// Lane count the run used.
-    pub lanes: usize,
-    /// Blocks delivered by every replica (minimum across the cluster).
-    pub blocks: u64,
-    /// Delivered batches per virtual second.
-    pub batches_per_vsec: f64,
-    /// Node-0's accumulated lane-planner accounting.
-    pub stats: smartchain_smr::exec::ConflictStats,
-}
-
-/// A [`CounterApp`] whose lane hints model workload *skew*: `hot_lane`
-/// pretends every account hash-shards onto lane 0, so the planner finds no
-/// parallelism — same transactions, same state, degenerate plan. The
-/// scaling scenario's control group.
-#[derive(Debug, Default, Clone)]
-struct SkewedCounterApp {
-    inner: CounterApp,
-}
-
-impl smartchain_smr::app::Application for SkewedCounterApp {
-    fn execute(&mut self, request: &Request) -> Vec<u8> {
-        self.inner.execute(request)
-    }
-    fn take_snapshot(&self) -> Vec<u8> {
-        self.inner.take_snapshot()
-    }
-    fn install_snapshot(&mut self, snapshot: &[u8]) {
-        self.inner.install_snapshot(snapshot)
-    }
-    fn reset(&mut self) {
-        self.inner.reset()
-    }
-    fn lane_hint(&self, _request: &Request, _lanes: usize) -> smartchain_smr::exec::LaneHint {
-        smartchain_smr::exec::LaneHint::Single(0)
-    }
-}
-
-/// Runs the execution-lane scaling scenario gated in `bench_check`: 4
-/// replicas under the GroupCommit rung with a deliberately execution-bound
-/// stage (3 ms/tx — a contract-VM-grade EXECUTE, dwarfing the ~1 ms batch
-/// fsync), closed-loop clients, fixed seed. `skewed` swaps in lane hints
-/// that put every account on one lane: same transactions, no parallelism —
-/// the planner's critical path degenerates to the serial sum and the
-/// speedup must vanish. Content (chains, state) is lane-invariant; only
-/// virtual time moves.
-pub fn exec_lane_throughput(lanes: usize, skewed: bool, virtual_secs: u64) -> ExecLaneThroughput {
-    let config = NodeConfig {
-        variant: Variant::Weak,
-        persistence: SyncPolicy::Sync,
-        ordering: OrderingConfig {
-            max_batch: 16,
-            ..OrderingConfig::default()
-        },
-        execute_ns: 3_000_000, // 3 ms/tx: EXECUTE dominates the pipeline
-        execute_lanes: lanes,
-        progress_timeout: 800 * MILLI,
-        ..NodeConfig::default()
-    };
-    // Metro-area links: with LAN latency the leader proposes the instant one
-    // request lands, degenerating to 1-tx blocks nothing can parallelize.
-    // 2.5 ms of propagation lets arrivals coalesce into full batches.
-    let mut hw = HwSpec::paper_testbed();
-    hw.nic.propagation_ns = 2_500_000;
-    let build = move |make: fn(&[u8]) -> BenchLaneApp| {
-        ChainClusterBuilder::new(4, make)
-            .node_config(config)
-            .hw(hw)
-            .seed(20_260_807)
-            // Enough closed-loop clients to keep full 16-tx batches queued:
-            // the stage, not client round-trips, must be the bottleneck.
-            .clients(4, 64, None)
-            .build()
-    };
-    let mut cluster = if skewed {
-        build(|_| BenchLaneApp::Skewed(SkewedCounterApp::default()))
-    } else {
-        build(|_| BenchLaneApp::Uniform(CounterApp::new()))
-    };
-    cluster.run_until(virtual_secs * SECOND);
-    let blocks = (0..4)
-        .map(|r| cluster.node::<BenchLaneApp>(r).height().unwrap_or(0))
-        .min()
-        .unwrap_or(0);
-    let stats = cluster.node::<BenchLaneApp>(0).exec_stats();
-    ExecLaneThroughput {
-        lanes,
-        blocks,
-        batches_per_vsec: blocks as f64 / virtual_secs as f64,
-        stats,
-    }
-}
-
-/// Either lane-hint flavor behind one concrete node type (the harness is
-/// monomorphic per cluster).
-#[derive(Debug, Clone)]
-enum BenchLaneApp {
-    Uniform(CounterApp),
-    Skewed(SkewedCounterApp),
-}
-
-impl smartchain_smr::app::Application for BenchLaneApp {
-    fn execute(&mut self, request: &Request) -> Vec<u8> {
-        match self {
-            BenchLaneApp::Uniform(a) => a.execute(request),
-            BenchLaneApp::Skewed(a) => a.execute(request),
-        }
-    }
-    fn take_snapshot(&self) -> Vec<u8> {
-        match self {
-            BenchLaneApp::Uniform(a) => a.take_snapshot(),
-            BenchLaneApp::Skewed(a) => a.take_snapshot(),
-        }
-    }
-    fn install_snapshot(&mut self, snapshot: &[u8]) {
-        match self {
-            BenchLaneApp::Uniform(a) => a.install_snapshot(snapshot),
-            BenchLaneApp::Skewed(a) => a.install_snapshot(snapshot),
-        }
-    }
-    fn reset(&mut self) {
-        match self {
-            BenchLaneApp::Uniform(a) => a.reset(),
-            BenchLaneApp::Skewed(a) => a.reset(),
-        }
-    }
-    fn lane_hint(&self, request: &Request, lanes: usize) -> smartchain_smr::exec::LaneHint {
-        match self {
-            BenchLaneApp::Uniform(a) => a.lane_hint(request, lanes),
-            BenchLaneApp::Skewed(a) => a.lane_hint(request, lanes),
-        }
-    }
-}
-
 /// Outcome of the deterministic segmented-engine recovery scenario.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentedRecovery {

@@ -81,7 +81,6 @@ pub struct ChainClusterBuilder<A: Application> {
     logical_per_actor: u32,
     requests_per_client: Option<u64>,
     client_factory: FactoryMaker,
-    durable_quorum: bool,
     key_seed: u8,
     exclusion: Option<(Time, usize)>,
     backend: Backend,
@@ -106,7 +105,6 @@ impl<A: Application> ChainClusterBuilder<A> {
             client_factory: Box::new(|| {
                 Box::new(smartchain_smr::client::CounterFactory::new(false))
             }),
-            durable_quorum: false,
             key_seed: 50,
             exclusion: None,
             backend: Backend::Sim,
@@ -168,12 +166,6 @@ impl<A: Application> ChainClusterBuilder<A> {
         factory: impl Fn() -> Box<dyn RequestFactory> + 'static,
     ) -> Self {
         self.client_factory = Box::new(factory);
-        self
-    }
-
-    /// Requires durable (2f+1) reply quorums at clients.
-    pub fn durable_quorum(mut self, durable: bool) -> Self {
-        self.durable_quorum = durable;
         self
     }
 
@@ -263,8 +255,6 @@ impl<A: Application> ChainClusterBuilder<A> {
                 ClientConfig {
                     logical_clients: self.logical_per_actor,
                     requests_per_client: self.requests_per_client,
-                    durable_quorum: self.durable_quorum,
-                    ..ClientConfig::default()
                 },
                 Box::new(factory),
             )));

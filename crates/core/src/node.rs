@@ -64,13 +64,6 @@ pub struct NodeConfig {
     pub progress_timeout: Time,
     /// Per-transaction execution cost.
     pub execute_ns: Time,
-    /// Execution lanes for the parallel EXECUTE stage (`1` = the classic
-    /// strictly sequential stage). With more lanes, batches are planned by
-    /// [`smartchain_smr::exec::plan_batch`] over the application's static
-    /// lane hints and charged their *critical path* (longest lane per
-    /// parallel group, plus one slot per cross-lane barrier) instead of the
-    /// full serial cost. Deterministic: block contents are unaffected.
-    pub execute_lanes: usize,
     /// Snapshot serialization cost per byte (checkpoint stall, Fig. 7).
     pub snapshot_ns_per_byte: Time,
     /// Snapshot installation cost per byte (state transfer).
@@ -96,7 +89,6 @@ impl Default for NodeConfig {
             ordering: OrderingConfig::default(),
             progress_timeout: 500 * MILLI,
             execute_ns: 6_000,
-            execute_lanes: 1,
             snapshot_ns_per_byte: 20,
             install_ns_per_byte: 40,
             reply_size: 380,
@@ -255,8 +247,6 @@ pub struct ChainNode<A: Application> {
     pub(crate) meter: ThroughputMeter,
     pub(crate) committed_log: Vec<(Time, u64)>,
     pub(crate) checkpoint_log: Vec<(Time, u64)>,
-    /// Accumulated EXECUTE-stage conflict accounting (lane planning).
-    pub(crate) exec_stats: smartchain_smr::exec::ConflictStats,
 }
 
 impl<A: Application> ChainNode<A> {
@@ -271,8 +261,6 @@ impl<A: Application> ChainNode<A> {
         join_at: Option<Time>,
         leave_at: Option<Time>,
     ) -> ChainNode<A> {
-        let mut app = app;
-        app.configure_lanes(config.execute_lanes.max(1));
         let mut node = ChainNode {
             directory,
             keys,
@@ -290,7 +278,6 @@ impl<A: Application> ChainNode<A> {
             meter: ThroughputMeter::new(10_000),
             committed_log: Vec::new(),
             checkpoint_log: Vec::new(),
-            exec_stats: smartchain_smr::exec::ConflictStats::default(),
         };
         if genesis
             .view
@@ -316,13 +303,6 @@ impl<A: Application> ChainNode<A> {
     /// `(time, covered_block)` for every checkpoint this replica took.
     pub fn checkpoint_log(&self) -> &[(Time, u64)] {
         &self.checkpoint_log
-    }
-
-    /// Accumulated EXECUTE-stage conflict accounting: how the lane planner
-    /// classified this replica's delivered transactions (all zeros when
-    /// `execute_lanes == 1` — the laned path never runs).
-    pub fn exec_stats(&self) -> smartchain_smr::exec::ConflictStats {
-        self.exec_stats
     }
 
     /// Chain height, if active.

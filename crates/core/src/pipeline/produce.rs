@@ -193,37 +193,11 @@ impl<A: Application> ChainNode<A> {
         let count = requests.iter().filter(|r| !is_protocol_request(r)).count();
         self.meter.record(ctx.now(), count as u64);
         self.committed_log.push((ctx.now(), count as u64));
-        let lanes = self.config.execute_lanes.max(1);
         let slots: Vec<Slot> = requests.iter().map(|req| self.slot(req)).collect();
-        // EXECUTE cost: serial charges one execute_ns per transaction; the
-        // laned stage charges the plan's critical path — the longest lane of
-        // each parallel group plus one slot per cross-lane barrier. Block
-        // contents are identical either way; only virtual time differs.
-        let executable: Vec<&Request> = slots
-            .iter()
-            .filter_map(|s| match s {
-                Slot::App(Some(inner)) => Some(inner),
-                _ => None,
-            })
-            .collect();
-        let mut exec_outputs: std::collections::VecDeque<Vec<u8>> = if lanes == 1 {
-            // Seed cost model: every non-protocol slot is charged, even ones
-            // dropped (forged) or unwrappable — they occupied the stage.
-            ctx.charge(self.config.execute_ns * count as Time);
-            executable
-                .iter()
-                .map(|inner| self.app.execute(inner))
-                .collect()
-        } else {
-            let hints: Vec<_> = executable
-                .iter()
-                .map(|inner| self.app.lane_hint(inner, lanes))
-                .collect();
-            let plan = smartchain_smr::exec::plan_batch(&hints, lanes);
-            ctx.charge(self.config.execute_ns * plan.stats.critical_path_txs as Time);
-            self.exec_stats.absorb(&plan.stats);
-            smartchain_smr::exec::run_plan(&mut self.app, &executable, &plan, None).into()
-        };
+        // EXECUTE runs serially, as the deployed replica's `apply_batch`
+        // does. Seed cost model: every non-protocol slot is charged, even
+        // ones dropped (forged) or unwrappable — they occupied the stage.
+        ctx.charge(self.config.execute_ns * count as Time);
         if self.config.sig_mode == SigMode::Sequential {
             // The paper's sequential mode verifies inside the state machine
             // (serially — the verify stage is the pipelined alternative).
@@ -238,7 +212,7 @@ impl<A: Application> ChainNode<A> {
                     results.push(Vec::new());
                     continue; // no reply
                 }
-                Slot::App(Some(_)) => exec_outputs.pop_front().expect("one output per app tx"),
+                Slot::App(Some(inner)) => self.app.execute(inner),
                 Slot::App(None) => Vec::new(),
             };
             let mut result = app_result;

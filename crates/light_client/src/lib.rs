@@ -225,10 +225,10 @@ mod tests {
 
     const SECOND: u64 = 1_000_000_000;
 
-    /// Runs a strong-variant sim cluster and returns (genesis, chain): real
-    /// quorum certificates over every header, produced by the full
-    /// consensus + PERSIST pipeline.
-    fn certified_chain() -> (Genesis, Vec<Block>) {
+    /// Runs an `n`-replica strong-variant sim cluster and returns (genesis,
+    /// chain): real quorum certificates over every header, produced by the
+    /// full consensus + PERSIST pipeline.
+    fn certified_chain(n: usize) -> (Genesis, Vec<Block>) {
         let config = NodeConfig {
             variant: Variant::Strong,
             ordering: OrderingConfig {
@@ -237,7 +237,7 @@ mod tests {
             },
             ..NodeConfig::default()
         };
-        let mut cluster = ChainClusterBuilder::new(4, |_| CounterApp::new())
+        let mut cluster = ChainClusterBuilder::new(n, |_| CounterApp::new())
             .node_config(config)
             .clients(1, 2, Some(10))
             .build();
@@ -249,79 +249,84 @@ mod tests {
 
     /// The acceptance criterion: a light client holding only genesis +
     /// headers verifies a transaction's membership via a full node's proof,
-    /// with every header admitted purely on its quorum certificate.
+    /// with every header admitted purely on its quorum certificate (3 of 4,
+    /// 5 of 7).
     #[test]
     fn tracker_follows_certified_headers_and_verifies_membership() {
-        let (genesis, chain) = certified_chain();
-        let mut tracker = HeaderTracker::new(&genesis);
-        for block in &chain {
-            tracker
-                .accept(block.header, &block.certificate)
-                .unwrap_or_else(|e| panic!("block {}: {e}", block.header.number));
+        for n in [4, 7] {
+            let (genesis, chain) = certified_chain(n);
+            let mut tracker = HeaderTracker::new(&genesis);
+            for block in &chain {
+                tracker
+                    .accept(block.header, &block.certificate)
+                    .unwrap_or_else(|e| panic!("block {}: {e}", block.header.number));
+            }
+            assert_eq!(tracker.height(), chain.len() as u64);
+            // A full node proves one transaction of a transaction block; the
+            // light client verifies it against its tracked header alone.
+            let block = chain
+                .iter()
+                .find(|b| matches!(&b.body, BlockBody::Transactions { requests, .. } if !requests.is_empty()))
+                .expect("a transaction block");
+            let leaves = block.body.transaction_leaves();
+            let index = leaves.len() - 1; // last request leaf
+            let proof = block.prove_transaction(index);
+            assert!(tracker.verify_transaction(block.header.number, &leaves[index], &proof));
+            // The wrong leaf, a replayed proof at another block, and a
+            // tampered sibling all fail.
+            assert!(!tracker.verify_transaction(block.header.number, b"forged", &proof));
+            assert!(!tracker.verify_transaction(block.header.number + 1, &leaves[index], &proof));
+            let mut tampered = proof.clone();
+            tampered.path[0].0[0] ^= 1;
+            assert!(!tracker.verify_transaction(block.header.number, &leaves[index], &tampered));
         }
-        assert_eq!(tracker.height(), chain.len() as u64);
-        // A full node proves one transaction of a transaction block; the
-        // light client verifies it against its tracked header alone.
-        let block = chain
-            .iter()
-            .find(|b| matches!(&b.body, BlockBody::Transactions { requests, .. } if !requests.is_empty()))
-            .expect("a transaction block");
-        let leaves = block.body.transaction_leaves();
-        let index = leaves.len() - 1; // last request leaf
-        let proof = block.prove_transaction(index);
-        assert!(tracker.verify_transaction(block.header.number, &leaves[index], &proof));
-        // The wrong leaf, a replayed proof at another block, and a
-        // tampered sibling all fail.
-        assert!(!tracker.verify_transaction(block.header.number, b"forged", &proof));
-        assert!(!tracker.verify_transaction(block.header.number + 1, &leaves[index], &proof));
-        let mut tampered = proof.clone();
-        tampered.path[0].0[0] ^= 1;
-        assert!(!tracker.verify_transaction(block.header.number, &leaves[index], &tampered));
     }
 
     #[test]
     fn tracker_rejects_uncertified_reordered_and_forked_headers() {
-        let (genesis, chain) = certified_chain();
-        let mut tracker = HeaderTracker::new(&genesis);
-        let first = &chain[0];
-        // Stripped certificate → rejected.
-        assert_eq!(
-            tracker.accept(first.header, &Certificate::default()),
-            Err(LightClientError::BadCertificate)
-        );
-        // Sub-quorum certificate → rejected.
-        let weak = Certificate {
-            signatures: first.certificate.signatures[..genesis.view.quorum() - 1].to_vec(),
-        };
-        assert_eq!(
-            tracker.accept(first.header, &weak),
-            Err(LightClientError::BadCertificate)
-        );
-        // Skipping ahead → rejected.
-        assert_eq!(
-            tracker.accept(chain[1].header, &chain[1].certificate),
-            Err(LightClientError::OutOfOrder)
-        );
-        // A forked block 1 (tampered content, even with the real
-        // certificate) → the certificate no longer matches the header.
-        let mut forged = first.header;
-        forged.hash_transactions = [0xAB; 32];
-        assert_eq!(
-            tracker.accept(forged, &first.certificate),
-            Err(LightClientError::BadCertificate)
-        );
-        // The genuine sequence is accepted afterwards; a header whose
-        // parent link does not match the tip is a broken chain.
-        tracker.accept(first.header, &first.certificate).unwrap();
-        let mut reparented = chain[1].header;
-        reparented.hash_last_block = [0xCD; 32];
-        assert_eq!(
-            tracker.accept(reparented, &chain[1].certificate),
-            Err(LightClientError::BrokenChain)
-        );
-        tracker
-            .accept(chain[1].header, &chain[1].certificate)
-            .unwrap();
-        assert_eq!(tracker.height(), 2);
+        for n in [4, 7] {
+            let (genesis, chain) = certified_chain(n);
+            let mut tracker = HeaderTracker::new(&genesis);
+            let first = &chain[0];
+            // Stripped certificate → rejected.
+            assert_eq!(
+                tracker.accept(first.header, &Certificate::default()),
+                Err(LightClientError::BadCertificate)
+            );
+            // Sub-quorum certificate → rejected.
+            let weak = Certificate {
+                signatures: first.certificate.signatures[..genesis.view.quorum() - 1].to_vec(),
+            };
+            assert_eq!(
+                tracker.accept(first.header, &weak),
+                Err(LightClientError::BadCertificate)
+            );
+            // Skipping ahead → rejected.
+            assert_eq!(
+                tracker.accept(chain[1].header, &chain[1].certificate),
+                Err(LightClientError::OutOfOrder)
+            );
+            // A forked block 1 (tampered content, even with the real
+            // certificate) → the certificate no longer matches the header.
+            let mut forged = first.header;
+            forged.hash_transactions = [0xAB; 32];
+            assert_eq!(
+                tracker.accept(forged, &first.certificate),
+                Err(LightClientError::BadCertificate)
+            );
+            // The genuine sequence is accepted afterwards; a header whose
+            // parent link does not match the tip is a broken chain.
+            tracker.accept(first.header, &first.certificate).unwrap();
+            let mut reparented = chain[1].header;
+            reparented.hash_last_block = [0xCD; 32];
+            assert_eq!(
+                tracker.accept(reparented, &chain[1].certificate),
+                Err(LightClientError::BrokenChain)
+            );
+            tracker
+                .accept(chain[1].header, &chain[1].certificate)
+                .unwrap();
+            assert_eq!(tracker.height(), 2);
+        }
     }
 }

@@ -456,7 +456,6 @@ mod tests {
                 ClientConfig {
                     logical_clients: 2,
                     requests_per_client: Some(per_client),
-                    ..ClientConfig::default()
                 },
                 Box::new(CounterFactory::new(false)),
             )));
@@ -524,7 +523,6 @@ mod tests {
             ClientConfig {
                 logical_clients: 1,
                 requests_per_client: Some(10),
-                ..ClientConfig::default()
             },
             Box::new(CounterFactory::new(true)), // signed requests
         )));
@@ -566,7 +564,6 @@ mod tests {
             ClientConfig {
                 logical_clients: 4,
                 requests_per_client: Some(5),
-                ..ClientConfig::default()
             },
             Box::new(CounterFactory::new(true)),
         )));

@@ -12,10 +12,11 @@ use crate::types::Request;
 /// The lane methods ([`Application::lane_hint`],
 /// [`Application::configure_lanes`], [`Application::execute_group`]) opt an
 /// application into the deterministic parallel EXECUTE stage
-/// ([`crate::exec`]). Their defaults keep every existing application fully
-/// serial: the default hint is [`LaneHint::Cross`], which plans each
-/// transaction as a barrier, so a laned deployment behaves (and costs)
-/// exactly like a serial one.
+/// ([`crate::exec`]), which only the benchmark's `exec.*` probes run: the
+/// simulator and the deployed replica call [`Application::execute`]
+/// serially. The default hint is [`LaneHint::Cross`], which plans each
+/// transaction as a barrier, so a laned run of such an application is a
+/// serial one.
 pub trait Application: Send + 'static {
     /// Executes one ordered request, returning the reply payload.
     fn execute(&mut self, request: &Request) -> Vec<u8>;
@@ -89,12 +90,6 @@ impl CounterApp {
 }
 
 impl Application for CounterApp {
-    /// Each logical client owns exactly one counter, so requests shard
-    /// cleanly by client id — no transaction is ever cross-lane.
-    fn lane_hint(&self, request: &Request, lanes: usize) -> LaneHint {
-        LaneHint::Single((request.client % lanes.max(1) as u64) as usize)
-    }
-
     fn execute(&mut self, request: &Request) -> Vec<u8> {
         let add: u64 = request.payload.iter().map(|&b| b as u64).sum();
         let sum = self.sums.entry(request.client).or_insert(0);

@@ -4,8 +4,8 @@
 //! four machines, each issuing a request and waiting for matching replies
 //! before sending the next (§VI-A). One [`ClientActor`] hosts many *logical*
 //! clients (to keep simulation event counts manageable), each an independent
-//! closed loop: send to all replicas → await `f+1` matching replies (or
-//! `2f+1` when durable acknowledgement is required, §IV-B) → next request.
+//! closed loop: send to all replicas → await `f+1` matching replies → next
+//! request. Unanswered requests are resent on a fixed timer.
 
 use crate::actor::client_id;
 use crate::ordering::{SmrEnvelope, SmrMsg};
@@ -68,28 +68,30 @@ pub struct ClientConfig {
     pub logical_clients: u32,
     /// Requests each logical client issues (None = unbounded).
     pub requests_per_client: Option<u64>,
-    /// Matching replies needed beyond `f` (true = durable 2f+1, false = f+1).
-    pub durable_quorum: bool,
-    /// Retransmission timeout.
-    pub retransmit_after: Time,
-    /// Delay before the first request (lets replicas initialize).
-    pub start_delay: Time,
 }
+
+/// Retransmission timeout: an unanswered request is resent to every replica
+/// once it is this old.
+const RETRANSMIT_AFTER: Time = 2 * SECOND;
+
+/// Delay before the first request (lets replicas initialize).
+const START_DELAY: Time = MILLI;
 
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             logical_clients: 1,
             requests_per_client: None,
-            durable_quorum: false,
-            retransmit_after: 2 * SECOND,
-            start_delay: MILLI,
         }
     }
 }
 
 struct Outstanding {
     request: Request,
+    /// First send: the recorded latency counts from here.
+    first_sent: Time,
+    /// Last send, first or retransmitted: the retransmit timer counts from
+    /// here.
     sent_at: Time,
     /// result bytes -> the nodes that sent a reply with them.
     replies: HashMap<Vec<u8>, Vec<NodeId>>,
@@ -148,14 +150,6 @@ impl<M: SmrEnvelope> ClientActor<M> {
         &self.latency
     }
 
-    fn required_matching(&self) -> usize {
-        if self.config.durable_quorum {
-            2 * self.f + 1
-        } else {
-            self.f + 1
-        }
-    }
-
     fn fire_next(&mut self, logical: u64, ctx: &mut Ctx<'_, M>) {
         let seq = self.next_seq.entry(logical).or_insert(0);
         if let Some(limit) = self.config.requests_per_client {
@@ -175,6 +169,7 @@ impl<M: SmrEnvelope> ClientActor<M> {
             (logical, this_seq),
             Outstanding {
                 request,
+                first_sent: ctx.now(),
                 sent_at: ctx.now(),
                 replies: HashMap::new(),
             },
@@ -186,7 +181,7 @@ impl<M: SmrEnvelope> ClientActor<M> {
     /// be a quorum on its own.
     fn on_reply(&mut self, from: NodeId, reply: Reply, ctx: &mut Ctx<'_, M>) {
         let key = (reply.client, reply.seq);
-        let required = self.required_matching();
+        let required = self.f + 1;
         let Some(entry) = self.outstanding.get_mut(&key) else {
             return; // duplicate/late reply
         };
@@ -196,9 +191,9 @@ impl<M: SmrEnvelope> ClientActor<M> {
         }
         repliers.push(from);
         if repliers.len() >= required {
-            let sent_at = entry.sent_at;
+            let first_sent = entry.first_sent;
             self.outstanding.remove(&key);
-            self.latency.record(ctx.now() - sent_at);
+            self.latency.record(ctx.now() - first_sent);
             self.completed += 1;
             self.fire_next(key.0, ctx);
         }
@@ -209,8 +204,8 @@ impl<M: SmrEnvelope> Actor<M> for ClientActor<M> {
     fn on_event(&mut self, event: Event<M>, ctx: &mut Ctx<'_, M>) {
         match event {
             Event::Start => {
-                ctx.set_timer(self.config.start_delay, 0);
-                ctx.set_timer(self.config.retransmit_after, 1);
+                ctx.set_timer(START_DELAY, 0);
+                ctx.set_timer(RETRANSMIT_AFTER, 1);
             }
             Event::Timer { token: 0 } => {
                 for slot in 0..self.config.logical_clients {
@@ -224,7 +219,7 @@ impl<M: SmrEnvelope> Actor<M> for ClientActor<M> {
                 let stale: Vec<Request> = self
                     .outstanding
                     .values_mut()
-                    .filter(|o| now.saturating_sub(o.sent_at) >= self.config.retransmit_after)
+                    .filter(|o| now.saturating_sub(o.sent_at) >= RETRANSMIT_AFTER)
                     .map(|o| {
                         o.sent_at = now;
                         o.request.clone()
@@ -237,7 +232,7 @@ impl<M: SmrEnvelope> Actor<M> for ClientActor<M> {
                         ctx.send(r, msg.clone(), size);
                     }
                 }
-                ctx.set_timer(self.config.retransmit_after, 1);
+                ctx.set_timer(RETRANSMIT_AFTER, 1);
             }
             Event::Timer { .. } => {}
             Event::Message { from, msg } => {
@@ -274,8 +269,22 @@ mod tests {
 
     /// A scripted replier: answers each request with one reply per id in
     /// `claims`, all with the same result. Silent when `claims` is empty.
+    /// With `skip_first` it ignores the first copy of each request and
+    /// answers only its retransmissions.
     struct Replier {
         claims: Vec<usize>,
+        skip_first: bool,
+        seen: std::collections::HashSet<(u64, u64)>,
+    }
+
+    impl Replier {
+        fn new(claims: Vec<usize>, skip_first: bool) -> Replier {
+            Replier {
+                claims,
+                skip_first,
+                seen: Default::default(),
+            }
+        }
     }
 
     impl Actor<SmrMsg> for Replier {
@@ -285,6 +294,9 @@ mod tests {
                 msg: SmrMsg::Request(request),
             } = event
             {
+                if self.skip_first && self.seen.insert((request.client, request.seq)) {
+                    return;
+                }
                 for &replica in &self.claims {
                     let reply = SmrMsg::Reply(Reply {
                         client: request.client,
@@ -299,12 +311,12 @@ mod tests {
         }
     }
 
-    /// Requests completed by a client at f = 1 whose four replicas are
-    /// scripted by `claims[node]`.
-    fn completed_with(claims: [Vec<usize>; 4]) -> u64 {
+    /// Requests completed, and their latencies, by a client at f = 1 whose
+    /// four replicas are `repliers`.
+    fn run_client(repliers: [Replier; 4]) -> (u64, LatencyMeter) {
         let mut actors: Vec<Box<dyn Actor<SmrMsg>>> = Vec::new();
-        for claims in claims {
-            actors.push(Box::new(Replier { claims }));
+        for replier in repliers {
+            actors.push(Box::new(replier));
         }
         actors.push(Box::new(ClientActor::<SmrMsg>::new(
             4,
@@ -317,18 +329,36 @@ mod tests {
             Box::new(CounterFactory::new(false)),
         )));
         let mut cluster = Cluster::new(actors, HwSpec::test_fast(), 5);
-        cluster.run_until(10 * SECOND);
-        cluster
+        cluster.run_until(20 * SECOND);
+        let client = cluster
             .actor(4)
             .as_any()
             .downcast_ref::<ClientActor>()
-            .expect("client actor")
-            .completed()
+            .expect("client actor");
+        (client.completed(), client.latency().clone())
+    }
+
+    /// Requests completed by a client whose replicas are scripted by
+    /// `claims[node]`.
+    fn completed_with(claims: [Vec<usize>; 4]) -> u64 {
+        run_client(claims.map(|claims| Replier::new(claims, false))).0
     }
 
     #[test]
     fn one_node_claiming_two_replica_ids_is_one_reply() {
         assert_eq!(completed_with([vec![0, 1], vec![], vec![], vec![]]), 0);
         assert_eq!(completed_with([vec![0], vec![1], vec![], vec![]]), 3);
+    }
+
+    #[test]
+    fn latency_counts_from_the_first_send() {
+        let (completed, latency) = run_client([0, 1, 2, 3].map(|r| Replier::new(vec![r], true)));
+        assert_eq!(completed, 3);
+        let fastest = latency.percentile_seconds(0.0);
+        let retransmit = RETRANSMIT_AFTER as f64 / SECOND as f64;
+        assert!(
+            fastest >= retransmit,
+            "a request answered only on its resend took {fastest} s, less than the {retransmit} s timeout"
+        );
     }
 }

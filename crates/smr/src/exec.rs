@@ -20,9 +20,12 @@
 //!   completes first, it runs alone, then the next group forms.
 //!
 //! Results are re-emitted in original batch order, so blocks, result
-//! hashes and state roots are bit-for-bit independent of the lane count —
-//! and of whether lanes run on a real [`ExecPool`] or are merely *charged*
-//! as critical-path virtual time (simulator; the deployed replica is serial).
+//! hashes and state roots are bit-for-bit independent of the lane count.
+//!
+//! Neither the deployed replica nor the simulator runs this stage: both
+//! execute every ordered batch serially. It remains for the benchmark's
+//! `exec.*` probes, which time a laned [`ExecPool`] run against a serial
+//! one.
 
 use crate::app::Application;
 use crate::types::Request;
@@ -42,8 +45,7 @@ pub enum LaneHint {
     Cross,
 }
 
-/// Per-batch conflict accounting, accumulated across batches by the
-/// embedding layer (harness counters, `bench_check` observability).
+/// One batch's conflict accounting, as [`plan_batch`] classified it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConflictStats {
     /// Batches planned.
@@ -56,25 +58,8 @@ pub struct ConflictStats {
     pub parallel_groups: u64,
     /// Sum over groups of the critical-path length: the longest lane of
     /// each parallel group plus one per barrier. This is what EXECUTE
-    /// costs with enough cores — the simulator charges
-    /// `execute_ns * critical_path_txs` instead of `execute_ns * txs`.
+    /// costs with enough cores.
     pub critical_path_txs: u64,
-}
-
-impl ConflictStats {
-    /// Folds another accumulator (or one batch's stats) into this one.
-    pub fn absorb(&mut self, other: &ConflictStats) {
-        self.batches += other.batches;
-        self.single_lane_txs += other.single_lane_txs;
-        self.cross_lane_txs += other.cross_lane_txs;
-        self.parallel_groups += other.parallel_groups;
-        self.critical_path_txs += other.critical_path_txs;
-    }
-
-    /// Total transactions planned.
-    pub fn planned_txs(&self) -> u64 {
-        self.single_lane_txs + self.cross_lane_txs
-    }
 }
 
 /// One phase of a batch plan.
@@ -391,17 +376,6 @@ mod tests {
             panic!("expected parallel group");
         };
         assert_eq!(lanes[7 % 2], vec![0]);
-    }
-
-    #[test]
-    fn stats_absorb_accumulates() {
-        let mut acc = ConflictStats::default();
-        acc.absorb(&plan(&[LaneHint::Single(0), LaneHint::Cross], 2).stats);
-        acc.absorb(&plan(&[LaneHint::Single(1)], 2).stats);
-        assert_eq!(acc.batches, 2);
-        assert_eq!(acc.single_lane_txs, 2);
-        assert_eq!(acc.cross_lane_txs, 1);
-        assert_eq!(acc.planned_txs(), 3);
     }
 
     #[test]

@@ -966,10 +966,10 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Replica 0's ordering core on a 4-replica sim-key view, a durable app
-    /// that has cut its first checkpoint, and the view's secret keys.
-    fn cert_fixture(tag: &str) -> (OrderingCore, DurableApp<CounterApp>, Vec<SecretKey>) {
-        let secrets: Vec<SecretKey> = (0..4)
+    /// Replica 0's ordering core on an `n`-replica sim-key view, a durable
+    /// app that has cut its first checkpoint, and the view's secret keys.
+    fn cert_fixture(n: usize, tag: &str) -> (OrderingCore, DurableApp<CounterApp>, Vec<SecretKey>) {
+        let secrets: Vec<SecretKey> = (0..n)
             .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 70; 32]))
             .collect();
         let view = View {
@@ -991,26 +991,37 @@ mod tests {
     }
 
     /// A peer cannot speak for another replica: a junk share claiming to be
-    /// replica 1's, sent by replica 3 before 1's genuine share, is dropped,
-    /// and the genuine share still completes the quorum.
+    /// replica 1's, sent by the last replica before 1's genuine share, is
+    /// dropped, and the genuine share still completes the quorum (3 of 4,
+    /// 5 of 7).
     #[test]
     fn forged_sender_ckpt_share_is_ignored() {
-        let (core, mut durable, secrets) = cert_fixture("forged-share");
-        let (covered, root, tip) = durable.latest_checkpoint_basis().expect("checkpoint");
-        let payload = ckpt_sign_payload(covered, &root, &tip);
-        let mut certs = CertAssembly::new();
-        certs.note(3, 1, covered, root, tip, secrets[3].sign(b"junk"));
-        for (r, secret) in secrets.iter().enumerate().take(2) {
-            certs.note(r, r, covered, root, tip, secret.sign(&payload));
+        for n in [4, 7] {
+            let (core, mut durable, secrets) = cert_fixture(n, &format!("forged-share-{n}"));
+            let quorum = core.view().quorum();
+            let (covered, root, tip) = durable.latest_checkpoint_basis().expect("checkpoint");
+            let payload = ckpt_sign_payload(covered, &root, &tip);
+            let mut certs = CertAssembly::new();
+            certs.note(n - 1, 1, covered, root, tip, secrets[n - 1].sign(b"junk"));
+            for (r, secret) in secrets.iter().enumerate().take(quorum - 1) {
+                certs.note(r, r, covered, root, tip, secret.sign(&payload));
+            }
+            certs.try_assemble(&core, &mut durable);
+            assert!(
+                durable.checkpoint_cert().is_none(),
+                "n = {n}: {} genuine shares are no quorum",
+                quorum - 1
+            );
+            let last = quorum - 1;
+            certs.note(last, last, covered, root, tip, secrets[last].sign(&payload));
+            certs.try_assemble(&core, &mut durable);
+            let cert = durable
+                .checkpoint_cert()
+                .expect("a quorum of genuine shares");
+            let signers: Vec<ReplicaId> = cert.signatures.iter().map(|(r, _)| *r).collect();
+            assert_eq!(signers, (0..quorum).collect::<Vec<_>>(), "n = {n}");
+            assert!(cert.verify(core.view()), "n = {n}");
         }
-        certs.try_assemble(&core, &mut durable);
-        assert!(durable.checkpoint_cert().is_none(), "two shares: no quorum");
-        certs.note(2, 2, covered, root, tip, secrets[2].sign(&payload));
-        certs.try_assemble(&core, &mut durable);
-        let cert = durable.checkpoint_cert().expect("three genuine shares");
-        let signers: Vec<ReplicaId> = cert.signatures.iter().map(|(r, _)| *r).collect();
-        assert_eq!(signers, vec![0, 1, 2]);
-        assert!(cert.verify(core.view()));
     }
 
     /// Peers flooding distinct covered points leave at most

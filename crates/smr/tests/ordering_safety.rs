@@ -4,7 +4,8 @@
 //! everything submitted is eventually delivered (liveness under synchrony).
 //!
 //! Randomized schedules come from a seeded splitmix64 generator so every run
-//! exercises the same 48 cases without an external property-testing crate.
+//! exercises the same 48 cases at each cluster size (n = 4 and 7) without an
+//! external property-testing crate.
 
 // Replica ids double as vector indices throughout.
 #![allow(clippy::needless_range_loop)]
@@ -49,6 +50,9 @@ fn make_cluster(n: usize, max_batch: usize, window: u64) -> Vec<OrderingCore> {
         })
         .collect()
 }
+
+/// Cluster sizes every property runs at: f = 1 and f = 2.
+const CLUSTER_SIZES: [usize; 2] = [4, 7];
 
 fn req(client: u64, seq: u64) -> Request {
     Request {
@@ -124,41 +128,43 @@ fn prop_no_divergence_under_drops_alpha4() {
 }
 
 fn prop_no_divergence_under_drops_at(window: u64) {
-    let mut g = Gen::new(0xa1);
-    for case in 0..48 {
-        let order: Vec<u8> = (0..64).map(|_| g.next_u64() as u8).collect();
-        let drop_mask: Vec<bool> = (0..64).map(|_| g.next_u64().is_multiple_of(10)).collect();
-        let clients = 1 + g.next_u64() % 4;
-        let reqs = 1 + g.next_u64() % 4;
-        let max_batch = 1 + (g.next_u64() as usize) % 5;
-        let mut cores = make_cluster(4, max_batch, window);
-        let mut submissions = Vec::new();
-        for c in 0..clients {
-            for s in 0..reqs {
-                // Submit to every replica, as real clients do.
-                for r in 0..4usize {
-                    submissions.push((r, req(c, s)));
+    for n in CLUSTER_SIZES {
+        let mut g = Gen::new(0xa1);
+        for case in 0..48 {
+            let order: Vec<u8> = (0..64).map(|_| g.next_u64() as u8).collect();
+            let drop_mask: Vec<bool> = (0..64).map(|_| g.next_u64().is_multiple_of(10)).collect();
+            let clients = 1 + g.next_u64() % 4;
+            let reqs = 1 + g.next_u64() % 4;
+            let max_batch = 1 + (g.next_u64() as usize) % 5;
+            let mut cores = make_cluster(n, max_batch, window);
+            let mut submissions = Vec::new();
+            for c in 0..clients {
+                for s in 0..reqs {
+                    // Submit to every replica, as real clients do.
+                    for r in 0..n {
+                        submissions.push((r, req(c, s)));
+                    }
                 }
             }
-        }
-        let delivered = pump_randomized(&mut cores, submissions, &order, &drop_mask);
-        for a in 0..4 {
-            // No duplicates within a replica.
-            let mut seen = std::collections::HashSet::new();
-            for id in &delivered[a] {
-                assert!(
-                    seen.insert(*id),
-                    "case {case}: replica {a} delivered {id:?} twice"
-                );
-            }
-            // Prefix compatibility between replicas.
-            for b in (a + 1)..4 {
-                let common = delivered[a].len().min(delivered[b].len());
-                assert_eq!(
-                    &delivered[a][..common],
-                    &delivered[b][..common],
-                    "case {case}: replicas {a} and {b} diverge"
-                );
+            let delivered = pump_randomized(&mut cores, submissions, &order, &drop_mask);
+            for a in 0..n {
+                // No duplicates within a replica.
+                let mut seen = std::collections::HashSet::new();
+                for id in &delivered[a] {
+                    assert!(
+                        seen.insert(*id),
+                        "n = {n}, case {case}: replica {a} delivered {id:?} twice"
+                    );
+                }
+                // Prefix compatibility between replicas.
+                for b in (a + 1)..n {
+                    let common = delivered[a].len().min(delivered[b].len());
+                    assert_eq!(
+                        &delivered[a][..common],
+                        &delivered[b][..common],
+                        "n = {n}, case {case}: replicas {a} and {b} diverge"
+                    );
+                }
             }
         }
     }
@@ -185,35 +191,37 @@ fn prop_all_delivered_without_drops_alpha8() {
 }
 
 fn prop_all_delivered_without_drops_at(window: u64) {
-    let mut g = Gen::new(0xa2);
-    for case in 0..48 {
-        let order: Vec<u8> = (0..64).map(|_| g.next_u64() as u8).collect();
-        let clients = 1 + g.next_u64() % 4;
-        let reqs = 1 + g.next_u64() % 4;
-        let max_batch = 1 + (g.next_u64() as usize) % 5;
-        let mut cores = make_cluster(4, max_batch, window);
-        let mut submissions = Vec::new();
-        for c in 0..clients {
-            for s in 0..reqs {
-                for r in 0..4usize {
-                    submissions.push((r, req(c, s)));
+    for n in CLUSTER_SIZES {
+        let mut g = Gen::new(0xa2);
+        for case in 0..48 {
+            let order: Vec<u8> = (0..64).map(|_| g.next_u64() as u8).collect();
+            let clients = 1 + g.next_u64() % 4;
+            let reqs = 1 + g.next_u64() % 4;
+            let max_batch = 1 + (g.next_u64() as usize) % 5;
+            let mut cores = make_cluster(n, max_batch, window);
+            let mut submissions = Vec::new();
+            for c in 0..clients {
+                for s in 0..reqs {
+                    for r in 0..n {
+                        submissions.push((r, req(c, s)));
+                    }
                 }
             }
-        }
-        let expected = (clients * reqs) as usize;
-        let no_drops = vec![false];
-        let delivered = pump_randomized(&mut cores, submissions, &order, &no_drops);
-        for r in 0..4 {
-            assert_eq!(
-                delivered[r].len(),
-                expected,
-                "case {case}: replica {r} delivered {} of {expected}",
-                delivered[r].len()
-            );
-        }
-        // And in the identical order.
-        for r in 1..4 {
-            assert_eq!(&delivered[r], &delivered[0], "case {case}");
+            let expected = (clients * reqs) as usize;
+            let no_drops = vec![false];
+            let delivered = pump_randomized(&mut cores, submissions, &order, &no_drops);
+            for r in 0..n {
+                assert_eq!(
+                    delivered[r].len(),
+                    expected,
+                    "n = {n}, case {case}: replica {r} delivered {} of {expected}",
+                    delivered[r].len()
+                );
+            }
+            // And in the identical order.
+            for r in 1..n {
+                assert_eq!(&delivered[r], &delivered[0], "n = {n}, case {case}");
+            }
         }
     }
 }

@@ -52,12 +52,12 @@
 //!   `SegmentedEngine` at any rung; group commit by default — each
 //!   record stores the raw decided value + decision proof, hash-chained,
 //!   checkpoints truncate the covered prefix, and restart replays only the
-//!   post-checkpoint suffix) — and the
-//!   the deterministic parallel-EXECUTE scheduler ([`smr::exec`]: static
-//!   per-transaction lane hints → a plan of parallel groups and serial
-//!   barriers whose merged results are bit-identical to serial execution;
-//!   the simulator charges lanes as virtual time, the deployed replica
-//!   executes serially) — and the
+//!   post-checkpoint suffix), the deterministic parallel-EXECUTE scheduler
+//!   ([`smr::exec`]: static per-transaction lane hints → a plan of
+//!   parallel groups and serial barriers whose merged results are
+//!   bit-identical to serial execution; neither the simulator nor the
+//!   deployed replica runs it — both execute serially — and only the
+//!   benchmark's `exec.*` probes time it) — and the
 //!   metal deployment layer: [`smr::transport`] provides the links
 //!   (length-framed HMAC-authenticated TCP driven by a per-replica poll
 //!   reactor with automatic redial) and [`smr::runtime`] runs one replica
@@ -72,11 +72,8 @@
 //!   verify, produce, persist, checkpoint, state transfer, reconfig). Up
 //!   to α blocks ride EXECUTE/PERSIST concurrently — device syncs and
 //!   PERSIST certificates complete out of order, replies release in block
-//!   order. EXECUTE itself fans out over `NodeConfig::execute_lanes`
-//!   lanes in virtual time: the stage charges the batch plan's critical
-//!   path, so lane count changes timing but never block content
-//!   (`tests/exec_lanes.rs` pins bit-identical chains across 1/2/8
-//!   lanes). The ledger sits on the heap-backed `storage::Engine`, with
+//!   order. EXECUTE runs each batch serially, as the deployed replica
+//!   does. The ledger sits on the heap-backed `storage::Engine`, with
 //!   opt-in checkpoint-driven compaction (`compact_after_checkpoint`).
 //! * [`light_client`] — verification without replication:
 //!   [`light_client::HeaderTracker`] follows the header chain admitting

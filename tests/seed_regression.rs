@@ -23,17 +23,12 @@ fn lossy_run(seed: u64) -> (u64, Vec<u64>, u64) {
 }
 
 fn lossy_run_alpha(seed: u64, alpha: u64) -> (u64, Vec<u64>, u64) {
-    lossy_run_lanes(seed, alpha, 1)
-}
-
-fn lossy_run_lanes(seed: u64, alpha: u64, execute_lanes: usize) -> (u64, Vec<u64>, u64) {
     let config = NodeConfig {
         ordering: OrderingConfig {
             max_batch: 8,
             window: alpha,
         },
         progress_timeout: 200 * MILLI,
-        execute_lanes,
         ..NodeConfig::default()
     };
     let mut cluster = ChainClusterBuilder::new(4, |_| CounterApp::new())
@@ -52,13 +47,6 @@ fn lossy_run_lanes(seed: u64, alpha: u64, execute_lanes: usize) -> (u64, Vec<u64
     for r in 0..4 {
         let chain = cluster.node::<CounterApp>(r).chain();
         verify_chain(&genesis, &chain).unwrap_or_else(|e| panic!("replica {r}: {e}"));
-    }
-    if execute_lanes > 1 {
-        // The laned stage must actually have planned work (CounterApp
-        // shards by client, so nothing is ever cross-lane here).
-        let stats = cluster.node::<CounterApp>(0).exec_stats();
-        assert!(stats.parallel_groups > 0, "laned EXECUTE never engaged");
-        assert_eq!(stats.cross_lane_txs, 0, "CounterApp has no conflicts");
     }
     let delivered = cluster.sim().delivered_messages();
     (completed, heights, delivered)
@@ -115,29 +103,6 @@ fn seed_7_outcome_pinned_alpha4() {
     );
 }
 
-/// The same scenario with 4 execution lanes (CounterApp shards by client):
-/// laned EXECUTE charges the plan's critical path, so virtual timing — and
-/// these observables — legitimately differ from the serial pins, but a seed
-/// must still fully determine the run.
-#[test]
-fn same_seed_same_outcome_lanes4() {
-    assert_eq!(
-        lossy_run_lanes(7, 1, 4),
-        lossy_run_lanes(7, 1, 4),
-        "a seed fully determines the laned run"
-    );
-}
-
-#[test]
-fn seed_7_outcome_pinned_lanes4() {
-    let (completed, heights, delivered) = lossy_run_lanes(7, 1, 4);
-    assert_eq!(
-        (completed, heights, delivered),
-        (PIN_7_L4.0, PIN_7_L4.1.to_vec(), PIN_7_L4.2),
-        "lanes-4 seed-7 outcome drifted — intended scheduling change? re-pin; otherwise find the nondeterminism"
-    );
-}
-
 /// Pinned observables: (completed requests, per-replica heights, messages
 /// delivered by the kernel). Regenerate with `dump_pins` below.
 ///
@@ -155,13 +120,6 @@ const PIN_B: (u64, [u64; 4], u64) = (120, [109, 109, 109, 109], 7_040);
 /// window 4 (43, [42, 39, 39, 38], 33 227 with the repair-less path
 /// put back alone).
 const PIN_7_A4: (u64, [u64; 4], u64) = (120, [114, 114, 114, 114], 12_082);
-/// Same completions as [`PIN_7`]: this scenario is fsync- and
-/// latency-bound, so the laned stage's µs-scale EXECUTE savings change no
-/// completion count. Since the repair landed, the heights and message
-/// counts differ from [`PIN_7`]'s — the same 120 requests ride in fewer
-/// blocks — while they were identical before, and are again with the
-/// repair-less path put back.
-const PIN_7_L4: (u64, [u64; 4], u64) = (120, [98, 98, 98, 98], 6_611);
 
 #[test]
 #[ignore = "pin regeneration helper: cargo test -q --test seed_regression -- --ignored --nocapture"]
@@ -172,6 +130,4 @@ fn dump_pins() {
     }
     let (completed, heights, delivered) = lossy_run_alpha(7, 4);
     println!("seed 7 alpha 4: completed={completed} heights={heights:?} delivered={delivered}");
-    let (completed, heights, delivered) = lossy_run_lanes(7, 1, 4);
-    println!("seed 7 lanes 4: completed={completed} heights={heights:?} delivered={delivered}");
 }
