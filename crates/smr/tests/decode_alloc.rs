@@ -11,17 +11,24 @@
 //! twice their own length, and on the client path
 //! (`SmrMsg::decode_request`) reserving nothing. The same holds for the
 //! signer lists of checkpoint, decision-proof and block certificates, which
-//! share one generic decoder.
+//! share one generic decoder, and for every other sequence field of a wire
+//! record or message: one row each, crafted after the fields that precede
+//! the sequence.
 
-use smartchain_codec::{from_bytes, Decode, Encode};
+use smartchain_codec::{from_bytes, to_bytes, Decode, Encode};
+use smartchain_coin::tx::CoinTx;
 use smartchain_consensus::messages::accept_sign_payload;
 use smartchain_consensus::proof::DecisionProof;
+use smartchain_consensus::synchronizer::{StopData, SyncMsg};
 use smartchain_consensus::View;
-use smartchain_core::block::{persist_sign_payload, BlockHeader, Certificate, ViewInfo};
+use smartchain_core::block::{persist_sign_payload, BlockBody, BlockHeader, Certificate, ViewInfo};
+use smartchain_core::messages::ChainMsg;
 use smartchain_core::view_keys::KeyStore;
 use smartchain_crypto::keys::{Backend, SecretKey};
+use smartchain_merkle::{Proof, RangeProof};
 use smartchain_smr::durability::{ckpt_sign_payload, CheckpointCert};
 use smartchain_smr::ordering::SmrMsg;
+use smartchain_smr::types::decode_batch;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -129,20 +136,106 @@ fn crafted_frames_reserve_at_most_twice_their_length() {
         );
     }
     signer_lists_reserve_at_most_twice_their_length();
+    sequence_fields_reserve_at_most_twice_their_length();
 }
 
 /// Decodes `payload` as `T`, asserting the outcome (`Ok` when `decodes`)
 /// and that the live heap never rose by more than twice the input length.
 fn decode_bounded<T: Decode>(name: &str, payload: &[u8], decodes: bool) -> Option<T> {
     let mut out = None;
-    let grew = peak_growth(|| out = from_bytes::<T>(payload).ok());
-    assert_eq!(out.is_some(), decodes, "{name}: decode outcome");
-    assert!(
-        grew <= 2 * payload.len(),
-        "{name}: reserved {grew} bytes for a {}-byte input",
-        payload.len()
-    );
+    bounded(name, payload.len(), decodes, || {
+        out = from_bytes::<T>(payload).ok();
+        out.is_some()
+    });
     out
+}
+
+/// Runs `decode` (true when it succeeded), asserting its outcome and that
+/// the live heap never rose by more than twice the `len`-byte input.
+fn bounded(name: &str, len: usize, decodes: bool, decode: impl FnOnce() -> bool) {
+    let mut ok = false;
+    let grew = peak_growth(|| ok = decode());
+    assert_eq!(ok, decodes, "{name}: decode outcome");
+    assert!(
+        grew <= 2 * len,
+        "{name}: reserved {grew} bytes for a {len}-byte input"
+    );
+}
+
+/// The remaining sequence fields, one row each: the bytes of the fields
+/// before the sequence (the tag first, for a message), then a count
+/// claiming one element per remaining byte over filler that runs out or
+/// fails to decode, decoded as the record or message holding the field.
+fn sequence_fields_reserve_at_most_twice_their_length() {
+    const LEN: usize = 8 << 20;
+    fn is<T: Decode>(payload: &[u8]) -> bool {
+        from_bytes::<T>(payload).is_ok()
+    }
+    let empty_proof = DecisionProof {
+        instance: 0,
+        epoch: 0,
+        value_hash: [0; 32],
+        accepts: Vec::new(),
+    };
+    // StateRep's tag, then `snapshot`, `commit` and `snapshot_anchor`, all
+    // `None`.
+    let state_rep = [3u8, 0, 0, 0];
+    let rows: [(&str, Vec<u8>, fn(&[u8]) -> bool); 14] = [
+        (
+            "SyncMsg::Sync reports",
+            to_bytes(&(2u8, 0u32)),
+            is::<SyncMsg>,
+        ),
+        (
+            "SyncMsg::Sync adopted",
+            to_bytes(&(2u8, 0u32, 0u32)),
+            is::<SyncMsg>,
+        ),
+        ("StopData locked", to_bytes(&0u64), is::<StopData>),
+        (
+            "ChainMsg::StateRep snapshot_dedup",
+            to_bytes(&state_rep),
+            is::<ChainMsg>,
+        ),
+        (
+            "ChainMsg::StateRep blocks",
+            to_bytes(&(state_rep, 0u32)),
+            is::<ChainMsg>,
+        ),
+        (
+            "ChainMsg::StateRep digests",
+            to_bytes(&(state_rep, 0u32, 0u32, 0u64, false)),
+            is::<ChainMsg>,
+        ),
+        (
+            "BlockBody requests",
+            to_bytes(&(0u8, 0u64)),
+            is::<BlockBody>,
+        ),
+        (
+            "BlockBody results",
+            to_bytes(&(0u8, 0u64, 0u32, empty_proof)),
+            is::<BlockBody>,
+        ),
+        ("CoinTx::Mint outputs", to_bytes(&0u8), is::<CoinTx>),
+        ("CoinTx::Spend inputs", to_bytes(&1u8), is::<CoinTx>),
+        (
+            "CoinTx::Spend outputs",
+            to_bytes(&(1u8, 0u32)),
+            is::<CoinTx>,
+        ),
+        ("merkle::Proof path", to_bytes(&0u64), is::<Proof>),
+        (
+            "merkle::RangeProof siblings",
+            to_bytes(&(0u64, 0u64, 0u64)),
+            is::<RangeProof>,
+        ),
+        ("decode_batch", Vec::new(), |p| decode_batch(p).is_ok()),
+    ];
+    for (name, head, decodes) in rows {
+        let payload = crafted(&head, LEN);
+        bounded(name, LEN, false, || decodes(&payload));
+    }
 }
 
 /// Signer lists crafted after each certificate's fixed fields: a count of
