@@ -2,10 +2,21 @@
 //!
 //! Blocks are hashed, signed, and persisted; all three require a *canonical*
 //! byte representation — two replicas encoding the same logical value must
-//! produce identical bytes. This module provides a small, explicit codec:
-//! fixed-width little-endian integers, `u32`-length-prefixed byte strings and
-//! sequences, and manual [`Encode`]/[`Decode`] implementations for every wire
-//! type (no derive magic, no implicit versioning).
+//! produce identical bytes. The wire rule is stated once, here:
+//!
+//! * integers are fixed-width little-endian (`usize` as `u64`), `bool` one
+//!   byte 0 or 1, `[u8; N]` its raw bytes;
+//! * a **sequence** (`[T]`, `Vec<T>`, `String`) is a `u32` count followed
+//!   by its elements — for `u8` elements, its raw bytes;
+//! * `Option<T>` is a `0`/`1` byte followed by the value when present;
+//! * a **record** (tuple or struct) is its fields in order;
+//! * a **message** (enum) is a `u8` tag followed by its variant's fields.
+//!
+//! Every wire type of the workspace states its format once, as a field
+//! list: [`codec_struct!`] for records, [`codec_enum!`] for messages. Both
+//! derive `encode`, the exact [`Encode::encoded_len`] and [`Decode`] from
+//! that list, so the three cannot drift apart. There is no implicit
+//! versioning.
 //!
 //! # Examples
 //!
@@ -72,6 +83,27 @@ pub trait Encode {
     fn encoded_len(&self) -> usize {
         self.to_vec().len()
     }
+
+    /// Appends a sequence's elements (its count excluded). Elements encode
+    /// one by one; `u8` copies the whole slice at once.
+    #[doc(hidden)]
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// Encoded length of a sequence's elements (its count excluded).
+    #[doc(hidden)]
+    fn slice_encoded_len(items: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        items.iter().map(Encode::encoded_len).sum()
+    }
 }
 
 /// Exact encoded length of `value` (see [`Encode::encoded_len`]).
@@ -89,6 +121,19 @@ pub const FRAME_BYTES: usize = 8;
 pub trait Decode: Sized {
     /// Reads a value from the front of `input`, advancing it.
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError>;
+
+    /// Reads a sequence's `len` elements (its count already read and
+    /// checked against the input). Elements decode one by one into a
+    /// vector reserved by [`seq_with_capacity`]; `u8` copies the bytes at
+    /// once.
+    #[doc(hidden)]
+    fn decode_vec(len: usize, input: &mut &[u8]) -> Result<Vec<Self>, DecodeError> {
+        let mut out = seq_with_capacity(len, input);
+        for _ in 0..len {
+            out.push(Self::decode(input)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encodes any [`Encode`] value into a fresh buffer.
@@ -138,7 +183,32 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, u128, i8, i16, i32, i64);
+impl_int!(u16, u32, u64, u128, i8, i16, i32, i64);
+
+/// A sequence of `u8` is a byte string: its bytes move as one slice.
+impl Encode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+    fn encoded_len(&self) -> usize {
+        1
+    }
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(items);
+    }
+    fn slice_encoded_len(items: &[u8]) -> usize {
+        items.len()
+    }
+}
+
+impl Decode for u8 {
+    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
+        Ok(take(input, 1)?[0])
+    }
+    fn decode_vec(len: usize, input: &mut &[u8]) -> Result<Vec<u8>, DecodeError> {
+        Ok(take(input, len)?.to_vec())
+    }
+}
 
 impl Encode for bool {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -230,38 +300,34 @@ fn seq_with_capacity<T>(len: usize, input: &[u8]) -> Vec<T> {
     Vec::with_capacity(len.min(input.len() / std::mem::size_of::<T>().max(1)))
 }
 
-fn decode_len(input: &mut &[u8]) -> Result<usize, DecodeError> {
-    let len = u32::decode(input)? as usize;
-    if len > input.len() {
-        return Err(DecodeError::BadLength(len as u64));
-    }
-    Ok(len)
-}
-
-impl Encode for Vec<u8> {
+/// A sequence: a `u32` count, then the elements.
+impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         (self.len() as u32).encode(out);
-        out.extend_from_slice(self);
+        T::encode_slice(self, out);
     }
     fn encoded_len(&self) -> usize {
-        4 + self.len()
+        (self.len() as u32).encoded_len() + T::slice_encoded_len(self)
     }
 }
 
-impl Decode for Vec<u8> {
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        self.as_slice().encoded_len()
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let len = decode_len(input)?;
-        Ok(take(input, len)?.to_vec())
-    }
-}
-
-impl Encode for [u8] {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.len() as u32).encode(out);
-        out.extend_from_slice(self);
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
+        let len = u32::decode(input)? as usize;
+        // Every element takes at least one byte.
+        if len > input.len() {
+            return Err(DecodeError::BadLength(len as u64));
+        }
+        T::decode_vec(len, input)
     }
 }
 
@@ -270,7 +336,7 @@ impl Encode for String {
         self.as_bytes().encode(out);
     }
     fn encoded_len(&self) -> usize {
-        4 + self.len()
+        self.as_bytes().encoded_len()
     }
 }
 
@@ -279,75 +345,6 @@ impl Decode for String {
         let bytes = Vec::<u8>::decode(input)?;
         String::from_utf8(bytes).map_err(|_| DecodeError::BadUtf8)
     }
-}
-
-/// Sequences of encodable values (length-prefixed).
-///
-/// Note the deliberate absence of a blanket `Vec<u8>` conflict: byte vectors
-/// use the compact raw encoding above, while `Vec<T>` for structured `T`
-/// encodes each element in turn.
-macro_rules! impl_vec_like {
-    ($($ty:ty),*) => {$(
-        impl Encode for Vec<$ty> {
-            fn encode(&self, out: &mut Vec<u8>) {
-                (self.len() as u32).encode(out);
-                for item in self {
-                    item.encode(out);
-                }
-            }
-            fn encoded_len(&self) -> usize {
-                4 + self.iter().map(Encode::encoded_len).sum::<usize>()
-            }
-        }
-        impl Decode for Vec<$ty> {
-            fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-                let len = u32::decode(input)? as usize;
-                // Each element takes at least one byte.
-                if len > input.len() {
-                    return Err(DecodeError::BadLength(len as u64));
-                }
-                let mut out = seq_with_capacity(len, input);
-                for _ in 0..len {
-                    out.push(<$ty>::decode(input)?);
-                }
-                Ok(out)
-            }
-        }
-    )*};
-}
-
-impl_vec_like!(u16, u32, u64, String);
-
-/// Generic helpers for encoding sequences of structured values, avoiding
-/// coherence clashes with the specialized `Vec<u8>` impl.
-pub fn encode_seq<T: Encode>(items: &[T], out: &mut Vec<u8>) {
-    (items.len() as u32).encode(out);
-    for item in items {
-        item.encode(out);
-    }
-}
-
-/// Encoded length of a sequence written by [`encode_seq`].
-pub fn seq_encoded_len<T: Encode>(items: &[T]) -> usize {
-    4 + items.iter().map(Encode::encoded_len).sum::<usize>()
-}
-
-/// Decodes a sequence written by [`encode_seq`].
-///
-/// # Errors
-///
-/// Propagates element decode errors and rejects length prefixes larger than
-/// the remaining input.
-pub fn decode_seq<T: Decode>(input: &mut &[u8]) -> Result<Vec<T>, DecodeError> {
-    let len = u32::decode(input)? as usize;
-    if len > input.len() {
-        return Err(DecodeError::BadLength(len as u64));
-    }
-    let mut out = seq_with_capacity(len, input);
-    for _ in 0..len {
-        out.push(T::decode(input)?);
-    }
-    Ok(out)
 }
 
 impl<T: Encode> Encode for Option<T> {
@@ -402,6 +399,121 @@ impl_tuple!(A, B);
 impl_tuple!(A, B, C);
 impl_tuple!(A, B, C, D);
 impl_tuple!(A, B, C, D, E);
+
+/// Implements [`Encode`] (with the exact [`Encode::encoded_len`]) and
+/// [`Decode`] for a struct whose wire form is the listed fields, in order —
+/// a tuple with names. Each field decodes through its type's [`Decode`].
+///
+/// ```
+/// use smartchain_codec::{codec_struct, from_bytes, to_bytes, Encode};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Entry {
+///     id: u64,
+///     tags: Vec<u16>,
+/// }
+/// codec_struct!(Entry { id, tags });
+///
+/// let entry = Entry { id: 7, tags: vec![1, 2] };
+/// let bytes = to_bytes(&entry);
+/// assert_eq!(bytes, to_bytes(&(7u64, vec![1u16, 2])));
+/// assert_eq!(entry.encoded_len(), bytes.len());
+/// assert_eq!(from_bytes::<Entry>(&bytes)?, entry);
+/// # Ok::<(), smartchain_codec::DecodeError>(())
+/// ```
+#[macro_export]
+macro_rules! codec_struct {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                $($crate::Encode::encode(&self.$field, out);)*
+            }
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::Encode::encoded_len(&self.$field))*
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(input: &mut &[u8]) -> ::std::result::Result<Self, $crate::DecodeError> {
+                ::std::result::Result::Ok($ty {
+                    $($field: $crate::Decode::decode(input)?,)*
+                })
+            }
+        }
+    };
+}
+
+/// Implements [`Encode`] (with the exact [`Encode::encoded_len`]) and
+/// [`Decode`] for an enum whose wire form is a `u8` tag followed by the
+/// variant's fields, in the listed order. Each variant is listed as
+/// `tag => Name(a, b)` (tuple; the names only bind the fields),
+/// `tag => Name { a, b }` (struct) or `tag => Name` (unit). An unknown tag
+/// decodes to [`DecodeError::BadDiscriminant`].
+///
+/// ```
+/// use smartchain_codec::{codec_enum, from_bytes, to_bytes, DecodeError};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Msg {
+///     Ping(u64),
+///     Data { seq: u32, body: Vec<u8> },
+///     Stop,
+/// }
+/// codec_enum!(Msg {
+///     0 => Ping(nonce),
+///     1 => Data { seq, body },
+///     7 => Stop,
+/// });
+///
+/// let msg = Msg::Data { seq: 3, body: vec![9] };
+/// assert_eq!(to_bytes(&msg), to_bytes(&(1u8, 3u32, vec![9u8])));
+/// assert_eq!(from_bytes::<Msg>(&[7])?, Msg::Stop);
+/// assert_eq!(from_bytes::<Msg>(&[2]), Err(DecodeError::BadDiscriminant(2)));
+/// # Ok::<(), DecodeError>(())
+/// ```
+#[macro_export]
+macro_rules! codec_enum {
+    ($ty:ident { $(
+        $tag:literal => $variant:ident
+            $(( $($tuple_field:ident),* $(,)? ))?
+            $({ $($field:ident),* $(,)? })?
+    ),* $(,)? }) => {
+        impl $crate::Encode for $ty {
+            fn encode(&self, out: &mut ::std::vec::Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($tuple_field),*))? $({ $($field),* })? => {
+                        out.push($tag);
+                        $($($crate::Encode::encode($tuple_field, out);)*)?
+                        $($($crate::Encode::encode($field, out);)*)?
+                    })*
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                1 + match self {
+                    $($ty::$variant $(($($tuple_field),*))? $({ $($field),* })? => {
+                        0 $($(+ $crate::Encode::encoded_len($tuple_field))*)?
+                            $($(+ $crate::Encode::encoded_len($field))*)?
+                    })*
+                }
+            }
+        }
+        impl $crate::Decode for $ty {
+            fn decode(input: &mut &[u8]) -> ::std::result::Result<Self, $crate::DecodeError> {
+                match <u8 as $crate::Decode>::decode(input)? {
+                    $($tag => ::std::result::Result::Ok($ty::$variant
+                        $(($({
+                            let $tuple_field = $crate::Decode::decode(input)?;
+                            $tuple_field
+                        }),*))?
+                        $({ $($field: $crate::Decode::decode(input)?),* })?
+                    ),)*
+                    tag => ::std::result::Result::Err(
+                        $crate::DecodeError::BadDiscriminant(u32::from(tag)),
+                    ),
+                }
+            }
+        }
+    };
+}
 
 #[cfg(test)]
 mod tests {
@@ -495,14 +607,11 @@ mod tests {
     }
 
     #[test]
-    fn seq_helpers_roundtrip() {
+    fn structured_seq_roundtrip() {
         let items = vec![(1u64, vec![1u8, 2]), (2u64, vec![])];
-        let mut out = Vec::new();
-        encode_seq(&items, &mut out);
-        let mut input = out.as_slice();
-        let back: Vec<(u64, Vec<u8>)> = decode_seq(&mut input).unwrap();
-        assert_eq!(back, items);
-        assert!(input.is_empty());
+        let bytes = to_bytes(&items);
+        assert_eq!(bytes.len(), items.encoded_len());
+        assert_eq!(from_bytes::<Vec<(u64, Vec<u8>)>>(&bytes).unwrap(), items);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   and of real-thread scheduling.
 
 use crate::tx::{coin_id, lane_of, CoinId, CoinTx, Output, RejectReason, TxResult};
-use smartchain_codec::{decode_seq, encode_seq, to_bytes, Decode, Encode};
+use smartchain_codec::{to_bytes, Decode, Encode};
 use smartchain_crypto::keys::PublicKey;
 use smartchain_smr::app::Application;
 use smartchain_smr::exec::{ExecPool, Job, LaneHint};
@@ -190,14 +190,12 @@ impl SmartCoinApp {
     /// Decodes the minter list from genesis app data (see
     /// [`SmartCoinApp::encode_minters`]).
     pub fn from_genesis_data(mut data: &[u8]) -> SmartCoinApp {
-        SmartCoinApp::new(decode_seq(&mut data).unwrap_or_default())
+        SmartCoinApp::new(Vec::decode(&mut data).unwrap_or_default())
     }
 
     /// Encodes a minter list for embedding in the genesis block.
     pub fn encode_minters(minters: &[PublicKey]) -> Vec<u8> {
-        let mut out = Vec::new();
-        encode_seq(minters, &mut out);
-        out
+        to_bytes(minters)
     }
 
     /// Number of execution lanes the state is currently sharded for.
@@ -420,8 +418,8 @@ impl Application for SmartCoinApp {
         out
     }
 
-    /// `encode_seq` of the sorted `(id, owner wire, value)` entries, then
-    /// of the minter wires, then the two counters — written straight into
+    /// The sequence of the sorted `(id, owner wire, value)` entries, then
+    /// that of the minter wires, then the two counters — written straight into
     /// one exactly sized buffer, with no intermediate entry list.
     fn take_snapshot(&self) -> Vec<u8> {
         const ENTRY: usize = 32 + 33 + 8;
@@ -446,10 +444,10 @@ impl Application for SmartCoinApp {
 
     fn install_snapshot(&mut self, snapshot: &[u8]) {
         let mut input = snapshot;
-        let Ok(entries) = decode_seq::<([u8; 32], [u8; 33], u64)>(&mut input) else {
+        let Ok(entries) = Vec::<([u8; 32], [u8; 33], u64)>::decode(&mut input) else {
             return;
         };
-        let Ok(minters) = decode_seq::<[u8; 33]>(&mut input) else {
+        let Ok(minters) = Vec::<[u8; 33]>::decode(&mut input) else {
             return;
         };
         let lanes = self.shards.len();
@@ -782,8 +780,8 @@ mod tests {
         }
     }
 
-    /// The pre-single-pass encoding: `encode_seq` over a sorted entry
-    /// list, then the minters and both counters.
+    /// The pre-single-pass encoding: the sorted entry list as a sequence,
+    /// then the minters and both counters.
     fn reference_snapshot(app: &SmartCoinApp) -> Vec<u8> {
         let mut entries: Vec<([u8; 32], [u8; 33], u64)> = app
             .shards
@@ -792,9 +790,9 @@ mod tests {
             .collect();
         entries.sort();
         let mut out = Vec::new();
-        encode_seq(&entries, &mut out);
+        entries.encode(&mut out);
         let minters: Vec<[u8; 33]> = app.minters.iter().map(PublicKey::to_wire).collect();
-        encode_seq(&minters, &mut out);
+        minters.encode(&mut out);
         app.executed.encode(&mut out);
         app.rejected.encode(&mut out);
         out

@@ -1,6 +1,6 @@
 //! SMaRtCoin transactions (MINT / SPEND) and their results.
 
-use smartchain_codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use smartchain_codec::{codec_enum, codec_struct};
 use smartchain_crypto::keys::PublicKey;
 use smartchain_crypto::{sha256, Hash};
 
@@ -26,21 +26,7 @@ pub struct Output {
     pub value: u64,
 }
 
-impl Encode for Output {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.owner.encode(out);
-        self.value.encode(out);
-    }
-}
-
-impl Decode for Output {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Output {
-            owner: PublicKey::decode(input)?,
-            value: u64::decode(input)?,
-        })
-    }
-}
+codec_struct!(Output { owner, value });
 
 /// A SMaRtCoin transaction.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,36 +46,10 @@ pub enum CoinTx {
     },
 }
 
-impl Encode for CoinTx {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            CoinTx::Mint { outputs } => {
-                0u8.encode(out);
-                encode_seq(outputs, out);
-            }
-            CoinTx::Spend { inputs, outputs } => {
-                1u8.encode(out);
-                encode_seq(inputs, out);
-                encode_seq(outputs, out);
-            }
-        }
-    }
-}
-
-impl Decode for CoinTx {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(CoinTx::Mint {
-                outputs: decode_seq(input)?,
-            }),
-            1 => Ok(CoinTx::Spend {
-                inputs: decode_seq(input)?,
-                outputs: decode_seq(input)?,
-            }),
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
+codec_enum!(CoinTx {
+    0 => Mint { outputs },
+    1 => Spend { inputs, outputs },
+});
 
 impl CoinTx {
     /// The coin ids this transaction reads or writes when issued by
@@ -154,43 +114,19 @@ pub enum RejectReason {
     Malformed,
 }
 
-impl Encode for TxResult {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            TxResult::Created { coins } => {
-                0u8.encode(out);
-                encode_seq(coins, out);
-            }
-            TxResult::Rejected { reason } => {
-                1u8.encode(out);
-                (*reason as u8).encode(out);
-            }
-        }
-    }
-}
+codec_enum!(TxResult {
+    0 => Created { coins },
+    1 => Rejected { reason },
+});
 
-impl Decode for TxResult {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(TxResult::Created {
-                coins: decode_seq(input)?,
-            }),
-            1 => {
-                let reason = match u8::decode(input)? {
-                    0 => RejectReason::NotAMinter,
-                    1 => RejectReason::UnknownInput,
-                    2 => RejectReason::NotOwner,
-                    3 => RejectReason::ValueMismatch,
-                    4 => RejectReason::Unsigned,
-                    5 => RejectReason::Malformed,
-                    d => return Err(DecodeError::BadDiscriminant(d as u32)),
-                };
-                Ok(TxResult::Rejected { reason })
-            }
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
+codec_enum!(RejectReason {
+    0 => NotAMinter,
+    1 => UnknownInput,
+    2 => NotOwner,
+    3 => ValueMismatch,
+    4 => Unsigned,
+    5 => Malformed,
+});
 
 #[cfg(test)]
 mod tests {

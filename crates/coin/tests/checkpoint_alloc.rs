@@ -14,6 +14,7 @@ use smartchain_crypto::keys::{Backend, PublicKey, SecretKey};
 use smartchain_smr::app::Application;
 use smartchain_smr::durability::DurableApp;
 use smartchain_smr::types::Request;
+use smartchain_storage::testing::TempDir;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -115,8 +116,7 @@ fn checkpoint_copies_the_state_once() {
         inner: SmartCoinApp::new(vec![minter.public_key()]),
         owner: minter.public_key(),
     };
-    let dir = std::env::temp_dir().join(format!("smartchain-ckpt-alloc-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("smartchain-ckpt-alloc");
     let mut durable = DurableApp::open(app, &dir, u64::MAX).unwrap();
     // One batch from 64 clients, so the meta carries reply records.
     let mint = CoinTx::Mint {
@@ -143,7 +143,6 @@ fn checkpoint_copies_the_state_once() {
 
     let (result, peak) = peak_growth(|| durable.checkpoint());
     result.unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     let ratio = peak as f64 / snapshot_len as f64;
     println!("checkpoint peak {peak} B over a {snapshot_len}-byte snapshot: {ratio:.2}x");
     assert!(

@@ -1,7 +1,7 @@
 //! Wire messages of VP-Consensus and the synchronization phase.
 
 use crate::ReplicaId;
-use smartchain_codec::{Decode, DecodeError, Encode};
+use smartchain_codec::{codec_enum, Encode};
 use smartchain_crypto::keys::Signature;
 use smartchain_crypto::{Hash, ValueBytes};
 
@@ -132,113 +132,13 @@ pub fn accept_sign_payload(instance: u64, epoch: u32, value_hash: &Hash) -> Vec<
     out
 }
 
-impl Encode for ConsensusMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ConsensusMsg::Propose {
-                instance,
-                epoch,
-                value,
-            } => {
-                0u8.encode(out);
-                instance.encode(out);
-                epoch.encode(out);
-                value.encode(out);
-            }
-            ConsensusMsg::Write {
-                instance,
-                epoch,
-                value_hash,
-                signature,
-            } => {
-                1u8.encode(out);
-                instance.encode(out);
-                epoch.encode(out);
-                value_hash.encode(out);
-                signature.encode(out);
-            }
-            ConsensusMsg::Accept {
-                instance,
-                epoch,
-                value_hash,
-                signature,
-            } => {
-                2u8.encode(out);
-                instance.encode(out);
-                epoch.encode(out);
-                value_hash.encode(out);
-                signature.encode(out);
-            }
-            ConsensusMsg::FetchValue { instance } => {
-                3u8.encode(out);
-                instance.encode(out);
-            }
-            ConsensusMsg::ValueReply {
-                instance,
-                epoch,
-                value,
-            } => {
-                4u8.encode(out);
-                instance.encode(out);
-                epoch.encode(out);
-                value.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        // Composed per field so sizing a Propose never copies its value.
-        1 + match self {
-            ConsensusMsg::Propose {
-                instance,
-                epoch,
-                value,
-            }
-            | ConsensusMsg::ValueReply {
-                instance,
-                epoch,
-                value,
-            } => instance.encoded_len() + epoch.encoded_len() + value.encoded_len(),
-            ConsensusMsg::Write { signature, .. } | ConsensusMsg::Accept { signature, .. } => {
-                8 + 4 + 32 + signature.encoded_len()
-            }
-            ConsensusMsg::FetchValue { instance } => instance.encoded_len(),
-        }
-    }
-}
-
-impl Decode for ConsensusMsg {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(ConsensusMsg::Propose {
-                instance: u64::decode(input)?,
-                epoch: u32::decode(input)?,
-                value: ValueBytes::decode(input)?,
-            }),
-            1 => Ok(ConsensusMsg::Write {
-                instance: u64::decode(input)?,
-                epoch: u32::decode(input)?,
-                value_hash: <[u8; 32]>::decode(input)?,
-                signature: Signature::decode(input)?,
-            }),
-            2 => Ok(ConsensusMsg::Accept {
-                instance: u64::decode(input)?,
-                epoch: u32::decode(input)?,
-                value_hash: <[u8; 32]>::decode(input)?,
-                signature: Signature::decode(input)?,
-            }),
-            3 => Ok(ConsensusMsg::FetchValue {
-                instance: u64::decode(input)?,
-            }),
-            4 => Ok(ConsensusMsg::ValueReply {
-                instance: u64::decode(input)?,
-                epoch: u32::decode(input)?,
-                value: ValueBytes::decode(input)?,
-            }),
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
+codec_enum!(ConsensusMsg {
+    0 => Propose { instance, epoch, value },
+    1 => Write { instance, epoch, value_hash, signature },
+    2 => Accept { instance, epoch, value_hash, signature },
+    3 => FetchValue { instance },
+    4 => ValueReply { instance, epoch, value },
+});
 
 /// Output of the instance/synchronizer state machines — the embedding layer
 /// translates these into actual network operations.
@@ -293,7 +193,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_override_matches_encoding() {
+    fn len_matches_encoding() {
         let sk = SecretKey::from_seed(Backend::Sim, &[2u8; 32]);
         let msgs = vec![
             ConsensusMsg::Propose {

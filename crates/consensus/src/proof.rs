@@ -7,7 +7,7 @@
 
 use crate::messages::accept_sign_payload;
 use crate::{ReplicaId, View};
-use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
+use smartchain_codec::{codec_struct, Encode};
 use smartchain_crypto::keys::{PublicKey, Signature};
 use smartchain_crypto::Hash;
 
@@ -79,31 +79,12 @@ impl DecisionProof {
     }
 }
 
-impl Encode for DecisionProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.instance.encode(out);
-        self.epoch.encode(out);
-        self.value_hash.encode(out);
-        encode_seq(&self.accepts, out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.instance.encoded_len()
-            + self.epoch.encoded_len()
-            + self.value_hash.encoded_len()
-            + seq_encoded_len(&self.accepts)
-    }
-}
-
-impl Decode for DecisionProof {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(DecisionProof {
-            instance: u64::decode(input)?,
-            epoch: u32::decode(input)?,
-            value_hash: <[u8; 32]>::decode(input)?,
-            accepts: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(DecisionProof {
+    instance,
+    epoch,
+    value_hash,
+    accepts
+});
 
 /// A quorum of signed WRITEs — carried in STOPDATA during leader changes to
 /// justify a replica's locked value.
@@ -134,31 +115,12 @@ impl WriteCertificate {
     }
 }
 
-impl Encode for WriteCertificate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.instance.encode(out);
-        self.epoch.encode(out);
-        self.value_hash.encode(out);
-        encode_seq(&self.writes, out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.instance.encoded_len()
-            + self.epoch.encoded_len()
-            + self.value_hash.encoded_len()
-            + seq_encoded_len(&self.writes)
-    }
-}
-
-impl Decode for WriteCertificate {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(WriteCertificate {
-            instance: u64::decode(input)?,
-            epoch: u32::decode(input)?,
-            value_hash: <[u8; 32]>::decode(input)?,
-            writes: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(WriteCertificate {
+    instance,
+    epoch,
+    value_hash,
+    writes
+});
 
 #[cfg(test)]
 mod tests {
@@ -283,7 +245,7 @@ mod wire_len_tests {
     use smartchain_crypto::keys::{Backend, SecretKey};
 
     #[test]
-    fn encoded_len_override_matches_encoding() {
+    fn len_matches_encoding() {
         let sk = SecretKey::from_seed(Backend::Sim, &[4u8; 32]);
         let proof = DecisionProof {
             instance: 9,

@@ -26,7 +26,7 @@
 
 use crate::proof::WriteCertificate;
 use crate::{ReplicaId, View, MAX_WINDOW};
-use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
+use smartchain_codec::{codec_enum, codec_struct, Encode};
 use smartchain_crypto::ValueBytes;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -41,25 +41,7 @@ pub struct LockedReport {
     pub cert: WriteCertificate,
 }
 
-impl Encode for LockedReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.value.encode(out);
-        self.cert.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.value.encoded_len() + self.cert.encoded_len()
-    }
-}
-
-impl Decode for LockedReport {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(LockedReport {
-            value: ValueBytes::decode(input)?,
-            cert: WriteCertificate::decode(input)?,
-        })
-    }
-}
+codec_struct!(LockedReport { value, cert });
 
 /// Body of a STOPDATA message.
 ///
@@ -75,25 +57,10 @@ pub struct StopData {
     pub locked: Vec<LockedReport>,
 }
 
-impl Encode for StopData {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.last_decided.encode(out);
-        encode_seq(&self.locked, out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.last_decided.encoded_len() + seq_encoded_len(&self.locked)
-    }
-}
-
-impl Decode for StopData {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(StopData {
-            last_decided: u64::decode(input)?,
-            locked: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(StopData {
+    last_decided,
+    locked
+});
 
 /// Synchronization-phase messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,63 +101,11 @@ impl SyncMsg {
     }
 }
 
-impl Encode for SyncMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SyncMsg::Stop { regency } => {
-                0u8.encode(out);
-                regency.encode(out);
-            }
-            SyncMsg::StopData { regency, data } => {
-                1u8.encode(out);
-                regency.encode(out);
-                data.encode(out);
-            }
-            SyncMsg::Sync {
-                regency,
-                reports,
-                adopted,
-            } => {
-                2u8.encode(out);
-                regency.encode(out);
-                encode_seq(reports, out);
-                encode_seq(adopted, out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SyncMsg::Stop { regency } => regency.encoded_len(),
-            SyncMsg::StopData { regency, data } => regency.encoded_len() + data.encoded_len(),
-            SyncMsg::Sync {
-                regency,
-                reports,
-                adopted,
-            } => regency.encoded_len() + seq_encoded_len(reports) + seq_encoded_len(adopted),
-        }
-    }
-}
-
-impl Decode for SyncMsg {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(SyncMsg::Stop {
-                regency: u32::decode(input)?,
-            }),
-            1 => Ok(SyncMsg::StopData {
-                regency: u32::decode(input)?,
-                data: StopData::decode(input)?,
-            }),
-            2 => Ok(SyncMsg::Sync {
-                regency: u32::decode(input)?,
-                reports: decode_seq(input)?,
-                adopted: decode_seq(input)?,
-            }),
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
+codec_enum!(SyncMsg {
+    0 => Stop { regency },
+    1 => StopData { regency, data },
+    2 => Sync { regency, reports, adopted },
+});
 
 /// Instructions from the synchronizer to its embedding.
 #[derive(Clone, Debug, PartialEq)]
@@ -757,9 +672,9 @@ mod wire_len_tests {
     use crate::proof::WriteCertificate;
     use smartchain_crypto::keys::{Backend, SecretKey};
 
-    /// The compositional `encoded_len` overrides must stay exact.
+    /// `encoded_len` must stay exact.
     #[test]
-    fn encoded_len_override_matches_encoding() {
+    fn len_matches_encoding() {
         let sk = SecretKey::from_seed(Backend::Sim, &[3u8; 32]);
         let cert = WriteCertificate {
             instance: 4,

@@ -13,7 +13,7 @@
 //!   proof in the body).
 
 use crate::view_keys::CertifiedKey;
-use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
+use smartchain_codec::{codec_enum, codec_struct, Encode};
 use smartchain_consensus::proof::{verify_quorum, DecisionProof};
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::{PublicKey, Signature};
@@ -65,25 +65,7 @@ impl ViewInfo {
     }
 }
 
-impl Encode for ViewInfo {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        encode_seq(&self.members, out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.id.encoded_len() + seq_encoded_len(&self.members)
-    }
-}
-
-impl Decode for ViewInfo {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ViewInfo {
-            id: u64::decode(input)?,
-            members: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(ViewInfo { id, members });
 
 /// Genesis configuration: initial consortium, checkpoint period, app data.
 #[derive(Clone, Debug, PartialEq)]
@@ -96,27 +78,11 @@ pub struct Genesis {
     pub app_data: Vec<u8>,
 }
 
-impl Encode for Genesis {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.view.encode(out);
-        self.checkpoint_period.encode(out);
-        self.app_data.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.view.encoded_len() + self.checkpoint_period.encoded_len() + self.app_data.encoded_len()
-    }
-}
-
-impl Decode for Genesis {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Genesis {
-            view: ViewInfo::decode(input)?,
-            checkpoint_period: u64::decode(input)?,
-            app_data: Vec::<u8>::decode(input)?,
-        })
-    }
-}
+codec_struct!(Genesis {
+    view,
+    checkpoint_period,
+    app_data
+});
 
 impl Genesis {
     /// Hash of the genesis configuration — the chain's trust anchor and the
@@ -155,33 +121,14 @@ impl BlockHeader {
     }
 }
 
-impl Encode for BlockHeader {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.number.encode(out);
-        self.last_reconfig.encode(out);
-        self.last_checkpoint.encode(out);
-        self.hash_transactions.encode(out);
-        self.hash_results.encode(out);
-        self.hash_last_block.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        3 * 8 + 3 * 32
-    }
-}
-
-impl Decode for BlockHeader {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(BlockHeader {
-            number: u64::decode(input)?,
-            last_reconfig: u64::decode(input)?,
-            last_checkpoint: u64::decode(input)?,
-            hash_transactions: <[u8; 32]>::decode(input)?,
-            hash_results: <[u8; 32]>::decode(input)?,
-            hash_last_block: <[u8; 32]>::decode(input)?,
-        })
-    }
-}
+codec_struct!(BlockHeader {
+    number,
+    last_reconfig,
+    last_checkpoint,
+    hash_transactions,
+    hash_results,
+    hash_last_block
+});
 
 /// The reconfiguration operation carried by a reconfiguration block.
 #[derive(Clone, Debug, PartialEq)]
@@ -203,50 +150,11 @@ pub enum ReconfigOp {
     },
 }
 
-impl Encode for ReconfigOp {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ReconfigOp::Join { joiner } => {
-                0u8.encode(out);
-                joiner.encode(out);
-            }
-            ReconfigOp::Leave { leaver } => {
-                1u8.encode(out);
-                leaver.encode(out);
-            }
-            ReconfigOp::Exclude { target } => {
-                2u8.encode(out);
-                target.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            ReconfigOp::Join { joiner } => joiner.encoded_len(),
-            ReconfigOp::Leave { leaver: key } | ReconfigOp::Exclude { target: key } => {
-                key.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for ReconfigOp {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(ReconfigOp::Join {
-                joiner: CertifiedKey::decode(input)?,
-            }),
-            1 => Ok(ReconfigOp::Leave {
-                leaver: PublicKey::decode(input)?,
-            }),
-            2 => Ok(ReconfigOp::Exclude {
-                target: PublicKey::decode(input)?,
-            }),
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
+codec_enum!(ReconfigOp {
+    0 => Join { joiner },
+    1 => Leave { leaver },
+    2 => Exclude { target },
+});
 
 /// A member's signed acceptance of a reconfiguration, carrying its own new
 /// consensus key for the next view (paper §V-D, step 2 of the join flow).
@@ -260,27 +168,11 @@ pub struct ReconfigVote {
     pub signature: Signature,
 }
 
-impl Encode for ReconfigVote {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.voter as u64).encode(out);
-        self.new_key.encode(out);
-        self.signature.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.new_key.encoded_len() + self.signature.encoded_len()
-    }
-}
-
-impl Decode for ReconfigVote {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ReconfigVote {
-            voter: u64::decode(input)? as usize,
-            new_key: CertifiedKey::decode(input)?,
-            signature: Signature::decode(input)?,
-        })
-    }
-}
+codec_struct!(ReconfigVote {
+    voter,
+    new_key,
+    signature
+});
 
 /// Canonical bytes a member signs when voting for a reconfiguration.
 pub fn vote_payload(new_view_id: u64, op: &ReconfigOp, new_key: &CertifiedKey) -> Vec<u8> {
@@ -377,27 +269,11 @@ impl ReconfigTx {
     }
 }
 
-impl Encode for ReconfigTx {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.new_view_id.encode(out);
-        self.op.encode(out);
-        encode_seq(&self.votes, out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.new_view_id.encoded_len() + self.op.encoded_len() + seq_encoded_len(&self.votes)
-    }
-}
-
-impl Decode for ReconfigTx {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ReconfigTx {
-            new_view_id: u64::decode(input)?,
-            op: ReconfigOp::decode(input)?,
-            votes: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(ReconfigTx {
+    new_view_id,
+    op,
+    votes
+});
 
 /// Block body (paper Fig. 2, middle).
 #[derive(Clone, Debug, PartialEq)]
@@ -444,7 +320,7 @@ impl BlockBody {
             } => {
                 let mut out = Vec::new();
                 consensus_id.encode(&mut out);
-                encode_seq(requests, &mut out);
+                requests.encode(&mut out);
                 out
             }
             BlockBody::Reconfiguration {
@@ -515,95 +391,10 @@ impl BlockBody {
     }
 }
 
-impl Encode for BlockBody {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            BlockBody::Transactions {
-                consensus_id,
-                requests,
-                proof,
-                results,
-            } => {
-                0u8.encode(out);
-                consensus_id.encode(out);
-                encode_seq(requests, out);
-                proof.encode(out);
-                encode_seq(results, out);
-            }
-            BlockBody::Reconfiguration {
-                consensus_id,
-                tx,
-                proof,
-                new_view,
-            } => {
-                1u8.encode(out);
-                consensus_id.encode(out);
-                tx.encode(out);
-                proof.encode(out);
-                new_view.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            BlockBody::Transactions {
-                consensus_id,
-                requests,
-                proof,
-                results,
-            } => {
-                consensus_id.encoded_len()
-                    + seq_encoded_len(requests)
-                    + proof.encoded_len()
-                    + seq_encoded_len(results)
-            }
-            BlockBody::Reconfiguration {
-                consensus_id,
-                tx,
-                proof,
-                new_view,
-            } => {
-                consensus_id.encoded_len()
-                    + tx.encoded_len()
-                    + proof.encoded_len()
-                    + new_view.encoded_len()
-            }
-        }
-    }
-}
-
-impl Decode for BlockBody {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(BlockBody::Transactions {
-                consensus_id: u64::decode(input)?,
-                requests: decode_seq(input)?,
-                proof: DecisionProof::decode(input)?,
-                results: decode_results(input)?,
-            }),
-            1 => Ok(BlockBody::Reconfiguration {
-                consensus_id: u64::decode(input)?,
-                tx: ReconfigTx::decode(input)?,
-                proof: DecisionProof::decode(input)?,
-                new_view: ViewInfo::decode(input)?,
-            }),
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
-
-fn decode_results(input: &mut &[u8]) -> Result<Vec<Vec<u8>>, DecodeError> {
-    let len = u32::decode(input)? as usize;
-    if len > input.len() {
-        return Err(DecodeError::BadLength(len as u64));
-    }
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len {
-        out.push(Vec::<u8>::decode(input)?);
-    }
-    Ok(out)
-}
+codec_enum!(BlockBody {
+    0 => Transactions { consensus_id, requests, proof, results },
+    1 => Reconfiguration { consensus_id, tx, proof, new_view },
+});
 
 /// Canonical bytes signed by replicas in the PERSIST phase.
 pub fn persist_sign_payload(block_number: u64, header_hash: &Hash) -> Vec<u8> {
@@ -638,23 +429,7 @@ impl Certificate {
     }
 }
 
-impl Encode for Certificate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(&self.signatures, out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.signatures)
-    }
-}
-
-impl Decode for Certificate {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Certificate {
-            signatures: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(Certificate { signatures });
 
 /// A complete block.
 #[derive(Clone, Debug, PartialEq)]
@@ -756,27 +531,11 @@ impl Block {
     }
 }
 
-impl Encode for Block {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.header.encode(out);
-        self.body.encode(out);
-        self.certificate.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.header.encoded_len() + self.body.encoded_len() + self.certificate.encoded_len()
-    }
-}
-
-impl Decode for Block {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Block {
-            header: BlockHeader::decode(input)?,
-            body: BlockBody::decode(input)?,
-            certificate: Certificate::decode(input)?,
-        })
-    }
-}
+codec_struct!(Block {
+    header,
+    body,
+    certificate
+});
 
 #[cfg(test)]
 mod tests {
@@ -825,10 +584,10 @@ mod tests {
         }
     }
 
-    /// The compositional `encoded_len` overrides must stay exact — they are
-    /// the NIC/disk models' size source and must never drift from encode().
+    /// `encoded_len` must stay exact — it is the NIC/disk models' size
+    /// source and must never drift from encode().
     #[test]
-    fn encoded_len_overrides_match_encoding() {
+    fn len_matches_encoding() {
         let st = stores(4);
         let view = view_info(&st, 1);
         let vote = ReconfigVote {

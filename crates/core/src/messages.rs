@@ -11,7 +11,7 @@
 use crate::block::{Block, ReconfigOp, ReconfigVote, ViewInfo};
 use crate::pipeline::checkpoint::SnapshotCommit;
 use crate::view_keys::CertifiedKey;
-use smartchain_codec::{decode_seq, encode_seq, seq_encoded_len, Decode, DecodeError, Encode};
+use smartchain_codec::{codec_enum, Encode};
 use smartchain_crypto::keys::Signature;
 use smartchain_crypto::Hash;
 use smartchain_smr::ordering::SmrMsg;
@@ -110,155 +110,24 @@ impl ChainMsg {
     }
 }
 
-impl Encode for ChainMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            ChainMsg::Smr(m) => {
-                0u8.encode(out);
-                m.encode(out);
-            }
-            ChainMsg::Persist {
-                block,
-                header_hash,
-                signature,
-            } => {
-                1u8.encode(out);
-                block.encode(out);
-                header_hash.encode(out);
-                signature.encode(out);
-            }
-            ChainMsg::StateReq { from_block } => {
-                2u8.encode(out);
-                from_block.encode(out);
-            }
-            ChainMsg::StateRep {
-                snapshot,
-                commit,
-                snapshot_anchor,
-                snapshot_dedup,
-                blocks,
-                modeled_size,
-                full,
-                digests,
-            } => {
-                3u8.encode(out);
-                snapshot.encode(out);
-                commit.encode(out);
-                snapshot_anchor.encode(out);
-                encode_seq(snapshot_dedup, out);
-                encode_seq(blocks, out);
-                modeled_size.encode(out);
-                full.encode(out);
-                encode_seq(digests, out);
-            }
-            ChainMsg::JoinAsk { joiner } => {
-                4u8.encode(out);
-                joiner.encode(out);
-            }
-            ChainMsg::JoinVote {
-                vote,
-                op,
-                new_view_id,
-                current_view,
-            } => {
-                5u8.encode(out);
-                vote.encode(out);
-                op.encode(out);
-                new_view_id.encode(out);
-                current_view.encode(out);
-            }
-            ChainMsg::Welcome { view } => {
-                6u8.encode(out);
-                view.encode(out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        // Compose from per-field `encoded_len` so large payloads (blocks,
-        // proposals) are sized without materializing a copy.
-        1 + match self {
-            ChainMsg::Smr(m) => m.encoded_len(),
-            ChainMsg::Persist {
-                block,
-                header_hash,
-                signature,
-            } => block.encoded_len() + header_hash.encoded_len() + signature.encoded_len(),
-            ChainMsg::StateReq { from_block } => from_block.encoded_len(),
-            ChainMsg::StateRep {
-                snapshot,
-                commit,
-                snapshot_anchor,
-                snapshot_dedup,
-                blocks,
-                modeled_size,
-                full,
-                digests,
-            } => {
-                snapshot.encoded_len()
-                    + commit.encoded_len()
-                    + snapshot_anchor.encoded_len()
-                    + seq_encoded_len(snapshot_dedup)
-                    + seq_encoded_len(blocks)
-                    + modeled_size.encoded_len()
-                    + full.encoded_len()
-                    + seq_encoded_len(digests)
-            }
-            ChainMsg::JoinAsk { joiner } => joiner.encoded_len(),
-            ChainMsg::JoinVote {
-                vote,
-                op,
-                new_view_id,
-                current_view,
-            } => {
-                vote.encoded_len()
-                    + op.encoded_len()
-                    + new_view_id.encoded_len()
-                    + current_view.encoded_len()
-            }
-            ChainMsg::Welcome { view } => view.encoded_len(),
-        }
-    }
-}
-
-impl Decode for ChainMsg {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(ChainMsg::Smr(SmrMsg::decode(input)?)),
-            1 => Ok(ChainMsg::Persist {
-                block: u64::decode(input)?,
-                header_hash: <[u8; 32]>::decode(input)?,
-                signature: Signature::decode(input)?,
-            }),
-            2 => Ok(ChainMsg::StateReq {
-                from_block: u64::decode(input)?,
-            }),
-            3 => Ok(ChainMsg::StateRep {
-                snapshot: Option::<(u64, Vec<u8>)>::decode(input)?,
-                commit: Option::<SnapshotCommit>::decode(input)?,
-                snapshot_anchor: Option::<Hash>::decode(input)?,
-                snapshot_dedup: decode_seq(input)?,
-                blocks: decode_seq(input)?,
-                modeled_size: u64::decode(input)?,
-                full: bool::decode(input)?,
-                digests: decode_seq(input)?,
-            }),
-            4 => Ok(ChainMsg::JoinAsk {
-                joiner: CertifiedKey::decode(input)?,
-            }),
-            5 => Ok(ChainMsg::JoinVote {
-                vote: ReconfigVote::decode(input)?,
-                op: ReconfigOp::decode(input)?,
-                new_view_id: u64::decode(input)?,
-                current_view: ViewInfo::decode(input)?,
-            }),
-            6 => Ok(ChainMsg::Welcome {
-                view: ViewInfo::decode(input)?,
-            }),
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
+codec_enum!(ChainMsg {
+    0 => Smr(msg),
+    1 => Persist { block, header_hash, signature },
+    2 => StateReq { from_block },
+    3 => StateRep {
+        snapshot,
+        commit,
+        snapshot_anchor,
+        snapshot_dedup,
+        blocks,
+        modeled_size,
+        full,
+        digests,
+    },
+    4 => JoinAsk { joiner },
+    5 => JoinVote { vote, op, new_view_id, current_view },
+    6 => Welcome { view },
+});
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,7 @@ use crate::block::BlockHeader;
 use crate::messages::ChainMsg;
 use crate::node::ChainNode;
 use crate::pipeline::KIND_SNAPSHOT;
-use smartchain_codec::{Decode, DecodeError, Encode};
+use smartchain_codec::codec_struct;
 use smartchain_crypto::Hash;
 use smartchain_merkle as merkle;
 use smartchain_sim::{Ctx, Time};
@@ -51,27 +51,11 @@ impl SnapshotCommit {
     }
 }
 
-impl Encode for SnapshotCommit {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.header.encode(out);
-        self.results_root.encode(out);
-        self.state_root.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.header.encoded_len() + 32 + 32
-    }
-}
-
-impl Decode for SnapshotCommit {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(SnapshotCommit {
-            header: BlockHeader::decode(input)?,
-            results_root: <[u8; 32]>::decode(input)?,
-            state_root: <[u8; 32]>::decode(input)?,
-        })
-    }
-}
+codec_struct!(SnapshotCommit {
+    header,
+    results_root,
+    state_root
+});
 
 /// A checkpoint snapshot: the serialized application state, the block it
 /// covers, and the per-client record (duplicate-filter frontier) at that

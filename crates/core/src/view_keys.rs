@@ -8,7 +8,7 @@
 //! for blocks in views it used to belong to — the mechanism that prevents the
 //! Figure-4 fork.
 
-use smartchain_codec::{Decode, DecodeError, Encode};
+use smartchain_codec::{codec_struct, Encode};
 use smartchain_crypto::keys::{Backend, PublicKey, SecretKey, Signature};
 use smartchain_crypto::sha256;
 
@@ -41,27 +41,11 @@ impl CertifiedKey {
     }
 }
 
-impl Encode for CertifiedKey {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.permanent.encode(out);
-        self.consensus.encode(out);
-        self.cert.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.permanent.encoded_len() + self.consensus.encoded_len() + self.cert.encoded_len()
-    }
-}
-
-impl Decode for CertifiedKey {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(CertifiedKey {
-            permanent: PublicKey::decode(input)?,
-            consensus: PublicKey::decode(input)?,
-            cert: Signature::decode(input)?,
-        })
-    }
-}
+codec_struct!(CertifiedKey {
+    permanent,
+    consensus,
+    cert
+});
 
 /// A replica's key material: the permanent identity plus the consensus key of
 /// the current view. Old consensus secrets are destroyed on rotation.

@@ -151,7 +151,7 @@ impl Encode for ValueBytes {
         self.0.bytes.encode(out);
     }
     fn encoded_len(&self) -> usize {
-        4 + self.0.bytes.len()
+        self.0.bytes.encoded_len()
     }
 }
 

@@ -20,7 +20,7 @@
 //! tree is the RFC 6962 shape: the root of `n > 1` leaves splits at the
 //! largest power of two strictly below `n`.
 
-use smartchain_codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use smartchain_codec::codec_struct;
 use smartchain_crypto::sha256;
 
 /// 32-byte hash value.
@@ -82,36 +82,7 @@ pub struct Proof {
     pub path: Vec<(Hash, bool)>,
 }
 
-impl Encode for Proof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.index as u64).encode(out);
-        let entries: Vec<(Hash, u8)> = self
-            .path
-            .iter()
-            .map(|(h, right)| (*h, u8::from(*right)))
-            .collect();
-        encode_seq(&entries, out);
-    }
-    fn encoded_len(&self) -> usize {
-        8 + 4 + self.path.len() * 33
-    }
-}
-
-impl Decode for Proof {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        let index = u64::decode(input)? as usize;
-        let entries: Vec<(Hash, u8)> = decode_seq(input)?;
-        let mut path = Vec::with_capacity(entries.len());
-        for (h, flag) in entries {
-            match flag {
-                0 => path.push((h, false)),
-                1 => path.push((h, true)),
-                d => return Err(DecodeError::BadDiscriminant(d as u32)),
-            }
-        }
-        Ok(Proof { index, path })
-    }
-}
+codec_struct!(Proof { index, path });
 
 /// Builds an inclusion proof for `leaves[index]`.
 ///
@@ -260,28 +231,12 @@ pub struct RangeProof {
     pub siblings: Vec<Hash>,
 }
 
-impl Encode for RangeProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.start as u64).encode(out);
-        (self.end as u64).encode(out);
-        (self.total as u64).encode(out);
-        encode_seq(&self.siblings, out);
-    }
-    fn encoded_len(&self) -> usize {
-        24 + 4 + self.siblings.len() * 32
-    }
-}
-
-impl Decode for RangeProof {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(RangeProof {
-            start: u64::decode(input)? as usize,
-            end: u64::decode(input)? as usize,
-            total: u64::decode(input)? as usize,
-            siblings: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(RangeProof {
+    start,
+    end,
+    total,
+    siblings
+});
 
 /// Largest power of two strictly below `n` — the RFC 6962 split point.
 fn split_point(n: usize) -> usize {
@@ -383,6 +338,7 @@ pub fn verify_range(expected_root: &Hash, range_leaves: &[Vec<u8>], proof: &Rang
 #[cfg(test)]
 mod tests {
     use super::*;
+    use smartchain_codec::Encode;
 
     fn leaves(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("leaf-{i}").into_bytes()).collect()

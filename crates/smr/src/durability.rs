@@ -39,9 +39,7 @@
 use crate::app::Application;
 use crate::ordering::OrderedBatch;
 use crate::types::{decode_batch, encode_batch, Request};
-use smartchain_codec::{
-    decode_seq, encode_seq, from_bytes, seq_encoded_len, to_bytes, Decode, DecodeError, Encode,
-};
+use smartchain_codec::{codec_struct, from_bytes, to_bytes, Encode};
 use smartchain_consensus::proof::{verify_quorum, DecisionProof};
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::Signature;
@@ -77,26 +75,7 @@ pub struct LoggedBatch {
     pub proof: DecisionProof,
 }
 
-impl Encode for LoggedBatch {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.prev.encode(out);
-        self.value.encode(out);
-        self.proof.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.prev.encoded_len() + self.value.encoded_len() + self.proof.encoded_len()
-    }
-}
-
-impl Decode for LoggedBatch {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(LoggedBatch {
-            prev: <[u8; 32]>::decode(input)?,
-            value: smartchain_crypto::ValueBytes::decode(input)?,
-            proof: DecisionProof::decode(input)?,
-        })
-    }
-}
+codec_struct!(LoggedBatch { prev, value, proof });
 
 /// Snapshot sidecar persisted (and shipped) with the application state: the
 /// batch chain tip and each client's reply record at the covered point, so
@@ -117,26 +96,11 @@ pub struct SnapshotMeta {
     pub replies: Vec<(u64, u64, Vec<u8>)>,
 }
 
-impl Encode for SnapshotMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tip.encode(out);
-        self.state_root.encode(out);
-        smartchain_codec::encode_seq(&self.replies, out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.tip.encoded_len() + 32 + smartchain_codec::seq_encoded_len(&self.replies)
-    }
-}
-
-impl Decode for SnapshotMeta {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(SnapshotMeta {
-            tip: <[u8; 32]>::decode(input)?,
-            state_root: <[u8; 32]>::decode(input)?,
-            replies: smartchain_codec::decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(SnapshotMeta {
+    tip,
+    state_root,
+    replies
+});
 
 /// Canonical bytes a replica signs to certify a checkpoint: the covered
 /// batch, the chunked state root, and the batch chain tip at that point.
@@ -182,28 +146,12 @@ impl CheckpointCert {
     }
 }
 
-impl Encode for CheckpointCert {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.covered.encode(out);
-        self.state_root.encode(out);
-        self.tip.encode(out);
-        encode_seq(&self.signatures, out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.covered.encoded_len() + 32 + 32 + seq_encoded_len(&self.signatures)
-    }
-}
-
-impl Decode for CheckpointCert {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(CheckpointCert {
-            covered: u64::decode(input)?,
-            state_root: <[u8; 32]>::decode(input)?,
-            tip: <[u8; 32]>::decode(input)?,
-            signatures: decode_seq(input)?,
-        })
-    }
-}
+codec_struct!(CheckpointCert {
+    covered,
+    state_root,
+    tip,
+    signatures
+});
 
 /// Why [`DurableApp::install_remote`] refused a state-transfer reply.
 #[derive(Debug)]
@@ -286,34 +234,13 @@ impl ReadProof {
     }
 }
 
-impl Encode for ReadProof {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.covered.encode(out);
-        self.chunk_index.encode(out);
-        self.chunk.encode(out);
-        self.proof.encode(out);
-        self.cert.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.covered.encoded_len()
-            + self.chunk_index.encoded_len()
-            + self.chunk.encoded_len()
-            + self.proof.encoded_len()
-            + self.cert.encoded_len()
-    }
-}
-
-impl Decode for ReadProof {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ReadProof {
-            covered: u64::decode(input)?,
-            chunk_index: u64::decode(input)?,
-            chunk: Vec::<u8>::decode(input)?,
-            proof: merkle::Proof::decode(input)?,
-            cert: CheckpointCert::decode(input)?,
-        })
-    }
-}
+codec_struct!(ReadProof {
+    covered,
+    chunk_index,
+    chunk,
+    proof,
+    cert
+});
 
 /// The snapshot payload of a state-transfer reply: application state plus
 /// the covered point's [`SnapshotMeta`].
@@ -325,24 +252,7 @@ pub struct ShippedSnapshot {
     pub meta: SnapshotMeta,
 }
 
-impl Encode for ShippedSnapshot {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.state.encode(out);
-        self.meta.encode(out);
-    }
-    fn encoded_len(&self) -> usize {
-        self.state.encoded_len() + self.meta.encoded_len()
-    }
-}
-
-impl Decode for ShippedSnapshot {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(ShippedSnapshot {
-            state: Vec::<u8>::decode(input)?,
-            meta: SnapshotMeta::decode(input)?,
-        })
-    }
-}
+codec_struct!(ShippedSnapshot { state, meta });
 
 /// The durable half of a runtime state-transfer reply (the fields of
 /// `SmrMsg::StateRep` sans the shipper's regency).
@@ -621,8 +531,9 @@ impl<A: Application> DurableApp<A> {
         // field (the LoggedBatch layout) so the hot path clones neither the
         // value nor the proof. `flush` is the policy's commit point: one
         // coalesced fsync under group commit, a no-op on the weaker rungs.
-        let mut record =
-            Vec::with_capacity(32 + batch.value.encoded_len() + batch.proof.encoded_len());
+        let mut record = Vec::with_capacity(
+            self.tip.encoded_len() + batch.value.encoded_len() + batch.proof.encoded_len(),
+        );
         self.tip.encode(&mut record);
         batch.value.encode(&mut record);
         batch.proof.encode(&mut record);
@@ -990,6 +901,7 @@ mod tests {
     use super::*;
     use crate::app::CounterApp;
     use smartchain_crypto::keys::{Backend, SecretKey};
+    use smartchain_storage::testing::TempDir;
 
     /// A 4-replica view with deterministic sim keys, for certificate tests.
     fn test_view() -> (View, Vec<SecretKey>) {
@@ -1044,14 +956,8 @@ mod tests {
         );
     }
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "smartchain-durable-{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn tmp(name: &str) -> TempDir {
+        TempDir::new(&format!("smartchain-durable-{name}"))
     }
 
     #[test]
@@ -1247,7 +1153,9 @@ mod tests {
         assert!(cert.verify(&view));
         let reply = src.state_reply(1).unwrap();
         assert_eq!(reply.covered, 8);
-        let fresh = |tag: &str| DurableApp::open(CounterApp::new(), tmp(tag), 100).unwrap();
+        let dst_root = tmp("tamper-dst");
+        let fresh =
+            |tag: &str| DurableApp::open(CounterApp::new(), dst_root.join(tag), 100).unwrap();
 
         // No certificate → refused.
         let err = fresh("tamper-nocert")

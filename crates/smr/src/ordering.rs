@@ -14,7 +14,7 @@
 //! carried value at its own instance.
 
 use crate::types::{decode_batch, encode_batch, Request};
-use smartchain_codec::{Decode, DecodeError, Encode};
+use smartchain_codec::{codec_enum, DecodeError, Encode};
 use smartchain_consensus::instance::{Decision, Instance};
 use smartchain_consensus::messages::{ConsensusMsg, Output};
 use smartchain_consensus::proof::DecisionProof;
@@ -151,152 +151,17 @@ impl SmrMsg {
     }
 }
 
-impl Encode for SmrMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SmrMsg::Request(r) => {
-                0u8.encode(out);
-                r.encode(out);
-            }
-            SmrMsg::Consensus(c) => {
-                1u8.encode(out);
-                c.encode(out);
-            }
-            SmrMsg::Sync(s) => {
-                2u8.encode(out);
-                s.encode(out);
-            }
-            SmrMsg::Reply(r) => {
-                3u8.encode(out);
-                r.encode(out);
-            }
-            SmrMsg::StateReq { from_batch } => {
-                4u8.encode(out);
-                from_batch.encode(out);
-            }
-            SmrMsg::StateRep {
-                covered,
-                snapshot,
-                first_batch,
-                batches,
-                regency,
-                cert,
-            } => {
-                5u8.encode(out);
-                covered.encode(out);
-                snapshot.encode(out);
-                first_batch.encode(out);
-                smartchain_codec::encode_seq(batches, out);
-                regency.encode(out);
-                cert.encode(out);
-            }
-            SmrMsg::CkptShare {
-                replica,
-                covered,
-                state_root,
-                tip,
-                signature,
-            } => {
-                6u8.encode(out);
-                (*replica as u64).encode(out);
-                covered.encode(out);
-                state_root.encode(out);
-                tip.encode(out);
-                signature.encode(out);
-            }
-            SmrMsg::InstanceFetch { instance, have } => {
-                7u8.encode(out);
-                instance.encode(out);
-                have.encode(out);
-            }
-            SmrMsg::InstanceRep {
-                instance,
-                decided,
-                msgs,
-            } => {
-                8u8.encode(out);
-                instance.encode(out);
-                decided.encode(out);
-                smartchain_codec::encode_seq(msgs, out);
-            }
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        1 + match self {
-            SmrMsg::Request(r) => r.encoded_len(),
-            SmrMsg::Consensus(c) => c.encoded_len(),
-            SmrMsg::Sync(s) => s.encoded_len(),
-            SmrMsg::Reply(r) => r.encoded_len(),
-            SmrMsg::StateReq { from_batch } => from_batch.encoded_len(),
-            SmrMsg::StateRep {
-                covered,
-                snapshot,
-                first_batch,
-                batches,
-                regency,
-                cert,
-            } => {
-                covered.encoded_len()
-                    + snapshot.encoded_len()
-                    + first_batch.encoded_len()
-                    + smartchain_codec::seq_encoded_len(batches)
-                    + regency.encoded_len()
-                    + cert.encoded_len()
-            }
-            SmrMsg::CkptShare { signature, .. } => 8 + 8 + 32 + 32 + signature.encoded_len(),
-            SmrMsg::InstanceFetch { instance, have } => instance.encoded_len() + have.encoded_len(),
-            SmrMsg::InstanceRep {
-                instance,
-                decided,
-                msgs,
-            } => {
-                instance.encoded_len()
-                    + decided.encoded_len()
-                    + smartchain_codec::seq_encoded_len(msgs)
-            }
-        }
-    }
-}
-
-impl Decode for SmrMsg {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        match u8::decode(input)? {
-            0 => Ok(SmrMsg::Request(crate::types::Request::decode(input)?)),
-            1 => Ok(SmrMsg::Consensus(ConsensusMsg::decode(input)?)),
-            2 => Ok(SmrMsg::Sync(SyncMsg::decode(input)?)),
-            3 => Ok(SmrMsg::Reply(crate::types::Reply::decode(input)?)),
-            4 => Ok(SmrMsg::StateReq {
-                from_batch: u64::decode(input)?,
-            }),
-            5 => Ok(SmrMsg::StateRep {
-                covered: u64::decode(input)?,
-                snapshot: Option::<Vec<u8>>::decode(input)?,
-                first_batch: u64::decode(input)?,
-                batches: smartchain_codec::decode_seq(input)?,
-                regency: u32::decode(input)?,
-                cert: Option::<crate::durability::CheckpointCert>::decode(input)?,
-            }),
-            6 => Ok(SmrMsg::CkptShare {
-                replica: u64::decode(input)? as ReplicaId,
-                covered: u64::decode(input)?,
-                state_root: <[u8; 32]>::decode(input)?,
-                tip: <[u8; 32]>::decode(input)?,
-                signature: Signature::decode(input)?,
-            }),
-            7 => Ok(SmrMsg::InstanceFetch {
-                instance: u64::decode(input)?,
-                have: bool::decode(input)?,
-            }),
-            8 => Ok(SmrMsg::InstanceRep {
-                instance: u64::decode(input)?,
-                decided: Option::<(ValueBytes, Arc<DecisionProof>)>::decode(input)?,
-                msgs: smartchain_codec::decode_seq(input)?,
-            }),
-            d => Err(DecodeError::BadDiscriminant(d as u32)),
-        }
-    }
-}
+codec_enum!(SmrMsg {
+    0 => Request(request),
+    1 => Consensus(msg),
+    2 => Sync(msg),
+    3 => Reply(reply),
+    4 => StateReq { from_batch },
+    5 => StateRep { covered, snapshot, first_batch, batches, regency, cert },
+    6 => CkptShare { replica, covered, state_root, tip, signature },
+    7 => InstanceFetch { instance, have },
+    8 => InstanceRep { instance, decided, msgs },
+});
 
 /// A network message type that can carry SMR traffic — lets generic
 /// components (e.g. the closed-loop client actor) work over richer message
@@ -1939,7 +1804,7 @@ mod wire_len_tests {
     }
 
     #[test]
-    fn encoded_len_override_matches_encoding() {
+    fn len_matches_encoding() {
         let msgs = vec![
             SmrMsg::Request(Request {
                 client: 1,

@@ -10,7 +10,7 @@
 //! SmartChain's decentralized protocol in `smartchain-core`.
 
 use crate::types::Request;
-use smartchain_codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use smartchain_codec::{Decode, DecodeError, Encode};
 use smartchain_crypto::keys::{PublicKey, SecretKey, Signature};
 
 /// A View Manager's signed instruction to change the replica set.
@@ -29,7 +29,7 @@ pub fn command_payload(new_view_id: u64, members: &[PublicKey]) -> Vec<u8> {
     let mut out = Vec::new();
     b"sc-viewmgr".as_slice().encode(&mut out);
     new_view_id.encode(&mut out);
-    encode_seq(members, &mut out);
+    members.encode(&mut out);
     out
 }
 
@@ -76,7 +76,7 @@ pub const VIEW_MANAGER_MARKER: u8 = 0xAD;
 impl Encode for ViewChangeCommand {
     fn encode(&self, out: &mut Vec<u8>) {
         self.new_view_id.encode(out);
-        encode_seq(&self.members, out);
+        self.members.encode(out);
         self.signature.encode(out);
     }
 }
@@ -84,7 +84,7 @@ impl Encode for ViewChangeCommand {
 impl Decode for ViewChangeCommand {
     fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
         let new_view_id = u64::decode(input)?;
-        let members: Vec<PublicKey> = decode_seq(input)?;
+        let members = Vec::<PublicKey>::decode(input)?;
         if members.len() > 1024 {
             return Err(DecodeError::BadLength(members.len() as u64));
         }

@@ -902,23 +902,19 @@ mod tests {
     use crate::app::CounterApp;
     use smartchain_consensus::View;
     use smartchain_crypto::keys::SecretKey;
+    use smartchain_storage::testing::TempDir;
 
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "smartchain-rt-{tag}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
+    fn fresh_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("smartchain-rt-{tag}"))
     }
 
     /// The whole cluster shuts down and boots again on the same storage:
     /// every replica recovers from its own disk.
     #[test]
     fn state_survives_restart_from_disk() {
+        let dir = fresh_dir("restart");
         let config = RuntimeConfig {
-            storage_dir: Some(fresh_dir("restart")),
+            storage_dir: Some(dir.to_path_buf()),
             ..RuntimeConfig::default()
         };
         let mut cluster =
@@ -968,7 +964,15 @@ mod tests {
 
     /// Replica 0's ordering core on an `n`-replica sim-key view, a durable
     /// app that has cut its first checkpoint, and the view's secret keys.
-    fn cert_fixture(n: usize, tag: &str) -> (OrderingCore, DurableApp<CounterApp>, Vec<SecretKey>) {
+    fn cert_fixture(
+        n: usize,
+        tag: &str,
+    ) -> (
+        TempDir,
+        OrderingCore,
+        DurableApp<CounterApp>,
+        Vec<SecretKey>,
+    ) {
         let secrets: Vec<SecretKey> = (0..n)
             .map(|i| SecretKey::from_seed(Backend::Sim, &[i as u8 + 70; 32]))
             .collect();
@@ -977,7 +981,8 @@ mod tests {
             members: secrets.iter().map(|s| s.public_key()).collect(),
         };
         let core = OrderingCore::new(0, view, secrets[0].clone(), OrderingConfig::default(), 0);
-        let mut durable = DurableApp::open(CounterApp::new(), fresh_dir(tag), 2).expect("open");
+        let dir = fresh_dir(tag);
+        let mut durable = DurableApp::open(CounterApp::new(), &dir, 2).expect("open");
         for seq in 0..2 {
             let request = Request {
                 client: 1,
@@ -987,7 +992,7 @@ mod tests {
             };
             durable.apply_requests(&[request]).expect("apply");
         }
-        (core, durable, secrets)
+        (dir, core, durable, secrets)
     }
 
     /// A peer cannot speak for another replica: a junk share claiming to be
@@ -997,7 +1002,7 @@ mod tests {
     #[test]
     fn forged_sender_ckpt_share_is_ignored() {
         for n in [4, 7] {
-            let (core, mut durable, secrets) = cert_fixture(n, &format!("forged-share-{n}"));
+            let (_dir, core, mut durable, secrets) = cert_fixture(n, &format!("forged-share-{n}"));
             let quorum = core.view().quorum();
             let (covered, root, tip) = durable.latest_checkpoint_basis().expect("checkpoint");
             let payload = ckpt_sign_payload(covered, &root, &tip);

@@ -1,6 +1,6 @@
 //! Requests, replies and batches — the SMR wire vocabulary.
 
-use smartchain_codec::{decode_seq, encode_seq, Decode, DecodeError, Encode};
+use smartchain_codec::{codec_struct, DecodeError, Encode};
 use smartchain_consensus::ReplicaId;
 use smartchain_crypto::keys::{PublicKey, Signature};
 
@@ -53,32 +53,12 @@ impl Request {
     }
 }
 
-impl Encode for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.client.encode(out);
-        self.seq.encode(out);
-        self.payload.encode(out);
-        self.signature.encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.client.encoded_len()
-            + self.seq.encoded_len()
-            + self.payload.encoded_len()
-            + self.signature.encoded_len()
-    }
-}
-
-impl Decode for Request {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Request {
-            client: u64::decode(input)?,
-            seq: u64::decode(input)?,
-            payload: Vec::<u8>::decode(input)?,
-            signature: Option::decode(input)?,
-        })
-    }
-}
+codec_struct!(Request {
+    client,
+    seq,
+    payload,
+    signature
+});
 
 /// A replica's reply to one request.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,35 +80,16 @@ impl Reply {
     }
 }
 
-impl Encode for Reply {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.client.encode(out);
-        self.seq.encode(out);
-        self.result.encode(out);
-        (self.replica as u64).encode(out);
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.client.encoded_len() + self.seq.encoded_len() + self.result.encoded_len() + 8
-    }
-}
-
-impl Decode for Reply {
-    fn decode(input: &mut &[u8]) -> Result<Self, DecodeError> {
-        Ok(Reply {
-            client: u64::decode(input)?,
-            seq: u64::decode(input)?,
-            result: Vec::<u8>::decode(input)?,
-            replica: u64::decode(input)? as usize,
-        })
-    }
-}
+codec_struct!(Reply {
+    client,
+    seq,
+    result,
+    replica
+});
 
 /// Encodes a batch of requests into a consensus value.
 pub fn encode_batch(requests: &[Request]) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_seq(requests, &mut out);
-    out
+    smartchain_codec::to_bytes(requests)
 }
 
 /// Decodes a consensus value back into requests.
@@ -136,12 +97,8 @@ pub fn encode_batch(requests: &[Request]) -> Vec<u8> {
 /// # Errors
 ///
 /// Returns a decode error when the value is not a well-formed batch.
-pub fn decode_batch(mut value: &[u8]) -> Result<Vec<Request>, DecodeError> {
-    let batch = decode_seq::<Request>(&mut value)?;
-    if !value.is_empty() {
-        return Err(DecodeError::TrailingBytes(value.len()));
-    }
-    Ok(batch)
+pub fn decode_batch(value: &[u8]) -> Result<Vec<Request>, DecodeError> {
+    smartchain_codec::from_bytes(value)
 }
 
 #[cfg(test)]
@@ -221,7 +178,7 @@ mod tests {
     }
 
     #[test]
-    fn encoded_len_override_matches_encoding() {
+    fn len_matches_encoding() {
         let signed = signed_request(1, 10, 3);
         let unsigned = Request {
             client: 1,

@@ -180,7 +180,9 @@ fn sequence_fields_reserve_at_most_twice_their_length() {
     // StateRep's tag, then `snapshot`, `commit` and `snapshot_anchor`, all
     // `None`.
     let state_rep = [3u8, 0, 0, 0];
-    let rows: [(&str, Vec<u8>, fn(&[u8]) -> bool); 14] = [
+    // The field, the bytes before it, and a decode of its holder.
+    type Row = (&'static str, Vec<u8>, fn(&[u8]) -> bool);
+    let rows: [Row; 14] = [
         (
             "SyncMsg::Sync reports",
             to_bytes(&(2u8, 0u32)),

@@ -6,6 +6,7 @@
 use smartchain_crypto::keys::Backend;
 use smartchain_smr::app::CounterApp;
 use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
+use smartchain_storage::testing::TempDir;
 use std::time::{Duration, Instant};
 
 /// The process's live thread count (`/proc/self/status`); 0 where `/proc`
@@ -26,13 +27,9 @@ fn threads() -> u64 {
 
 #[test]
 fn cluster_client_spawns_no_threads() {
-    let dir = std::env::temp_dir().join(format!(
-        "smartchain-tcp-test-client-threads-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("smartchain-tcp-test-client-threads");
     let config = RuntimeConfig {
-        storage_dir: Some(dir),
+        storage_dir: Some(dir.to_path_buf()),
         ..RuntimeConfig::default()
     };
     let mut cluster =

@@ -15,20 +15,18 @@ use smartchain_smr::transport::frame::{
 };
 use smartchain_smr::transport::TcpClientPool;
 use smartchain_smr::types::Request;
+use smartchain_storage::testing::TempDir;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-fn fresh_dir(tag: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("smartchain-tcp-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+fn fresh_dir(tag: &str) -> TempDir {
+    TempDir::new(&format!("smartchain-tcp-test-{tag}"))
 }
 
-fn config(tag: &str) -> RuntimeConfig {
+fn config(dir: &TempDir) -> RuntimeConfig {
     RuntimeConfig {
-        storage_dir: Some(fresh_dir(tag)),
+        storage_dir: Some(dir.to_path_buf()),
         progress_timeout: Duration::from_millis(200),
         ..RuntimeConfig::default()
     }
@@ -44,8 +42,9 @@ fn sum_of(reply: &[u8]) -> u64 {
 /// of 2f + 1 = 3.
 #[test]
 fn client_pool_redials_a_replica_that_was_down() {
-    let mut cluster = TcpCluster::start(config("redial"), Backend::Sim, CounterApp::new)
-        .expect("boot tcp cluster");
+    let dir = fresh_dir("redial");
+    let mut cluster =
+        TcpCluster::start(config(&dir), Backend::Sim, CounterApp::new).expect("boot tcp cluster");
     let addrs = cluster.cluster_config().replicas.clone();
     cluster.kill_replica(3);
     let mut pool = TcpClientPool::connect(addrs, 0x4ED1A1, 2);
@@ -64,8 +63,9 @@ fn client_pool_redials_a_replica_that_was_down() {
 /// signature dies in the verify stage, and the cluster stays live after it.
 #[test]
 fn signed_requests_complete_end_to_end() {
-    let mut cluster = TcpCluster::start(config("signed"), Backend::Sim, CounterApp::new)
-        .expect("boot tcp cluster");
+    let dir = fresh_dir("signed");
+    let mut cluster =
+        TcpCluster::start(config(&dir), Backend::Sim, CounterApp::new).expect("boot tcp cluster");
     let r = cluster
         .execute(vec![5], Duration::from_secs(15))
         .expect("unsigned op");
@@ -123,8 +123,9 @@ fn signed_requests_complete_end_to_end() {
 /// first one truly rejoined.
 #[test]
 fn survives_kill_and_rejoin_via_state_transfer() {
-    let mut cluster = TcpCluster::start(config("rejoin"), Backend::Sim, CounterApp::new)
-        .expect("boot tcp cluster");
+    let dir = fresh_dir("rejoin");
+    let mut cluster =
+        TcpCluster::start(config(&dir), Backend::Sim, CounterApp::new).expect("boot tcp cluster");
     let mut expected = 0u64;
     for add in [1u8, 2] {
         expected += add as u64;
@@ -167,8 +168,9 @@ fn survives_kill_and_rejoin_via_state_transfer() {
 /// restarted ex-leader re-integrates through the next regency.
 #[test]
 fn leader_crash_and_rejoin_mid_view_change() {
-    let mut cluster = TcpCluster::start(config("leader"), Backend::Sim, CounterApp::new)
-        .expect("boot tcp cluster");
+    let dir = fresh_dir("leader");
+    let mut cluster =
+        TcpCluster::start(config(&dir), Backend::Sim, CounterApp::new).expect("boot tcp cluster");
     let r = cluster
         .execute(vec![1], Duration::from_secs(15))
         .expect("warm-up");
@@ -202,8 +204,9 @@ fn leader_crash_and_rejoin_mid_view_change() {
 /// first sends a repair round) raises STOP at every survivor.
 #[test]
 fn leader_crash_fails_over_within_a_few_timeouts_despite_retransmits() {
+    let dir = fresh_dir("failover");
     let config = RuntimeConfig {
-        storage_dir: Some(fresh_dir("failover")),
+        storage_dir: Some(dir.to_path_buf()),
         ..RuntimeConfig::default()
     };
     let timeout = config.progress_timeout;
@@ -231,9 +234,8 @@ fn leader_crash_fails_over_within_a_few_timeouts_despite_retransmits() {
 fn kill_restart_recovers_from_truncated_segmented_log() {
     let dir = fresh_dir("truncated");
     let config = RuntimeConfig {
-        storage_dir: Some(dir.clone()),
         checkpoint_period: 3,
-        ..config("truncated")
+        ..config(&dir)
     };
     let mut cluster =
         TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
@@ -290,9 +292,10 @@ fn kill_restart_recovers_from_truncated_segmented_log() {
 /// stage, while properly signed traffic flows.
 #[test]
 fn require_signed_rejects_unsigned_requests() {
+    let dir = fresh_dir("reqsig");
     let config = RuntimeConfig {
         require_signed: true,
-        ..config("reqsig")
+        ..config(&dir)
     };
     let mut cluster =
         TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
@@ -325,8 +328,9 @@ fn require_signed_rejects_unsigned_requests() {
 /// keeps working untouched.
 #[test]
 fn spoofed_peer_frames_rejected() {
-    let mut cluster = TcpCluster::start(config("spoof"), Backend::Sim, CounterApp::new)
-        .expect("boot tcp cluster");
+    let dir = fresh_dir("spoof");
+    let mut cluster =
+        TcpCluster::start(config(&dir), Backend::Sim, CounterApp::new).expect("boot tcp cluster");
     let victim_addr = cluster.cluster_config().replicas[0].clone();
     // Handshake MAC'd under the wrong secret, claiming to be replica 2.
     {
@@ -362,8 +366,9 @@ fn spoofed_peer_frames_rejected() {
 /// frames from arbitrary TCP segmentation.
 #[test]
 fn partial_frame_delivery_is_reassembled() {
-    let mut cluster = TcpCluster::start(config("partial"), Backend::Sim, CounterApp::new)
-        .expect("boot tcp cluster");
+    let dir = fresh_dir("partial");
+    let mut cluster =
+        TcpCluster::start(config(&dir), Backend::Sim, CounterApp::new).expect("boot tcp cluster");
     // Warm the cluster up through the normal path.
     cluster
         .execute(vec![1], Duration::from_secs(15))

@@ -14,6 +14,7 @@ use smartchain_smr::transport::frame::{
 };
 use smartchain_smr::transport::{NetEvent, TcpClient, TcpClientPool, TcpConfig, TcpTransport};
 use smartchain_smr::types::{Reply, Request};
+use smartchain_storage::testing::TempDir;
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -275,13 +276,9 @@ fn admission_cap_rejects_excess_clients() {
 /// forever; with it, client retransmission repairs any dropped frame.
 #[test]
 fn retransmitted_delivered_request_is_answered_from_cache() {
-    let dir = std::env::temp_dir().join(format!(
-        "smartchain-reactor-test-recache-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("smartchain-reactor-test-recache");
     let config = RuntimeConfig {
-        storage_dir: Some(dir),
+        storage_dir: Some(dir.to_path_buf()),
         progress_timeout: Duration::from_millis(200),
         ..RuntimeConfig::default()
     };
@@ -308,13 +305,9 @@ fn retransmitted_delivered_request_is_answered_from_cache() {
 /// outbox to it overflows, so only state transfer can catch it up.
 #[test]
 fn retransmission_is_answered_by_a_replica_that_caught_up_by_state_transfer() {
-    let dir = std::env::temp_dir().join(format!(
-        "smartchain-reactor-test-transferred-reply-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("smartchain-reactor-test-transferred-reply");
     let config = RuntimeConfig {
-        storage_dir: Some(dir),
+        storage_dir: Some(dir.to_path_buf()),
         progress_timeout: Duration::from_millis(200),
         checkpoint_period: 16,
         ..RuntimeConfig::default()
@@ -354,13 +347,9 @@ fn retransmission_is_answered_by_a_replica_that_caught_up_by_state_transfer() {
 /// The same run sanity-checks the transport counters end to end.
 #[test]
 fn stalled_client_is_isolated_and_stats_count_traffic() {
-    let dir = std::env::temp_dir().join(format!(
-        "smartchain-reactor-test-stall-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("smartchain-reactor-test-stall");
     let config = RuntimeConfig {
-        storage_dir: Some(dir),
+        storage_dir: Some(dir.to_path_buf()),
         progress_timeout: Duration::from_millis(200),
         ..RuntimeConfig::default()
     };

@@ -25,6 +25,8 @@ pub mod engine;
 pub mod mem;
 pub mod segmented;
 pub mod snapshot;
+#[doc(hidden)]
+pub mod testing;
 
 pub use engine::{DurabilityEngine, Engine, FlushStats, SegmentedEngine};
 pub use segmented::{RecoveryStats, SegmentConfig, SegmentedLog};

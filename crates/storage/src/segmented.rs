@@ -751,15 +751,10 @@ impl RecordLog for SegmentedLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TempDir;
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "smartchain-segmented-{name}-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn tmpdir(name: &str) -> TempDir {
+        TempDir::new(&format!("smartchain-segmented-{name}"))
     }
 
     fn cfg(n: u64) -> SegmentConfig {

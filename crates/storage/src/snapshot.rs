@@ -133,25 +133,23 @@ impl SnapshotStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TempDir;
 
-    fn store() -> SnapshotStore {
-        let dir = std::env::temp_dir().join(format!(
-            "smartchain-snap-test-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        SnapshotStore::open(dir).unwrap()
+    fn store() -> (TempDir, SnapshotStore) {
+        let dir = TempDir::new("smartchain-snap-test");
+        let store = SnapshotStore::open(&dir).unwrap();
+        (dir, store)
     }
 
     #[test]
     fn empty_store_loads_none() {
-        assert_eq!(store().load().unwrap(), None);
+        let (_dir, s) = store();
+        assert_eq!(s.load().unwrap(), None);
     }
 
     #[test]
     fn install_load_roundtrip() {
-        let s = store();
+        let (_dir, s) = store();
         let snap = Snapshot {
             covered_block: 42,
             state: vec![1, 2, 3, 4],
@@ -163,7 +161,7 @@ mod tests {
 
     #[test]
     fn newer_snapshot_replaces_older() {
-        let s = store();
+        let (_dir, s) = store();
         s.install(&Snapshot {
             covered_block: 1,
             state: vec![1],
@@ -181,7 +179,7 @@ mod tests {
 
     #[test]
     fn corruption_detected() {
-        let s = store();
+        let (_dir, s) = store();
         s.install(&Snapshot {
             covered_block: 7,
             state: vec![9u8; 100],
@@ -197,7 +195,7 @@ mod tests {
 
     #[test]
     fn truncated_or_lying_header_rejected() {
-        let s = store();
+        let (_dir, s) = store();
         s.install(&Snapshot {
             covered_block: 3,
             state: vec![5u8; 64],
@@ -222,7 +220,7 @@ mod tests {
 
     #[test]
     fn file_layout_is_pinned() {
-        let s = store();
+        let (_dir, s) = store();
         let (state, meta) = (b"state-bytes".to_vec(), b"meta".to_vec());
         let mut file = b"SCS2".to_vec();
         file.extend_from_slice(&9u64.to_le_bytes());

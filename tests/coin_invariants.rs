@@ -15,6 +15,7 @@ use smartchain::sim::SECOND;
 use smartchain::smr::client::RequestFactory;
 use smartchain::smr::ordering::OrderingConfig;
 use smartchain::smr::runtime::{RuntimeConfig, TcpCluster};
+use smartchain::storage::testing::TempDir;
 use std::time::Duration;
 
 fn run_coin_cluster(
@@ -162,12 +163,11 @@ fn double_spend_rejected_through_the_stack() {
 /// and answers each with quorum-matching `Created` results.
 #[test]
 fn tcp_cluster_answers_signed_coin_transactions() {
-    let dir = std::env::temp_dir().join(format!("sc-coin-tcp-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = TempDir::new("sc-coin-tcp");
     let wallet = 0xC11E28u64; // TcpCluster's built-in client id: replies route by it
     let minters = authorized_minters([wallet]);
     let config = RuntimeConfig {
-        storage_dir: Some(dir.clone()),
+        storage_dir: Some(dir.to_path_buf()),
         ..RuntimeConfig::default()
     };
     let mut cluster = TcpCluster::start(config, Backend::Sim, move || {
@@ -183,5 +183,4 @@ fn tcp_cluster_answers_signed_coin_transactions() {
         assert!(matches!(result, TxResult::Created { .. }), "{result:?}");
     }
     cluster.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
 }

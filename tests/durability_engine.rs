@@ -14,19 +14,13 @@ use smartchain::sim::SECOND;
 use smartchain::smr::app::CounterApp;
 use smartchain::smr::ordering::OrderingConfig;
 use smartchain::storage::mem::MemLog;
+use smartchain::storage::testing::TempDir;
 use smartchain::storage::{
     DurabilityEngine, Engine, RecordLog, SegmentConfig, SegmentedEngine, SegmentedLog, SyncPolicy,
 };
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "smartchain-engine-{name}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir.join("log")
+fn tmp(name: &str) -> TempDir {
+    TempDir::new(&format!("smartchain-engine-{name}"))
 }
 
 /// Appends five records, drives the policy's commit point after the third,
@@ -341,8 +335,8 @@ fn segmented_crash_mid_truncation_recovers() {
     // file are still the pre-truncation state (the rename is the atomic
     // commit point; deletes happen only after it). Emulated by snapshotting
     // the whole directory before truncating and restoring it afterwards.
-    let dir = tmp("seg-trunc-pre").parent().unwrap().join("pre");
-    let _ = std::fs::remove_dir_all(&dir);
+    let root = tmp("seg-trunc");
+    let dir = root.join("pre");
     {
         let mut log = SegmentedLog::open(&dir, cfg).unwrap();
         for i in 0..6u64 {
@@ -376,8 +370,7 @@ fn segmented_crash_mid_truncation_recovers() {
 
     // Case 2: crash AFTER the manifest rename, before the deletes — the
     // dropped segment file is still on disk; open must ignore and sweep it.
-    let dir2 = tmp("seg-trunc-post").parent().unwrap().join("post");
-    let _ = std::fs::remove_dir_all(&dir2);
+    let dir2 = root.join("post");
     {
         let mut log = SegmentedLog::open(&dir2, cfg).unwrap();
         for i in 0..6u64 {

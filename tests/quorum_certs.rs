@@ -3,7 +3,7 @@
 //!
 //! Decision proofs, WRITE certificates, checkpoint certificates and PERSIST
 //! (block) certificates all verify through `consensus::proof::verify_quorum`
-//! and encode their signer lists through the codec's sequence helpers. The
+//! and encode their signer lists as the codec's one sequence form. The
 //! quorum tests below run each type against the same adversarial signer
 //! lists at n = 4 and n = 7; the wire tests pin each encoding to its explicit
 //! byte layout, so "byte-identical" is checked rather than assumed.
