@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fresh, empty directory under the system temp dir, removed with
 /// everything in it when dropped — except while the thread panics, so a
-/// failing test leaves its files behind for inspection.
+/// failing test leaves its files behind for inspection. It derefs to its
+/// [`Path`].
 #[derive(Debug)]
 pub struct TempDir(PathBuf);
 
@@ -23,11 +24,6 @@ impl TempDir {
         let _ = std::fs::remove_dir_all(&path);
         std::fs::create_dir_all(&path).expect("create temp dir");
         TempDir(path)
-    }
-
-    /// The directory's path.
-    pub fn path(&self) -> &Path {
-        &self.0
     }
 }
 

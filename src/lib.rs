@@ -21,6 +21,8 @@
 //! * [`codec`] — deterministic canonical encoding; [`codec::Encode`] is the
 //!   single source of truth for hashes, signatures, persistence *and* wire
 //!   sizes (`encoded_len`), so the NIC model never drifts from the encoders.
+//!   Each wire type lists its fields once (`codec_struct!`/`codec_enum!`),
+//!   and its encoder, length and decoder derive from that list.
 //! * [`merkle`] — dependency-free binary Merkle trees over transaction
 //!   lists, result lists, and fixed-size state chunks: roots, membership
 //!   proofs ([`merkle::prove_chunk`]/[`merkle::verify`]), and the
