@@ -1,26 +1,25 @@
-//! CI bench gate: runs the micro-bench medians and the deterministic
-//! α-pipeline scenario, compares them against the pinned baselines in
-//! `BENCH_BASELINE.json` (repo root), and fails on gross hot-path
-//! regressions.
+//! CI bench gate: runs the deterministic scenarios of
+//! [`smartchain_bench::micro`] and requires every count pinned in
+//! `BENCH_BASELINE.json` (repo root) to equal its pin.
 //!
-//! Two kinds of checks with very different tolerances:
-//!
-//! * **virtual-time** (the α scenario) — bit-for-bit deterministic, so the
-//!   band is tight-ish (±25%: intended scheduling changes legitimately move
-//!   the numbers; re-pin when they do) and α = 4 must *strictly* beat α = 1;
-//! * **wall-clock** (hash/codec medians) — CI machines vary wildly, so only
-//!   an 8× blow-up fails the gate.
+//! One kind of check: every pin is a count (or a ratio of counts) that a
+//! given tree reproduces bit for bit — virtual-time blocks and completions,
+//! records replayed, chunks verified, digests per decision, encodes per
+//! broadcast — so any move is a behaviour change, either a regression to
+//! fix or an intended change to re-pin. Beside the pins sit the properties
+//! no single pin states: α = 4 strictly out-delivers α = 1, every 5%-drop
+//! cell beats the deleted repair-less path, recovery scans exactly the
+//! active segment, and connecting 1 000 clients adds no thread. Nothing
+//! here is timed; wall-clock performance is measured on the deployed path
+//! by `benchmark/`.
 //!
 //! Re-pin by running `cargo run --release -p smartchain-bench --bin
 //! bench_check -- --print-baseline` and pasting the output.
 
 use smartchain_bench::micro::{
-    alpha_pipeline_throughput, black_box, chunked_install_scenario, hash_once_scenario,
-    loss_grid_cell, measure, segmented_recovery_scenario, tcp_client_soak, tcp_smoke, LossProfile,
+    alpha_pipeline_throughput, chunked_install_scenario, hash_once_scenario, loss_grid_cell,
+    segmented_recovery_scenario, tcp_client_soak, tcp_smoke, LossProfile,
 };
-use smartchain_crypto::sha256;
-use smartchain_merkle as merkle;
-use smartchain_smr::types::{decode_batch, encode_batch, Request};
 use std::collections::BTreeMap;
 
 /// Minimal parser for the flat `{"key": number}` baseline file — the
@@ -51,75 +50,38 @@ fn baseline_path() -> std::path::PathBuf {
 }
 
 struct Gate {
-    baseline: BTreeMap<String, f64>,
+    /// The pins; `None` under `--print-baseline`, which only records.
+    baseline: Option<BTreeMap<String, f64>>,
     measured: BTreeMap<String, f64>,
     failures: Vec<String>,
 }
 
 impl Gate {
-    /// Deterministic metric: must sit within ±`band` of the pin.
-    fn band(&mut self, key: &str, value: f64, band: f64) {
+    /// Records `value` under `key` and requires it to equal the pin.
+    fn pin(&mut self, key: &str, value: f64) {
         self.measured.insert(key.to_string(), value);
-        let Some(&pin) = self.baseline.get(key) else {
+        let Some(baseline) = &self.baseline else {
+            return;
+        };
+        let Some(&pin) = baseline.get(key) else {
             self.failures.push(format!("{key}: no baseline pinned"));
             return;
         };
-        let (lo, hi) = (pin * (1.0 - band), pin * (1.0 + band));
-        let ok = value >= lo && value <= hi;
+        let ok = value == pin;
         println!(
-            "{key}: {value} (pin {pin}, band ±{:.0}%) {}",
-            band * 100.0,
-            verdict(ok)
+            "{key}: {value} (pin {pin}) {}",
+            if ok { "ok" } else { "FAIL" }
         );
         if !ok {
-            self.failures
-                .push(format!("{key}: {value} outside [{lo:.1}, {hi:.1}]"));
+            self.failures.push(format!("{key}: {value} != pin {pin}"));
         }
     }
 
-    /// Wall-clock throughput metric: only fails when it collapses below
-    /// `pin / factor` (machines vary; a real regression halves it).
-    fn floor(&mut self, key: &str, value: f64, factor: f64) {
-        self.measured.insert(key.to_string(), value);
-        let Some(&pin) = self.baseline.get(key) else {
-            self.failures.push(format!("{key}: no baseline pinned"));
-            return;
-        };
-        let ok = value >= pin / factor;
-        println!(
-            "{key}: {value:.1} (pin {pin}, floor pin/{factor}) {}",
-            verdict(ok)
-        );
-        if !ok {
-            self.failures
-                .push(format!("{key}: {value:.1} < pin {pin} / {factor}"));
+    /// Requires a property no pin states; `--print-baseline` skips it.
+    fn require(&mut self, ok: bool, failure: impl FnOnce() -> String) {
+        if self.baseline.is_some() && !ok {
+            self.failures.push(failure());
         }
-    }
-
-    /// Wall-clock metric: only fails when `factor`× slower than the pin.
-    fn ceiling(&mut self, key: &str, value: f64, factor: f64) {
-        self.measured.insert(key.to_string(), value);
-        let Some(&pin) = self.baseline.get(key) else {
-            self.failures.push(format!("{key}: no baseline pinned"));
-            return;
-        };
-        let ok = value <= pin * factor;
-        println!(
-            "{key}: {value} ns (pin {pin} ns, ceiling {factor}x) {}",
-            verdict(ok)
-        );
-        if !ok {
-            self.failures
-                .push(format!("{key}: {value} ns > {factor}x pin of {pin} ns"));
-        }
-    }
-}
-
-fn verdict(ok: bool) -> &'static str {
-    if ok {
-        "ok"
-    } else {
-        "FAIL"
     }
 }
 
@@ -132,42 +94,33 @@ const NO_REPAIR_DROP5_COMPLETED: u64 = 53;
 const NO_REPAIR_DROP5_REGENCY_CHANGES: u64 = 20;
 
 fn main() {
-    let print_baseline = std::env::args().any(|a| a == "--print-baseline");
-    let baseline = if print_baseline {
-        BTreeMap::new()
-    } else {
+    let baseline = (!std::env::args().any(|a| a == "--print-baseline")).then(|| {
         let path = baseline_path();
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
         parse_baseline(&text)
-    };
+    });
     let mut gate = Gate {
         baseline,
         measured: BTreeMap::new(),
         failures: Vec::new(),
     };
 
-    // Deterministic virtual-time scenario: pipelined consensus.
+    // Pipelined consensus in virtual time.
     let a1 = alpha_pipeline_throughput(1, 0.0, 10);
     let a4 = alpha_pipeline_throughput(4, 0.0, 10);
     println!(
         "alpha scenario: alpha=1 {:.1} batches/vsec, alpha=4 {:.1} batches/vsec",
         a1.batches_per_vsec, a4.batches_per_vsec
     );
-    if !print_baseline && a4.blocks <= a1.blocks {
-        gate.failures.push(format!(
+    gate.require(a4.blocks > a1.blocks, || {
+        format!(
             "alpha=4 must strictly out-deliver alpha=1 (got {} vs {})",
             a4.blocks, a1.blocks
-        ));
-    }
-    gate.measured
-        .insert("alpha1_blocks_10s".into(), a1.blocks as f64);
-    gate.measured
-        .insert("alpha4_blocks_10s".into(), a4.blocks as f64);
-    if !print_baseline {
-        gate.band("alpha1_blocks_10s", a1.blocks as f64, 0.25);
-        gate.band("alpha4_blocks_10s", a4.blocks as f64, 0.25);
-    }
+        )
+    });
+    gate.pin("alpha1_blocks_10s", a1.blocks as f64);
+    gate.pin("alpha4_blocks_10s", a4.blocks as f64);
 
     // The same scenario at window 8 under 1% uniform drops: at α = 8 a
     // follower one instance behind the leader must still take part in
@@ -178,24 +131,17 @@ fn main() {
         "alpha scenario, 1% drops: window 8 {:.1} batches/vsec",
         lossy.batches_per_vsec
     );
-    gate.measured
-        .insert("alpha8_drop1_blocks_10s".into(), lossy.blocks as f64);
-    if !print_baseline {
-        gate.band("alpha8_drop1_blocks_10s", lossy.blocks as f64, 0.25);
-    }
+    gate.pin("alpha8_drop1_blocks_10s", lossy.blocks as f64);
 
-    // Loss grid (deterministic): the pinned seed-regression scenario under
-    // clean / 5%-drop / bursty loss, each at the windows 1, 4 and 8; every
-    // cell repairs. On the pinned 5%-drop cells every window must beat the
-    // deleted repair-less path: ≥ 1.5× its completions and strictly fewer
+    // Loss grid: the pinned seed-regression scenario under clean / 5%-drop
+    // / bursty loss, each at the windows 1, 4 and 8; every cell repairs.
+    // On the pinned 5%-drop cells every window must beat the deleted
+    // repair-less path: ≥ 1.5× its completions and strictly fewer
     // regencies than its best cell — repair rounds, not view changes, do
     // the healing.
     for profile in [LossProfile::Clean, LossProfile::Drop5, LossProfile::Bursty] {
-        let cells: Vec<_> = [1, 4, 8]
-            .into_iter()
-            .map(|window| loss_grid_cell(profile, window))
-            .collect();
-        for cell in &cells {
+        for window in [1, 4, 8] {
+            let cell = loss_grid_cell(profile, window);
             println!(
                 "loss grid {:>6} x {:>8}: {} completed, {} regency changes, {} fetches sent",
                 profile.key(),
@@ -205,91 +151,66 @@ fn main() {
                 cell.fetches_sent(),
             );
             let key = format!("grid_{}_{}_completed", profile.key(), cell.window_key());
-            gate.measured.insert(key.clone(), cell.completed as f64);
-            if !print_baseline {
-                gate.band(&key, cell.completed as f64, 0.25);
+            gate.pin(&key, cell.completed as f64);
+            if profile != LossProfile::Drop5 {
+                continue;
             }
-        }
-        if !print_baseline && profile == LossProfile::Drop5 {
             let threshold = (3 * NO_REPAIR_DROP5_COMPLETED).div_ceil(2);
-            for cell in &cells {
-                if cell.completed < threshold {
-                    gate.failures.push(format!(
-                        "loss grid drop5: {} must complete >= 1.5x the repair-less path (got {} vs threshold {threshold})",
-                        cell.window_key(),
-                        cell.completed
-                    ));
-                }
-                if cell.regency_changes() >= NO_REPAIR_DROP5_REGENCY_CHANGES {
-                    gate.failures.push(format!(
+            gate.require(cell.completed >= threshold, || {
+                format!(
+                    "loss grid drop5: {} must complete >= 1.5x the repair-less path (got {} vs threshold {threshold})",
+                    cell.window_key(),
+                    cell.completed
+                )
+            });
+            gate.require(
+                cell.regency_changes() < NO_REPAIR_DROP5_REGENCY_CHANGES,
+                || {
+                    format!(
                         "loss grid drop5: {} must install strictly fewer regencies than the repair-less path (got {} vs {NO_REPAIR_DROP5_REGENCY_CHANGES})",
                         cell.window_key(),
                         cell.regency_changes()
-                    ));
-                }
-            }
+                    )
+                },
+            );
         }
     }
 
-    // Segmented-engine recovery replay (deterministic): 50 batches at
-    // checkpoint period 20 and 8-record segments → checkpoints truncate the
-    // covered prefix, so the reopen replays exactly 10 records and scans
-    // only the active segment. Restart cost bounded by the checkpoint
-    // interval is the whole point of the segmented engine — these pins gate
-    // it.
+    // Segmented-engine recovery replay: 50 batches at checkpoint period 20
+    // and 8-record segments → checkpoints truncate the covered prefix, so
+    // the reopen replays exactly 10 records and scans only the active
+    // segment. Restart cost bounded by the checkpoint interval is the whole
+    // point of the segmented engine — these pins gate it.
     let seg = segmented_recovery_scenario(50, 20, 8);
     println!(
-        "segmented recovery: {} applied, {} replayed, {} segment(s)/{} record(s) scanned, {:.0} batches/sec apply",
-        seg.applied, seg.replayed, seg.segments_scanned, seg.records_scanned, seg.batches_per_sec
+        "segmented recovery: {} applied, {} replayed, {} segment(s)/{} record(s) scanned",
+        seg.applied, seg.replayed, seg.segments_scanned, seg.records_scanned
     );
-    gate.measured
-        .insert("segmented_replayed_records".into(), seg.replayed as f64);
-    gate.measured.insert(
-        "segmented_scanned_records".into(),
-        seg.records_scanned as f64,
-    );
-    if !print_baseline {
-        gate.band("segmented_replayed_records", seg.replayed as f64, 0.0);
-        gate.band("segmented_scanned_records", seg.records_scanned as f64, 0.0);
-        if seg.segments_scanned != 1 {
-            gate.failures.push(format!(
-                "segmented recovery must scan exactly the active segment (scanned {})",
-                seg.segments_scanned
-            ));
-        }
-        if seg.batches_per_sec <= 0.0 {
-            gate.failures
-                .push("segmented apply loop reported zero throughput".to_string());
-        }
-    }
+    gate.pin("segmented_replayed_records", seg.replayed as f64);
+    gate.pin("segmented_scanned_records", seg.records_scanned as f64);
+    gate.require(seg.segments_scanned == 1, || {
+        format!(
+            "segmented recovery must scan exactly the active segment (scanned {})",
+            seg.segments_scanned
+        )
+    });
 
-    // Certified chunked install (deterministic): a quorum-certified
-    // snapshot of 24 counter records (384 bytes, two 256-byte chunks)
-    // installed on a fresh replica. The verified-chunk count is a pure
-    // function of the state size — band 0: it moves only if the chunk
-    // geometry or the install path's verification coverage changes.
+    // Certified chunked install: a quorum-certified snapshot of 24 counter
+    // records (384 bytes, two 256-byte chunks) installed on a fresh
+    // replica. The verified-chunk count is a pure function of the state
+    // size: it moves only if the chunk geometry or the install path's
+    // verification coverage changes.
     let install = chunked_install_scenario(24);
     println!(
         "chunked install: {} chunk(s) verified over {} state bytes",
         install.chunks_verified, install.state_bytes
     );
-    gate.measured.insert(
-        "chunked_install_chunks".into(),
-        install.chunks_verified as f64,
-    );
-    if !print_baseline {
-        gate.band(
-            "chunked_install_chunks",
-            install.chunks_verified as f64,
-            0.0,
-        );
-    }
+    gate.pin("chunked_install_chunks", install.chunks_verified as f64);
 
-    // Zero-copy hot path (deterministic): digest work per decided value on
-    // a 4-replica α = 4 core pump. Decided values travel as shared,
-    // hash-memoized handles, so the whole cluster computes exactly one
-    // SHA-256 per decision — band 0: any second hash on the ordering path
-    // moves this row.
+    // Zero-copy hot path: digest work per decided value on a 4-replica
+    // α = 4 core pump. Decided values travel as shared, hash-memoized
+    // handles, so the whole cluster computes exactly one SHA-256 per
+    // decision — any second hash on the ordering path moves this row.
     let hash_once = hash_once_scenario();
     println!(
         "hash-once: {} decisions, {} digests ({:.2} hashes/decision cluster-wide)",
@@ -297,23 +218,12 @@ fn main() {
         hash_once.digests,
         hash_once.hashes_per_decision(),
     );
-    gate.measured.insert(
-        "hashes_per_decision".into(),
-        hash_once.hashes_per_decision(),
-    );
-    if !print_baseline {
-        gate.band("hashes_per_decision", hash_once.hashes_per_decision(), 0.0);
-    }
+    gate.pin("hashes_per_decision", hash_once.hashes_per_decision());
 
-    // Runtime smoke (wall-clock): a closed loop over real loopback TCP,
-    // floor-gated — the reactor rework roughly doubled it, and a collapse
-    // back means the event loop regressed.
-    let tcp = tcp_smoke(1000);
-    println!(
-        "runtime smoke: tcp {:.1} batches/sec ({} ops)",
-        tcp.batches_per_sec, tcp.ops
-    );
-    if let Some(stats) = &tcp.transport {
+    // A closed loop over real loopback TCP: the transport counters must be
+    // live, and the fan-out must encode each broadcast once.
+    let transport = tcp_smoke(1000);
+    if let Some(stats) = &transport {
         println!(
             "tcp replica-0 transport: {} frames in / {} out, {} KiB in / {} KiB out, {} writev calls ({:.2} frames/call), {} drops, {} rejects, {} broadcasts / {} payload encodes ({:.2} encodes/broadcast)",
             stats.frames_in,
@@ -328,117 +238,57 @@ fn main() {
             stats.broadcast_payload_encodes,
             stats.encodes_per_broadcast(),
         );
-        // Encode-once fan-out (deterministic ratio): one payload
-        // serialization per broadcast, shared across all three peer queues
-        // — band 0: a per-peer re-encode (or re-copy) moves this to ~3.
-        gate.measured.insert(
-            "broadcast_encodes_per_msg".into(),
-            stats.encodes_per_broadcast(),
-        );
-        if !print_baseline {
-            gate.band(
-                "broadcast_encodes_per_msg",
-                stats.encodes_per_broadcast(),
-                0.0,
-            );
-        }
+        // One payload serialization per broadcast, shared across all three
+        // peer queues: a per-peer re-encode (or re-copy) moves this to ~3.
+        gate.pin("broadcast_encodes_per_msg", stats.encodes_per_broadcast());
     }
-    if !print_baseline {
-        // pin/2 (was pin/3): the encode-once broadcast path shed the
-        // per-peer payload copies, so the measured number sits comfortably
-        // above the pin's half even on noisy CI machines.
-        gate.floor("tcp_smoke_bps", tcp.batches_per_sec, 2.0);
-        match &tcp.transport {
-            Some(stats) if stats.frames_in > 0 && stats.writev_calls > 0 => {}
-            other => gate.failures.push(format!(
-                "tcp smoke transport counters missing or idle: {other:?}"
-            )),
-        }
-    } else {
-        gate.measured
-            .insert("tcp_smoke_bps".into(), tcp.batches_per_sec);
-    }
+    gate.require(
+        transport
+            .as_ref()
+            .is_some_and(|s| s.frames_in > 0 && s.writev_calls > 0),
+        || format!("tcp smoke transport counters missing or idle: {transport:?}"),
+    );
 
-    // 1k-client soak (wall-clock, fixed volume): 1000 logical clients over
-    // 4000 sockets run 2 ops each from one caller thread. The completion
-    // count is deterministic — band 0 — and connecting the whole fleet
-    // must add zero threads to the process (the O(replicas) claim).
+    // 1k-client soak at fixed volume: 1000 logical clients over 4000
+    // sockets run 2 ops each from one caller thread. The completion count
+    // is deterministic, and connecting the whole fleet must add zero
+    // threads to the process (the O(replicas) claim).
     let soak = tcp_client_soak(1000, 2);
     println!(
-        "tcp client soak: {} clients / {} conns, {}/{} ops in {:.1}s ({:.0} ops/sec), threads {} -> {}",
+        "tcp client soak: {} clients / {} conns, {}/{} ops, threads {} -> {}",
         soak.clients,
         soak.connections,
         soak.completed,
         soak.target_ops,
-        soak.secs,
-        soak.ops_per_sec,
         soak.threads_before_clients,
         soak.threads_with_clients,
     );
-    gate.measured
-        .insert("soak_completed_ops".into(), soak.completed as f64);
-    if !print_baseline {
-        gate.band("soak_completed_ops", soak.completed as f64, 0.0);
-        if soak.threads_with_clients > soak.threads_before_clients {
-            gate.failures.push(format!(
+    gate.pin("soak_completed_ops", soak.completed as f64);
+    gate.require(
+        soak.threads_with_clients <= soak.threads_before_clients,
+        || {
+            format!(
                 "client fleet must not add threads (went {} -> {})",
                 soak.threads_before_clients, soak.threads_with_clients
-            ));
-        }
-    }
+            )
+        },
+    );
 
-    // Wall-clock hot paths (gross-regression tripwires only).
-    let data = vec![7u8; 4096];
-    let (sha_ns, ..) = measure(|| {
-        black_box(sha256::digest(black_box(&data)));
-    });
-    let batch: Vec<Request> = (0..16)
-        .map(|i| Request {
-            client: i,
-            seq: 1,
-            payload: vec![i as u8; 64],
-            signature: None,
-        })
-        .collect();
-    let (codec_ns, ..) = measure(|| {
-        let bytes = encode_batch(black_box(&batch));
-        black_box(decode_batch(&bytes).unwrap());
-    });
-    // Merkle membership verification — the light-client hot path: one
-    // chunk proof checked against a certified root over a 64 KiB state
-    // (256 chunks, 8-deep path).
-    let state = vec![0xA5u8; 64 * 1024];
-    let root = merkle::chunked_root(&state, merkle::STATE_CHUNK);
-    let proof = merkle::prove_chunk(&state, merkle::STATE_CHUNK, 37);
-    let chunk = &state[37 * merkle::STATE_CHUNK..38 * merkle::STATE_CHUNK];
-    let (merkle_ns, ..) = measure(|| {
-        assert!(merkle::verify(
-            black_box(&root),
-            black_box(chunk),
-            black_box(&proof)
-        ));
-    });
-    gate.measured.insert("sha256_4k_ns".into(), sha_ns as f64);
-    gate.measured
-        .insert("batch_roundtrip_ns".into(), codec_ns as f64);
-    gate.measured
-        .insert("merkle_proof_verify_ns".into(), merkle_ns as f64);
-    if !print_baseline {
-        gate.ceiling("sha256_4k_ns", sha_ns as f64, 8.0);
-        gate.ceiling("batch_roundtrip_ns", codec_ns as f64, 8.0);
-        gate.ceiling("merkle_proof_verify_ns", merkle_ns as f64, 8.0);
-    }
-
-    if print_baseline {
-        println!("{{");
+    let Some(baseline) = &gate.baseline else {
         let entries: Vec<String> = gate
             .measured
             .iter()
             .map(|(k, v)| format!("  \"{k}\": {v}"))
             .collect();
-        println!("{}", entries.join(",\n"));
-        println!("}}");
+        println!("{{\n{}\n}}", entries.join(",\n"));
         return;
+    };
+    // A pin nothing measures any more is stale: re-pin to drop it.
+    for key in baseline.keys() {
+        if !gate.measured.contains_key(key) {
+            gate.failures
+                .push(format!("{key}: pinned but not measured"));
+        }
     }
     if gate.failures.is_empty() {
         println!("bench_check: all gates passed");

@@ -10,6 +10,9 @@
 //! | `fig7`   | Fig. 7 — throughput timeline with join/crash/recover/checkpoint/leave |
 //! | `fig8`   | Fig. 8 — replica update time vs chain length & checkpoint period |
 //!
+//! `bench_check` is the CI gate over the deterministic scenarios in
+//! [`micro`]: every count it reports must equal its pin.
+//!
 //! Run with `cargo run --release -p smartchain-bench --bin <target>`.
 //! All runs are deterministic (fixed seeds) on the calibrated
 //! [`HwSpec::paper_testbed`] hardware model; see EXPERIMENTS.md for the
@@ -85,11 +88,6 @@ impl Scale {
     /// Total logical clients.
     pub fn clients(&self) -> u64 {
         self.client_actors as u64 * self.logical_per_actor as u64
-    }
-
-    /// Total requests the workload will issue.
-    pub fn total_requests(&self) -> u64 {
-        self.clients() * self.requests_per_client
     }
 }
 

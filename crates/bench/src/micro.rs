@@ -1,11 +1,11 @@
-//! Minimal micro-benchmark harness (the workspace builds without external
-//! crates, so criterion is out). Wall-clock timing with a measured-iteration
-//! loop and median-of-samples reporting; good enough to spot order-of-magnitude
-//! regressions in the hot paths the `benches/` targets cover.
+//! The deterministic scenarios behind the `bench_check` CI gate: each
+//! reports counts — blocks, completed requests, records replayed, chunks
+//! verified, digests per decision, encodes per broadcast — that a change
+//! either keeps or moves, so the gate pins each one exactly. Nothing here
+//! times anything; wall-clock measurement lives in `benchmark/`.
 //!
-//! Also hosts the deterministic (virtual-time) α-pipeline scenario used by
-//! the `bench_check` CI gate: delivered-batches/virtual-second at windows
-//! 1 vs 4 under the GroupCommit rung, where overlapping ORDER of
+//! The α-pipeline scenario compares delivered batches per virtual second
+//! at windows 1 vs 4 under the GroupCommit rung, where overlapping ORDER of
 //! instance `i+1` with PERSIST of instance `i` is the whole win.
 
 use smartchain_consensus::View;
@@ -20,8 +20,9 @@ use smartchain_smr::ordering::{OrderingConfig, OrderingStats};
 use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain_smr::transport::{TcpClientPool, TransportStats};
 use smartchain_smr::types::Request;
+use smartchain_storage::testing::TempDir;
 use smartchain_storage::{SegmentConfig, SyncPolicy};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Outcome of one α-pipeline scenario run. Virtual-time measurement: the
 /// numbers are bit-for-bit reproducible across machines.
@@ -305,11 +306,9 @@ pub struct SegmentedRecovery {
     pub segments_scanned: u64,
     /// Record frames read during that scan.
     pub records_scanned: u64,
-    /// Wall-clock batches/sec of the apply loop (informational).
-    pub batches_per_sec: f64,
 }
 
-/// The segmented-engine throughput + recovery-replay scenario gated in
+/// The segmented-engine recovery-replay scenario gated in
 /// `bench_check`: a [`DurableApp`] on the group-commit segmented engine
 /// applies `applied` single-request batches (checkpoint period
 /// `checkpoint_period`, `records_per_segment` records per segment), is
@@ -323,11 +322,10 @@ pub fn segmented_recovery_scenario(
     checkpoint_period: u64,
     records_per_segment: u64,
 ) -> SegmentedRecovery {
-    let dir = smoke_dir("segmented");
+    let dir = TempDir::new("smartchain-smoke-segmented");
     let segments = SegmentConfig {
         records_per_segment,
     };
-    let start = Instant::now();
     {
         let mut durable = DurableApp::open_segmented(
             CounterApp::new(),
@@ -348,7 +346,6 @@ pub fn segmented_recovery_scenario(
                 .expect("apply batch");
         }
     }
-    let secs = start.elapsed().as_secs_f64();
     let durable = DurableApp::open_segmented(
         CounterApp::new(),
         &dir,
@@ -364,7 +361,6 @@ pub fn segmented_recovery_scenario(
         replayed: durable.replayed_on_recovery(),
         segments_scanned: stats.segments_scanned,
         records_scanned: stats.records_scanned,
-        batches_per_sec: applied as f64 / secs.max(1e-9),
     }
 }
 
@@ -384,11 +380,14 @@ pub struct ChunkedInstall {
 /// assembles), and a fresh replica installs the shipped snapshot —
 /// verifying it chunk-by-chunk against the certified root before adopting
 /// anything. The verified-chunk count is a pure function of the state
-/// size, so the pin holds with a band of 0: it moves only if the chunking
+/// size, so the pin holds exactly: it moves only if the chunking
 /// geometry or the install path's verification coverage changes.
 pub fn chunked_install_scenario(clients: u64) -> ChunkedInstall {
-    let mut src =
-        DurableApp::open(CounterApp::new(), smoke_dir("install-src"), 1).expect("open source app");
+    let (src_dir, dst_dir) = (
+        TempDir::new("smartchain-smoke-install-src"),
+        TempDir::new("smartchain-smoke-install-dst"),
+    );
+    let mut src = DurableApp::open(CounterApp::new(), &src_dir, 1).expect("open source app");
     let batch: Vec<Request> = (0..clients)
         .map(|c| Request {
             client: 1_000 + c,
@@ -419,8 +418,7 @@ pub fn chunked_install_scenario(clients: u64) -> ChunkedInstall {
     src.store_checkpoint_cert(cert).expect("store certificate");
 
     let reply = src.state_reply(1).expect("state reply");
-    let mut dst =
-        DurableApp::open(CounterApp::new(), smoke_dir("install-dst"), 100).expect("open target");
+    let mut dst = DurableApp::open(CounterApp::new(), &dst_dir, 100).expect("open target");
     dst.install_remote(
         &view,
         reply.covered,
@@ -437,45 +435,26 @@ pub fn chunked_install_scenario(clients: u64) -> ChunkedInstall {
     }
 }
 
-/// Outcome of a runtime (wall-clock) smoke run.
-#[derive(Clone, Copy, Debug)]
-pub struct RuntimeSmoke {
-    /// Operations completed (each is one ordered batch here).
-    pub ops: u64,
-    /// Wall-clock seconds the run took.
-    pub secs: f64,
-    /// Committed batches per second.
-    pub batches_per_sec: f64,
-    /// Replica 0's transport counters (TCP runs only).
-    pub transport: Option<TransportStats>,
-}
-
-/// Closed-loop smoke over real loopback TCP sockets: `ops` sequential
+/// Closed loop over real loopback TCP sockets: `ops` sequential
 /// operations against a live 4-replica [`TcpCluster`] (length-framed,
 /// HMAC-authenticated links, one poll-based reactor per replica embedded in
-/// its loop thread), measured wall-clock.
-pub fn tcp_smoke(ops: u64) -> RuntimeSmoke {
+/// its loop thread). Returns replica 0's transport counters.
+pub fn tcp_smoke(ops: u64) -> Option<TransportStats> {
+    let dir = TempDir::new("smartchain-smoke-tcp");
     let config = RuntimeConfig {
-        storage_dir: Some(smoke_dir("tcp")),
+        storage_dir: Some(dir.to_path_buf()),
         ..RuntimeConfig::default()
     };
     let mut cluster =
         TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
-    let start = Instant::now();
     for _ in 0..ops {
         cluster
             .execute(vec![1], Duration::from_secs(30))
             .expect("smoke op");
     }
-    let secs = start.elapsed().as_secs_f64();
     let transport = cluster.transport_stats(0);
     cluster.shutdown();
-    RuntimeSmoke {
-        ops,
-        secs,
-        batches_per_sec: ops as f64 / secs.max(1e-9),
-        transport,
-    }
+    transport
 }
 
 /// Outcome of the many-client loopback soak.
@@ -495,10 +474,6 @@ pub struct ClientSoak {
     /// the replica reactors multiplex every socket over `poll(2)`, so
     /// client scale adds zero threads.
     pub threads_with_clients: u64,
-    /// Wall-clock seconds the closed loop ran.
-    pub secs: f64,
-    /// Completed operations per second.
-    pub ops_per_sec: f64,
 }
 
 /// The 1k-client scale test: `clients` logical clients, each connected to
@@ -507,8 +482,9 @@ pub struct ClientSoak {
 /// volume, so the completion count is deterministic; the thread counts
 /// prove the replica side scales O(replicas), not O(clients).
 pub fn tcp_client_soak(clients: usize, ops_per_client: u64) -> ClientSoak {
+    let dir = TempDir::new("smartchain-smoke-soak");
     let config = RuntimeConfig {
-        storage_dir: Some(smoke_dir("soak")),
+        storage_dir: Some(dir.to_path_buf()),
         ..RuntimeConfig::default()
     };
     let mut cluster =
@@ -523,20 +499,15 @@ pub fn tcp_client_soak(clients: usize, ops_per_client: u64) -> ClientSoak {
     let mut pool = TcpClientPool::connect(addrs, 1_000_000, clients);
     let connections = pool.connections();
     let threads_with_clients = process_threads();
-    let target_ops = clients as u64 * ops_per_client;
-    let start = Instant::now();
     let completed = pool.run_closed_loop(ops_per_client, quorum, &[1], Duration::from_secs(120));
-    let secs = start.elapsed().as_secs_f64();
     cluster.shutdown();
     ClientSoak {
         clients,
-        target_ops,
+        target_ops: clients as u64 * ops_per_client,
         completed,
         connections,
         threads_before_clients,
         threads_with_clients,
-        secs,
-        ops_per_sec: completed as f64 / secs.max(1e-9),
     }
 }
 
@@ -555,49 +526,4 @@ fn process_threads() -> u64 {
                 .ok()
         })
         .unwrap_or(0)
-}
-
-fn smoke_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("smartchain-smoke-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Runs `f` repeatedly and returns `(median, min, max, iters_per_sample)`
-/// per-iteration nanoseconds — calibrated to ~50ms per sample, 7 samples.
-pub fn measure(mut f: impl FnMut()) -> (u64, u64, u64, u64) {
-    // Warm up + calibrate.
-    let start = Instant::now();
-    let mut calib_iters = 0u64;
-    while start.elapsed().as_millis() < 20 {
-        f();
-        calib_iters += 1;
-    }
-    let per_iter = (start.elapsed().as_nanos() as u64 / calib_iters.max(1)).max(1);
-    let iters = (50_000_000 / per_iter).clamp(1, 1_000_000);
-    let samples = 7usize;
-    let mut times: Vec<u64> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        times.push(t.elapsed().as_nanos() as u64 / iters);
-    }
-    times.sort_unstable();
-    (times[samples / 2], times[0], times[samples - 1], iters)
-}
-
-/// Runs `f` repeatedly and reports the median per-iteration time.
-///
-/// Calibrates an iteration count targeting ~50ms per sample, takes 7
-/// samples, prints `name: <median> ns/iter (min .. max)`.
-pub fn bench(name: &str, f: impl FnMut()) {
-    let (median, min, max, iters) = measure(f);
-    println!("{name}: {median} ns/iter (min {min} .. max {max}, {iters} iters/sample)");
-}
-
-/// Prevents the optimizer from discarding a computed value.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
 }

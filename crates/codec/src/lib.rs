@@ -263,6 +263,27 @@ impl<const N: usize> Decode for [u8; N] {
     }
 }
 
+/// A reference encodes exactly like the value it points at, so a record of
+/// borrowed fields has the owned record's bytes.
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+    fn encoded_len(&self) -> usize {
+        (**self).encoded_len()
+    }
+}
+
+/// The bytes a signature covers: the `domain` tag as a byte sequence, then
+/// the record `fields`, in one exactly sized allocation. A distinct tag per
+/// payload kind keeps a signature over one kind from verifying as another.
+pub fn signing_bytes(domain: &[u8], fields: impl Encode) -> Vec<u8> {
+    let mut out = Vec::with_capacity(domain.encoded_len() + fields.encoded_len());
+    domain.encode(&mut out);
+    fields.encode(&mut out);
+    out
+}
+
 /// Shared values encode exactly like the value they point at, so swapping a
 /// field from `T` to `Arc<T>` never changes the wire format. `Decode`
 /// allocates a fresh `Arc`; sharing across decoded messages is established
@@ -612,6 +633,16 @@ mod tests {
         let bytes = to_bytes(&items);
         assert_eq!(bytes.len(), items.encoded_len());
         assert_eq!(from_bytes::<Vec<(u64, Vec<u8>)>>(&bytes).unwrap(), items);
+    }
+
+    #[test]
+    fn signing_bytes_are_tag_then_fields_in_one_allocation() {
+        let hash = [9u8; 32];
+        let bytes = signing_bytes(b"sc-test", (5u64, 2u32, &hash, &[1u8, 2][..]));
+        assert_eq!(bytes.capacity(), bytes.len());
+        let mut expected = to_bytes(&b"sc-test"[..]);
+        (5u64, 2u32, hash, vec![1u8, 2]).encode(&mut expected);
+        assert_eq!(bytes, expected);
     }
 
     #[test]

@@ -18,11 +18,6 @@ pub fn client_key(client: u64) -> SecretKey {
     SecretKey::from_seed(Backend::Sim, &seed)
 }
 
-/// The minter key used by workloads (registered in genesis app data).
-pub fn minter_key() -> SecretKey {
-    SecretKey::from_seed(Backend::Sim, &[0xA1; 32])
-}
-
 /// Request factory implementing the MINT-then-SPEND workload.
 ///
 /// Each logical client's first `mints_per_client` requests are MINTs of one

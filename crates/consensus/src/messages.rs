@@ -1,7 +1,7 @@
 //! Wire messages of VP-Consensus and the synchronization phase.
 
 use crate::ReplicaId;
-use smartchain_codec::{codec_enum, Encode};
+use smartchain_codec::{codec_enum, signing_bytes, Encode};
 use smartchain_crypto::keys::Signature;
 use smartchain_crypto::{Hash, ValueBytes};
 
@@ -124,12 +124,7 @@ impl ConsensusMsg {
 /// (domain tag, instance, epoch, value hash). Every correct replica signs the
 /// same bytes, so any third party can later validate decision proofs.
 pub fn accept_sign_payload(instance: u64, epoch: u32, value_hash: &Hash) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 + 32 + 8);
-    b"sc-accept".as_slice().encode(&mut out);
-    instance.encode(&mut out);
-    epoch.encode(&mut out);
-    value_hash.encode(&mut out);
-    out
+    signing_bytes(b"sc-accept", (instance, epoch, value_hash))
 }
 
 codec_enum!(ConsensusMsg {

@@ -7,18 +7,13 @@
 
 use crate::messages::accept_sign_payload;
 use crate::{ReplicaId, View};
-use smartchain_codec::{codec_struct, Encode};
+use smartchain_codec::{codec_struct, signing_bytes, Encode};
 use smartchain_crypto::keys::{PublicKey, Signature};
 use smartchain_crypto::Hash;
 
 /// Canonical bytes a replica signs in a WRITE message.
 pub fn write_sign_payload(instance: u64, epoch: u32, value_hash: &Hash) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 + 32 + 8);
-    b"sc-write".as_slice().encode(&mut out);
-    instance.encode(&mut out);
-    epoch.encode(&mut out);
-    value_hash.encode(&mut out);
-    out
+    signing_bytes(b"sc-write", (instance, epoch, value_hash))
 }
 
 /// A quorum of signed ACCEPTs for one `(instance, epoch, value_hash)`.

@@ -129,6 +129,92 @@ fn proof_has_authority(proof: &DecisionProof, view: &ViewInfo) -> bool {
     proof.verify(&view.to_consensus_view())
 }
 
+/// A verifier's position in a chain: the view in force, and what the next
+/// block must carry as its number, parent hash and `last_reconfig`. The
+/// auditor starts it at genesis; state transfer starts it at a replica's
+/// own tip.
+#[derive(Clone, Debug)]
+pub(crate) struct ChainCursor {
+    pub(crate) view: ViewInfo,
+    pub(crate) prev_hash: Hash,
+    pub(crate) next_number: u64,
+    pub(crate) last_reconfig: u64,
+}
+
+impl ChainCursor {
+    /// The position before block 1.
+    pub(crate) fn at_genesis(genesis: &Genesis) -> ChainCursor {
+        ChainCursor {
+            view: genesis.view.clone(),
+            prev_hash: genesis.hash(),
+            next_number: 1,
+            last_reconfig: 0,
+        }
+    }
+
+    /// Checks `block` as the next block — the module docs' four checks —
+    /// and advances past it (into the new view after a reconfiguration).
+    pub(crate) fn verify_next(&mut self, block: &Block) -> Result<(), AuditError> {
+        let number = block.header.number;
+        if number != self.next_number {
+            return Err(AuditError::BadNumber {
+                expected: self.next_number,
+                found: number,
+            });
+        }
+        if block.header.hash_last_block != self.prev_hash {
+            return Err(AuditError::BrokenLink { number });
+        }
+        if !block.commitments_valid() {
+            return Err(AuditError::BadCommitment { number });
+        }
+        if block.header.last_reconfig != self.last_reconfig {
+            return Err(AuditError::BadReconfigPointer { number });
+        }
+        let view = &self.view;
+        let has_authority = |proof: &DecisionProof| {
+            proof_has_authority(proof, view) || block.certificate.verify(&block.header, view)
+        };
+        match &block.body {
+            BlockBody::Transactions {
+                requests, proof, ..
+            } => {
+                // The proof must certify *this* batch: proof.verify() alone
+                // only checks signatures over the proof's own value hash,
+                // which nothing would otherwise tie to the block content.
+                if proof.value_hash != sha256::digest(&encode_batch(requests)) {
+                    return Err(AuditError::ProofMismatch { number });
+                }
+                if !has_authority(proof) {
+                    return Err(AuditError::NoAuthority { number });
+                }
+            }
+            BlockBody::Reconfiguration {
+                tx,
+                proof,
+                new_view,
+                ..
+            } => {
+                if !tx.verify(view) {
+                    return Err(AuditError::BadReconfig { number });
+                }
+                if !has_authority(proof) {
+                    return Err(AuditError::NoAuthority { number });
+                }
+                let derived = tx.apply(view);
+                if &derived != new_view {
+                    return Err(AuditError::WrongNewView { number });
+                }
+                self.view = derived;
+                self.last_reconfig = number;
+            }
+        }
+        self.prev_hash = block.header.hash();
+        self.next_number += 1;
+        Ok(())
+    }
+}
+
 /// Verifies a full chain against its genesis. See the module docs for the
 /// exact checks.
 ///
@@ -139,76 +225,14 @@ pub fn verify_chain(genesis: &Genesis, blocks: &[Block]) -> Result<AuditReport, 
     if !genesis.view.keys_certified() {
         return Err(AuditError::BadGenesis);
     }
-    let mut view = genesis.view.clone();
-    let mut prev_hash = genesis.hash();
-    let mut last_reconfig = 0u64;
-    // `expected` is the *block number*, which the chain must carry
-    // explicitly — not an enumerate() index.
-    let mut expected = 1u64;
-    #[allow(clippy::explicit_counter_loop)]
+    let mut cursor = ChainCursor::at_genesis(genesis);
     for block in blocks {
-        let number = block.header.number;
-        if number != expected {
-            return Err(AuditError::BadNumber {
-                expected,
-                found: number,
-            });
-        }
-        if block.header.hash_last_block != prev_hash {
-            return Err(AuditError::BrokenLink { number });
-        }
-        if !block.commitments_valid() {
-            return Err(AuditError::BadCommitment { number });
-        }
-        if block.header.last_reconfig != last_reconfig {
-            return Err(AuditError::BadReconfigPointer { number });
-        }
-        match &block.body {
-            BlockBody::Transactions {
-                requests, proof, ..
-            } => {
-                // The proof must certify *this* batch: proof.verify() alone
-                // only checks signatures over the proof's own value hash,
-                // which nothing would otherwise tie to the block content.
-                let batch_hash = sha256::digest(&encode_batch(requests));
-                if proof.value_hash != batch_hash {
-                    return Err(AuditError::ProofMismatch { number });
-                }
-                let cert_ok = block.certificate.verify(&block.header, &view);
-                let proof_ok = proof_has_authority(proof, &view);
-                if !cert_ok && !proof_ok {
-                    return Err(AuditError::NoAuthority { number });
-                }
-            }
-            BlockBody::Reconfiguration {
-                tx,
-                proof,
-                new_view,
-                ..
-            } => {
-                if !tx.verify(&view) {
-                    return Err(AuditError::BadReconfig { number });
-                }
-                let cert_ok = block.certificate.verify(&block.header, &view);
-                let proof_ok = proof_has_authority(proof, &view);
-                if !cert_ok && !proof_ok {
-                    return Err(AuditError::NoAuthority { number });
-                }
-                let derived = tx.apply(&view);
-                if &derived != new_view {
-                    return Err(AuditError::WrongNewView { number });
-                }
-                view = derived;
-                last_reconfig = number;
-            }
-        }
-        prev_hash = block.header.hash();
-        expected += 1;
+        cursor.verify_next(block)?;
     }
     Ok(AuditReport {
         blocks: blocks.len() as u64,
-        final_view_id: view.id,
-        tip: prev_hash,
+        final_view_id: cursor.view.id,
+        tip: cursor.prev_hash,
     })
 }
 
@@ -559,6 +583,64 @@ mod tests {
             verify_chain(&h.genesis, &h.chain),
             Err(AuditError::ProofMismatch { number: 1 })
         );
+    }
+
+    /// State transfer installs a suffix from one shipper without the
+    /// `f + 1` digest round only if it passes this module's per-block
+    /// checks from the requester's tip. Two forged suffixes that carry a
+    /// quorum-signed proof at every block's own number (all the check
+    /// looked at before it shared the auditor's rule) must not.
+    #[test]
+    fn state_transfer_rejects_forged_suffixes() {
+        type Node = crate::node::ChainNode<smartchain_smr::app::CounterApp>;
+        let accepts = |h: &Harness, blocks: &[Block]| {
+            Node::suffix_self_authenticating(ChainCursor::at_genesis(&h.genesis), blocks)
+        };
+        let mut h = Harness::new(4);
+        h.push_tx_block();
+        h.push_leave_block(3);
+        let honest = h.chain.clone();
+        assert!(accepts(&h, &honest));
+
+        // A swapped batch under the copied genuine proof, commitments
+        // rebuilt (the replayed-proof forgery above).
+        let mut swapped = honest.clone();
+        let BlockBody::Transactions { proof, results, .. } = swapped[0].body.clone() else {
+            unreachable!()
+        };
+        let body = BlockBody::Transactions {
+            consensus_id: 1,
+            requests: vec![Request {
+                client: 66,
+                seq: 0,
+                payload: vec![6, 6],
+                signature: None,
+            }],
+            proof,
+            results,
+        };
+        swapped[0] = Block::build(1, 0, 0, h.genesis.hash(), body, [0u8; 32]);
+        assert!(!accepts(&h, &swapped[..1]));
+
+        // A reconfiguration whose recorded new view is not the one its
+        // transaction derives, commitments resealed.
+        let mut reviewed = honest.clone();
+        if let BlockBody::Reconfiguration { new_view, .. } = &mut reviewed[1].body {
+            new_view.members.swap(0, 1);
+        }
+        let body = reviewed[1].body.clone();
+        reviewed[1] = Block::build(2, 0, 0, honest[0].header.hash(), body, [0u8; 32]);
+        assert!(!accepts(&h, &reviewed));
+
+        // Blocks at or below the tip are skipped (installing skips them
+        // too), and a suffix past a view change falls back to the digest
+        // rule.
+        let mut tip = ChainCursor::at_genesis(&h.genesis);
+        tip.verify_next(&honest[0]).expect("block 1 verifies");
+        assert!(Node::suffix_self_authenticating(tip, &honest));
+        h.push_tx_block();
+        assert!(verify_chain(&h.genesis, &h.chain).is_ok());
+        assert!(!accepts(&h, &h.chain));
     }
 
     /// The paper's Figure-4 attack: after a reconfiguration removes nodes,

@@ -13,7 +13,7 @@
 //!   proof in the body).
 
 use crate::view_keys::CertifiedKey;
-use smartchain_codec::{codec_enum, codec_struct, Encode};
+use smartchain_codec::{codec_enum, codec_struct, signing_bytes, Encode};
 use smartchain_consensus::proof::{verify_quorum, DecisionProof};
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::{PublicKey, Signature};
@@ -176,12 +176,7 @@ codec_struct!(ReconfigVote {
 
 /// Canonical bytes a member signs when voting for a reconfiguration.
 pub fn vote_payload(new_view_id: u64, op: &ReconfigOp, new_key: &CertifiedKey) -> Vec<u8> {
-    let mut out = Vec::new();
-    b"sc-recvote".as_slice().encode(&mut out);
-    new_view_id.encode(&mut out);
-    op.encode(&mut out);
-    new_key.encode(&mut out);
-    out
+    signing_bytes(b"sc-recvote", (new_view_id, op, new_key))
 }
 
 /// A complete reconfiguration transaction: the operation plus a quorum
@@ -398,11 +393,7 @@ codec_enum!(BlockBody {
 
 /// Canonical bytes signed by replicas in the PERSIST phase.
 pub fn persist_sign_payload(block_number: u64, header_hash: &Hash) -> Vec<u8> {
-    let mut out = Vec::with_capacity(48);
-    b"sc-persist".as_slice().encode(&mut out);
-    block_number.encode(&mut out);
-    header_hash.encode(&mut out);
-    out
+    signing_bytes(b"sc-persist", (block_number, header_hash))
 }
 
 /// A block certificate: signatures over the header hash by the view's

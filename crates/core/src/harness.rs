@@ -261,8 +261,6 @@ impl<A: Application> ChainClusterBuilder<A> {
         }
         ChainCluster {
             cluster: Cluster::new(actors, self.hw, self.seed),
-            replicas: self.genesis_members,
-            extra: self.extra_nodes.len(),
             client_nodes,
         }
     }
@@ -271,8 +269,6 @@ impl<A: Application> ChainClusterBuilder<A> {
 /// A built SmartChain simulation cluster.
 pub struct ChainCluster {
     cluster: Cluster<ChainMsg>,
-    replicas: usize,
-    extra: usize,
     client_nodes: Vec<NodeId>,
 }
 
@@ -285,16 +281,6 @@ impl ChainCluster {
     /// Kernel access (fault injection, accounting).
     pub fn sim(&mut self) -> &mut smartchain_sim::Sim<ChainMsg> {
         self.cluster.sim()
-    }
-
-    /// Number of genesis replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas
-    }
-
-    /// Number of prospective extra nodes.
-    pub fn extra_count(&self) -> usize {
-        self.extra
     }
 
     /// Simulation node ids of the client actors.

@@ -253,11 +253,6 @@ impl<L: RecordLog> Ledger<L> {
 }
 
 impl<L: RecordLog> Ledger<L> {
-    /// Number of certificate amendments applied (test/diagnostic hook).
-    pub fn amendment_count(&self) -> usize {
-        self.amendments.len()
-    }
-
     /// The underlying log (e.g. a durability engine, for policy queries).
     pub fn log(&self) -> &L {
         &self.log

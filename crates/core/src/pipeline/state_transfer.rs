@@ -21,6 +21,7 @@
 //! the history, and a Byzantine shipper cannot feed a syncing replica a
 //! forged snapshot/anchor/suffix on its own.
 
+use crate::audit::ChainCursor;
 use crate::block::{Block, BlockBody, ViewInfo};
 use crate::messages::ChainMsg;
 use crate::node::{ChainNode, MemberState};
@@ -268,25 +269,40 @@ impl<A: Application> ChainNode<A> {
     }
 
     /// A suffix-only candidate (no snapshot) is self-authenticating when
-    /// every shipped block carries its own transferable authority: valid
-    /// commitments, the decision proof at the block's own number, and a
-    /// signature quorum under the *current* view's consensus keys — the
-    /// same authority rule the third-party auditor applies. No network
-    /// round is needed to accept it, so installs stay deterministic.
+    /// the blocks above the local tip pass the third-party auditor's
+    /// per-block checks from that tip ([`ChainCursor::verify_next`]:
+    /// numbering, linkage, commitments, a transaction block's proof bound
+    /// to its batch, quorum authority under the *current* view's consensus
+    /// keys, a reconfiguration's vote certificate and derived view), and
+    /// each decision proof sits at its block's own number. No network round
+    /// is needed to accept it, so installs stay deterministic.
     /// Snapshot-bearing candidates (the state is not self-verifying) and
-    /// suffixes spanning view changes (older views' keys) fall back to the
-    /// `f+1` digest rule.
+    /// suffixes spanning view changes fall back to the `f+1` digest rule.
     fn candidate_self_authenticating(m: &MemberState, pending: &PendingState) -> bool {
         if pending.snapshot.is_some() {
             return false;
         }
-        let view = m.view.to_consensus_view();
-        pending.blocks.iter().all(|b| {
+        let tip = ChainCursor {
+            view: m.view.clone(),
+            prev_hash: m.ledger.last_block_hash(),
+            next_number: m.ledger.next_number(),
+            last_reconfig: m.ledger.last_reconfig(),
+        };
+        Self::suffix_self_authenticating(tip, &pending.blocks)
+    }
+
+    /// The pure core of [`Self::candidate_self_authenticating`]: checks the
+    /// shipped `blocks` above `tip` (the ones installing would append).
+    pub(crate) fn suffix_self_authenticating(mut tip: ChainCursor, blocks: &[Block]) -> bool {
+        let (view_id, first) = (tip.view.id, tip.next_number);
+        blocks.iter().filter(|b| b.header.number >= first).all(|b| {
             let proof = match &b.body {
                 BlockBody::Transactions { proof, .. } => proof,
                 BlockBody::Reconfiguration { proof, .. } => proof,
             };
-            b.commitments_valid() && proof.instance == b.header.number && proof.verify(&view)
+            tip.view.id == view_id
+                && proof.instance == b.header.number
+                && tip.verify_next(b).is_ok()
         })
     }
 

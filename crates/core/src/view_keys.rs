@@ -8,18 +8,14 @@
 //! for blocks in views it used to belong to — the mechanism that prevents the
 //! Figure-4 fork.
 
-use smartchain_codec::{codec_struct, Encode};
+use smartchain_codec::{codec_struct, signing_bytes};
 use smartchain_crypto::keys::{Backend, PublicKey, SecretKey, Signature};
 use smartchain_crypto::sha256;
 
 /// Canonical bytes certified when a permanent key vouches for a consensus
 /// key in a given view.
 pub fn key_cert_payload(view_id: u64, consensus_key: &PublicKey) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    b"sc-viewkey".as_slice().encode(&mut out);
-    view_id.encode(&mut out);
-    consensus_key.encode(&mut out);
-    out
+    signing_bytes(b"sc-viewkey", (view_id, consensus_key))
 }
 
 /// A consensus public key certified by its owner's permanent key.

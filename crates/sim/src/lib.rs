@@ -260,11 +260,6 @@ impl<M> Sim<M> {
     pub fn recover(&mut self, node: NodeId, at: Time) {
         self.push(at, Kind::Recover { node });
     }
-
-    /// True if `node` is currently crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.nodes[node].crashed
-    }
 }
 
 /// Per-event context handed to actors; all side effects go through here.
@@ -439,11 +434,6 @@ impl<M> Cluster<M> {
     /// Access an actor (e.g. to read metrics after a run).
     pub fn actor(&self, id: NodeId) -> &dyn Actor<M> {
         self.actors[id].as_ref()
-    }
-
-    /// Mutable actor access (test instrumentation).
-    pub fn actor_mut(&mut self, id: NodeId) -> &mut (dyn Actor<M> + 'static) {
-        self.actors[id].as_mut()
     }
 
     /// Processes events until the queue empties or virtual time passes

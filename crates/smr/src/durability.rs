@@ -39,7 +39,7 @@
 use crate::app::Application;
 use crate::ordering::OrderedBatch;
 use crate::types::{decode_batch, encode_batch, Request};
-use smartchain_codec::{codec_struct, from_bytes, to_bytes, Encode};
+use smartchain_codec::{codec_struct, from_bytes, signing_bytes, to_bytes, Encode};
 use smartchain_consensus::proof::{verify_quorum, DecisionProof};
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::Signature;
@@ -105,12 +105,7 @@ codec_struct!(SnapshotMeta {
 /// Canonical bytes a replica signs to certify a checkpoint: the covered
 /// batch, the chunked state root, and the batch chain tip at that point.
 pub fn ckpt_sign_payload(covered: u64, state_root: &[u8; 32], tip: &[u8; 32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 + 32 + 32);
-    b"sc-ckpt".as_slice().encode(&mut out);
-    covered.encode(&mut out);
-    state_root.encode(&mut out);
-    tip.encode(&mut out);
-    out
+    signing_bytes(b"sc-ckpt", (covered, state_root, tip))
 }
 
 /// A quorum of replica signatures over one checkpoint's

@@ -10,7 +10,7 @@
 //! SmartChain's decentralized protocol in `smartchain-core`.
 
 use crate::types::Request;
-use smartchain_codec::{Decode, DecodeError, Encode};
+use smartchain_codec::{signing_bytes, Decode, DecodeError, Encode};
 use smartchain_crypto::keys::{PublicKey, SecretKey, Signature};
 
 /// A View Manager's signed instruction to change the replica set.
@@ -26,11 +26,7 @@ pub struct ViewChangeCommand {
 
 /// Canonical bytes the View Manager signs.
 pub fn command_payload(new_view_id: u64, members: &[PublicKey]) -> Vec<u8> {
-    let mut out = Vec::new();
-    b"sc-viewmgr".as_slice().encode(&mut out);
-    new_view_id.encode(&mut out);
-    members.encode(&mut out);
-    out
+    signing_bytes(b"sc-viewmgr", (new_view_id, members))
 }
 
 impl ViewChangeCommand {

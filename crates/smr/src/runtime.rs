@@ -23,6 +23,7 @@ use crate::types::{Reply, Request};
 use smartchain_consensus::ReplicaId;
 use smartchain_crypto::keys::{Backend, Signature};
 use smartchain_crypto::pool::{VerifyItem, VerifyPool};
+use smartchain_storage::testing::TempDir;
 use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::PathBuf;
@@ -44,7 +45,8 @@ pub struct RuntimeConfig {
     /// for this long while requests are pending. The first expiry for a
     /// stalled frontier sends a repair round, the second a leader change.
     pub progress_timeout: Duration,
-    /// Storage root (one subdirectory per replica); `None` = temp dir.
+    /// Storage root (one subdirectory per replica); `None` = a fresh temp
+    /// dir, removed when the cluster shuts down or drops.
     pub storage_dir: Option<PathBuf>,
     /// Checkpoint period in batches.
     pub checkpoint_period: u64,
@@ -85,6 +87,9 @@ pub struct TcpCluster<A: Application> {
     cluster: ClusterConfig,
     backend: Backend,
     root: PathBuf,
+    /// The root this cluster created itself (`storage_dir: None`): removed
+    /// once the replicas have stopped, kept while a panic unwinds.
+    _temp_root: Option<TempDir>,
     make_app: Box<dyn Fn() -> A + Send + Sync>,
     replicas: Vec<Option<TcpReplicaHandle>>,
     client: TcpClient,
@@ -131,14 +136,19 @@ impl<A: Application> TcpCluster<A> {
         cluster.checkpoint_period = config.checkpoint_period;
         cluster.progress_timeout_ms = config.progress_timeout.as_millis() as u64;
         cluster.require_signed = config.require_signed;
-        let root = config.storage_dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("smartchain-tcp-{}", std::process::id()))
-        });
+        let (root, temp_root) = match config.storage_dir.clone() {
+            Some(dir) => (dir, None),
+            None => {
+                let dir = TempDir::try_new("smartchain-tcp")?;
+                (dir.to_path_buf(), Some(dir))
+            }
+        };
         let client = TcpClient::new(0xC11E28, addrs);
         let mut this = TcpCluster {
             cluster,
             backend,
             root,
+            _temp_root: temp_root,
             make_app: Box::new(make_app),
             replicas: (0..n).map(|_| None).collect(),
             client,
@@ -265,15 +275,18 @@ impl<A: Application> TcpCluster<A> {
         self.client.execute_request(request, quorum, deadline)
     }
 
-    /// Shuts every replica down and joins all threads.
-    pub fn shutdown(mut self) {
-        for slot in &mut self.replicas {
-            if let Some(h) = slot.take() {
-                h.injector.send(NetEvent::Shutdown);
-                let _ = h.handle.join();
-            }
+    /// Shuts every replica down and joins all threads — what dropping the
+    /// cluster does.
+    pub fn shutdown(self) {}
+}
+
+impl<A: Application> Drop for TcpCluster<A> {
+    /// Stops every replica before the fields drop, so a temp root goes
+    /// only once nothing writes to it.
+    fn drop(&mut self) {
+        for replica in 0..self.replicas.len() {
+            self.kill_replica(replica);
         }
-        self.client.shutdown();
     }
 }
 
@@ -906,6 +919,18 @@ mod tests {
 
     fn fresh_dir(tag: &str) -> TempDir {
         TempDir::new(&format!("smartchain-rt-{tag}"))
+    }
+
+    /// With no `storage_dir` the cluster makes its own root, and shutting
+    /// it down removes that root.
+    #[test]
+    fn own_temp_root_is_removed_at_shutdown() {
+        let cluster = TcpCluster::start(RuntimeConfig::default(), Backend::Sim, CounterApp::new)
+            .expect("boot");
+        let root = cluster.root.clone();
+        assert!(root.join("replica-0").is_dir());
+        cluster.shutdown();
+        assert!(!root.exists(), "{} left behind", root.display());
     }
 
     /// The whole cluster shuts down and boots again on the same storage:

@@ -1,6 +1,6 @@
 //! Requests, replies and batches — the SMR wire vocabulary.
 
-use smartchain_codec::{codec_struct, DecodeError, Encode};
+use smartchain_codec::{codec_struct, signing_bytes, DecodeError, Encode};
 use smartchain_consensus::ReplicaId;
 use smartchain_crypto::keys::{PublicKey, Signature};
 
@@ -21,12 +21,7 @@ pub struct Request {
 impl Request {
     /// Canonical bytes covered by the client signature.
     pub fn sign_payload(client: u64, seq: u64, payload: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(payload.len() + 24);
-        b"sc-request".as_slice().encode(&mut out);
-        client.encode(&mut out);
-        seq.encode(&mut out);
-        payload.encode(&mut out);
-        out
+        signing_bytes(b"sc-request", (client, seq, payload))
     }
 
     /// Verifies the embedded signature; requests without one verify

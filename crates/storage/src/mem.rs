@@ -19,12 +19,6 @@ impl MemLog {
         MemLog::default()
     }
 
-    /// Number of records covered by a [`RecordLog::sync`] call — lets tests
-    /// model "what survives a crash" for async configurations.
-    pub fn synced_len(&self) -> u64 {
-        self.synced_upto
-    }
-
     /// Drops every record after the last sync, simulating a crash under an
     /// asynchronous write policy.
     pub fn crash_to_last_sync(&mut self) {

@@ -570,11 +570,6 @@ impl SegmentedLog {
         self.sealed.len() + 1
     }
 
-    /// Bytes currently on disk across all live segments.
-    pub fn byte_len(&self) -> u64 {
-        self.sealed.iter().map(|s| s.bytes).sum::<u64>() + self.active.tail
-    }
-
     fn read_sealed(&self, seg: &SealedSegment, local: u64) -> io::Result<Option<Vec<u8>>> {
         {
             let mut cache = seg.offsets.borrow_mut();

@@ -1,4 +1,6 @@
-//! Test support: temporary directories that clean up after themselves.
+//! Temporary directories that clean up after themselves: scratch space for
+//! tests and bench scenarios, and the default storage root of an in-process
+//! cluster.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,12 +20,22 @@ impl TempDir {
     ///
     /// Panics when the directory cannot be created.
     pub fn new(prefix: &str) -> TempDir {
+        TempDir::try_new(prefix).expect("create temp dir")
+    }
+
+    /// [`TempDir::new`], returning the error when the directory cannot be
+    /// created.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the failure to create the directory.
+    pub fn try_new(prefix: &str) -> std::io::Result<TempDir> {
         static NEXT: AtomicU64 = AtomicU64::new(0);
         let n = NEXT.fetch_add(1, Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!("{prefix}-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&path);
-        std::fs::create_dir_all(&path).expect("create temp dir");
-        TempDir(path)
+        std::fs::create_dir_all(&path)?;
+        Ok(TempDir(path))
     }
 }
 
