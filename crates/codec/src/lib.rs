@@ -67,9 +67,10 @@ pub trait Encode {
     /// Appends the canonical encoding of `self` to `out`.
     fn encode(&self, out: &mut Vec<u8>);
 
-    /// Convenience: encodes into a fresh buffer.
+    /// Convenience: encodes into a fresh buffer, allocated once at exactly
+    /// [`Encode::encoded_len`] bytes.
     fn to_vec(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         self.encode(&mut out);
         out
     }
@@ -78,11 +79,9 @@ pub trait Encode {
     ///
     /// This is the single source of truth for wire sizes: simulator NIC
     /// models derive message sizes from it instead of keeping hand-rolled
-    /// per-variant estimates in sync with the encoders. The default
-    /// materializes the encoding; cheap types override it.
-    fn encoded_len(&self) -> usize {
-        self.to_vec().len()
-    }
+    /// per-variant estimates in sync with the encoders, and
+    /// [`Encode::to_vec`] sizes its buffer by it.
+    fn encoded_len(&self) -> usize;
 
     /// Appends a sequence's elements (its count excluded). Elements encode
     /// one by one; `u8` copies the whole slice at once.

@@ -6,6 +6,7 @@ use crate::block::{Block, BlockBody, Certificate, Genesis};
 use smartchain_codec::{from_bytes, to_bytes};
 use smartchain_crypto::Hash;
 use smartchain_storage::RecordLog;
+use std::collections::BTreeMap;
 use std::io;
 
 /// Tag framing the record that anchors a checkpoint-based fast-forward
@@ -45,9 +46,9 @@ pub struct Ledger<L: RecordLog> {
     last_block_hash: Hash,
     last_reconfig: u64,
     last_checkpoint: u64,
-    /// Certificate amendments applied after append (strong variant); most
-    /// recent entry per block number wins.
-    amendments: Vec<(u64, Block)>,
+    /// Certificates attached after append (strong variant), by block
+    /// number; [`Ledger::block`] attaches them on read.
+    certificates: BTreeMap<u64, Certificate>,
 }
 
 impl<L: RecordLog> std::fmt::Debug for Ledger<L> {
@@ -68,10 +69,7 @@ impl<L: RecordLog> Ledger<L> {
     ///
     /// Fails on storage errors or if the log contains a different genesis.
     pub fn open(log: L, genesis: Genesis) -> io::Result<Ledger<L>> {
-        // A compacted log (checkpoint-driven truncation) has dropped the
-        // genesis record; the snapshot covering the truncated prefix is the
-        // authority then, so the genesis check is skipped.
-        if !log.is_empty() && log.first_index() == 0 {
+        if !log.is_empty() {
             // Recovering an existing log: it must belong to this genesis.
             let stored: Genesis = log
                 .read(0)?
@@ -94,7 +92,7 @@ impl<L: RecordLog> Ledger<L> {
             last_block_hash: Hash::default(),
             last_reconfig: 0,
             last_checkpoint: 0,
-            amendments: Vec::new(),
+            certificates: BTreeMap::new(),
         };
         // One recovery scan for both fresh opens and crash reloads.
         ledger.reload()?;
@@ -196,25 +194,15 @@ impl<L: RecordLog> Ledger<L> {
         self.log.sync()
     }
 
-    /// Attaches a certificate to the last appended block (strong variant:
+    /// Attaches a certificate to appended block `number` (strong variant:
     /// the certificate is written after the PERSIST phase completes,
-    /// Algorithm 1 line 34). The block is rewritten in place in the cache;
-    /// on disk the certificate is appended as an amendment record in real
-    /// deployments — here we re-append for simplicity of the block log.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn set_certificate(&mut self, number: u64, certificate: Certificate) -> io::Result<()> {
-        if let Some(bytes) = self.log.read(number)? {
-            if let Ok(mut block) = from_bytes::<Block>(&bytes) {
-                block.certificate = certificate;
-                // RecordLog has no in-place update; model the amendment by
-                // tracking it in memory for reads via `block()` below.
-                self.amendments.push((number, block));
-            }
+    /// Algorithm 1 line 34). [`RecordLog`] has no in-place update, so the
+    /// certificate is kept beside the log and attached whenever the block
+    /// is read; a crash reload drops it.
+    pub fn set_certificate(&mut self, number: u64, certificate: Certificate) {
+        if number < self.next_number {
+            self.certificates.insert(number, certificate);
         }
-        Ok(())
     }
 
     /// Reads block `number` (1-based; 0 returns `None` — use
@@ -227,13 +215,15 @@ impl<L: RecordLog> Ledger<L> {
         if number == 0 || number >= self.next_number {
             return Ok(None);
         }
-        if let Some((_, amended)) = self.amendments.iter().rev().find(|(n, _)| *n == number) {
-            return Ok(Some(amended.clone()));
-        }
-        match self.log.read(number)? {
-            Some(bytes) => Ok(from_bytes(&bytes).ok()),
-            None => Ok(None),
-        }
+        let Some(bytes) = self.log.read(number)? else {
+            return Ok(None);
+        };
+        Ok(from_bytes::<Block>(&bytes).ok().map(|mut block| {
+            if let Some(certificate) = self.certificates.get(&number) {
+                block.certificate = certificate.clone();
+            }
+            block
+        }))
     }
 
     /// All blocks from `from` (inclusive) to the tip, for state transfer.
@@ -266,14 +256,14 @@ impl<L: RecordLog> Ledger<L> {
 
     /// Re-derives the in-memory tail state from the log — used after a
     /// (simulated) crash dropped the log's non-durable suffix. Volatile
-    /// certificate amendments are discarded; if even the genesis record is
+    /// certificates are discarded; if even the genesis record is
     /// gone (∞-persistence), it is rewritten so the chain can regrow.
     ///
     /// # Errors
     ///
     /// Propagates storage errors.
     pub fn reload(&mut self) -> io::Result<()> {
-        self.amendments.clear();
+        self.certificates.clear();
         self.next_number = 1;
         self.last_block_hash = self.genesis.hash();
         self.last_reconfig = 0;
@@ -283,18 +273,7 @@ impl<L: RecordLog> Ledger<L> {
             self.log.sync()?;
             return Ok(());
         }
-        let first = self.log.first_index();
-        if first > 0 {
-            // Compacted log: the genesis record and a block prefix are
-            // gone, summarized by a checkpoint. If the retained suffix
-            // survived, the loop below re-derives the tail from it; if a
-            // crash also took the suffix, restart at the watermark with an
-            // unknown parent hash — state transfer re-anchors the chain.
-            self.next_number = first.max(1);
-            self.last_block_hash = Hash::default();
-            self.last_checkpoint = first;
-        }
-        for i in first.max(1)..self.log.len() {
+        for i in 1..self.log.len() {
             if let Some(bytes) = self.log.read(i)? {
                 if let Some((covered, anchor)) = parse_anchor(&bytes) {
                     self.next_number = covered + 1;
@@ -361,29 +340,6 @@ impl<L: RecordLog> Ledger<L> {
         self.last_block_hash = anchor;
         self.last_checkpoint = self.last_checkpoint.max(covered);
         Ok(())
-    }
-
-    /// Compacts the log up to a durably checkpointed block: every record
-    /// below `covered` is truncated away (block `covered` itself is kept —
-    /// it is the anchor the next block's parent hash chains onto). On a
-    /// segmented backend this is an O(segment-delete) operation; reads of
-    /// truncated blocks return `None` and state transfer serves the prefix
-    /// from the snapshot instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn compact_to(&mut self, covered: u64) -> io::Result<()> {
-        if covered == 0 {
-            return Ok(());
-        }
-        self.amendments.retain(|(n, _)| *n >= covered);
-        self.log.truncate_prefix(covered)
-    }
-
-    /// Lowest block number the log can still read (0 = genesis onward).
-    pub fn first_retained(&self) -> u64 {
-        self.log.first_index()
     }
 
     /// Consumes the ledger, returning the underlying log (crash simulation
@@ -516,16 +472,19 @@ mod tests {
         let sig = ks
             .consensus()
             .sign(&persist_sign_payload(1, &header.hash()));
-        ledger
-            .set_certificate(
-                1,
-                Certificate {
-                    signatures: vec![(0, sig)],
-                },
-            )
-            .unwrap();
+        ledger.set_certificate(
+            1,
+            Certificate {
+                signatures: vec![(0, sig)],
+            },
+        );
         let read_back = ledger.block(1).unwrap().unwrap();
         assert_eq!(read_back.certificate.signatures.len(), 1);
+        // A crash reload drops the certificate with the rest of the
+        // volatile tail state.
+        ledger.reload().unwrap();
+        let reloaded = ledger.block(1).unwrap().unwrap();
+        assert!(reloaded.certificate.signatures.is_empty());
     }
 
     #[test]

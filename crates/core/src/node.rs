@@ -52,10 +52,6 @@ pub struct NodeConfig {
     /// The persistence ladder's rung (§V-C): `None` (∞-persistence),
     /// `Async` (λ-persistence) or `Sync` (0/1-persistence, by variant).
     pub persistence: SyncPolicy,
-    /// Truncate the ledger's log prefix once a checkpoint covering it is
-    /// durable. Off by default: full-history ledgers keep the seed's
-    /// observable behavior (`chain()` from genesis, audits from block 1).
-    pub compact_after_checkpoint: bool,
     /// Client-signature checking policy.
     pub sig_mode: SigMode,
     /// Batching parameters.
@@ -73,10 +69,6 @@ pub struct NodeConfig {
     /// Modeled application state size (e.g. Fig. 7's 1 GB); `0` = use the
     /// real snapshot length.
     pub state_size: u64,
-    /// Stagger checkpoints across replicas (paper §VI / Dura-SMaRt's
-    /// sequential checkpoints): replica r snapshots at an offset of
-    /// `r * z / n` blocks, so the whole cluster never stalls at once.
-    pub stagger_checkpoints: bool,
 }
 
 impl Default for NodeConfig {
@@ -84,7 +76,6 @@ impl Default for NodeConfig {
         NodeConfig {
             variant: Variant::Weak,
             persistence: SyncPolicy::Sync,
-            compact_after_checkpoint: false,
             sig_mode: SigMode::None,
             ordering: OrderingConfig::default(),
             progress_timeout: 500 * MILLI,
@@ -93,7 +84,6 @@ impl Default for NodeConfig {
             install_ns_per_byte: 40,
             reply_size: 380,
             state_size: 0,
-            stagger_checkpoints: false,
         }
     }
 }
@@ -367,12 +357,6 @@ impl<A: Application> ChainNode<A> {
         self.member.as_ref().map(|m| m.ledger.log().stats())
     }
 
-    /// Lowest block number the ledger's log still holds — the compaction
-    /// watermark (0 = full history retained).
-    pub fn first_retained(&self) -> Option<u64> {
-        self.member.as_ref().map(|m| m.ledger.first_retained())
-    }
-
     /// Covered block of this replica's current checkpoint snapshot, if any
     /// (what a crash right now would recover from, plus any still-in-flight
     /// write tracked separately).
@@ -564,7 +548,7 @@ impl<A: Application> Actor<ChainMsg> for ChainNode<A> {
                 KIND_HEADER => self.header_done(token & !KIND_MASK, ctx),
                 KIND_VERIFY => self.on_verify_done(token, ctx),
                 KIND_RECONFIG => self.finish_reconfig_install(ctx),
-                KIND_SNAPSHOT => self.snapshot_write_done(token & !KIND_MASK, ctx),
+                KIND_SNAPSHOT => self.snapshot_write_done(token & !KIND_MASK),
                 _ => {}
             },
             Event::Message { from, msg } => {

@@ -1,10 +1,10 @@
 //! Side stage — chain-linked checkpoints (§V-B3): a snapshot every `z`
 //! blocks, stored outside the chain, referenced by later headers.
 //!
-//! With `stagger_checkpoints` (paper §VI / Dura-SMaRt's sequential
-//! checkpoints) replica `r` snapshots at an offset of `r·z/n` blocks, so the
-//! whole cluster never stalls at once — the mechanism behind the shallow
-//! (vs. catastrophic) Fig. 7 dips.
+//! Every replica snapshots at the same blocks (the multiples of `z`) and
+//! keeps its whole history, so the `last_checkpoint` field each header
+//! carries, and the PERSIST certificate signed over the header, agree
+//! cluster-wide.
 //!
 //! Snapshot *durability* is modeled, not assumed: the snapshot's device
 //! write is tracked while in flight, so a crash before completion falls
@@ -70,10 +70,8 @@ pub(crate) struct SnapshotState {
     /// with the snapshot so a snapshot-anchored joiner's dedup filter covers
     /// the summarized prefix.
     pub(crate) dedup: Vec<(u64, u64)>,
-    /// The certified commitment receivers verify the state against
-    /// (`None` only for legacy snapshots whose covered block was already
-    /// truncated when the checkpoint was taken).
-    pub(crate) commit: Option<SnapshotCommit>,
+    /// The certified commitment receivers verify the state against.
+    pub(crate) commit: SnapshotCommit,
 }
 
 impl<A: Application> ChainNode<A> {
@@ -116,56 +114,34 @@ impl<A: Application> ChainNode<A> {
     }
 
     /// Called by the produce stage right after block `number` executes:
-    /// takes a checkpoint if the (possibly staggered) period elapsed. The
-    /// trigger sits at EXECUTE time, not reply release, so the snapshot
-    /// captures the application state at exactly block `number` on every
-    /// replica — with α > 1 later blocks may otherwise already be executing,
-    /// and a release-time covered point would be a replica-local timing
-    /// artifact that diverges the `last_checkpoint` header field.
+    /// takes a checkpoint if the period elapsed. The trigger sits at
+    /// EXECUTE time, not reply release, so the snapshot captures the
+    /// application state at exactly block `number` on every replica — with
+    /// α > 1 later blocks may otherwise already be executing, and a
+    /// release-time covered point would be a replica-local timing artifact
+    /// that diverges the `last_checkpoint` header field.
     pub(crate) fn maybe_checkpoint(&mut self, number: u64, ctx: &mut Ctx<'_, ChainMsg>) {
         let z = self.genesis.checkpoint_period;
-        if z == 0 {
-            return;
-        }
-        // Optionally offset the trigger per replica so snapshot stalls
-        // never align cluster-wide (paper §VI; Dura-SMaRt §II-C2).
-        let offset = if self.config.stagger_checkpoints {
-            let (me, n) = self
-                .member
-                .as_ref()
-                .map(|m| (self.my_replica_id().unwrap_or(0) as u64, m.view.n() as u64))
-                .unwrap_or((0, 1));
-            me * z / n.max(1)
-        } else {
-            0
-        };
-        if (number + offset).is_multiple_of(z) {
+        if z != 0 && number.is_multiple_of(z) {
             self.take_checkpoint(number, ctx);
         }
     }
 
     /// Serializes the application state (stalling the sequential lane for
     /// the modeled duration), records the snapshot together with the dedup
-    /// frontier, starts the device write the configured rung demands, and
-    /// lets the ledger truncate its replay obligation.
+    /// frontier, and starts the device write the configured rung demands.
     pub(crate) fn take_checkpoint(&mut self, covered_block: u64, ctx: &mut Ctx<'_, ChainMsg>) {
         self.checkpoint_log.push((ctx.now(), covered_block));
         // An earlier snapshot whose modeled (Async) write completed in the
         // meantime is durable now — resolve it so the fallback chain below
-        // advances instead of pinning the very first snapshot forever (and,
-        // with compaction on, so the log prefix it covers can be truncated).
-        let mut resolved_covered = None;
+        // advances instead of pinning the very first snapshot forever.
         if let Some(m) = self.member.as_mut() {
-            if let Some(at) = m.snapshot_inflight {
-                if at != Time::MAX && ctx.now() >= at {
-                    m.snapshot_inflight = None;
-                    m.snapshot_fallback = None;
-                    resolved_covered = m.snapshot.as_ref().map(|s| s.covered);
-                }
+            if m.snapshot_inflight
+                .is_some_and(|at| at != Time::MAX && ctx.now() >= at)
+            {
+                m.snapshot_inflight = None;
+                m.snapshot_fallback = None;
             }
-        }
-        if let Some(covered) = resolved_covered {
-            self.maybe_compact(covered);
         }
         // Serialize once; the modeled size falls back to the real length.
         let snapshot = self.app.take_snapshot();
@@ -179,18 +155,19 @@ impl<A: Application> ChainNode<A> {
         // The snapshot is taken at EXECUTE time of the covered block, so its
         // chunked root is exactly the state root the block's header bound —
         // capture the header as the commitment receivers verify against.
-        let commit = m
+        let block = m
             .ledger
             .block(covered_block)
             .ok()
             .flatten()
-            .map(|block| SnapshotCommit {
-                header: block.header,
-                results_root: block.body.results_root(),
-                state_root: merkle::chunked_root(&snapshot, merkle::STATE_CHUNK),
-            });
+            .expect("the covered block was just appended");
+        let commit = SnapshotCommit {
+            header: block.header,
+            results_root: block.body.results_root(),
+            state_root: merkle::chunked_root(&snapshot, merkle::STATE_CHUNK),
+        };
         debug_assert!(
-            commit.as_ref().is_none_or(SnapshotCommit::opens_header),
+            commit.opens_header(),
             "snapshot root must open the covered header"
         );
         let new = SnapshotState {
@@ -220,47 +197,23 @@ impl<A: Application> ChainNode<A> {
         m.snapshot = Some(new);
         m.snapshot_inflight = inflight;
         m.ledger.set_last_checkpoint(covered_block);
-        // ∞-persistence: the snapshot is never "durable" (nothing is), so
-        // the compaction point is the snapshot itself — a crash loses log
-        // and snapshot together either way.
-        if self.config.persistence == SyncPolicy::None {
-            self.maybe_compact(covered_block);
-        }
-    }
-
-    /// Checkpoint-driven log truncation: once a checkpoint covering block
-    /// `covered` is durable, the records below it are replay-dead — drop
-    /// them so restart cost tracks the checkpoint interval, not the chain
-    /// length. Opt-in (`compact_after_checkpoint`): full-history ledgers
-    /// remain the default observable behavior.
-    pub(crate) fn maybe_compact(&mut self, covered: u64) {
-        if !self.config.compact_after_checkpoint || covered == 0 {
-            return;
-        }
-        if let Some(m) = self.member.as_mut() {
-            m.ledger.compact_to(covered).expect("ledger compaction");
-        }
     }
 
     /// [`KIND_SNAPSHOT`] completion (Sync rung): the snapshot whose fsync
     /// this was is durable. The token carries the covered block, so a
     /// completion can only promote the snapshot it belongs to — the current
     /// one, or a superseded one now serving as the crash fallback.
-    pub(crate) fn snapshot_write_done(&mut self, covered: u64, _ctx: &mut Ctx<'_, ChainMsg>) {
-        let mut durable_now = false;
-        if let Some(m) = self.member.as_mut() {
-            if m.snapshot.as_ref().is_some_and(|s| s.covered == covered) {
-                m.snapshot_inflight = None;
-                m.snapshot_fallback = None;
-                durable_now = true;
-            } else if let Some((fallback, at)) = m.snapshot_fallback.as_mut() {
-                if fallback.covered == covered {
-                    *at = 0;
-                }
+    pub(crate) fn snapshot_write_done(&mut self, covered: u64) {
+        let Some(m) = self.member.as_mut() else {
+            return;
+        };
+        if m.snapshot.as_ref().is_some_and(|s| s.covered == covered) {
+            m.snapshot_inflight = None;
+            m.snapshot_fallback = None;
+        } else if let Some((fallback, at)) = m.snapshot_fallback.as_mut() {
+            if fallback.covered == covered {
+                *at = 0;
             }
-        }
-        if durable_now {
-            self.maybe_compact(covered);
         }
     }
 }

@@ -254,9 +254,7 @@ impl<A: Application> ChainNode<A> {
         };
         open.done = true;
         let cert_size = cert.encoded_len();
-        m.ledger
-            .set_certificate(number, cert)
-            .expect("ledger certificate");
+        m.ledger.set_certificate(number, cert);
         if self.config.persistence != SyncPolicy::None {
             // Asynchronous write: recoverable after a full crash (§V-C).
             ctx.disk_write(cert_size, false, 0);

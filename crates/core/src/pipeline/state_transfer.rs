@@ -130,7 +130,7 @@ impl<A: Application> ChainNode<A> {
         }
         let (snapshot, commit, snapshot_dedup) = if full {
             match snapshot {
-                Some(s) => (Some((s.covered, s.state)), s.commit, s.dedup),
+                Some(s) => (Some((s.covered, s.state)), Some(s.commit), s.dedup),
                 None => (None, None, Vec::new()),
             }
         } else {
@@ -446,7 +446,7 @@ impl<A: Application> ChainNode<A> {
                     covered,
                     state,
                     dedup: snapshot_dedup,
-                    commit,
+                    commit: commit.expect("a shipped snapshot's commitment verified above"),
                 });
                 // The installed snapshot replaces whatever local write was
                 // in flight; its own write is tracked like a checkpoint's

@@ -17,7 +17,6 @@ pub mod client;
 pub mod durability;
 pub mod exec;
 pub mod ordering;
-pub mod reconfig;
 pub mod runtime;
 pub mod transport;
 pub mod types;

@@ -311,9 +311,6 @@ pub struct OrderingCore {
     /// delivery frontier since the frontier last moved or spoke — the
     /// deterministic quiet clock behind per-instance repair.
     frontier_quiet: u32,
-    /// The frontier instance `frontier_quiet` is counting for (resets the
-    /// count when delivery advances).
-    frontier_watch: u64,
     /// Instances this replica sent an InstanceFetch for and has not yet
     /// delivered (their delivery counts as a repair).
     fetched: HashSet<u64>,
@@ -374,7 +371,6 @@ impl OrderingCore {
             take_scan_end: 0,
             delivered_seq: HashMap::new(),
             frontier_quiet: 0,
-            frontier_watch: last_applied + 1,
             fetched: HashSet::new(),
             timeout_repair: None,
             stats: OrderingStats::default(),
@@ -493,7 +489,6 @@ impl OrderingCore {
         self.undelivered.retain(|&i, _| i > instance);
         self.instances.retain(|&i, _| i > instance);
         self.fetched.retain(|&i| i > instance);
-        self.frontier_watch = instance + 1;
         self.frontier_quiet = 0;
         self.timeout_repair = None;
         let stale: Vec<u64> = self
@@ -696,10 +691,6 @@ impl OrderingCore {
     /// the frontier's traffic was lost — fire a targeted fetch round.
     fn tick_quiet(&mut self, instance_id: u64) -> Vec<CoreOutput> {
         let frontier = self.last_delivered + 1;
-        if self.frontier_watch != frontier {
-            self.frontier_watch = frontier;
-            self.frontier_quiet = 0;
-        }
         if instance_id == frontier {
             self.frontier_quiet = 0;
             return Vec::new();
@@ -879,7 +870,6 @@ impl OrderingCore {
             if self.fetched.remove(&d.instance) {
                 self.stats.repaired_instances += 1;
             }
-            self.frontier_watch = self.last_delivered + 1;
             self.frontier_quiet = 0;
             self.timeout_repair = None;
             // A malformed decided batch delivers empty.

@@ -228,8 +228,6 @@ pub enum Hello {
     Peer {
         /// The dialing replica.
         from: ReplicaId,
-        /// The view the dialer believes it is in.
-        view: u64,
     },
     /// A client connection (integrity-checked only; see
     /// [`FrameKey::client`]).
@@ -247,11 +245,10 @@ impl Hello {
         let mut out = Vec::with_capacity(32);
         b"sc-hello".as_slice().encode(&mut out);
         match self {
-            Hello::Peer { from, view } => {
+            Hello::Peer { from } => {
                 HELLO_PEER.encode(&mut out);
                 (*from as u64).encode(&mut out);
                 (me_to as u64).encode(&mut out);
-                view.encode(&mut out);
             }
             Hello::Client { client } => {
                 HELLO_CLIENT.encode(&mut out);
@@ -272,9 +269,8 @@ pub fn write_peer_hello(
     secret: &[u8; 32],
     from: ReplicaId,
     to: ReplicaId,
-    view: u64,
 ) -> io::Result<()> {
-    let hello = Hello::Peer { from, view };
+    let hello = Hello::Peer { from };
     let payload = hello.encode_payload(to);
     write_frame(w, &FrameKey::link(secret, from, to), &payload)
 }
@@ -282,8 +278,8 @@ pub fn write_peer_hello(
 /// The session-handshake frame for replica `from` dialing replica `to`, as
 /// bytes — the reactor enqueues this on a freshly-connected link instead of
 /// blocking in [`write_peer_hello`].
-pub fn peer_hello_frame(secret: &[u8; 32], from: ReplicaId, to: ReplicaId, view: u64) -> Vec<u8> {
-    let payload = Hello::Peer { from, view }.encode_payload(to);
+pub fn peer_hello_frame(secret: &[u8; 32], from: ReplicaId, to: ReplicaId) -> Vec<u8> {
+    let payload = Hello::Peer { from }.encode_payload(to);
     let mut buf = Vec::with_capacity(HEADER_BYTES + payload.len());
     encode_frame_payload_into(&mut buf, &FrameKey::link(secret, from, to), &payload)
         .expect("hello payload is tiny");
@@ -342,7 +338,6 @@ pub fn decode_hello(
         HELLO_PEER => {
             let from = u64::decode(&mut input).map_err(|_| bad("hello: no sender"))? as usize;
             let to = u64::decode(&mut input).map_err(|_| bad("hello: no receiver"))? as usize;
-            let view = u64::decode(&mut input).map_err(|_| bad("hello: no view"))?;
             if to != me {
                 return Err(bad("hello: addressed to another replica"));
             }
@@ -350,7 +345,7 @@ pub fn decode_hello(
             if !verify_tag(&key.tag(payload), tag) {
                 return Err(bad("hello: tag mismatch (spoofed identity?)"));
             }
-            Ok(Hello::Peer { from, view })
+            Ok(Hello::Peer { from })
         }
         HELLO_CLIENT => {
             let client = u64::decode(&mut input).map_err(|_| bad("hello: no client id"))?;
@@ -452,16 +447,16 @@ mod tests {
     fn peer_hello_roundtrip() {
         let secret = [9u8; 32];
         let mut buf = Vec::new();
-        write_peer_hello(&mut buf, &secret, 2, 0, 5).unwrap();
+        write_peer_hello(&mut buf, &secret, 2, 0).unwrap();
         let hello = read_hello(&mut Cursor::new(&buf), &secret, 0).unwrap();
-        assert_eq!(hello, Hello::Peer { from: 2, view: 5 });
+        assert_eq!(hello, Hello::Peer { from: 2 });
     }
 
     #[test]
     fn spoofed_peer_hello_rejected() {
         // An attacker without the cluster secret claims to be replica 2.
         let mut buf = Vec::new();
-        write_peer_hello(&mut buf, &[0xeeu8; 32], 2, 0, 0).unwrap();
+        write_peer_hello(&mut buf, &[0xeeu8; 32], 2, 0).unwrap();
         let err = read_hello(&mut Cursor::new(&buf), &[9u8; 32], 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
@@ -470,7 +465,7 @@ mod tests {
     fn misaddressed_hello_rejected() {
         let secret = [9u8; 32];
         let mut buf = Vec::new();
-        write_peer_hello(&mut buf, &secret, 2, 1, 0).unwrap();
+        write_peer_hello(&mut buf, &secret, 2, 1).unwrap();
         // Replica 0 receives a hello addressed to replica 1.
         let err = read_hello(&mut Cursor::new(&buf), &secret, 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
@@ -498,6 +493,9 @@ mod tests {
             impl Encode for Raw<'_> {
                 fn encode(&self, out: &mut Vec<u8>) {
                     out.extend_from_slice(self.0);
+                }
+                fn encoded_len(&self) -> usize {
+                    self.0.len()
                 }
             }
             let mut staged = vec![0xffu8; 3]; // dirty buffer: must be cleared
@@ -542,18 +540,18 @@ mod tests {
     fn hello_frame_bytes_match_write_peer_hello() {
         let secret = [3u8; 32];
         let mut classic = Vec::new();
-        write_peer_hello(&mut classic, &secret, 2, 1, 7).unwrap();
-        assert_eq!(peer_hello_frame(&secret, 2, 1, 7), classic);
+        write_peer_hello(&mut classic, &secret, 2, 1).unwrap();
+        assert_eq!(peer_hello_frame(&secret, 2, 1), classic);
     }
 
     #[test]
     fn decode_hello_matches_read_hello() {
         let secret = [9u8; 32];
         let mut buf = Vec::new();
-        write_peer_hello(&mut buf, &secret, 2, 0, 5).unwrap();
+        write_peer_hello(&mut buf, &secret, 2, 0).unwrap();
         let (tag, payload) = read_frame_raw(&mut Cursor::new(&buf)).unwrap();
         let hello = decode_hello(&tag, &payload, &secret, 0).unwrap();
-        assert_eq!(hello, Hello::Peer { from: 2, view: 5 });
+        assert_eq!(hello, Hello::Peer { from: 2 });
         // Mis-addressed and spoofed frames still rejected on this path.
         assert!(decode_hello(&tag, &payload, &secret, 1).is_err());
         assert!(decode_hello(&tag, &payload, &[0u8; 32], 0).is_err());

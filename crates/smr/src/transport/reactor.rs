@@ -496,6 +496,8 @@ impl TransportStats {
 
 /// How long an in-flight nonblocking dial may take before it is abandoned.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
+/// Redial backoff after a failed or abandoned dial, or a dropped link.
+const RECONNECT_DELAY: Duration = Duration::from_millis(50);
 /// How long an accepted connection may sit without completing its hello.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Accept pause after an admission-cap rejection (prevents accept-storm
@@ -560,9 +562,7 @@ pub(super) struct Reactor {
     n: usize,
     addrs: Vec<String>,
     secret: [u8; 32],
-    view: u64,
     outbox: usize,
-    reconnect_delay: Duration,
     max_clients: usize,
     listener: TcpListener,
     wake_rx: UnixStream,
@@ -617,9 +617,7 @@ impl Reactor {
             n,
             addrs: config.addrs.clone(),
             secret: config.secret,
-            view: config.view,
             outbox: config.outbox,
-            reconnect_delay: config.reconnect_delay,
             max_clients: config.max_clients,
             listener,
             wake_rx,
@@ -782,7 +780,7 @@ impl Reactor {
                 PeerState::Connecting { deadline, .. } => {
                     if now >= *deadline {
                         link.state = PeerState::Idle;
-                        link.redial_at = now + self.reconnect_delay;
+                        link.redial_at = now + RECONNECT_DELAY;
                     }
                 }
                 PeerState::Connected { .. } => {}
@@ -839,7 +837,7 @@ impl Reactor {
             Ok(a) => a,
             Err(_) => {
                 if let Some(link) = &mut self.peers[idx] {
-                    link.redial_at = now + self.reconnect_delay;
+                    link.redial_at = now + RECONNECT_DELAY;
                 }
                 return;
             }
@@ -856,14 +854,14 @@ impl Reactor {
             }
             Err(_) => {
                 if let Some(link) = &mut self.peers[idx] {
-                    link.redial_at = now + self.reconnect_delay;
+                    link.redial_at = now + RECONNECT_DELAY;
                 }
             }
         }
     }
 
     fn finish_connect(&mut self, idx: usize, stream: TcpStream) {
-        let hello = peer_hello_frame(&self.secret, self.me, idx, self.view);
+        let hello = peer_hello_frame(&self.secret, self.me, idx);
         if let Some(link) = &mut self.peers[idx] {
             stream.set_nodelay(true).ok();
             // The old connection (if any) died mid-frame at worst: resend
@@ -883,7 +881,7 @@ impl Reactor {
     fn teardown_peer(&mut self, idx: usize) {
         if let Some(link) = &mut self.peers[idx] {
             link.state = PeerState::Idle;
-            link.redial_at = Instant::now() + self.reconnect_delay;
+            link.redial_at = Instant::now() + RECONNECT_DELAY;
             link.wq.reset_partial();
         }
     }

@@ -99,13 +99,9 @@ pub struct TcpConfig {
     pub addrs: Vec<String>,
     /// Cluster secret that pairwise link keys derive from.
     pub secret: [u8; 32],
-    /// View id carried in session handshakes.
-    pub view: u64,
     /// Bounded per-connection write queue (frames); sends beyond it are
     /// dropped (at-most-once), counted, and repaired via `PeerUp`.
     pub outbox: usize,
-    /// Redial backoff after a failed connect.
-    pub reconnect_delay: Duration,
     /// Client admission cap: inbound connections beyond this (plus the
     /// reserved peer slots) are closed at accept.
     pub max_clients: usize,
@@ -118,9 +114,7 @@ impl TcpConfig {
             me,
             addrs,
             secret,
-            view: 0,
             outbox: 1024,
-            reconnect_delay: Duration::from_millis(50),
             max_clients: 1024,
         }
     }

@@ -153,6 +153,16 @@ mod tests {
     }
 
     #[test]
+    fn encodings_are_allocated_once_at_their_exact_length() {
+        let req = signed_request(1, 10, 3);
+        let bytes = smartchain_codec::to_bytes(&req);
+        assert_eq!(bytes.capacity(), bytes.len());
+        let batch: Vec<Request> = (0..64).map(|i| signed_request(i as u8 + 1, i, 0)).collect();
+        let value = encode_batch(&batch);
+        assert_eq!(value.capacity(), value.len());
+    }
+
+    #[test]
     fn malformed_batch_rejected() {
         assert!(decode_batch(&[1, 2, 3]).is_err());
     }

@@ -335,7 +335,7 @@ fn spoofed_peer_frames_rejected() {
     // Handshake MAC'd under the wrong secret, claiming to be replica 2.
     {
         let mut stream = TcpStream::connect(&victim_addr).expect("dial victim");
-        write_peer_hello(&mut stream, &[0xEE; 32], 2, 0, 0).expect("send spoofed hello");
+        write_peer_hello(&mut stream, &[0xEE; 32], 2, 0).expect("send spoofed hello");
         // Follow with a frame that would be a consensus message if accepted.
         let msg = SmrMsg::Request(Request {
             client: 1,

@@ -75,8 +75,9 @@
 //!   to α blocks ride EXECUTE/PERSIST concurrently — device syncs and
 //!   PERSIST certificates complete out of order, replies release in block
 //!   order. EXECUTE runs each batch serially, as the deployed replica
-//!   does. The ledger sits on the heap-backed `storage::Engine`, with
-//!   opt-in checkpoint-driven compaction (`compact_after_checkpoint`).
+//!   does. The ledger sits on the heap-backed `storage::Engine` and keeps
+//!   its whole history: every replica checkpoints at the same blocks, so
+//!   all of them hold one header chain.
 //! * [`light_client`] — verification without replication:
 //!   [`light_client::HeaderTracker`] follows the header chain admitting
 //!   blocks purely on their quorum certificates and checks

@@ -403,62 +403,6 @@ fn segmented_crash_mid_truncation_recovers() {
     assert_eq!(log.len(), 6);
 }
 
-/// The simulated cluster with checkpoint-driven compaction: a
-/// crashed-and-recovered replica replays only the post-checkpoint suffix
-/// from its own (heap) disk, heights converge, and the ledger's retained
-/// prefix is bounded by the checkpoint interval.
-#[test]
-fn sim_cluster_compacts_after_checkpoints() {
-    let config = NodeConfig {
-        variant: Variant::Weak,
-        persistence: SyncPolicy::Sync,
-        compact_after_checkpoint: true,
-        ordering: OrderingConfig {
-            max_batch: 8,
-            ..OrderingConfig::default()
-        },
-        ..NodeConfig::default()
-    };
-    let mut cluster = ChainClusterBuilder::new(4, |_| CounterApp::new())
-        .node_config(config)
-        .checkpoint_period(10)
-        .clients(1, 4, Some(120))
-        .build();
-    cluster.sim().crash(3, 5 * SECOND);
-    cluster.sim().recover(3, 10 * SECOND);
-    cluster.run_until(60 * SECOND);
-    assert_eq!(cluster.total_completed(), 480);
-    let heights: Vec<u64> = (0..4)
-        .map(|r| cluster.node::<CounterApp>(r).height().unwrap_or(0))
-        .collect();
-    let tip = *heights.iter().max().unwrap();
-    assert!(tip >= 20, "enough blocks to checkpoint (tip {tip})");
-    for r in 0..4 {
-        assert!(
-            heights[r] + 1 >= tip,
-            "replica {r} converged (heights {heights:?})"
-        );
-        let node = cluster.node::<CounterApp>(r);
-        let covered = node.snapshot_covered().expect("checkpoints fired");
-        let first = node.first_retained().expect("active member");
-        assert!(
-            first > 1,
-            "replica {r}: compaction truncated the log prefix (first retained {first})"
-        );
-        assert!(
-            first <= covered,
-            "replica {r}: block {covered} (the anchor) must stay readable, first retained {first}"
-        );
-        // The retained chain still chains correctly onto the snapshot point.
-        let chain = node.chain();
-        assert!(!chain.is_empty());
-        assert!(chain[0].header.number >= first);
-        for pair in chain.windows(2) {
-            assert_eq!(pair[1].header.hash_last_block, pair[0].header.hash());
-        }
-    }
-}
-
 /// Memory persistence: the engine carries the chain but nothing is durable,
 /// and the virtual disk is never touched.
 #[test]
