@@ -250,27 +250,6 @@ impl Instance {
         from: ReplicaId,
         msg: ConsensusMsg,
     ) -> (Vec<Output<ConsensusMsg>>, Option<Decision>) {
-        self.on_message_inner(from, msg, true)
-    }
-
-    /// Like [`Instance::on_message`] for messages whose WRITE/ACCEPT
-    /// signatures were already checked by a batch verifier (the InstanceRep
-    /// replay-admission path); skips the per-message signature check but
-    /// keeps every structural check (epoch, leader, membership, dedup).
-    pub fn on_message_preverified(
-        &mut self,
-        from: ReplicaId,
-        msg: ConsensusMsg,
-    ) -> (Vec<Output<ConsensusMsg>>, Option<Decision>) {
-        self.on_message_inner(from, msg, false)
-    }
-
-    fn on_message_inner(
-        &mut self,
-        from: ReplicaId,
-        msg: ConsensusMsg,
-        verify_sigs: bool,
-    ) -> (Vec<Output<ConsensusMsg>>, Option<Decision>) {
         if self.decision.is_some() {
             // Serve value fetches even after deciding; drop the rest.
             if let ConsensusMsg::FetchValue { instance } = msg {
@@ -323,11 +302,9 @@ impl Instance {
                 let Some(key) = self.view.members.get(from) else {
                     return (out, None);
                 };
-                if verify_sigs {
-                    let payload = write_sign_payload(self.id, self.epoch, &value_hash);
-                    if !key.verify(&payload, &signature) {
-                        return (out, None);
-                    }
+                let payload = write_sign_payload(self.id, self.epoch, &value_hash);
+                if !key.verify(&payload, &signature) {
+                    return (out, None);
                 }
                 self.record_write(from, value_hash, signature, &mut out);
                 value_hash
@@ -345,11 +322,9 @@ impl Instance {
                 let Some(key) = self.view.members.get(from) else {
                     return (out, None);
                 };
-                if verify_sigs {
-                    let payload = accept_sign_payload(self.id, self.epoch, &value_hash);
-                    if !key.verify(&payload, &signature) {
-                        return (out, None);
-                    }
+                let payload = accept_sign_payload(self.id, self.epoch, &value_hash);
+                if !key.verify(&payload, &signature) {
+                    return (out, None);
                 }
                 let entry = self.epoch_state.accepts.entry(value_hash).or_default();
                 if entry.iter().any(|(r, _)| *r == from) {

@@ -90,34 +90,6 @@ impl ConsensusMsg {
     pub fn wire_size(&self) -> usize {
         smartchain_codec::FRAME_BYTES + self.encoded_len()
     }
-
-    /// For signed messages (WRITE/ACCEPT), the canonical sign payload and
-    /// the carried signature — the inputs a batch verifier needs. `None`
-    /// for unsigned messages (PROPOSE/FETCH/VALUE-REPLY are authenticated
-    /// structurally, not by signature).
-    pub fn sign_check(&self) -> Option<(Vec<u8>, &Signature)> {
-        match self {
-            ConsensusMsg::Write {
-                instance,
-                epoch,
-                value_hash,
-                signature,
-            } => Some((
-                crate::proof::write_sign_payload(*instance, *epoch, value_hash),
-                signature,
-            )),
-            ConsensusMsg::Accept {
-                instance,
-                epoch,
-                value_hash,
-                signature,
-            } => Some((
-                accept_sign_payload(*instance, *epoch, value_hash),
-                signature,
-            )),
-            _ => None,
-        }
-    }
 }
 
 /// Canonical bytes a replica signs in an ACCEPT message: the tuple

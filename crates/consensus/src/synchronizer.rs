@@ -224,14 +224,16 @@ impl Synchronizer {
     /// Timeout entry point: ask for the next regency. Repeated timeouts
     /// escalate past a pending (stopped) regency whose new leader is itself
     /// unresponsive — otherwise a crashed next-leader would wedge the view
-    /// change forever.
+    /// change forever. There is no regency past `u32::MAX`: a replica there
+    /// (one that adopted a shipper's report, say) sends no STOP.
     pub fn request_change(&mut self) -> Vec<SyncAction> {
-        let target = (self.regency + 1)
-            .max(self.stopped_at.map_or(0, |s| s + 1))
-            .max(self.sent_stop_for + 1);
-        if self.sent_stop_for >= target {
+        let highest = self
+            .regency
+            .max(self.stopped_at.unwrap_or(0))
+            .max(self.sent_stop_for);
+        let Some(target) = highest.checked_add(1) else {
             return Vec::new();
-        }
+        };
         self.sent_stop_for = target;
         let mut actions = vec![SyncAction::Broadcast(SyncMsg::Stop { regency: target })];
         actions.extend(self.record_stop(self.me, target));

@@ -8,8 +8,8 @@
 //! [`durability`] pipeline whose batch-coalescing the paper measures in
 //! Table I, and the deterministic parallel-EXECUTE scheduler ([`exec`]:
 //! lane planning over hash-sharded state, worker pool, conflict stats) —
-//! plus the metal deployment layer: the [`transport`] (authenticated,
-//! reconnecting TCP links) under the [`runtime`]'s replica loop.
+//! plus the metal deployment layer: the [`runtime`]'s sans-IO replica
+//! host, pumped over the [`transport`]'s authenticated, reconnecting links.
 
 pub mod actor;
 pub mod app;

@@ -21,7 +21,6 @@ use smartchain_consensus::proof::DecisionProof;
 use smartchain_consensus::synchronizer::{StopData, SyncAction, SyncMsg, Synchronizer};
 use smartchain_consensus::{ReplicaId, View, MAX_WINDOW};
 use smartchain_crypto::keys::{SecretKey, Signature};
-use smartchain_crypto::pool::{verify_batch_sequential, VerifyPool};
 use smartchain_crypto::ValueBytes;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
@@ -320,10 +319,6 @@ pub struct OrderingCore {
     timeout_repair: Option<u64>,
     /// Repair counters.
     stats: OrderingStats,
-    /// Optional shared signature-verification pool: when set, repair-reply
-    /// admission checks the replayed WRITE/ACCEPT signatures as one batch
-    /// on the pool's workers instead of one by one inline.
-    verify_pool: Option<Arc<VerifyPool>>,
 }
 
 impl std::fmt::Debug for OrderingCore {
@@ -374,7 +369,6 @@ impl OrderingCore {
             fetched: HashSet::new(),
             timeout_repair: None,
             stats: OrderingStats::default(),
-            verify_pool: None,
         }
     }
 
@@ -389,14 +383,6 @@ impl OrderingCore {
     /// Repair counters (cumulative).
     pub fn stats(&self) -> OrderingStats {
         self.stats
-    }
-
-    /// Attaches a shared signature-verification pool; repair-reply
-    /// admission then checks replayed signatures as one batch on the
-    /// pool's workers. Verdicts are identical with or without a pool — it
-    /// only changes where the work runs.
-    pub fn set_verify_pool(&mut self, pool: Arc<VerifyPool>) {
-        self.verify_pool = Some(pool);
     }
 
     /// This replica's id.
@@ -641,18 +627,6 @@ impl OrderingCore {
     }
 
     fn on_consensus(&mut self, from: ReplicaId, msg: ConsensusMsg) -> Vec<CoreOutput> {
-        self.on_consensus_inner(from, msg, true)
-    }
-
-    /// `verify_sigs = false` skips the per-message signature check — only
-    /// for repair-reply replays whose signatures were already batch-verified
-    /// up front ([`on_instance_rep`](Self::on_instance_rep)).
-    fn on_consensus_inner(
-        &mut self,
-        from: ReplicaId,
-        msg: ConsensusMsg,
-        verify_sigs: bool,
-    ) -> Vec<CoreOutput> {
         let instance_id = msg.instance();
         if instance_id <= self.last_delivered {
             // Late traffic for an already-delivered instance: serve fetches
@@ -672,11 +646,7 @@ impl OrderingCore {
         }
         let mut outputs = self.tick_quiet(instance_id);
         let inst = self.instance_entry(instance_id);
-        let (outs, decision) = if verify_sigs {
-            inst.on_message(from, msg)
-        } else {
-            inst.on_message_preverified(from, msg)
-        };
+        let (outs, decision) = inst.on_message(from, msg);
         outputs.extend(outs.into_iter().map(Self::net));
         if let Some(d) = decision {
             outputs.extend(self.on_decision(d));
@@ -772,12 +742,10 @@ impl OrderingCore {
     /// names this instance, (b) binds to the shipped value by hash, and (c)
     /// verifies against the view's quorum — a Byzantine responder cannot
     /// forge any of the three. Undecided payloads replay the responder's
-    /// own WRITE/ACCEPTs: their signatures are checked up front as one
-    /// batch (on the shared verify pool when attached, inline otherwise),
-    /// failures are dropped, and survivors flow through the ordinary
-    /// consensus path with only the now-redundant per-message signature
-    /// check skipped — the leader/epoch/membership checks still apply
-    /// unchanged.
+    /// own PROPOSE/WRITE/ACCEPTs for this instance through the ordinary
+    /// consensus path, as if the responder had just sent them: each
+    /// signature is checked against the responder's key, and the
+    /// leader/epoch/membership checks apply unchanged.
     fn on_instance_rep(
         &mut self,
         from: ReplicaId,
@@ -814,35 +782,9 @@ impl OrderingCore {
                 proof,
             });
         }
-        // Replayed messages are the responder's own, so every signed one
-        // must verify against the responder's key; check them as one batch.
-        let relevant: Vec<ConsensusMsg> = msgs
-            .into_iter()
-            .filter(|m| m.instance() == instance)
-            .collect();
-        let public = self.view.members[from];
-        let checks: Vec<_> = relevant
-            .iter()
-            .filter_map(|m| m.sign_check().map(|(payload, sig)| (public, payload, *sig)))
-            .collect();
-        let verdicts = match &self.verify_pool {
-            Some(pool) => pool.verify_batch(&checks),
-            None => verify_batch_sequential(&checks),
-        };
         let mut outputs = Vec::new();
-        let mut next_verdict = 0;
-        for m in relevant {
-            let preverified = if m.sign_check().is_some() {
-                let ok = verdicts[next_verdict];
-                next_verdict += 1;
-                if !ok {
-                    continue;
-                }
-                true
-            } else {
-                false
-            };
-            outputs.extend(self.on_consensus_inner(from, m, !preverified));
+        for m in msgs.into_iter().filter(|m| m.instance() == instance) {
+            outputs.extend(self.on_consensus(from, m));
         }
         outputs
     }
@@ -1780,6 +1722,30 @@ mod tests {
             proof.verify(cores[1].view()),
             "the shipped proof must verify"
         );
+    }
+
+    /// A replica that adopted the highest regency (a state-transfer
+    /// shipper's report) survives two progress timeouts: the first still
+    /// sends its repair round, the second finds no next regency and sends
+    /// no STOP instead of overflowing.
+    #[test]
+    fn timeouts_at_the_highest_regency_send_no_stop() {
+        let mut cores = make_cluster(4);
+        let core = &mut cores[1];
+        core.adopt_regency(u32::MAX);
+        assert_eq!(core.regency(), u32::MAX);
+        assert!(core.submit(req(5, 1)).is_empty(), "a follower only queues");
+        let repair = core.on_progress_timeout();
+        assert!(
+            matches!(
+                repair.as_slice(),
+                [CoreOutput::Broadcast(SmrMsg::InstanceFetch { .. })]
+            ),
+            "{repair:?}"
+        );
+        let change = core.on_progress_timeout();
+        assert!(change.is_empty(), "no STOP past u32::MAX: {change:?}");
+        assert_eq!(core.regency(), u32::MAX);
     }
 }
 

@@ -1,22 +1,25 @@
-//! A real-time deployment of the SMR stack: one replica loop per OS
+//! A real-time deployment of the SMR stack: one replica per OS
 //! thread/process, wall-clock progress timeouts, real durable storage
 //! through [`DurableApp`], and authenticated, reconnecting TCP links
 //! ([`TcpTransport`]) — in-process over loopback ([`TcpCluster`]) or one
-//! process per replica ([`serve_replica`]). Both boot a replica the same
-//! way: `open_replica` recovers it from disk and `run_replica` runs its
-//! loop.
+//! process per replica ([`serve_replica`]).
 //!
-//! The protocol cores are the same sans-IO state machines the simulator
-//! drives; this module shows they run unchanged against real time, real
-//! disks and real sockets. On these lossy links the loop also runs the
-//! runtime's state transfer: a replica that restarted (or fell behind a
-//! torn link) fetches the missed batch suffix from a peer and rejoins.
+//! A replica is one [`ReplicaHost`]: a sans-IO state machine over the
+//! ordering core, the durable app, the verify pool, checkpoint-certificate
+//! assembly and the runtime's state transfer, by which a replica that
+//! restarted (or fell behind a torn link) fetches the missed batch suffix
+//! from a peer and rejoins. The host reads no clock and touches no socket:
+//! it takes [`NetEvent`]s and deadline ticks with the current instant and
+//! writes through a [`NetSink`]. Both deployments run it under the same
+//! socket pump — wait on the transport until the host's next deadline,
+//! drain what arrived, step the host — and a test can run several hosts
+//! over an in-memory net with a clock it advances by hand.
 
 use crate::app::Application;
 use crate::durability::{ckpt_sign_payload, CheckpointCert, DurableApp};
-use crate::ordering::{CoreOutput, OrderingConfig, OrderingCore, SmrMsg};
+use crate::ordering::{CoreOutput, OrderedBatch, OrderingConfig, OrderingCore, SmrMsg};
 use crate::transport::{
-    ClusterConfig, Injector, NetEvent, RecvError, StatsInner, TcpClient, TcpTransport,
+    ClusterConfig, Injector, NetEvent, NetSink, RecvError, StatsInner, TcpClient, TcpTransport,
     TransportStats,
 };
 use crate::types::{Reply, Request};
@@ -28,7 +31,7 @@ use std::collections::HashMap;
 use std::net::TcpListener;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Worker threads in each replica's signature-verification pool: the
 /// verify stage checks client requests in batches off the ordering thread.
@@ -52,8 +55,9 @@ pub struct RuntimeConfig {
     pub checkpoint_period: u64,
     /// Reject unsigned requests in the verify stage. `false` (the embedded
     /// default) keeps signature-free deployments working; anything serving
-    /// an open TCP surface should set it — see `verify_and_submit`'s
-    /// forgery note. `cluster.toml` deployments default to `true`.
+    /// an open TCP surface should set it — see the verify stage's forgery
+    /// note in [`ReplicaHost`]. `cluster.toml` deployments default to
+    /// `true`.
     pub require_signed: bool,
 }
 
@@ -177,11 +181,11 @@ impl<A: Application> TcpCluster<A> {
             // retry within a bounded window.
             None => {
                 let addr = &self.cluster.replicas[me];
-                let deadline = std::time::Instant::now() + Duration::from_secs(10);
+                let deadline = Instant::now() + Duration::from_secs(10);
                 loop {
                     match TcpListener::bind(addr) {
                         Ok(l) => break l,
-                        Err(e) if std::time::Instant::now() >= deadline => return Err(e),
+                        Err(e) if Instant::now() >= deadline => return Err(e),
                         Err(_) => std::thread::sleep(Duration::from_millis(50)),
                     }
                 }
@@ -190,17 +194,15 @@ impl<A: Application> TcpCluster<A> {
         let transport = TcpTransport::from_listener(self.cluster.tcp_config(me), listener)?;
         let injector = transport.injector();
         let stats = transport.stats_handle();
-        let (core, durable) = open_replica(
-            &self.cluster,
-            me,
-            self.backend,
-            self.root.join(format!("replica-{me}")),
+        let durable = DurableApp::open(
             (self.make_app)(),
+            self.root.join(format!("replica-{me}")),
+            self.cluster.checkpoint_period,
         )?;
-        let cluster = self.cluster.clone();
+        let (cluster, backend) = (self.cluster.clone(), self.backend);
         let handle = std::thread::Builder::new()
             .name(format!("sc-replica-{me}"))
-            .spawn(move || run_replica(core, durable, transport, &cluster))
+            .spawn(move || pump(transport, &cluster, me, backend, durable))
             .expect("spawn replica");
         self.replicas[me] = Some(TcpReplicaHandle {
             injector,
@@ -292,8 +294,9 @@ impl<A: Application> Drop for TcpCluster<A> {
 
 /// Runs one replica of a multi-process deployment on the current thread:
 /// binds `cluster.replicas[me]`, recovers durable state from `storage_dir`,
-/// and loops until the process is killed. This is what the `replica` example
-/// binary calls; pair it with [`TcpClient`] (the `client` example).
+/// and pumps the replica's [`ReplicaHost`] until the process is killed.
+/// This is what the `replica` example binary calls; pair it with
+/// [`TcpClient`] (the `client` example).
 ///
 /// # Errors
 ///
@@ -306,61 +309,13 @@ pub fn serve_replica<A: Application>(
     app: A,
 ) -> std::io::Result<()> {
     let transport = TcpTransport::bind(cluster.tcp_config(me))?;
-    let (core, durable) = open_replica(cluster, me, backend, storage_dir, app)?;
-    run_replica(core, durable, transport, cluster);
+    let durable = DurableApp::open(app, storage_dir, cluster.checkpoint_period)?;
+    pump(transport, cluster, me, backend, durable);
     Ok(())
 }
 
-/// Recovers replica `me` from `storage_dir`: opens its [`DurableApp`] and
-/// builds an ordering core that resumes at the durable batch count. The
-/// core's duplicate filter is seeded from the durable reply records: a
-/// restarted replica must not re-admit (or, once it leads, re-propose)
-/// requests its pre-crash incarnation delivered.
-fn open_replica<A: Application>(
-    cluster: &ClusterConfig,
-    me: ReplicaId,
-    backend: Backend,
-    storage_dir: PathBuf,
-    app: A,
-) -> std::io::Result<(OrderingCore, DurableApp<A>)> {
-    let durable = DurableApp::open(app, storage_dir, cluster.checkpoint_period)?;
-    let mut core = OrderingCore::new(
-        me,
-        cluster.view(backend),
-        cluster.replica_secret(me, backend),
-        OrderingConfig {
-            max_batch: cluster.max_batch,
-            ..OrderingConfig::default()
-        },
-        durable.batches_applied(),
-    );
-    core.seed_delivered(&durable.delivered_frontier());
-    Ok((core, durable))
-}
-
-/// Runs a recovered replica on the calling thread until it is shut down.
-/// The verify pool is spawned here, so its workers carry the calling
-/// thread's name.
-fn run_replica<A: Application>(
-    mut core: OrderingCore,
-    mut durable: DurableApp<A>,
-    mut transport: TcpTransport,
-    cluster: &ClusterConfig,
-) {
-    let pool = std::sync::Arc::new(VerifyPool::new(VERIFY_WORKERS));
-    core.set_verify_pool(pool.clone());
-    replica_loop(
-        &mut core,
-        &mut durable,
-        &mut transport,
-        Duration::from_millis(cluster.progress_timeout_ms.max(1)),
-        &pool,
-        cluster.require_signed,
-    );
-}
-
 // ---------------------------------------------------------------------------
-// The replica loop
+// The replica host
 // ---------------------------------------------------------------------------
 
 /// Payload prefix marking a light-client read-proof request. Such requests
@@ -488,48 +443,9 @@ impl CertAssembly {
     }
 }
 
-/// Batched verify stage (wall-clock backend): checks every signed request in
-/// `batch` on the pool lanes at once and feeds the survivors to the order
-/// stage. Unsigned requests pass through only when the deployment does not
-/// `require_signed` — on an open TCP surface an unsigned request would let
-/// any network peer forge another client's `(client, seq)` and poison its
-/// duplicate filter, so public deployments must require signatures.
-fn verify_and_submit(
-    core: &mut OrderingCore,
-    pool: &VerifyPool,
-    batch: Vec<Request>,
-    require_signed: bool,
-) -> Vec<CoreOutput> {
-    let mut checks = Vec::new();
-    let mut passed = Vec::new();
-    for (i, request) in batch.iter().enumerate() {
-        match &request.signature {
-            Some((key, sig)) => checks.push(VerifyItem {
-                tag: i,
-                public: *key,
-                msg: Request::sign_payload(request.client, request.seq, &request.payload),
-                sig: *sig,
-            }),
-            None if !require_signed => passed.push(i),
-            None => {} // unsigned request on a signature-requiring deployment
-        }
-    }
-    passed.extend(
-        pool.verify_tagged(checks)
-            .into_iter()
-            .filter_map(|(i, ok)| ok.then_some(i)),
-    );
-    passed.sort_unstable(); // keep arrival order among survivors
-    let mut outputs = Vec::new();
-    for i in passed {
-        outputs.extend(core.submit(batch[i].clone()));
-    }
-    outputs
-}
-
 /// Runtime state-transfer bookkeeping: which peer we asked, and when.
 struct SyncAttempt {
-    asked_at: std::time::Instant,
+    asked_at: Instant,
     attempt: usize,
 }
 
@@ -541,156 +457,233 @@ fn shipper_for(me: ReplicaId, n: usize, attempt: usize) -> ReplicaId {
     order[attempt % order.len()]
 }
 
-fn send_state_request<A: Application>(
-    durable: &DurableApp<A>,
-    transport: &mut TcpTransport,
-    attempt: usize,
-) -> SyncAttempt {
-    let me = transport.me();
-    let shipper = shipper_for(me, transport.n(), attempt);
-    transport.send(
-        shipper,
-        SmrMsg::StateReq {
-            from_batch: durable.batches_applied() + 1,
-        },
-    );
-    SyncAttempt {
-        asked_at: std::time::Instant::now(),
-        attempt,
-    }
-}
-
-/// Installs a peer's state reply into the durable app and the ordering
-/// core's duplicate filter. Returns true when the local state advanced.
+/// One replica of the deployment as a sans-IO state machine: the ordering
+/// core, the durable app, the verify pool, checkpoint-certificate assembly,
+/// the runtime's state transfer and the progress deadline.
 ///
-/// The digest check runs first: every shipped record must carry a decision
-/// proof for its own batch number, content-bound (`sha256(value)` is the
-/// quorum-signed `value_hash`) and valid under the current view — and
-/// `install_remote` additionally requires the suffix to chain-hash onto this
-/// replica's tip. An HMAC-authenticated but Byzantine shipper can therefore
-/// no longer feed a recovering replica forged *batches* — and no longer a
-/// forged *snapshot* either: a snapshot running ahead of local state
-/// installs only when the shipped bytes re-chunk to the state root of a
-/// quorum-signed [`CheckpointCert`] (see
-/// [`crate::durability::DurableApp::install_remote`]). The core's duplicate
-/// filter is re-seeded from the installed reply records; those a shipped
-/// snapshot carries are not yet covered by the certificate (ROADMAP 7(d)).
-fn install_state_reply<A: Application>(
-    core: &mut OrderingCore,
-    durable: &mut DurableApp<A>,
-    covered: u64,
-    snapshot: Option<Vec<u8>>,
-    cert: Option<CheckpointCert>,
-    first_batch: u64,
-    batches: &[Vec<u8>],
-) -> bool {
-    if !crate::durability::verify_shipped_suffix(core.view(), first_batch, batches) {
-        return false; // forged/damaged suffix: rotate to another shipper
-    }
-    let before = durable.batches_applied();
-    if let Err(e) = durable.install_remote(
-        core.view(),
-        covered,
-        snapshot,
-        cert.as_ref(),
-        first_batch,
-        batches,
-    ) {
-        if std::env::var("SC_RT_DEBUG").is_ok() {
-            eprintln!("[rt] state reply rejected: {e}");
-        }
-        return false; // uncertified/tampered snapshot or broken suffix
-    }
-    // The reply records cover the installed snapshot and suffix.
-    core.seed_delivered(&durable.delivered_frontier());
-    core.fast_forward(durable.batches_applied());
-    durable.batches_applied() > before
+/// It reads no clock and touches no socket. Its caller hands it the
+/// transport's [`NetEvent`]s in arrival order ([`step`](Self::step)) and a
+/// tick once [`next_deadline`](Self::next_deadline) has passed
+/// ([`on_deadline`](Self::on_deadline)), each with the current instant, and
+/// it writes through a [`NetSink`]. On sockets that caller is the pump that
+/// [`TcpCluster`] and [`serve_replica`] run.
+pub struct ReplicaHost<A: Application> {
+    core: OrderingCore,
+    durable: DurableApp<A>,
+    pool: VerifyPool,
+    certs: CertAssembly,
+    /// In-flight runtime state transfer, if any.
+    syncing: Option<SyncAttempt>,
+    timeout: Duration,
+    require_signed: bool,
+    /// The last delivery, or the state transfer that ended a sync.
+    last_progress: Instant,
+    /// When the timer arm runs next. It is a deadline, not a silence: a
+    /// client retransmitting every 500 ms or peers' repair traffic must not
+    /// hold off a replica's progress timeout. Each run of the arm and each
+    /// delivery pushes it one timeout on.
+    next_check: Instant,
+    /// Consecutive client requests of the current step, verified as one
+    /// pool job (the verify stage's group commit).
+    run: Vec<Request>,
+    /// `SC_RT_DEBUG` was set at construction: log timeouts and rejected
+    /// state replies to stderr.
+    debug: bool,
 }
 
-fn replica_loop<A: Application>(
-    core: &mut OrderingCore,
-    durable: &mut DurableApp<A>,
-    transport: &mut TcpTransport,
-    timeout: Duration,
-    pool: &VerifyPool,
-    require_signed: bool,
-) {
-    let me = transport.me();
-    let mut last_progress = std::time::Instant::now();
-    // When the timer arm runs next. It is a deadline, not a silence: a
-    // client retransmitting every 500 ms or peers' repair traffic must not
-    // hold off a replica's progress timeout. Each run of the arm and each
-    // delivery pushes it one timeout on.
-    let mut next_check = last_progress + timeout;
-    // Non-client events encountered while draining a verify batch wait here
-    // and are processed before blocking on the transport again.
-    let mut backlog: std::collections::VecDeque<NetEvent> = std::collections::VecDeque::new();
-    // In-flight runtime state transfer, if any.
-    let mut syncing: Option<SyncAttempt> = None;
-    // Checkpoint-certificate shares gossiped by peers (and ourselves).
-    let mut certs = CertAssembly::new();
-    loop {
-        let event = match backlog.pop_front() {
-            Some(ev) => Ok(ev),
-            None => match next_check.checked_duration_since(std::time::Instant::now()) {
-                Some(left) if !left.is_zero() => transport.recv_timeout(left),
-                _ => Err(RecvError::Timeout),
+impl<A: Application> ReplicaHost<A> {
+    /// Recovers replica `me` of `cluster` over its opened `durable` app at
+    /// instant `now`: the ordering core resumes at the durable batch count,
+    /// and its duplicate filter is seeded from the durable reply records —
+    /// a restarted replica must not re-admit (or, once it leads, re-propose)
+    /// requests its pre-crash incarnation delivered. Spawns the verify pool,
+    /// so its workers carry the calling thread's name.
+    pub fn new(
+        cluster: &ClusterConfig,
+        me: ReplicaId,
+        backend: Backend,
+        durable: DurableApp<A>,
+        now: Instant,
+    ) -> ReplicaHost<A> {
+        let mut core = OrderingCore::new(
+            me,
+            cluster.view(backend),
+            cluster.replica_secret(me, backend),
+            OrderingConfig {
+                max_batch: cluster.max_batch,
+                ..OrderingConfig::default()
             },
-        };
-        let outputs = match event {
-            Ok(NetEvent::Peer {
-                from,
-                msg: SmrMsg::StateReq { from_batch },
-            }) => {
+            durable.batches_applied(),
+        );
+        core.seed_delivered(&durable.delivered_frontier());
+        let timeout = Duration::from_millis(cluster.progress_timeout_ms.max(1));
+        ReplicaHost {
+            core,
+            durable,
+            pool: VerifyPool::new(VERIFY_WORKERS),
+            certs: CertAssembly::new(),
+            syncing: None,
+            timeout,
+            require_signed: cluster.require_signed,
+            last_progress: now,
+            next_check: now + timeout,
+            run: Vec::new(),
+            debug: std::env::var_os("SC_RT_DEBUG").is_some(),
+        }
+    }
+
+    /// The ordering core.
+    pub fn core(&self) -> &OrderingCore {
+        &self.core
+    }
+
+    /// The durable app.
+    pub fn durable(&self) -> &DurableApp<A> {
+        &self.durable
+    }
+
+    /// When [`on_deadline`](Self::on_deadline) is due.
+    pub fn next_deadline(&self) -> Instant {
+        self.next_check
+    }
+
+    /// Handles `events` in arrival order at instant `now`. Each run of
+    /// consecutive client requests is verified as one pool job. Returns
+    /// `false` once the replica stopped — on [`NetEvent::Shutdown`], or
+    /// when a decided batch could not be applied — and must not be stepped
+    /// again.
+    pub fn step<S: NetSink>(
+        &mut self,
+        events: impl IntoIterator<Item = NetEvent>,
+        now: Instant,
+        net: &mut S,
+    ) -> bool {
+        for event in events {
+            if !matches!(event, NetEvent::Client(_)) && !self.flush_run(now, net) {
+                return false;
+            }
+            let outputs = match event {
+                NetEvent::Client(request) => {
+                    self.run.push(request);
+                    continue;
+                }
+                NetEvent::Shutdown => return false,
+                NetEvent::PeerUp(peer) => {
+                    // A (re)established link: re-send synchronizer state the
+                    // peer cannot regenerate, and nudge our own recovery if
+                    // we were waiting on exactly this peer.
+                    if let Some(sync) = &self.syncing {
+                        if shipper_for(self.core.id(), self.core.view().n(), sync.attempt) == peer {
+                            self.request_state(sync.attempt, now, net);
+                        }
+                    }
+                    self.core.on_peer_reconnect(peer)
+                }
+                NetEvent::Peer { from, msg } => self.on_peer(from, msg, now, net),
+            };
+            if !self.emit(outputs, now, net) {
+                return false;
+            }
+        }
+        self.flush_run(now, net)
+    }
+
+    /// The timer arm, due at [`next_deadline`](Self::next_deadline). The
+    /// first expiry for a stalled frontier sends a repair round, the second
+    /// a STOP; a replica behind a hole, or one whose state request went
+    /// unanswered, asks the next shipper instead. Returns `false` once the
+    /// replica stopped, as [`step`](Self::step) does.
+    pub fn on_deadline<S: NetSink>(&mut self, now: Instant, net: &mut S) -> bool {
+        self.next_check = now + self.timeout;
+        if let Some(sync) = &self.syncing {
+            // Unanswered state request: rotate shippers. Give up —
+            // re-enabling the normal timeout/view-change path — once every
+            // peer was tried and the delivery gap healed through ordinary
+            // consensus, or after two full rotations regardless: if no
+            // peer's log can serve the gap (e.g. an instance that died
+            // undecided with a crashed leader), only a leader change can
+            // fill it, and a replica stuck in `syncing` forever would never
+            // vote for one.
+            if now.saturating_duration_since(sync.asked_at) >= self.timeout {
+                let next = sync.attempt + 1;
+                let peers = self.core.view().n().saturating_sub(1).max(1);
+                if next >= peers && (self.core.stalled_behind().is_none() || next >= 2 * peers) {
+                    self.syncing = None;
+                } else {
+                    self.request_state(next, now, net);
+                }
+            }
+        } else if now.saturating_duration_since(self.last_progress) < self.timeout {
+            // Progress within the last timeout: nothing is due.
+        } else if self.core.stalled_behind().is_some() {
+            // Decisions are buffered past a hole nobody will re-run
+            // consensus for (we restarted or our link dropped the
+            // decision): fetch the gap from a peer.
+            self.request_state(0, now, net);
+        } else if self.core.pending_len() > 0 {
+            if self.debug {
+                eprintln!(
+                    "[rt] replica {} timeout: regency={} leader={} pending={} ld={}",
+                    self.core.id(),
+                    self.core.regency(),
+                    self.core.leader(),
+                    self.core.pending_len(),
+                    self.core.last_delivered()
+                );
+            }
+            let outputs = self.core.on_progress_timeout();
+            return self.emit(outputs, now, net);
+        }
+        true
+    }
+
+    fn on_peer<S: NetSink>(
+        &mut self,
+        from: ReplicaId,
+        msg: SmrMsg,
+        now: Instant,
+        net: &mut S,
+    ) -> Vec<CoreOutput> {
+        match msg {
+            SmrMsg::StateReq { from_batch } => {
                 // Serve from our durable log + snapshot; the requester
                 // validates contiguity on its side.
-                if let Ok(reply) = durable.state_reply(from_batch) {
-                    transport.send(
+                if let Ok(reply) = self.durable.state_reply(from_batch) {
+                    net.send(
                         from,
                         SmrMsg::StateRep {
                             covered: reply.covered,
                             snapshot: reply.snapshot,
                             first_batch: reply.first_batch,
                             batches: reply.batches,
-                            regency: core.regency(),
+                            regency: self.core.regency(),
                             cert: reply.cert,
                         },
                     );
                 }
                 Vec::new()
             }
-            Ok(NetEvent::Peer {
-                msg:
-                    SmrMsg::StateRep {
-                        covered,
-                        snapshot,
-                        first_batch,
-                        batches,
-                        regency,
-                        cert,
-                    },
-                ..
-            }) => {
-                if syncing.is_some() {
-                    let advanced = install_state_reply(
-                        core,
-                        durable,
-                        covered,
-                        snapshot,
-                        cert,
-                        first_batch,
-                        &batches,
-                    );
+            SmrMsg::StateRep {
+                covered,
+                snapshot,
+                first_batch,
+                batches,
+                regency,
+                cert,
+            } => {
+                if self.syncing.is_some() {
+                    let advanced =
+                        self.install_state_reply(covered, snapshot, cert, first_batch, &batches);
                     // The shipper's regency heals a replica that slept
                     // through leader changes and would otherwise drop all
                     // current-epoch traffic (and solo-escalate STOPs).
-                    core.adopt_regency(regency);
-                    if advanced || core.stalled_behind().is_none() {
+                    self.core.adopt_regency(regency);
+                    if advanced || self.core.stalled_behind().is_none() {
                         // Either we caught up from this reply, or there was
                         // nothing to fetch (a spurious round): resume the
                         // normal timeout/view-change path immediately.
-                        syncing = None;
-                        last_progress = std::time::Instant::now();
+                        self.syncing = None;
+                        self.last_progress = now;
                     }
                     // Otherwise stay syncing; the timeout path rotates to
                     // another shipper.
@@ -700,211 +693,311 @@ fn replica_loop<A: Application>(
             // A peer-forwarded request takes the same verify stage as a
             // client-submitted one — the forwarding link authenticates the
             // *replica*, not the request's client.
-            Ok(NetEvent::Peer {
-                msg: SmrMsg::Request(request),
-                ..
-            }) => verify_and_submit(core, pool, vec![request], require_signed),
-            Ok(NetEvent::Peer {
-                from,
-                msg:
-                    SmrMsg::CkptShare {
-                        replica,
-                        covered,
-                        state_root,
-                        tip,
-                        signature,
-                    },
-            }) => {
-                certs.note(from, replica, covered, state_root, tip, signature);
-                certs.try_assemble(core, durable);
+            SmrMsg::Request(request) => self.verify_and_submit(std::slice::from_ref(&request)),
+            SmrMsg::CkptShare {
+                replica,
+                covered,
+                state_root,
+                tip,
+                signature,
+            } => {
+                self.certs
+                    .note(from, replica, covered, state_root, tip, signature);
+                self.certs.try_assemble(&self.core, &mut self.durable);
                 Vec::new()
             }
-            Ok(NetEvent::Peer { from, msg }) => {
+            msg => {
                 // Consensus traffic from an epoch ahead of our regency means
                 // we missed a leader change (restart or long partition): the
                 // STOP/STOPDATA exchange is gone, so only state transfer —
                 // whose reply carries the shipper's regency — can rejoin us.
-                if syncing.is_none() {
+                if self.syncing.is_none() {
                     if let SmrMsg::Consensus(c) = &msg {
-                        if c.epoch().is_some_and(|e| e > core.regency()) {
-                            syncing = Some(send_state_request(durable, transport, 0));
+                        if c.epoch().is_some_and(|e| e > self.core.regency()) {
+                            self.request_state(0, now, net);
                         }
                     }
                 }
-                core.on_message(from, msg)
+                self.core.on_message(from, msg)
             }
-            Ok(NetEvent::Client(request)) => {
-                // Drain whatever else already queued so one pool dispatch
-                // covers the whole burst (the verify stage's group commit).
-                let mut batch = vec![request];
-                while batch.len() < 512 {
-                    match transport.try_recv() {
-                        Some(NetEvent::Client(r)) => batch.push(r),
-                        Some(other) => {
-                            backlog.push_back(other);
-                            break;
-                        }
-                        None => break,
-                    }
-                }
-                // Light-client read-proof requests are answered locally from
-                // the certified checkpoint — never ordered. When we cannot
-                // serve one (no certificate assembled yet, index out of
-                // range) we stay silent and let the client retry or ask
-                // another replica.
-                batch.retain(|request| {
-                    let Some(chunk) = parse_read_proof_request(&request.payload) else {
-                        return true;
-                    };
-                    if let Ok(Some(proof)) = durable.prove_state_chunk(chunk) {
-                        transport.reply(Reply {
-                            client: request.client,
-                            seq: request.seq,
-                            result: smartchain_codec::to_bytes(&proof),
-                            replica: me,
-                        });
-                    }
-                    false
+        }
+    }
+
+    /// Answers from local state what the queued client run can be answered
+    /// with, and submits the rest through the verify stage. Returns `false`
+    /// once the replica stopped.
+    fn flush_run<S: NetSink>(&mut self, now: Instant, net: &mut S) -> bool {
+        if self.run.is_empty() {
+            return true;
+        }
+        let me = self.core.id();
+        let mut run = std::mem::take(&mut self.run);
+        // Light-client read-proof requests are answered locally from the
+        // certified checkpoint — never ordered. When we cannot serve one (no
+        // certificate assembled yet, index out of range) we stay silent and
+        // let the client retry or ask another replica.
+        run.retain(|request| {
+            let Some(chunk) = parse_read_proof_request(&request.payload) else {
+                return true;
+            };
+            if let Ok(Some(proof)) = self.durable.prove_state_chunk(chunk) {
+                net.reply(Reply {
+                    client: request.client,
+                    seq: request.seq,
+                    result: smartchain_codec::to_bytes(&proof),
+                    replica: me,
                 });
-                // A client whose every reply copy was lost retransmits; the
-                // retransmission lands inside the dedup frontier, so the
-                // durable reply record answers it — silence would wedge the
-                // client forever. The record survives restarts and arrives
-                // with state transfer, so those deliveries are answered too.
-                batch.retain(|request| match durable.last_reply(request.client) {
-                    Some((seq, result)) if request.seq <= seq => {
-                        if request.seq == seq {
-                            transport.reply(Reply {
-                                client: request.client,
-                                seq,
-                                result: result.to_vec(),
-                                replica: me,
-                            });
-                        }
-                        false
-                    }
-                    _ => true,
-                });
-                verify_and_submit(core, pool, batch, require_signed)
             }
-            Ok(NetEvent::PeerUp(peer)) => {
-                // A (re)established link: re-send synchronizer state the
-                // peer cannot regenerate, and nudge our own recovery if we
-                // were waiting on exactly this peer.
-                if let Some(sync) = &mut syncing {
-                    if shipper_for(me, transport.n(), sync.attempt) == peer {
-                        *sync = send_state_request(durable, transport, sync.attempt);
-                    }
+            false
+        });
+        // A client whose every reply copy was lost retransmits; the
+        // retransmission lands inside the dedup frontier, so the durable
+        // reply record answers it — silence would wedge the client forever.
+        // The record survives restarts and arrives with state transfer, so
+        // those deliveries are answered too.
+        run.retain(|request| match self.durable.last_reply(request.client) {
+            Some((seq, result)) if request.seq <= seq => {
+                if request.seq == seq {
+                    net.reply(Reply {
+                        client: request.client,
+                        seq,
+                        result: result.to_vec(),
+                        replica: me,
+                    });
                 }
-                core.on_peer_reconnect(peer)
+                false
             }
-            Ok(NetEvent::Shutdown) | Err(RecvError::Closed) => return,
-            Err(RecvError::Timeout) => {
-                next_check = std::time::Instant::now() + timeout;
-                if let Some(sync) = &mut syncing {
-                    // Unanswered state request: rotate shippers. Give up —
-                    // re-enabling the normal timeout/view-change path —
-                    // once every peer was tried and the delivery gap healed
-                    // through ordinary consensus, or after two full
-                    // rotations regardless: if no peer's log can serve the
-                    // gap (e.g. an instance that died undecided with a
-                    // crashed leader), only a leader change can fill it,
-                    // and a replica stuck in `syncing` forever would never
-                    // vote for one.
-                    if sync.asked_at.elapsed() >= timeout {
-                        let next = sync.attempt + 1;
-                        let peers = transport.n().saturating_sub(1).max(1);
-                        if next >= peers && (core.stalled_behind().is_none() || next >= 2 * peers) {
-                            syncing = None;
-                        } else {
-                            *sync = send_state_request(durable, transport, next);
-                        }
-                    }
-                    Vec::new()
-                } else if last_progress.elapsed() >= timeout && core.stalled_behind().is_some() {
-                    // Decisions are buffered past a hole nobody will re-run
-                    // consensus for (we restarted or our link dropped the
-                    // decision): fetch the gap from a peer.
-                    syncing = Some(send_state_request(durable, transport, 0));
-                    Vec::new()
-                } else if core.pending_len() > 0 && last_progress.elapsed() >= timeout {
-                    if std::env::var("SC_RT_DEBUG").is_ok() {
-                        eprintln!(
-                            "[rt] replica {me} timeout: regency={} leader={} pending={} ld={}",
-                            core.regency(),
-                            core.leader(),
-                            core.pending_len(),
-                            core.last_delivered()
-                        );
-                    }
-                    core.on_progress_timeout()
-                } else {
-                    Vec::new()
-                }
+            _ => true,
+        });
+        let outputs = self.verify_and_submit(&run);
+        run.clear();
+        self.run = run; // keep the allocation for the next run
+        self.emit(outputs, now, net)
+    }
+
+    /// Batched verify stage: checks every signed request in `batch` on the
+    /// pool lanes at once and feeds the survivors to the order stage.
+    /// Unsigned requests pass through only when the deployment does not
+    /// `require_signed` — on an open TCP surface an unsigned request would
+    /// let any network peer forge another client's `(client, seq)` and
+    /// poison its duplicate filter, so public deployments must require
+    /// signatures.
+    fn verify_and_submit(&mut self, batch: &[Request]) -> Vec<CoreOutput> {
+        let mut checks = Vec::new();
+        let mut passed = Vec::new();
+        for (i, request) in batch.iter().enumerate() {
+            match &request.signature {
+                Some((key, sig)) => checks.push(VerifyItem {
+                    tag: i,
+                    public: *key,
+                    msg: Request::sign_payload(request.client, request.seq, &request.payload),
+                    sig: *sig,
+                }),
+                None if !self.require_signed => passed.push(i),
+                None => {} // unsigned request on a signature-requiring deployment
             }
-        };
-        // Outputs must hit the wire in emission order (a SYNC must precede
-        // the re-proposal it enables).
+        }
+        passed.extend(
+            self.pool
+                .verify_tagged(checks)
+                .into_iter()
+                .filter_map(|(i, ok)| ok.then_some(i)),
+        );
+        passed.sort_unstable(); // keep arrival order among survivors
+        passed
+            .into_iter()
+            .flat_map(|i| self.core.submit(batch[i].clone()))
+            .collect()
+    }
+
+    /// Puts the core's outputs on the wire in emission order (a SYNC must
+    /// precede the re-proposal it enables) and applies delivered batches.
+    /// Returns `false` once the replica stopped.
+    fn emit<S: NetSink>(&mut self, outputs: Vec<CoreOutput>, now: Instant, net: &mut S) -> bool {
         for out in outputs {
             match out {
-                CoreOutput::Broadcast(msg) => transport.broadcast(&msg),
-                CoreOutput::Send(to, msg) => transport.send(to, msg),
+                CoreOutput::Broadcast(msg) => net.broadcast(&msg),
+                CoreOutput::Send(to, msg) => net.send(to, msg),
                 CoreOutput::Deliver(batch) => {
-                    last_progress = std::time::Instant::now();
-                    next_check = last_progress + timeout;
-                    match durable.apply_batch(&batch) {
-                        Ok(results) => {
-                            // One fan-out per decided batch: the reactor
-                            // queues every reply before flushing.
-                            let replies = batch
-                                .requests
-                                .iter()
-                                .zip(results)
-                                .map(|(request, result)| Reply {
-                                    client: request.client,
-                                    seq: request.seq,
-                                    result,
-                                    replica: me,
-                                })
-                                .collect::<Vec<Reply>>();
-                            transport.reply_all(replies);
-                            // A checkpoint was cut while applying: sign its
-                            // basis and gossip the share so the cluster can
-                            // assemble the quorum certificate.
-                            if let Some((covered, state_root, tip)) =
-                                durable.take_checkpoint_announcement()
-                            {
-                                let signature =
-                                    core.sign(&ckpt_sign_payload(covered, &state_root, &tip));
-                                certs.note(me, me, covered, state_root, tip, signature);
-                                certs.try_assemble(core, durable);
-                                transport.broadcast(&SmrMsg::CkptShare {
-                                    replica: me,
-                                    covered,
-                                    state_root,
-                                    tip,
-                                    signature,
-                                });
-                            }
-                        }
-                        Err(e) => {
-                            // The core already advanced past this batch;
-                            // continuing without the record would shift the
-                            // record-index == batch−1 mapping forever (our
-                            // state replies would carry wrong-numbered
-                            // proofs). Crash-stop and let recovery +
-                            // state transfer heal on restart.
-                            eprintln!("replica {me}: apply_batch failed ({e}); halting");
-                            return;
-                        }
+                    if !self.deliver(&batch, now, net) {
+                        return false;
                     }
                 }
                 CoreOutput::NeedStateTransfer { .. } => {
-                    if syncing.is_none() {
-                        syncing = Some(send_state_request(durable, transport, 0));
+                    if self.syncing.is_none() {
+                        self.request_state(0, now, net);
                     }
                 }
             }
+        }
+        true
+    }
+
+    /// Applies a decided batch, answers its clients and, when the batch cut
+    /// a checkpoint, signs and gossips the checkpoint's certificate share.
+    /// Returns `false` when the batch could not be applied.
+    fn deliver<S: NetSink>(&mut self, batch: &OrderedBatch, now: Instant, net: &mut S) -> bool {
+        self.last_progress = now;
+        self.next_check = now + self.timeout;
+        let me = self.core.id();
+        let results = match self.durable.apply_batch(batch) {
+            Ok(results) => results,
+            Err(e) => {
+                // The core already advanced past this batch; continuing
+                // without the record would shift the record-index ==
+                // batch−1 mapping forever (our state replies would carry
+                // wrong-numbered proofs). Crash-stop and let recovery +
+                // state transfer heal on restart.
+                eprintln!("replica {me}: apply_batch failed ({e}); halting");
+                return false;
+            }
+        };
+        // One fan-out per decided batch: the reactor queues every reply
+        // before flushing.
+        let replies = batch
+            .requests
+            .iter()
+            .zip(results)
+            .map(|(request, result)| Reply {
+                client: request.client,
+                seq: request.seq,
+                result,
+                replica: me,
+            })
+            .collect::<Vec<Reply>>();
+        net.reply_all(replies);
+        // A checkpoint was cut while applying: sign its basis and gossip
+        // the share so the cluster can assemble the quorum certificate.
+        if let Some((covered, state_root, tip)) = self.durable.take_checkpoint_announcement() {
+            let signature = self
+                .core
+                .sign(&ckpt_sign_payload(covered, &state_root, &tip));
+            self.certs.note(me, me, covered, state_root, tip, signature);
+            self.certs.try_assemble(&self.core, &mut self.durable);
+            net.broadcast(&SmrMsg::CkptShare {
+                replica: me,
+                covered,
+                state_root,
+                tip,
+                signature,
+            });
+        }
+        true
+    }
+
+    /// Asks retry `attempt`'s shipper for the batches after our durable
+    /// prefix.
+    fn request_state<S: NetSink>(&mut self, attempt: usize, now: Instant, net: &mut S) {
+        let shipper = shipper_for(self.core.id(), self.core.view().n(), attempt);
+        net.send(
+            shipper,
+            SmrMsg::StateReq {
+                from_batch: self.durable.batches_applied() + 1,
+            },
+        );
+        self.syncing = Some(SyncAttempt {
+            asked_at: now,
+            attempt,
+        });
+    }
+
+    /// Installs a peer's state reply into the durable app and the ordering
+    /// core's duplicate filter. Returns true when the local state advanced.
+    ///
+    /// The digest check runs first: every shipped record must carry a
+    /// decision proof for its own batch number, content-bound
+    /// (`sha256(value)` is the quorum-signed `value_hash`) and valid under
+    /// the current view — and `install_remote` additionally requires the
+    /// suffix to chain-hash onto this replica's tip. An HMAC-authenticated
+    /// but Byzantine shipper can therefore no longer feed a recovering
+    /// replica forged *batches* — and no longer a forged *snapshot* either:
+    /// a snapshot running ahead of local state installs only when the
+    /// shipped bytes re-chunk to the state root of a quorum-signed
+    /// [`CheckpointCert`] (see [`DurableApp::install_remote`]). The core's
+    /// duplicate filter is re-seeded from the installed reply records; those
+    /// a shipped snapshot carries are not yet covered by the certificate
+    /// (ROADMAP 7(d)).
+    fn install_state_reply(
+        &mut self,
+        covered: u64,
+        snapshot: Option<Vec<u8>>,
+        cert: Option<CheckpointCert>,
+        first_batch: u64,
+        batches: &[Vec<u8>],
+    ) -> bool {
+        if !crate::durability::verify_shipped_suffix(self.core.view(), first_batch, batches) {
+            return false; // forged/damaged suffix: rotate to another shipper
+        }
+        let before = self.durable.batches_applied();
+        if let Err(e) = self.durable.install_remote(
+            self.core.view(),
+            covered,
+            snapshot,
+            cert.as_ref(),
+            first_batch,
+            batches,
+        ) {
+            if self.debug {
+                eprintln!("[rt] state reply rejected: {e}");
+            }
+            return false; // uncertified/tampered snapshot or broken suffix
+        }
+        // The reply records cover the installed snapshot and suffix.
+        self.core.seed_delivered(&self.durable.delivered_frontier());
+        self.core.fast_forward(self.durable.batches_applied());
+        self.durable.batches_applied() > before
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The socket pump
+// ---------------------------------------------------------------------------
+
+/// The most events the pump hands the host in one step.
+const DRAIN_MAX: usize = 512;
+
+/// The socket pump both deployments run on a replica's thread: boots the
+/// replica's host at the current instant, then until shutdown waits on the
+/// transport until the host's next deadline and steps the host with what
+/// arrived — or ticks the deadline when nothing did.
+fn pump<A: Application>(
+    mut transport: TcpTransport,
+    cluster: &ClusterConfig,
+    me: ReplicaId,
+    backend: Backend,
+    durable: DurableApp<A>,
+) {
+    let mut host = ReplicaHost::new(cluster, me, backend, durable, Instant::now());
+    let mut drained = Vec::with_capacity(DRAIN_MAX);
+    loop {
+        let wait = host
+            .next_deadline()
+            .saturating_duration_since(Instant::now());
+        let first = if wait.is_zero() {
+            Err(RecvError::Timeout)
+        } else {
+            transport.recv_timeout(wait)
+        };
+        match first {
+            Ok(event) => {
+                // A client request opens a burst: drain what else already
+                // queued, through the first other event, so that one pool
+                // job verifies the burst (the verify stage's group commit).
+                let mut burst = matches!(event, NetEvent::Client(_));
+                drained.push(event);
+                while burst && drained.len() < DRAIN_MAX {
+                    let Some(event) = transport.try_recv() else {
+                        break;
+                    };
+                    burst = matches!(event, NetEvent::Client(_));
+                    drained.push(event);
+                }
+                if !host.step(drained.drain(..), Instant::now(), &mut transport) {
+                    return;
+                }
+            }
+            Err(RecvError::Timeout) if host.on_deadline(Instant::now(), &mut transport) => {}
+            Err(_) => return,
         }
     }
 }

@@ -4,9 +4,9 @@
 //! first-class subsystem, not an afterthought bolted onto the consensus
 //! core:
 //!
-//! * [`tcp`] — [`TcpTransport`], the one transport the replica loop runs
+//! * [`tcp`] — [`TcpTransport`], the one transport the replica pump runs
 //!   on: length-framed, HMAC-authenticated streams driven by a single
-//!   poll-based [`reactor`] per replica, embedded in the replica loop's own
+//!   poll-based [`reactor`] per replica, embedded in the replica's own
 //!   thread (nonblocking accept/read/write, bounded per-connection write
 //!   queues drained with vectored writes, client admission control), with
 //!   automatic redial so a restarted replica rejoins without respawning the
@@ -40,7 +40,7 @@ pub use reactor::{StatsInner, TransportStats};
 pub use tcp::{Injector, TcpClient, TcpClientPool, TcpConfig, TcpTransport};
 
 use crate::ordering::SmrMsg;
-use crate::types::Request;
+use crate::types::{Reply, Request};
 use smartchain_consensus::ReplicaId;
 
 /// An inbound event surfaced by a transport to its replica loop.
@@ -72,4 +72,19 @@ pub enum RecvError {
     Timeout,
     /// The transport is closed; no further events will arrive.
     Closed,
+}
+
+/// Where a replica writes: the four best-effort sends of [`TcpTransport`].
+/// The runtime's [`ReplicaHost`](crate::runtime::ReplicaHost) is generic
+/// over it, so the same host runs on sockets and, in tests, on an
+/// in-memory net.
+pub trait NetSink {
+    /// Sends `msg` to peer replica `to`.
+    fn send(&mut self, to: ReplicaId, msg: SmrMsg);
+    /// Sends `msg` to every peer but ourselves.
+    fn broadcast(&mut self, msg: &SmrMsg);
+    /// Replies to a client (routed by `reply.client`).
+    fn reply(&mut self, reply: Reply);
+    /// Replies to every client of one decided batch.
+    fn reply_all(&mut self, replies: Vec<Reply>);
 }

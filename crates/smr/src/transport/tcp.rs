@@ -38,7 +38,7 @@
 use super::frame::{encode_frame_into, write_client_hello, FrameKey};
 use super::reactor::{resolve, FrameReader, Reactor, StatsInner, TransportStats, WriteQueue};
 use super::sys::{poll_wait, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use super::{NetEvent, RecvError};
+use super::{NetEvent, NetSink, RecvError};
 use crate::ordering::SmrMsg;
 use crate::types::{Reply, Request};
 use smartchain_codec::from_bytes;
@@ -222,16 +222,6 @@ impl TcpTransport {
     /// Tears the transport down, closing every connection it owns.
     pub fn shutdown(self) {}
 
-    /// This replica's id.
-    pub fn me(&self) -> ReplicaId {
-        self.me
-    }
-
-    /// Cluster size.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Best-effort send to one peer. Sends are *at-most-once*: a torn
     /// connection or full outbox drops the message, which the protocol
     /// layers repair via `FetchValue`, state transfer and
@@ -246,19 +236,6 @@ impl TcpTransport {
     pub fn broadcast(&mut self, msg: &SmrMsg) {
         // The payload is serialized once; only per-link headers/tags differ.
         self.reactor.queue_broadcast(msg);
-    }
-
-    /// Best-effort reply to a client (routed by `reply.client`).
-    pub fn reply(&mut self, reply: Reply) {
-        self.reactor.queue_replies(vec![reply]);
-    }
-
-    /// Best-effort replies to every client of one decided batch, queued in
-    /// one reactor pass.
-    pub fn reply_all(&mut self, replies: Vec<Reply>) {
-        if !replies.is_empty() {
-            self.reactor.queue_replies(replies);
-        }
     }
 
     /// Blocking receive with timeout.
@@ -299,6 +276,27 @@ impl TcpTransport {
         }
         self.reactor.poll_once(Duration::ZERO);
         self.reactor.pop_event()
+    }
+}
+
+impl NetSink for TcpTransport {
+    fn send(&mut self, to: ReplicaId, msg: SmrMsg) {
+        TcpTransport::send(self, to, msg);
+    }
+
+    fn broadcast(&mut self, msg: &SmrMsg) {
+        TcpTransport::broadcast(self, msg);
+    }
+
+    fn reply(&mut self, reply: Reply) {
+        self.reactor.queue_replies(vec![reply]);
+    }
+
+    /// Queues every reply in one reactor pass.
+    fn reply_all(&mut self, replies: Vec<Reply>) {
+        if !replies.is_empty() {
+            self.reactor.queue_replies(replies);
+        }
     }
 }
 
@@ -630,5 +628,87 @@ impl TcpClientPool {
                 slot.on_reply(ri, reply, quorum);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// f + 1 at n = 7.
+    const QUORUM: usize = 3;
+
+    /// A client of seven replicas with request 5 in flight.
+    fn in_flight_at_n7() -> ClientSlot {
+        ClientSlot {
+            id: 1,
+            next_seq: 6,
+            completed: 0,
+            result: None,
+            in_flight: Some(InFlight {
+                seq: 5,
+                frame: Vec::new(),
+                votes: vec![None; 7],
+                sent_at: Instant::now(),
+            }),
+            conns: (0..7).map(|_| None).collect(),
+        }
+    }
+
+    fn reply(seq: u64, result: u8) -> Reply {
+        Reply {
+            client: 1,
+            seq,
+            result: vec![result],
+            replica: 0,
+        }
+    }
+
+    /// Three matching replies from distinct connections answer the
+    /// request; two do not.
+    #[test]
+    fn three_matching_connections_answer_at_n7() {
+        let mut slot = in_flight_at_n7();
+        slot.on_reply(4, reply(5, 1), QUORUM);
+        slot.on_reply(6, reply(5, 1), QUORUM);
+        assert!(slot.in_flight.is_some(), "two votes are no quorum");
+        slot.on_reply(0, reply(5, 1), QUORUM);
+        assert!(slot.in_flight.is_none());
+        assert_eq!(slot.result, Some(vec![1]));
+        assert_eq!(slot.completed, 1);
+    }
+
+    /// A connection that replies again, or changes its reply, counts once,
+    /// as its latest reply.
+    #[test]
+    fn a_connection_counts_once_as_its_latest_reply() {
+        let mut slot = in_flight_at_n7();
+        for _ in 0..3 {
+            slot.on_reply(2, reply(5, 1), QUORUM);
+        }
+        slot.on_reply(3, reply(5, 1), QUORUM);
+        assert!(slot.in_flight.is_some(), "a repeated reply counts once");
+        slot.on_reply(3, reply(5, 2), QUORUM);
+        slot.on_reply(5, reply(5, 1), QUORUM);
+        assert!(slot.in_flight.is_some(), "connection 3 now votes for 2");
+        slot.on_reply(1, reply(5, 1), QUORUM);
+        assert_eq!(slot.result, Some(vec![1]));
+        assert_eq!(slot.completed, 1);
+    }
+
+    /// Replies for an earlier request count nothing, not even on a
+    /// connection that has not voted yet.
+    #[test]
+    fn a_stale_reply_counts_nothing() {
+        let mut slot = in_flight_at_n7();
+        slot.on_reply(0, reply(5, 1), QUORUM);
+        slot.on_reply(1, reply(5, 1), QUORUM);
+        for conn in 2..7 {
+            slot.on_reply(conn, reply(4, 1), QUORUM);
+        }
+        let flight = slot.in_flight.as_ref().expect("still in flight");
+        assert_eq!(flight.votes.iter().flatten().count(), 2);
+        slot.on_reply(2, reply(5, 1), QUORUM);
+        assert_eq!(slot.completed, 1);
     }
 }

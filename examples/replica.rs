@@ -14,7 +14,7 @@
 //!
 //! Each process binds its own TCP listener (length-framed, HMAC-
 //! authenticated links), recovers its durable state from `--storage`, and
-//! runs the same replica loop the in-process clusters use. Kill one with
+//! pumps the same `ReplicaHost` the in-process clusters use. Kill one with
 //! SIGKILL and restart it: it replays its disk, state-transfers the missed
 //! suffix from a peer, and rejoins.
 
