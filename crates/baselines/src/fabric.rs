@@ -19,6 +19,7 @@
 //! (the simulated client sends its transaction once; peer 0 acts as the
 //! submitting gateway) so the standard closed-loop client actor drives it.
 
+use smartchain_codec::Encode;
 use smartchain_crypto::keys::Signature;
 use smartchain_sim::metrics::ThroughputMeter;
 use smartchain_sim::{Actor, Ctx, Event, NodeId, Time, MILLI};
@@ -82,18 +83,18 @@ impl FabMsg {
     /// Estimated wire size in bytes.
     pub fn wire_size(&self) -> usize {
         match self {
-            FabMsg::Submit(r) | FabMsg::EndorseReq(r) => 8 + r.wire_size(),
+            FabMsg::Submit(r) | FabMsg::EndorseReq(r) => 8 + r.encoded_len(),
             FabMsg::EndorseRep { .. } => 8 + 16 + Signature::WIRE_LEN,
             // Envelopes carry the tx plus `endorsements` signatures.
-            FabMsg::Envelope(r) => 8 + r.wire_size() + 2 * ENDORSEMENT_BYTES,
+            FabMsg::Envelope(r) => 8 + r.encoded_len() + 2 * ENDORSEMENT_BYTES,
             FabMsg::OrderEcho { .. } => 48,
             FabMsg::Block { txs, .. } => {
                 64 + txs
                     .iter()
-                    .map(|t| t.wire_size() + 2 * ENDORSEMENT_BYTES)
+                    .map(|t| t.encoded_len() + 2 * ENDORSEMENT_BYTES)
                     .sum::<usize>()
             }
-            FabMsg::Reply(r) => 8 + r.wire_size(),
+            FabMsg::Reply(r) => 8 + r.encoded_len(),
         }
     }
 }
@@ -224,7 +225,7 @@ impl<A: Application> FabricNode<A> {
         let block_bytes = 64
             + txs
                 .iter()
-                .map(|t| t.wire_size() + 2 * ENDORSEMENT_BYTES)
+                .map(|t| t.encoded_len() + 2 * ENDORSEMENT_BYTES)
                 .sum::<usize>();
         // Ledger append: synchronous (maximum durability configuration).
         ctx.disk_write(block_bytes, true, 0);

@@ -13,6 +13,7 @@
 //! * a `timeout_commit` pause between heights (Tendermint's default 1 s),
 //!   which dominates client latency.
 
+use smartchain_codec::Encode;
 use smartchain_sim::metrics::ThroughputMeter;
 #[cfg(test)]
 use smartchain_sim::MILLI;
@@ -70,10 +71,10 @@ impl TmMsg {
     /// Estimated wire size in bytes.
     pub fn wire_size(&self) -> usize {
         match self {
-            TmMsg::Tx(r) | TmMsg::Gossip(r) => 8 + r.wire_size(),
-            TmMsg::Proposal { txs, .. } => 64 + txs.iter().map(Request::wire_size).sum::<usize>(),
+            TmMsg::Tx(r) | TmMsg::Gossip(r) => 8 + r.encoded_len(),
+            TmMsg::Proposal { txs, .. } => 64 + txs.iter().map(Request::encoded_len).sum::<usize>(),
             TmMsg::Vote { .. } => 120, // height + round + block id + signature
-            TmMsg::Reply(r) => 8 + r.wire_size(),
+            TmMsg::Reply(r) => 8 + r.encoded_len(),
         }
     }
 }
@@ -265,7 +266,7 @@ impl<A: Application> TendermintNode<A> {
         self.committed.insert(height);
         // Consensus-timeout overhead of the round (charged once per height).
         ctx.charge(self.config.round_overhead);
-        let block_bytes: usize = 64 + txs.iter().map(Request::wire_size).sum::<usize>();
+        let block_bytes: usize = 64 + txs.iter().map(Request::encoded_len).sum::<usize>();
         // First write: the committed block, synchronously (WAL + block).
         ctx.disk_write(block_bytes, true, 0);
         ctx.charge(ctx.hw().cpu.disk_stall_placeholder());
@@ -362,7 +363,7 @@ impl<A: Application> Actor<TmMsg> for TendermintNode<A> {
                             ctx.charge(
                                 ctx.hw()
                                     .cpu
-                                    .hash_time(txs.iter().map(Request::wire_size).sum::<usize>()),
+                                    .hash_time(txs.iter().map(Request::encoded_len).sum::<usize>()),
                             );
                             self.proposal.entry(height).or_insert(txs);
                             self.on_proposal_ready(height, ctx);

@@ -118,7 +118,7 @@ mod tests {
     use super::*;
     use crate::app::SmartCoinApp;
     use crate::tx::TxResult;
-    use smartchain_codec::from_bytes;
+    use smartchain_codec::{from_bytes, Encode};
     use smartchain_smr::app::Application;
 
     /// Trailing zero padding must not break transaction decoding.
@@ -158,14 +158,14 @@ mod tests {
         let mint = f.make(1, 0);
         let spend = f.make(1, 1);
         assert!(
-            mint.wire_size() >= 180 && mint.wire_size() < 350,
+            mint.encoded_len() >= 180 && mint.encoded_len() < 350,
             "{}",
-            mint.wire_size()
+            mint.encoded_len()
         );
         assert!(
-            spend.wire_size() >= 310 && spend.wire_size() < 480,
+            spend.encoded_len() >= 310 && spend.encoded_len() < 480,
             "{}",
-            spend.wire_size()
+            spend.encoded_len()
         );
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::messages::accept_sign_payload;
 use crate::{ReplicaId, View};
-use smartchain_codec::{codec_struct, signing_bytes, Encode};
+use smartchain_codec::{codec_struct, signing_bytes};
 use smartchain_crypto::keys::{PublicKey, Signature};
 use smartchain_crypto::Hash;
 
@@ -65,12 +65,6 @@ impl DecisionProof {
             view.n(),
             view.quorum(),
         )
-    }
-
-    /// Wire size (for the simulator and for block storage accounting) —
-    /// the canonical encoding's exact length.
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
     }
 }
 
@@ -237,6 +231,7 @@ mod tests {
 #[cfg(test)]
 mod wire_len_tests {
     use super::*;
+    use smartchain_codec::Encode;
     use smartchain_crypto::keys::{Backend, SecretKey};
 
     #[test]
@@ -249,6 +244,5 @@ mod wire_len_tests {
             accepts: vec![(0, sk.sign(b"a")), (2, sk.sign(b"b"))],
         };
         assert_eq!(proof.encoded_len(), proof.to_vec().len());
-        assert_eq!(proof.wire_size(), proof.to_vec().len());
     }
 }

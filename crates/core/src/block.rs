@@ -514,12 +514,6 @@ impl Block {
     pub fn verify_transaction(header: &BlockHeader, leaf: &[u8], proof: &merkle::Proof) -> bool {
         merkle::verify(&header.hash_transactions, leaf, proof)
     }
-
-    /// Exact serialized size (for the simulator's disk accounting),
-    /// computed without materializing the encoding.
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 codec_struct!(Block {
@@ -616,7 +610,6 @@ mod tests {
         check(&tx, "ReconfigTx");
         check(&tx.op, "ReconfigOp");
         check(&st[0].certified_key_for(1), "CertifiedKey");
-        assert_eq!(block.wire_size(), smartchain_codec::to_bytes(&block).len());
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::pipeline::{
     unwrap_app_payload, verify_envelope_signature, KIND_RECONFIG, PAYLOAD_EXCLUDE_VOTE,
     PAYLOAD_RECONFIG,
 };
-use smartchain_codec::from_bytes;
+use smartchain_codec::{from_bytes, Encode};
 use smartchain_merkle as merkle;
 use smartchain_sim::{Ctx, Time};
 use smartchain_smr::actor::SigMode;
@@ -248,7 +248,7 @@ impl<A: Application> ChainNode<A> {
         let block = m.ledger.build_next(body, state_root);
         let number = block.header.number;
         let header_hash = block.header.hash();
-        let size = block.wire_size();
+        let size = block.encoded_len();
         ctx.charge(ctx.hw().cpu.hash_time(size));
         m.ledger.append(&block).expect("ledger append");
         // The device sync issued below can only cover what is queued right
@@ -302,7 +302,7 @@ impl<A: Application> ChainNode<A> {
             new_view: new_view.clone(),
         };
         let block = m.ledger.build_next(body, state_root);
-        let size = block.wire_size();
+        let size = block.encoded_len();
         ctx.charge(ctx.hw().cpu.hash_time(size));
         m.ledger.append(&block).expect("ledger append");
         let height = m.ledger.height();

@@ -26,6 +26,7 @@ use crate::block::{Block, BlockBody, ViewInfo};
 use crate::messages::ChainMsg;
 use crate::node::{ChainNode, MemberState};
 use crate::pipeline::checkpoint::{SnapshotCommit, SnapshotState};
+use smartchain_codec::Encode;
 use smartchain_merkle as merkle;
 use smartchain_sim::{Ctx, NodeId};
 use smartchain_smr::app::Application;
@@ -116,7 +117,7 @@ impl<A: Application> ChainNode<A> {
             .as_ref()
             .and_then(|s| m.ledger.chain_hash_at(s.covered));
         let blocks = m.ledger.blocks_from(start).unwrap_or_default();
-        let blocks_size: usize = blocks.iter().map(Block::wire_size).sum();
+        let blocks_size: usize = blocks.iter().map(Block::encoded_len).sum();
         let modeled = if full {
             let snap_size = snapshot
                 .as_ref()

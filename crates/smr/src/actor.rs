@@ -14,6 +14,7 @@
 use crate::app::Application;
 use crate::ordering::{CoreOutput, OrderingConfig, OrderingCore, SmrMsg};
 use crate::types::{Reply, Request};
+use smartchain_codec::Encode;
 use smartchain_consensus::messages::ConsensusMsg;
 use smartchain_consensus::{ReplicaId, View};
 use smartchain_crypto::keys::SecretKey;
@@ -238,7 +239,7 @@ impl<A: Application> ReplicaActor<A> {
             }
             let mut result = self.app.execute(req);
             result.resize(self.config.reply_size.min(result.len().max(8)), 0);
-            block_bytes += req.wire_size() + result.len();
+            block_bytes += req.encoded_len() + result.len();
             replies.push(Reply {
                 client: req.client,
                 seq: req.seq,

@@ -19,7 +19,7 @@ use crate::app::Application;
 use crate::durability::{ckpt_sign_payload, CheckpointCert, DurableApp};
 use crate::ordering::{CoreOutput, OrderedBatch, OrderingConfig, OrderingCore, SmrMsg};
 use crate::transport::{
-    ClusterConfig, Injector, NetEvent, NetSink, RecvError, StatsInner, TcpClient, TcpTransport,
+    ClusterConfig, NetEvent, NetSink, StatsInner, StopHandle, TcpClient, TcpTransport,
     TransportStats,
 };
 use crate::types::{Reply, Request};
@@ -79,7 +79,7 @@ impl Default for RuntimeConfig {
 // ---------------------------------------------------------------------------
 
 struct TcpReplicaHandle {
-    injector: Injector,
+    stop: StopHandle,
     stats: std::sync::Arc<StatsInner>,
     handle: JoinHandle<()>,
 }
@@ -191,9 +191,9 @@ impl<A: Application> TcpCluster<A> {
                 }
             }
         };
-        let transport = TcpTransport::from_listener(self.cluster.tcp_config(me), listener)?;
-        let injector = transport.injector();
-        let stats = transport.stats_handle();
+        let transport = TcpTransport::from_listener(&self.cluster, me, listener)?;
+        let stop = transport.stop_handle();
+        let stats = transport.stats();
         let durable = DurableApp::open(
             (self.make_app)(),
             self.root.join(format!("replica-{me}")),
@@ -205,7 +205,7 @@ impl<A: Application> TcpCluster<A> {
             .spawn(move || pump(transport, &cluster, me, backend, durable))
             .expect("spawn replica");
         self.replicas[me] = Some(TcpReplicaHandle {
-            injector,
+            stop,
             stats,
             handle,
         });
@@ -221,12 +221,12 @@ impl<A: Application> TcpCluster<A> {
             .map(|h| h.stats.snapshot())
     }
 
-    /// Kills a replica: its loop exits, its transport tears down every
-    /// connection (peers see torn links and redial into nothing until a
-    /// restart).
+    /// Kills a replica: stops its transport, so its pump exits and every
+    /// connection closes (peers see torn links and redial into nothing
+    /// until a restart).
     pub fn kill_replica(&mut self, replica: ReplicaId) {
         if let Some(h) = self.replicas.get_mut(replica).and_then(Option::take) {
-            h.injector.send(NetEvent::Shutdown);
+            h.stop.stop();
             let _ = h.handle.join();
         }
     }
@@ -308,7 +308,7 @@ pub fn serve_replica<A: Application>(
     storage_dir: PathBuf,
     app: A,
 ) -> std::io::Result<()> {
-    let transport = TcpTransport::bind(cluster.tcp_config(me))?;
+    let transport = TcpTransport::bind(cluster, me)?;
     let durable = DurableApp::open(app, storage_dir, cluster.checkpoint_period)?;
     pump(transport, cluster, me, backend, durable);
     Ok(())
@@ -549,9 +549,8 @@ impl<A: Application> ReplicaHost<A> {
 
     /// Handles `events` in arrival order at instant `now`. Each run of
     /// consecutive client requests is verified as one pool job. Returns
-    /// `false` once the replica stopped — on [`NetEvent::Shutdown`], or
-    /// when a decided batch could not be applied — and must not be stepped
-    /// again.
+    /// `false` once the replica stopped — when a decided batch could not be
+    /// applied — and must not be stepped again.
     pub fn step<S: NetSink>(
         &mut self,
         events: impl IntoIterator<Item = NetEvent>,
@@ -567,7 +566,6 @@ impl<A: Application> ReplicaHost<A> {
                     self.run.push(request);
                     continue;
                 }
-                NetEvent::Shutdown => return false,
                 NetEvent::PeerUp(peer) => {
                     // A (re)established link: re-send synchronizer state the
                     // peer cannot regenerate, and nudge our own recovery if
@@ -957,9 +955,9 @@ impl<A: Application> ReplicaHost<A> {
 const DRAIN_MAX: usize = 512;
 
 /// The socket pump both deployments run on a replica's thread: boots the
-/// replica's host at the current instant, then until shutdown waits on the
-/// transport until the host's next deadline and steps the host with what
-/// arrived — or ticks the deadline when nothing did.
+/// replica's host at the current instant, then until the transport is
+/// stopped waits on it until the host's next deadline and steps the host
+/// with what arrived — or ticks the deadline when nothing did.
 fn pump<A: Application>(
     mut transport: TcpTransport,
     cluster: &ClusterConfig,
@@ -974,19 +972,19 @@ fn pump<A: Application>(
             .next_deadline()
             .saturating_duration_since(Instant::now());
         let first = if wait.is_zero() {
-            Err(RecvError::Timeout)
+            None
         } else {
-            transport.recv_timeout(wait)
+            transport.recv(wait)
         };
         match first {
-            Ok(event) => {
+            Some(event) => {
                 // A client request opens a burst: drain what else already
                 // queued, through the first other event, so that one pool
                 // job verifies the burst (the verify stage's group commit).
                 let mut burst = matches!(event, NetEvent::Client(_));
                 drained.push(event);
                 while burst && drained.len() < DRAIN_MAX {
-                    let Some(event) = transport.try_recv() else {
+                    let Some(event) = transport.recv(Duration::ZERO) else {
                         break;
                     };
                     burst = matches!(event, NetEvent::Client(_));
@@ -996,8 +994,9 @@ fn pump<A: Application>(
                     return;
                 }
             }
-            Err(RecvError::Timeout) if host.on_deadline(Instant::now(), &mut transport) => {}
-            Err(_) => return,
+            None if transport.is_stopped() => return,
+            None if host.on_deadline(Instant::now(), &mut transport) => {}
+            None => return,
         }
     }
 }

@@ -8,7 +8,6 @@
 //! `key = value`, quoted strings, one-line string arrays); the workspace
 //! builds without external crates, TOML libraries included.
 
-use crate::transport::tcp::TcpConfig;
 use smartchain_crypto::hmac::derive_key;
 use smartchain_crypto::keys::{Backend, SecretKey};
 use smartchain_crypto::{hex, unhex};
@@ -37,8 +36,9 @@ pub struct ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A descriptor for `replicas` with the given secret and defaults
-    /// matching `RuntimeConfig`.
+    /// A descriptor for `replicas` with the given secret. The batch,
+    /// checkpoint and timeout defaults match `RuntimeConfig`'s;
+    /// `require_signed` does not (`true` here, `false` there).
     pub fn new(replicas: Vec<String>, secret: [u8; 32]) -> ClusterConfig {
         ClusterConfig {
             replicas,
@@ -161,13 +161,6 @@ impl ClusterConfig {
         (self.n() - 1) / 3
     }
 
-    /// The transport config for replica `me`.
-    pub fn tcp_config(&self, me: usize) -> TcpConfig {
-        let mut config = TcpConfig::new(me, self.replicas.clone(), self.secret);
-        config.max_clients = self.max_clients;
-        config
-    }
-
     /// Replica `id`'s consensus key, derived deterministically from the
     /// cluster secret — every process (replica or client) computes the same
     /// view without any key exchange. Multi-process deployments must use
@@ -246,10 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn max_clients_reaches_the_transport_config() {
+    fn max_clients_survives_the_toml_roundtrip() {
         let mut config = ClusterConfig::new(vec!["w:1".into(); 4], [9; 32]);
         config.max_clients = 3;
-        assert_eq!(config.tcp_config(0).max_clients, 3);
         let back = ClusterConfig::parse(&config.to_toml()).unwrap();
         assert_eq!(back.max_clients, 3);
     }

@@ -1,35 +1,40 @@
-//! The event loop behind [`super::tcp::TcpTransport`]: one poll-driven
-//! reactor per replica owning every peer and client socket — running
-//! *inside* the replica loop's thread, not beside it.
+//! [`TcpTransport`], the transport of one replica: length-framed,
+//! HMAC-authenticated TCP links over `std::net`, owned by one poll-driven
+//! reactor that runs inside the replica pump's own thread. Its sends encode
+//! frames into bounded queues inline, and [`TcpTransport::recv`] runs the
+//! poll loop. No thread is spawned and no frame crosses a thread, so a
+//! thousand clients cost file descriptors, not stacks or a context switch
+//! per frame.
 //!
-//! The previous backend spent a reader/writer thread pair per connection;
-//! at 1k clients that is 2k+ threads and a context switch per frame. Here
-//! a single reactor multiplexes everything over `poll(2)`:
+//! Topology: every ordered replica pair `(i → j)` has one connection, dialed
+//! by `i` and used only for `i → j` traffic, so there is no tie-breaking and
+//! a restarted replica simply redials. One reactor multiplexes every socket
+//! of its replica over `poll(2)`:
 //!
-//! * nonblocking accept with an admission cap (peer slots are reserved, so
-//!   a client flood cannot lock replicas out) and accept backoff;
+//! * nonblocking accept with an admission cap (a peer slot per remote
+//!   replica is reserved: client hellos beyond `max_clients` are refused)
+//!   and accept backoff;
 //! * per-connection [`FrameReader`]s that reassemble frames from arbitrary
 //!   TCP segmentation without blocking — torn frames simply wait in the
 //!   buffer for the next readable event;
-//! * per-connection bounded [`WriteQueue`]s drained with vectored writes,
-//!   coalescing every frame queued since the last wakeup into few syscalls;
-//!   a slow client fills only its own queue (drops counted), never the
-//!   replica loop;
-//! * demand-driven nonblocking dials for the `me → peer` out-links with
-//!   the same redial/[`NetEvent::PeerUp`] semantics the writer threads had,
-//!   plus overflow repair: an outbox overflow (silent drop in the old
-//!   backend) now surfaces a synthetic `PeerUp` once the queue drains, so
-//!   the synchronizer re-sends what was lost.
+//! * per-connection [`WriteQueue`]s, bounded in frames and in bytes and
+//!   drained with vectored writes, coalescing every frame queued since the
+//!   last wakeup into few syscalls; a slow client fills only its own queue
+//!   (drops counted), never the replica's;
+//! * demand-driven nonblocking dials for the `me → peer` out-links, with
+//!   redial and [`NetEvent::PeerUp`] on every (re)connect.
 //!
-//! The replica loop drives the reactor directly: `send`/`broadcast`/
-//! `reply_all` encode frames into the bounded queues inline, and
-//! `recv_timeout` runs `Reactor::poll_once`, which flushes queues, polls
-//! every socket, and buffers inbound [`NetEvent`]s for the loop to pop.
-//! No cross-thread handoff happens anywhere on the frame path — the
-//! measured cost of the old design was exactly those per-frame context
-//! switches. The only concurrency left is a one-byte wake pipe
-//! (deduplicated by an atomic flag) so *other* threads — the cluster
-//! harness injecting `Shutdown`, tests — can interrupt a blocking poll.
+//! Loss model: sends are at-most-once. A torn connection drops whatever was
+//! in flight; the reactor redials, emits [`NetEvent::PeerUp`], and the
+//! protocol layers re-send what cannot be regenerated (synchronizer state)
+//! or repair through `FetchValue`/state transfer. A *full* bounded queue
+//! also drops — but never silently: the drop is counted in
+//! [`TransportStats`] and, for peer links, a synthetic `PeerUp` fires once
+//! the queue drains so the same repair path runs. This is precisely the
+//! fair-lossy link the consensus layer already assumes.
+//!
+//! The only cross-thread input is a [`StopHandle`]: a flag plus a one-byte
+//! wake pipe that interrupts a blocking poll.
 
 use super::frame::{
     decode_hello, encode_frame_into, frame_header, peer_hello_frame, FrameKey, Hello, HEADER_BYTES,
@@ -39,8 +44,7 @@ use super::sys::{
     connect_nonblocking, poll_wait, take_socket_error, Dial, PollFd, POLLERR, POLLHUP, POLLIN,
     POLLNVAL, POLLOUT,
 };
-use super::tcp::TcpConfig;
-use super::NetEvent;
+use super::{ClusterConfig, NetEvent, NetSink};
 use crate::ordering::SmrMsg;
 use crate::types::Reply;
 use smartchain_codec::from_bytes;
@@ -228,12 +232,19 @@ impl Frame {
 
 /// A bounded queue of encoded frames awaiting a writable socket, with a
 /// small buffer pool so steady-state traffic allocates nothing.
+///
+/// Two bounds hold for a non-empty queue: at most `cap` frames, and at most
+/// [`MAX_FRAME`] queued wire bytes. An empty queue admits any frame, so every
+/// legal frame can be sent, and a queue holds at most one maximal frame's
+/// bytes plus a session hello.
 #[derive(Debug)]
 pub struct WriteQueue {
     q: VecDeque<Frame>,
     /// Bytes of `q[0]` already written (partial vectored writes resume here).
     head_off: usize,
     cap: usize,
+    /// Wire bytes of the frames in `q`, counting the head whole.
+    bytes: usize,
     pool: Vec<Vec<u8>>,
 }
 
@@ -244,6 +255,7 @@ impl WriteQueue {
             q: VecDeque::new(),
             head_off: 0,
             cap: cap.max(1),
+            bytes: 0,
             pool: Vec::new(),
         }
     }
@@ -270,32 +282,45 @@ impl WriteQueue {
         }
     }
 
+    /// Whether a frame of `len` wire bytes fits under both bounds.
+    fn admits(&self, len: usize) -> bool {
+        self.q.is_empty() || (self.q.len() < self.cap && self.bytes + len <= MAX_FRAME)
+    }
+
+    fn push_back(&mut self, frame: Frame) {
+        self.bytes += frame.len();
+        self.q.push_back(frame);
+    }
+
     /// Enqueues an encoded frame. Returns `false` — and recycles the
-    /// buffer — when the queue is at capacity (the caller counts the drop).
+    /// buffer — when the frame would cross a bound (the caller counts the
+    /// drop).
     pub fn push(&mut self, frame: Vec<u8>) -> bool {
-        if self.q.len() >= self.cap {
+        if !self.admits(frame.len()) {
             self.recycle(frame);
             return false;
         }
-        self.q.push_back(Frame::Owned(frame));
+        self.push_back(Frame::Owned(frame));
         true
     }
 
     /// Enqueues a shared-payload frame (the encode-once broadcast path):
     /// this queue stores only the per-link `header` and a reference to the
-    /// payload encoded once for all peers. Returns `false` at capacity.
+    /// payload encoded once for all peers. Returns `false` when the frame
+    /// would cross a bound.
     pub fn push_shared(&mut self, header: [u8; HEADER_BYTES], body: Arc<[u8]>) -> bool {
-        if self.q.len() >= self.cap {
+        if !self.admits(HEADER_BYTES + body.len()) {
             return false;
         }
-        self.q.push_back(Frame::Shared { header, body });
+        self.push_back(Frame::Shared { header, body });
         true
     }
 
-    /// Enqueues at the *front*, bypassing the cap — session hellos must go
-    /// out first even on a queue that filled while disconnected.
+    /// Enqueues at the *front*, bypassing both bounds — session hellos must
+    /// go out first even on a queue that filled while disconnected.
     pub fn push_front(&mut self, frame: Vec<u8>) {
         debug_assert_eq!(self.head_off, 0, "push_front under a partial write");
+        self.bytes += frame.len();
         self.q.push_front(Frame::Owned(frame));
     }
 
@@ -359,6 +384,7 @@ impl WriteQueue {
                             n -= head_remaining;
                             let done = self.q.pop_front().expect("head exists");
                             self.head_off = 0;
+                            self.bytes -= done.len();
                             stats.frames += 1;
                             if let Frame::Owned(buf) = done {
                                 self.recycle(buf);
@@ -381,8 +407,8 @@ impl WriteQueue {
 // Observability
 // ---------------------------------------------------------------------------
 
-/// Shared transport counters, updated by the reactor thread and snapshotted
-/// from anywhere via [`StatsInner::snapshot`].
+/// Shared transport counters, updated by the transport's thread and
+/// snapshotted from anywhere via [`StatsInner::snapshot`].
 #[derive(Debug, Default)]
 pub struct StatsInner {
     frames_in: AtomicU64,
@@ -449,14 +475,14 @@ pub struct TransportStats {
     /// Frames completed via those syscalls (`writev_frames / writev_calls`
     /// = average coalesce size).
     pub writev_frames: u64,
-    /// Peer broadcasts issued by the replica loop.
+    /// Peer broadcasts issued through the transport.
     pub broadcast_msgs: u64,
     /// Payload serializations those broadcasts cost. With the encode-once
     /// fan-out this tracks `broadcast_msgs` one-to-one — *not* once per
     /// peer — because every peer queue shares the same payload buffer.
     pub broadcast_payload_encodes: u64,
-    /// Frames dropped because a bounded write queue was full (slow peer or
-    /// client throttled — never silent any more).
+    /// Frames dropped because a write queue was at its frame cap or byte
+    /// bound (a slow peer or client throttled), or could not be framed.
     pub queue_full_drops: u64,
     /// Inbound connections closed by the admission cap.
     pub accept_rejections: u64,
@@ -491,13 +517,16 @@ impl TransportStats {
 }
 
 // ---------------------------------------------------------------------------
-// The reactor proper
+// The transport
 // ---------------------------------------------------------------------------
 
 /// How long an in-flight nonblocking dial may take before it is abandoned.
 const CONNECT_TIMEOUT: Duration = Duration::from_millis(500);
 /// Redial backoff after a failed or abandoned dial, or a dropped link.
 const RECONNECT_DELAY: Duration = Duration::from_millis(50);
+/// Frame cap of every connection's [`WriteQueue`]; its byte bound is
+/// [`MAX_FRAME`].
+const OUTBOX_FRAMES: usize = 1024;
 /// How long an accepted connection may sit without completing its hello.
 const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// Accept pause after an admission-cap rejection (prevents accept-storm
@@ -557,16 +586,37 @@ enum Target {
     Conn(u64),
 }
 
-pub(super) struct Reactor {
+/// Stops a [`TcpTransport`] from another thread: from the moment
+/// [`stop`](Self::stop) is called, [`TcpTransport::recv`] returns `None` at
+/// once.
+#[derive(Clone, Debug)]
+pub struct StopHandle {
+    stopped: Arc<AtomicBool>,
+    /// The write end of the transport's wake pipe.
+    wake: Arc<UnixStream>,
+}
+
+impl StopHandle {
+    /// Sets the stop flag and wakes the transport's poll.
+    pub fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        // A full pipe already holds a wake byte, so a failed write loses
+        // nothing.
+        let _ = (&*self.wake).write(&[1]);
+    }
+}
+
+/// The TCP transport of one replica: every socket it owns, driven in place
+/// by the thread that runs the replica's pump.
+pub struct TcpTransport {
     me: ReplicaId,
     n: usize,
     addrs: Vec<String>,
     secret: [u8; 32],
-    outbox: usize,
     max_clients: usize,
     listener: TcpListener,
     wake_rx: UnixStream,
-    wake_flag: Arc<AtomicBool>,
+    stop: StopHandle,
     stats: Arc<StatsInner>,
     client_key: FrameKey,
     peers: Vec<Option<PeerLink>>,
@@ -575,10 +625,10 @@ pub(super) struct Reactor {
     /// client id → connection token (latest hello wins).
     clients: HashMap<u64, u64>,
     accept_paused_until: Option<Instant>,
-    /// Inbound events awaiting pickup by the replica loop.
+    /// Inbound events awaiting pickup by [`TcpTransport::recv`].
     ready: VecDeque<NetEvent>,
-    /// Pollset scratch, reused across [`Reactor::poll_once`] calls so a
-    /// thousand connections do not mean a thousand-entry allocation per
+    /// Pollset scratch, reused across [`TcpTransport::poll_once`] calls so
+    /// a thousand connections do not mean a thousand-entry allocation per
     /// poll.
     pollfds: Vec<PollFd>,
     poll_targets: Vec<Target>,
@@ -591,38 +641,60 @@ pub(super) fn resolve(addr: &str) -> io::Result<SocketAddr> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::AddrNotAvailable, "unresolvable address"))
 }
 
-impl Reactor {
-    pub(super) fn new(
-        config: &TcpConfig,
+impl TcpTransport {
+    /// Binds replica `me`'s address in `cluster` and opens its transport.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the listen address cannot be bound, or as
+    /// [`from_listener`](Self::from_listener) does.
+    pub fn bind(cluster: &ClusterConfig, me: ReplicaId) -> io::Result<TcpTransport> {
+        let listener = TcpListener::bind(&cluster.replicas[me])?;
+        TcpTransport::from_listener(cluster, me, listener)
+    }
+
+    /// Opens replica `me`'s transport over an already-bound listener
+    /// (port-0 deployments bind first, learn the real port, then exchange
+    /// addresses).
+    ///
+    /// # Errors
+    ///
+    /// Fails when the listener cannot be made non-blocking, or when the
+    /// wake pipe cannot be created.
+    pub fn from_listener(
+        cluster: &ClusterConfig,
+        me: ReplicaId,
         listener: TcpListener,
-        wake_rx: UnixStream,
-        wake_flag: Arc<AtomicBool>,
-        stats: Arc<StatsInner>,
-    ) -> Reactor {
-        let n = config.addrs.len();
+    ) -> io::Result<TcpTransport> {
+        listener.set_nonblocking(true)?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        let n = cluster.n();
         let now = Instant::now();
         let peers = (0..n)
             .map(|peer| {
-                (peer != config.me).then(|| PeerLink {
+                (peer != me).then(|| PeerLink {
                     state: PeerState::Idle,
-                    wq: WriteQueue::new(config.outbox),
-                    key: FrameKey::link(&config.secret, config.me, peer),
+                    wq: WriteQueue::new(OUTBOX_FRAMES),
+                    key: FrameKey::link(&cluster.secret, me, peer),
                     overflowed: false,
                     redial_at: now,
                 })
             })
             .collect();
-        Reactor {
-            me: config.me,
+        Ok(TcpTransport {
+            me,
             n,
-            addrs: config.addrs.clone(),
-            secret: config.secret,
-            outbox: config.outbox,
-            max_clients: config.max_clients,
+            addrs: cluster.replicas.clone(),
+            secret: cluster.secret,
+            max_clients: cluster.max_clients,
             listener,
             wake_rx,
-            wake_flag,
-            stats,
+            stop: StopHandle {
+                stopped: Arc::new(AtomicBool::new(false)),
+                wake: Arc::new(wake_tx),
+            },
+            stats: Arc::new(StatsInner::default()),
             client_key: FrameKey::client(),
             peers,
             conns: HashMap::new(),
@@ -632,6 +704,45 @@ impl Reactor {
             ready: VecDeque::new(),
             pollfds: Vec::new(),
             poll_targets: Vec::new(),
+        })
+    }
+
+    /// The live counter cell; it can be snapshotted from any thread after
+    /// the transport has moved into its pump's.
+    pub fn stats(&self) -> Arc<StatsInner> {
+        Arc::clone(&self.stats)
+    }
+
+    /// A handle that stops this transport from any thread.
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
+    }
+
+    /// Whether [`StopHandle::stop`] was called.
+    pub fn is_stopped(&self) -> bool {
+        self.stop.stopped.load(Ordering::SeqCst)
+    }
+
+    /// The next inbound event, waiting for it at most `timeout`. With a
+    /// zero timeout it pops a buffered event, else runs one zero-timeout
+    /// poll. `None` when nothing arrived in time, or at once when the
+    /// transport is stopped ([`is_stopped`](Self::is_stopped) tells which).
+    pub fn recv(&mut self, timeout: Duration) -> Option<NetEvent> {
+        let deadline = Instant::now() + timeout;
+        let mut polled = false;
+        loop {
+            if self.is_stopped() {
+                return None;
+            }
+            if let Some(event) = self.ready.pop_front() {
+                return Some(event);
+            }
+            let remaining = deadline.saturating_duration_since(Instant::now());
+            if polled && remaining.is_zero() {
+                return None;
+            }
+            self.poll_once(remaining);
+            polled = true;
         }
     }
 
@@ -645,16 +756,11 @@ impl Reactor {
         self.ready.push_back(event);
     }
 
-    /// Pops the next buffered inbound event, if any.
-    pub(super) fn pop_event(&mut self) -> Option<NetEvent> {
-        self.ready.pop_front()
-    }
-
     /// One turn of the event loop: run timers, flush pending writes, then
     /// block in `poll(2)` for at most `max_wait` (capped further by the
     /// nearest timer) and dispatch whatever readiness came back. Inbound
-    /// frames land in the `ready` queue for [`Reactor::pop_event`].
-    pub(super) fn poll_once(&mut self, max_wait: Duration) {
+    /// frames land in the `ready` queue for [`TcpTransport::recv`].
+    fn poll_once(&mut self, max_wait: Duration) {
         let now = Instant::now();
         self.run_timers(now);
         self.flush_all();
@@ -674,7 +780,8 @@ impl Reactor {
                     continue;
                 }
                 match *target {
-                    Target::Wake => self.handle_wake(),
+                    // A stop: `recv` sees the flag and never polls again.
+                    Target::Wake => {}
                     Target::Listener => self.accept_ready(),
                     Target::Peer(idx) => self.peer_event(idx, fd.revents),
                     Target::Conn(token) => self.conn_event(token, fd.revents),
@@ -684,55 +791,6 @@ impl Reactor {
         // Return the scratch buffers for the next call.
         self.pollfds = fds;
         self.poll_targets = targets;
-    }
-
-    // -- frame intake from the replica loop --------------------------------
-
-    /// Queues `msg` for one peer (encoded under the link key).
-    pub(super) fn queue_send(&mut self, to: ReplicaId, msg: &SmrMsg) {
-        self.queue_peer_msg(to, msg);
-    }
-
-    /// Queues `msg` for every peer, encode-once: the payload is serialized
-    /// into one shared `Arc<[u8]>` and every peer's queue references that
-    /// same buffer — only the 8-byte per-link header (length + truncated
-    /// HMAC tag under the pairwise key) is computed per peer.
-    pub(super) fn queue_broadcast(&mut self, msg: &SmrMsg) {
-        let payload = smartchain_codec::to_shared_bytes(msg);
-        self.stats.add(&self.stats.broadcast_msgs, 1);
-        self.stats.add(&self.stats.broadcast_payload_encodes, 1);
-        for to in 0..self.n {
-            if to != self.me {
-                self.queue_peer_shared(to, &payload);
-            }
-        }
-    }
-
-    /// Queues a decided batch's replies onto their clients' connections.
-    pub(super) fn queue_replies(&mut self, replies: Vec<Reply>) {
-        for reply in replies {
-            self.queue_reply(reply);
-        }
-    }
-
-    fn handle_wake(&mut self) {
-        // Clear the dedup flag *before* draining the pipe so a sender
-        // racing with us either sees the flag clear (and writes a fresh
-        // wake byte) or its byte is already in the pipe we drain below.
-        self.wake_flag.store(false, Ordering::Release);
-        let mut scratch = [0u8; 64];
-        while matches!(self.wake_rx.read(&mut scratch), Ok(n) if n > 0) {}
-    }
-
-    fn queue_peer_msg(&mut self, to: ReplicaId, msg: &SmrMsg) {
-        let Some(Some(link)) = self.peers.get_mut(to) else {
-            return;
-        };
-        let mut buf = link.wq.take_buf();
-        if encode_frame_into(&mut buf, &link.key, msg).is_err() || !link.wq.push(buf) {
-            self.stats.add(&self.stats.queue_full_drops, 1);
-            link.overflowed = true;
-        }
     }
 
     fn queue_peer_shared(&mut self, to: ReplicaId, payload: &Arc<[u8]>) {
@@ -746,21 +804,6 @@ impl Reactor {
         if !queued {
             self.stats.add(&self.stats.queue_full_drops, 1);
             link.overflowed = true;
-        }
-    }
-
-    fn queue_reply(&mut self, reply: Reply) {
-        let Some(&token) = self.clients.get(&reply.client) else {
-            return; // client gone; it will retransmit elsewhere
-        };
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let mut buf = conn.wq.take_buf();
-        let msg = SmrMsg::Reply(reply);
-        if encode_frame_into(&mut buf, &self.client_key, &msg).is_err() || !conn.wq.push(buf) {
-            // Slow client: only *its* queue fills, only *its* replies drop.
-            self.stats.add(&self.stats.queue_full_drops, 1);
         }
     }
 
@@ -985,7 +1028,7 @@ impl Reactor {
                             kind: ConnKind::Pending {
                                 deadline: Instant::now() + HANDSHAKE_TIMEOUT,
                             },
-                            wq: WriteQueue::new(self.outbox),
+                            wq: WriteQueue::new(OUTBOX_FRAMES),
                         },
                     );
                 }
@@ -1061,6 +1104,15 @@ impl Reactor {
                     // out-link may also need repair — surface the event.
                     self.emit(NetEvent::PeerUp(from));
                     true
+                }
+                Ok(Hello::Client { client })
+                    if !self.clients.contains_key(&client)
+                        && self.clients.len() >= self.max_clients =>
+                {
+                    // Every client slot is taken: admitting one more would
+                    // spend a slot reserved for a peer's (re)dial.
+                    self.stats.add(&self.stats.accept_rejections, 1);
+                    false
                 }
                 Ok(Hello::Client { client }) => {
                     conn.kind = ConnKind::Client { id: client };
@@ -1182,6 +1234,58 @@ impl Reactor {
             let events = POLLIN | if conn.wq.is_empty() { 0 } else { POLLOUT };
             fds.push(PollFd::new(conn.stream.as_raw_fd(), events));
             targets.push(Target::Conn(*token));
+        }
+    }
+}
+
+impl NetSink for TcpTransport {
+    /// Queues `msg` for peer `to`, encoded under the link key. Sends are
+    /// *at-most-once*: a torn connection or a full outbox drops the
+    /// message, which the protocol layers repair.
+    fn send(&mut self, to: ReplicaId, msg: SmrMsg) {
+        let Some(Some(link)) = self.peers.get_mut(to) else {
+            return;
+        };
+        let mut buf = link.wq.take_buf();
+        if encode_frame_into(&mut buf, &link.key, &msg).is_err() || !link.wq.push(buf) {
+            self.stats.add(&self.stats.queue_full_drops, 1);
+            link.overflowed = true;
+        }
+    }
+
+    /// Queues `msg` for every peer, encode-once: the payload is serialized
+    /// into one shared `Arc<[u8]>` and every peer's queue references that
+    /// same buffer — only the 8-byte per-link header (length + truncated
+    /// HMAC tag under the pairwise key) is computed per peer.
+    fn broadcast(&mut self, msg: &SmrMsg) {
+        let payload = smartchain_codec::to_shared_bytes(msg);
+        self.stats.add(&self.stats.broadcast_msgs, 1);
+        self.stats.add(&self.stats.broadcast_payload_encodes, 1);
+        for to in 0..self.n {
+            if to != self.me {
+                self.queue_peer_shared(to, &payload);
+            }
+        }
+    }
+
+    fn reply(&mut self, reply: Reply) {
+        let Some(&token) = self.clients.get(&reply.client) else {
+            return; // client gone; it will retransmit elsewhere
+        };
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return;
+        };
+        let mut buf = conn.wq.take_buf();
+        let msg = SmrMsg::Reply(reply);
+        if encode_frame_into(&mut buf, &self.client_key, &msg).is_err() || !conn.wq.push(buf) {
+            // Slow client: only *its* queue fills, only *its* replies drop.
+            self.stats.add(&self.stats.queue_full_drops, 1);
+        }
+    }
+
+    fn reply_all(&mut self, replies: Vec<Reply>) {
+        for reply in replies {
+            self.reply(reply);
         }
     }
 }
@@ -1433,6 +1537,44 @@ mod tests {
         };
         wq.drain(&mut w).unwrap();
         assert_eq!(w.written, vec![0, 1, 2], "hello first, dropped frame gone");
+    }
+
+    /// The byte bound: an empty queue admits a frame with a `MAX_FRAME`
+    /// payload, and a non-empty one refuses — through `push` and
+    /// `push_shared` alike — a frame that would take its bytes past
+    /// `MAX_FRAME`, admits one that reaches it exactly, and counts drained
+    /// frames no more. The frame cap still applies. The big buffers are
+    /// zeroed allocations the test never touches.
+    #[test]
+    fn write_queue_bounds_queued_bytes() {
+        let mut wq = WriteQueue::new(4);
+        assert!(
+            wq.push(vec![0; HEADER_BYTES + MAX_FRAME]),
+            "any legal frame"
+        );
+        assert!(!wq.push(vec![1]), "one more byte crosses the bound");
+        assert!(!wq.push_shared([0; HEADER_BYTES], Arc::from(&[][..])));
+        wq.drain(&mut io::sink()).unwrap();
+        assert!(wq.is_empty());
+
+        assert!(wq.push(vec![0; MAX_FRAME - 100]));
+        let body: Arc<[u8]> = Arc::from(&[7u8; 93][..]);
+        assert!(
+            !wq.push_shared([0; HEADER_BYTES], Arc::clone(&body)),
+            "8 + 93 bytes cross the bound by one"
+        );
+        assert!(
+            wq.push_shared([0; HEADER_BYTES], Arc::from(&body[..92])),
+            "8 + 92 bytes reach it exactly"
+        );
+        assert!(!wq.push(vec![1]), "the bound is reached");
+        assert_eq!(wq.len(), 2);
+        wq.drain(&mut io::sink()).unwrap();
+
+        for i in 0..4 {
+            assert!(wq.push(vec![i]), "drained bytes free the bound");
+        }
+        assert!(!wq.push(vec![4]), "the frame cap still applies");
     }
 
     #[test]

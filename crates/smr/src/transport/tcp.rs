@@ -1,308 +1,23 @@
-//! The real-socket transport: length-framed, HMAC-authenticated
-//! TCP links over `std::net`, driven by one poll-based reactor embedded in
-//! the replica loop's own thread.
-//!
-//! Topology: every ordered replica pair `(i → j)` has one connection, dialed
-//! by `i` and used only for `i → j` traffic, so there is no tie-breaking and
-//! a restarted replica simply redials. All sockets of one replica — the
-//! listener, the out-links, every accepted peer and client connection —
-//! are owned by a single [`reactor`](super::reactor) that the replica loop
-//! drives directly: `send`/`broadcast`/`reply_all` encode frames into
-//! pooled buffers inline, and `recv_timeout` runs the poll loop, draining
-//! bounded per-connection write queues with vectored writes and surfacing
-//! inbound frames as [`NetEvent`]s. No thread is spawned at all: thread
-//! count is O(0) per replica beyond the loop itself, not O(connections),
-//! so thousands of clients cost file descriptors — not stacks, and not a
-//! context switch per frame (the measured bottleneck of the old
-//! thread-pair design).
-//!
-//! The client side spawns no thread either: [`TcpClientPool`] multiplexes
-//! every connection of every logical client over one `poll(2)` set in the
-//! caller's thread, and [`TcpClient`] is a pool of one. A request goes to
-//! every replica and is answered once `quorum` connections return the same
-//! result. A reply counts for the connection it arrived on, that is for the
-//! replica address the client dialed, and not for the `replica` field it
-//! carries, which nothing authenticates: client frames carry only a public
-//! checksum ([`FrameKey::client`]). So one replier cannot vote twice by
-//! naming two replicas.
-//!
-//! Loss model: sends are at-most-once. A torn connection drops whatever was
-//! in flight; the reactor redials, emits [`NetEvent::PeerUp`], and the
-//! protocol layers re-send what cannot be regenerated (synchronizer state)
-//! or repair through `FetchValue`/state transfer. A *full* bounded queue
-//! also drops — but never silently: the drop is counted in
-//! [`TransportStats`] and, for peer links, a synthetic `PeerUp` fires once
-//! the queue drains so the same repair path runs. This is precisely the
-//! fair-lossy link the consensus layer already assumes.
+//! The client side of the TCP links: [`TcpClientPool`] multiplexes every
+//! connection of every logical client over one `poll(2)` set in the
+//! caller's thread, spawning no thread, and [`TcpClient`] is a pool of one.
+//! A request goes to every replica and is answered once `quorum`
+//! connections return the same result. A reply counts for the connection it
+//! arrived on, that is for the replica address the client dialed, and not
+//! for the `replica` field it carries, which nothing authenticates: client
+//! frames carry only a public checksum ([`FrameKey::client`]). So one
+//! replier cannot vote twice by naming two replicas.
 
 use super::frame::{encode_frame_into, write_client_hello, FrameKey};
-use super::reactor::{resolve, FrameReader, Reactor, StatsInner, TransportStats, WriteQueue};
+use super::reactor::{resolve, FrameReader, WriteQueue};
 use super::sys::{poll_wait, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
-use super::{NetEvent, NetSink, RecvError};
 use crate::ordering::SmrMsg;
 use crate::types::{Reply, Request};
 use smartchain_codec::from_bytes;
-use smartchain_consensus::ReplicaId;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::TcpStream;
 use std::os::fd::AsRawFd;
-use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The write half of the reactor's wake pipe plus the dedup flag: any
-/// thread can [`WakeHandle::wake`] a poll-blocked replica loop; repeated
-/// wakes between two poll returns cost one pipe byte total.
-#[derive(Debug)]
-struct WakeHandle {
-    stream: UnixStream,
-    flag: Arc<AtomicBool>,
-}
-
-impl WakeHandle {
-    fn wake(&self) {
-        if !self.flag.swap(true, Ordering::AcqRel) {
-            // A full pipe means wake bytes are already pending — safe to
-            // drop the write either way.
-            let _ = (&self.stream).write(&[1]);
-        }
-    }
-}
-
-/// A cloneable handle that injects [`NetEvent`]s into a running replica
-/// loop from any thread — shutdown, test hooks — and wakes the loop's
-/// poll so the event is seen promptly.
-#[derive(Clone, Debug)]
-pub struct Injector {
-    tx: Sender<NetEvent>,
-    wake: Arc<WakeHandle>,
-}
-
-impl Injector {
-    /// Queues `event` for the replica loop and wakes its poll. Best
-    /// effort: events sent after the transport dropped are discarded.
-    pub fn send(&self, event: NetEvent) {
-        if self.tx.send(event).is_ok() {
-            self.wake.wake();
-        }
-    }
-}
-
-/// Configuration of one replica's TCP transport.
-#[derive(Clone, Debug)]
-pub struct TcpConfig {
-    /// This replica's id (index into `addrs`).
-    pub me: ReplicaId,
-    /// Listen/dial addresses of every replica, indexed by id.
-    pub addrs: Vec<String>,
-    /// Cluster secret that pairwise link keys derive from.
-    pub secret: [u8; 32],
-    /// Bounded per-connection write queue (frames); sends beyond it are
-    /// dropped (at-most-once), counted, and repaired via `PeerUp`.
-    pub outbox: usize,
-    /// Client admission cap: inbound connections beyond this (plus the
-    /// reserved peer slots) are closed at accept.
-    pub max_clients: usize,
-}
-
-impl TcpConfig {
-    /// A config for replica `me` of a cluster at `addrs` under `secret`.
-    pub fn new(me: ReplicaId, addrs: Vec<String>, secret: [u8; 32]) -> TcpConfig {
-        TcpConfig {
-            me,
-            addrs,
-            secret,
-            outbox: 1024,
-            max_clients: 1024,
-        }
-    }
-}
-
-/// The TCP transport of one replica: the reactor that owns every socket,
-/// driven in place by whichever thread runs the replica loop.
-pub struct TcpTransport {
-    me: ReplicaId,
-    n: usize,
-    reactor: Reactor,
-    injected: Receiver<NetEvent>,
-    injected_tx: Sender<NetEvent>,
-    wake: Arc<WakeHandle>,
-    stats: Arc<StatsInner>,
-    local_addr: SocketAddr,
-}
-
-impl std::fmt::Debug for TcpTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TcpTransport")
-            .field("me", &self.me)
-            .field("n", &self.n)
-            .field("local_addr", &self.local_addr)
-            .finish_non_exhaustive()
-    }
-}
-
-impl TcpTransport {
-    /// Binds `addrs[me]` and assembles the reactor.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the listen address cannot be bound.
-    pub fn bind(config: TcpConfig) -> io::Result<TcpTransport> {
-        let listener = TcpListener::bind(&config.addrs[config.me])?;
-        Self::from_listener(config, listener)
-    }
-
-    /// Assembles over an already-bound listener (port-0 deployments bind
-    /// first, learn the real port, then exchange addresses).
-    ///
-    /// # Errors
-    ///
-    /// Fails when the listener cannot be inspected or made non-blocking, or
-    /// when the wake pipe cannot be created.
-    pub fn from_listener(config: TcpConfig, listener: TcpListener) -> io::Result<TcpTransport> {
-        let n = config.addrs.len();
-        let me = config.me;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let (wake_tx, wake_rx) = UnixStream::pair()?;
-        wake_tx.set_nonblocking(true)?;
-        wake_rx.set_nonblocking(true)?;
-        let (injected_tx, injected) = mpsc::channel::<NetEvent>();
-        let wake_flag = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(StatsInner::default());
-        let reactor = Reactor::new(
-            &config,
-            listener,
-            wake_rx,
-            Arc::clone(&wake_flag),
-            Arc::clone(&stats),
-        );
-        Ok(TcpTransport {
-            me,
-            n,
-            reactor,
-            injected,
-            injected_tx,
-            wake: Arc::new(WakeHandle {
-                stream: wake_tx,
-                flag: wake_flag,
-            }),
-            stats,
-            local_addr,
-        })
-    }
-
-    /// The bound listen address (resolves port-0 binds).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// A handle that can inject events into this transport's replica loop
-    /// (shutdown, testing hooks) from any thread.
-    pub fn injector(&self) -> Injector {
-        Injector {
-            tx: self.injected_tx.clone(),
-            wake: Arc::clone(&self.wake),
-        }
-    }
-
-    /// A snapshot of this transport's counters.
-    pub fn stats(&self) -> TransportStats {
-        self.stats.snapshot()
-    }
-
-    /// The live counter cell — snapshot-able after the transport has moved
-    /// into its replica thread.
-    pub fn stats_handle(&self) -> Arc<StatsInner> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Tears the transport down, closing every connection it owns.
-    pub fn shutdown(self) {}
-
-    /// Best-effort send to one peer. Sends are *at-most-once*: a torn
-    /// connection or full outbox drops the message, which the protocol
-    /// layers repair via `FetchValue`, state transfer and
-    /// [`NetEvent::PeerUp`]-triggered resends.
-    pub fn send(&mut self, to: ReplicaId, msg: SmrMsg) {
-        if to != self.me && to < self.n {
-            self.reactor.queue_send(to, &msg);
-        }
-    }
-
-    /// Best-effort send to every peer but ourselves.
-    pub fn broadcast(&mut self, msg: &SmrMsg) {
-        // The payload is serialized once; only per-link headers/tags differ.
-        self.reactor.queue_broadcast(msg);
-    }
-
-    /// Blocking receive with timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`RecvError::Timeout`] when nothing arrived, [`RecvError::Closed`]
-    /// when the transport shut down.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<NetEvent, RecvError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            // Injected events (shutdown) outrank socket traffic; buffered
-            // socket events next; only then block in the poll.
-            if let Ok(event) = self.injected.try_recv() {
-                return Ok(event);
-            }
-            if let Some(event) = self.reactor.pop_event() {
-                return Ok(event);
-            }
-            let now = Instant::now();
-            let Some(remaining) = deadline
-                .checked_duration_since(now)
-                .filter(|r| !r.is_zero())
-            else {
-                return Err(RecvError::Timeout);
-            };
-            self.reactor.poll_once(remaining);
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&mut self) -> Option<NetEvent> {
-        if let Ok(event) = self.injected.try_recv() {
-            return Some(event);
-        }
-        if let Some(event) = self.reactor.pop_event() {
-            return Some(event);
-        }
-        self.reactor.poll_once(Duration::ZERO);
-        self.reactor.pop_event()
-    }
-}
-
-impl NetSink for TcpTransport {
-    fn send(&mut self, to: ReplicaId, msg: SmrMsg) {
-        TcpTransport::send(self, to, msg);
-    }
-
-    fn broadcast(&mut self, msg: &SmrMsg) {
-        TcpTransport::broadcast(self, msg);
-    }
-
-    fn reply(&mut self, reply: Reply) {
-        self.reactor.queue_replies(vec![reply]);
-    }
-
-    /// Queues every reply in one reactor pass.
-    fn reply_all(&mut self, replies: Vec<Reply>) {
-        if !replies.is_empty() {
-            self.reactor.queue_replies(replies);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Client side (poll-based, zero threads)
-// ---------------------------------------------------------------------------
 
 /// How often an unanswered request is retransmitted.
 const RETRANSMIT: Duration = Duration::from_millis(500);

@@ -1,6 +1,6 @@
 //! Requests, replies and batches — the SMR wire vocabulary.
 
-use smartchain_codec::{codec_struct, signing_bytes, DecodeError, Encode};
+use smartchain_codec::{codec_struct, signing_bytes, DecodeError};
 use smartchain_consensus::ReplicaId;
 use smartchain_crypto::keys::{PublicKey, Signature};
 
@@ -40,12 +40,6 @@ impl Request {
     pub fn id(&self) -> (u64, u64) {
         (self.client, self.seq)
     }
-
-    /// Wire size in bytes — the canonical encoding's exact length (requests
-    /// travel nested inside framed messages, so no framing is added here).
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 codec_struct!(Request {
@@ -66,13 +60,6 @@ pub struct Reply {
     pub result: Vec<u8>,
     /// Which replica produced this reply.
     pub replica: ReplicaId,
-}
-
-impl Reply {
-    /// Wire size in bytes — the canonical encoding's exact length.
-    pub fn wire_size(&self) -> usize {
-        self.encoded_len()
-    }
 }
 
 codec_struct!(Reply {
@@ -217,6 +204,6 @@ mod tests {
         let req = signed_request(1, 1, 1);
         // 50-byte payload + signature + ids: in the right ballpark (not a
         // strict equality — serialization differs from Java).
-        assert!(req.wire_size() > 100 && req.wire_size() < 400);
+        assert!(req.encoded_len() > 100 && req.encoded_len() < 400);
     }
 }

@@ -201,27 +201,39 @@ fn leader_crash_and_rejoin_mid_view_change() {
 /// period — a killed leader is replaced within a few timeouts: the
 /// survivors' timers are deadlines, so the retransmitted request arriving
 /// every 500 ms does not keep postponing them, and the second expiry (the
-/// first sends a repair round) raises STOP at every survivor.
+/// first sends a repair round) raises STOP at every survivor. At n = 7 the
+/// leaders of regencies 0 and 1 are both dead, so the timers must escalate
+/// once more.
 #[test]
 fn leader_crash_fails_over_within_a_few_timeouts_despite_retransmits() {
-    let dir = fresh_dir("failover");
-    let config = RuntimeConfig {
-        storage_dir: Some(dir.to_path_buf()),
-        ..RuntimeConfig::default()
-    };
-    let timeout = config.progress_timeout;
-    let mut cluster =
-        TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
-    let r = cluster
-        .execute(vec![1], Duration::from_secs(15))
-        .expect("warm-up");
-    assert_eq!(sum_of(&r), 1);
-    cluster.kill_replica(0);
-    let r = cluster
-        .execute(vec![2], 8 * timeout)
-        .expect("op across the leader change within 8 timeouts");
-    assert_eq!(sum_of(&r), 3);
-    cluster.shutdown();
+    // (n, the replicas killed, the bound in progress timeouts)
+    for (n, killed, bound) in [(4, &[0][..], 8), (7, &[0, 1][..], 16)] {
+        let dir = fresh_dir(&format!("failover-{n}"));
+        let config = RuntimeConfig {
+            replicas: n,
+            storage_dir: Some(dir.to_path_buf()),
+            ..RuntimeConfig::default()
+        };
+        let timeout = config.progress_timeout;
+        let mut cluster =
+            TcpCluster::start(config, Backend::Sim, CounterApp::new).expect("boot tcp cluster");
+        let r = cluster
+            .execute(vec![1], Duration::from_secs(15))
+            .expect("warm-up");
+        assert_eq!(sum_of(&r), 1);
+        for &replica in killed {
+            cluster.kill_replica(replica);
+        }
+        let r = cluster
+            .execute(vec![2], bound * timeout)
+            .unwrap_or_else(|e| panic!("n = {n}: no op within {bound} timeouts: {e}"));
+        assert_eq!(sum_of(&r), 3);
+        let r = cluster
+            .execute(vec![3], bound * timeout)
+            .unwrap_or_else(|e| panic!("n = {n}: no follow-up op: {e}"));
+        assert_eq!(sum_of(&r), 6);
+        cluster.shutdown();
+    }
 }
 
 /// Kill-and-restart against a *truncated* segmented log: with a small

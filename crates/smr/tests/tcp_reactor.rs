@@ -1,18 +1,21 @@
 //! Reactor-specific transport behavior over real loopback sockets: bounded
-//! outbox overflow surfacing as repair, the client admission cap, slow-client
-//! isolation, retransmissions answered from the durable reply record, the
-//! per-connection counters, and clients that count a reply for the
-//! connection it arrived on. The protocol-level TCP suite lives in
-//! `tcp_cluster.rs`; these tests exercise the transport alone.
+//! outbox overflow surfacing as repair, the client admission cap and the
+//! peer slot it reserves, slow-client isolation, retransmissions answered
+//! from the durable reply record, the per-connection counters, and clients
+//! that count a reply for the connection it arrived on. The protocol-level
+//! TCP suite lives in `tcp_cluster.rs`; these tests exercise the transport
+//! alone.
 
 use smartchain_crypto::keys::Backend;
 use smartchain_smr::app::CounterApp;
 use smartchain_smr::ordering::SmrMsg;
 use smartchain_smr::runtime::{RuntimeConfig, TcpCluster};
 use smartchain_smr::transport::frame::{
-    read_frame, read_hello, write_client_hello, write_frame, FrameKey,
+    read_frame, read_hello, write_client_hello, write_frame, write_peer_hello, FrameKey,
 };
-use smartchain_smr::transport::{NetEvent, TcpClient, TcpClientPool, TcpConfig, TcpTransport};
+use smartchain_smr::transport::{
+    ClusterConfig, NetEvent, NetSink, TcpClient, TcpClientPool, TcpTransport,
+};
 use smartchain_smr::types::{Reply, Request};
 use smartchain_storage::testing::TempDir;
 use std::io::Read;
@@ -77,7 +80,7 @@ fn drive_until(
 ) -> bool {
     let end = Instant::now() + deadline;
     while Instant::now() < end {
-        if let Ok(event) = transport.recv_timeout(Duration::from_millis(20)) {
+        if let Some(event) = transport.recv(Duration::from_millis(20)) {
             if want(&event) {
                 return true;
             }
@@ -97,10 +100,9 @@ fn outbox_overflow_is_counted_and_repaired() {
     let peer_addr = peer_listener.local_addr().unwrap().to_string();
     let listener0 = TcpListener::bind("127.0.0.1:0").expect("bind replica 0");
     let addr0 = listener0.local_addr().unwrap().to_string();
-    let mut config = TcpConfig::new(0, vec![addr0, peer_addr], SECRET);
-    config.outbox = 4;
-    let mut transport = TcpTransport::from_listener(config, listener0).expect("transport");
-    let stats = transport.stats_handle();
+    let cluster = ClusterConfig::new(vec![addr0, peer_addr], SECRET);
+    let mut transport = TcpTransport::from_listener(&cluster, 0, listener0).expect("transport");
+    let stats = transport.stats();
 
     // Demand-dial: the first send starts the connect.
     transport.send(1, big_request(1, 1024));
@@ -119,7 +121,7 @@ fn outbox_overflow_is_counted_and_repaired() {
     ));
 
     // Flood without the peer reading: 256 KiB frames overrun the socket
-    // buffer, then the 4-frame outbox.
+    // buffer, then the outbox's byte bound (about 256 such frames).
     let mut seq = 2u64;
     let overflowed = {
         let end = Instant::now() + Duration::from_secs(10);
@@ -132,7 +134,7 @@ fn outbox_overflow_is_counted_and_repaired() {
             }
             transport.send(1, big_request(seq, 256 * 1024));
             seq += 1;
-            let _ = transport.recv_timeout(Duration::from_millis(5));
+            let _ = transport.recv(Duration::from_millis(5));
         }
     };
     assert!(overflowed, "bounded outbox must report drops");
@@ -178,13 +180,12 @@ fn broadcast_encodes_payload_once_for_all_peers() {
         .map(|l| l.local_addr().unwrap().to_string())
         .collect();
     let mut it = listeners.into_iter();
+    let cluster = ClusterConfig::new(addrs, SECRET);
     let mut sender =
-        TcpTransport::from_listener(TcpConfig::new(0, addrs.clone(), SECRET), it.next().unwrap())
-            .expect("transport 0");
+        TcpTransport::from_listener(&cluster, 0, it.next().unwrap()).expect("transport 0");
     let mut receiver =
-        TcpTransport::from_listener(TcpConfig::new(1, addrs, SECRET), it.next().unwrap())
-            .expect("transport 1");
-    let stats = sender.stats_handle();
+        TcpTransport::from_listener(&cluster, 1, it.next().unwrap()).expect("transport 1");
+    let stats = sender.stats();
 
     const ROUNDS: u64 = 5;
     for seq in 1..=ROUNDS {
@@ -193,9 +194,8 @@ fn broadcast_encodes_payload_once_for_all_peers() {
     let mut seen = 0u64;
     let end = Instant::now() + Duration::from_secs(10);
     while seen < ROUNDS && Instant::now() < end {
-        let _ = sender.recv_timeout(Duration::from_millis(5));
-        if let Ok(NetEvent::Peer { from: 0, msg }) = receiver.recv_timeout(Duration::from_millis(5))
-        {
+        let _ = sender.recv(Duration::from_millis(5));
+        if let Some(NetEvent::Peer { from: 0, msg }) = receiver.recv(Duration::from_millis(5)) {
             assert!(matches!(msg, SmrMsg::Request(ref r) if r.payload.len() == 2048));
             seen += 1;
         }
@@ -217,10 +217,10 @@ fn broadcast_encodes_payload_once_for_all_peers() {
 fn admission_cap_rejects_excess_clients() {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().unwrap().to_string();
-    let mut config = TcpConfig::new(0, vec![addr.clone()], SECRET);
-    config.max_clients = 1;
-    let mut transport = TcpTransport::from_listener(config, listener).expect("transport");
-    let stats = transport.stats_handle();
+    let mut cluster = ClusterConfig::new(vec![addr.clone()], SECRET);
+    cluster.max_clients = 1;
+    let mut transport = TcpTransport::from_listener(&cluster, 0, listener).expect("transport");
+    let stats = transport.stats();
 
     let mut admitted = TcpStream::connect(&addr).expect("first client");
     write_client_hello(&mut admitted, 1).expect("hello");
@@ -253,7 +253,7 @@ fn admission_cap_rejects_excess_clients() {
         .unwrap();
     let mut got_eof = false;
     while Instant::now() < end && !got_eof {
-        let _ = transport.recv_timeout(Duration::from_millis(20));
+        let _ = transport.recv(Duration::from_millis(20));
         match rejected.read(&mut [0u8; 16]) {
             Ok(0) => got_eof = true,
             Ok(_) => {}
@@ -267,6 +267,61 @@ fn admission_cap_rejects_excess_clients() {
     let snap = stats.snapshot();
     assert!(snap.accept_rejections >= 1, "rejection must be counted");
     assert_eq!(snap.clients_connected, 1, "the admitted client stays");
+}
+
+/// Client hellos cannot take the slot reserved for a peer: with one client
+/// slot at n = 2, a second client's hello is refused and counted, and
+/// replica 1's link is still admitted and its frames arrive.
+#[test]
+fn excess_client_hellos_leave_the_peer_slot_free() {
+    let listeners: Vec<TcpListener> = (0..2)
+        .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind"))
+        .collect();
+    let addrs: Vec<String> = listeners
+        .iter()
+        .map(|l| l.local_addr().unwrap().to_string())
+        .collect();
+    let mut cluster = ClusterConfig::new(addrs.clone(), SECRET);
+    cluster.max_clients = 1;
+    let mut it = listeners.into_iter();
+    let mut transport =
+        TcpTransport::from_listener(&cluster, 0, it.next().unwrap()).expect("transport");
+    let stats = transport.stats();
+
+    let _first = send_first_request(&addrs[0], 1);
+    assert!(
+        drive_until(&mut transport, Duration::from_secs(5), |e| matches!(
+            e,
+            NetEvent::Client(r) if r.client == 1
+        )),
+        "the first client must be served"
+    );
+    let mut second = TcpStream::connect(&addrs[0]).expect("second client");
+    write_client_hello(&mut second, 2).expect("hello");
+    let end = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < end {
+        let snap = stats.snapshot();
+        if snap.accept_rejections > 0 || snap.clients_connected > 1 {
+            break;
+        }
+        let _ = transport.recv(Duration::from_millis(20));
+    }
+    let snap = stats.snapshot();
+    assert_eq!(snap.clients_connected, 1, "the second hello is refused");
+    assert_eq!(snap.accept_rejections, 1, "and counted");
+
+    // The test plays replica 1 dialing in: hello, then one frame.
+    let mut link = TcpStream::connect(&addrs[0]).expect("peer dial");
+    write_peer_hello(&mut link, &SECRET, 1, 0).expect("link hello");
+    let payload = smartchain_codec::to_bytes(&big_request(1, 16));
+    write_frame(&mut link, &FrameKey::link(&SECRET, 1, 0), &payload).expect("frame");
+    assert!(
+        drive_until(&mut transport, Duration::from_secs(5), |e| matches!(
+            e,
+            NetEvent::Peer { from: 1, .. }
+        )),
+        "replica 1's frame must arrive on the reserved slot"
+    );
 }
 
 /// A retransmission of an already-delivered request — the client lost

@@ -61,9 +61,10 @@
 //!   deployed replica runs it — both execute serially — and only the
 //!   benchmark's `exec.*` probes time it) — and the
 //!   metal deployment layer: [`smr::transport`] provides the links
-//!   (length-framed HMAC-authenticated TCP driven by a per-replica poll
-//!   reactor with automatic redial) and [`smr::runtime`] runs one replica
-//!   loop over them, booted the same way by `TcpCluster` (threads +
+//!   (length-framed HMAC-authenticated TCP, one `TcpTransport` per replica:
+//!   a poll reactor with automatic redial and outboxes bounded in frames
+//!   and bytes) and [`smr::runtime`] pumps one sans-IO replica host over
+//!   them, booted the same way by `TcpCluster` (threads +
 //!   loopback sockets) and `serve_replica` (one OS process per replica; see
 //!   `examples/replica.rs` and `examples/client.rs`), with runtime state
 //!   transfer so a killed and restarted replica rejoins from its disk plus
